@@ -2,9 +2,19 @@
 
 An event file is plain CSV with the header line ``detector,timestamp``,
 one record per line, detector in {T, A, B} and the timestamp an integer
-count of resolution ticks since the start of the run. A JSON sidecar
-(same path with a .json suffix) echoes the resolution, the full run
-configuration and its hash.
+count of resolution ticks since the start of the run. Records are sorted
+by timestamp and timestamps are non-negative and fit in int64. A JSON
+sidecar (same path with a .json suffix) echoes the resolution, the full
+run configuration and its hash, the record count ``n_records`` and the
+``sha256`` of the CSV bytes.
+
+``read_events`` raises ``DataFormatError`` naming the file and line for
+a bad header, a wrong field count, an unknown detector label, a
+non-integer, negative or out-of-range timestamp, or a record out of
+timestamp order; and naming the file when the sidecar's record count or
+digest disagrees with the CSV. ``_parse_lines`` is the definition of the
+format; the vectorised fast path accepts a subset of it (the canonical
+spelling that ``write_events`` produces) and hands everything else to it.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -25,6 +36,15 @@ DETECTOR_LABELS = ("T", "A", "B")
 _LABEL_TO_CODE = {"T": DET_T, "A": DET_A, "B": DET_B}
 
 EVENT_HEADER = ("detector", "timestamp")
+_HEADER_LINE = ",".join(EVENT_HEADER) + "\n"
+_NO_CODE = 255  # marks a label outside DETECTOR_LABELS in the fast path
+_INT64_MAX = np.iinfo(np.int64).max
+# Records formatted per write: big enough to amortise the format and the
+# write call, small enough that the .tolist() copies stay a few MB.
+_WRITE_SLICE = 1 << 15
+_READ_BLOCK = 1 << 20
+# np.loadtxt opens paths with these suffixes through a decompressor.
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
 class DetectionRecord(NamedTuple):
@@ -88,18 +108,34 @@ def sidecar_path(events_path) -> Path:
     return Path(events_path).with_suffix(".json")
 
 
+def _csv_text(stream: EventStream) -> Iterator[str]:
+    """The event file's text: the header, then one string per slice of records."""
+    yield _HEADER_LINE
+    prefixes = tuple(f"{label}," for label in DETECTOR_LABELS)
+    for lo in range(0, len(stream), _WRITE_SLICE):
+        codes = stream.detectors[lo : lo + _WRITE_SLICE].tolist()
+        ticks = stream.timestamps[lo : lo + _WRITE_SLICE].tolist()
+        # One %-format over the whole slice beats a per-record f-string by ~30%.
+        fields = [None] * (2 * len(ticks))
+        fields[0::2] = map(prefixes.__getitem__, codes)
+        fields[1::2] = ticks
+        yield "%s%d\n" * len(ticks) % tuple(fields)
+
+
 def write_events(stream: EventStream, path, metadata: dict | None = None) -> Path:
     """Write the CSV event file and its JSON sidecar; returns the CSV path."""
     path = Path(path)
-    labels = DETECTOR_LABELS
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(EVENT_HEADER) + "\n")
-        for code, tick in zip(stream.detectors, stream.timestamps):
-            fh.write(f"{labels[code]},{tick}\n")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in _csv_text(stream):
+            data = text.encode("ascii")
+            digest.update(data)
+            fh.write(data)
     sidecar = {"resolution_ps": stream.resolution, "n_records": len(stream)}
     if metadata:
         sidecar.update(metadata)
     sidecar.setdefault("config_hash", config_hash(sidecar))
+    sidecar["sha256"] = digest.hexdigest()
     with open(sidecar_path(path), "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -111,22 +147,92 @@ def read_sidecar(events_path) -> dict | None:
     if not p.exists():
         return None
     with open(p) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{p}: sidecar is not valid JSON ({exc})") from None
 
 
 def read_events(path, resolution: float | None = None) -> EventStream:
     """Read a CSV event file; resolution comes from the sidecar if present.
 
-    Raises DataFormatError (with the offending line number) on malformed
-    input.
+    Raises DataFormatError naming the file, and the offending line where
+    there is one, on malformed, unsorted or negative input, and when the
+    sidecar's ``n_records`` or ``sha256`` (each checked if present) does
+    not match the CSV.
     """
     path = Path(path)
+    meta = read_sidecar(path)
     if resolution is None:
-        meta = read_sidecar(path)
         resolution = float(meta["resolution_ps"]) if meta else 125.0
+    canonical, sha256 = _scan(path)
+    parsed = _parse_fast(path) if canonical else None
+    codes, ticks = parsed if parsed is not None else _parse_lines(path)
+    if meta:
+        if "n_records" in meta and meta["n_records"] != ticks.size:
+            raise DataFormatError(
+                f"{path}: {ticks.size} records but the sidecar says {meta['n_records']}"
+            )
+        if "sha256" in meta and meta["sha256"] != sha256:
+            raise DataFormatError(
+                f"{path}: contents do not match the sidecar's sha256"
+            )
+    return EventStream(codes, ticks, resolution)
 
+
+def _scan(path: Path) -> tuple[bool, str]:
+    """One pass over the file's bytes: (fast path applies, sha256 hex digest).
+
+    The fast path needs the exact header line and no NUL byte: numpy drops
+    trailing NULs from string fields, so it would read ``T\\0`` as ``T``,
+    which ``_parse_lines`` rejects.
+    """
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        canonical = head in (_HEADER_LINE.encode(), _HEADER_LINE.replace("\n", "\r\n").encode())
+        digest = hashlib.sha256(head)
+        while block := fh.read(_READ_BLOCK):
+            canonical = canonical and b"\0" not in block
+            digest.update(block)
+    return canonical, digest.hexdigest()
+
+
+def _parse_fast(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
+    """Vectorised parse of the body, or None where ``_parse_lines`` must decide."""
+    if path.suffix in _COMPRESSED_SUFFIXES:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a header-only file
+        try:
+            # U2, not U1: a U1 field would truncate "TT" to "T".
+            rows = np.loadtxt(
+                path, delimiter=",", dtype=[("d", "U2"), ("t", "i8")],
+                ndmin=1, comments=None, skiprows=1,
+            )
+        except ValueError:
+            return None
+    labels = rows["d"]
+    codes = np.full(labels.shape, _NO_CODE, dtype=np.uint8)
+    for label, code in _LABEL_TO_CODE.items():
+        codes[labels == label] = code
+    ticks = np.ascontiguousarray(rows["t"])
+    if (codes == _NO_CODE).any() or (ticks.size and ticks[0] < 0):
+        return None
+    if (ticks[1:] < ticks[:-1]).any():
+        return None
+    return codes, ticks
+
+
+def _parse_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Line-by-line parse: the definition of what an event file may contain.
+
+    Fields may be padded or quoted as the csv module allows, and blank
+    lines are skipped. Raises DataFormatError with the line number of the
+    first bad record.
+    """
     codes: list[int] = []
     ticks: list[int] = []
+    previous = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -153,8 +259,20 @@ def read_events(path, resolution: float | None = None) -> EventStream:
                 raise DataFormatError(
                     f"{path}: non-integer timestamp {ts!r} on line {lineno}"
                 ) from None
+            if tick < 0:
+                raise DataFormatError(
+                    f"{path}: negative timestamp {ts!r} on line {lineno}"
+                )
+            if tick > _INT64_MAX:
+                raise DataFormatError(
+                    f"{path}: timestamp {ts!r} exceeds int64 on line {lineno}"
+                )
+            if tick < previous:
+                raise DataFormatError(
+                    f"{path}: timestamp {tick} on line {lineno} is earlier than the "
+                    f"record before it ({previous}); records must be sorted by timestamp"
+                )
+            previous = tick
             codes.append(_LABEL_TO_CODE[det])
             ticks.append(tick)
-    return EventStream(
-        np.array(codes, dtype=np.uint8), np.array(ticks, dtype=np.int64), resolution
-    )
+    return np.array(codes, dtype=np.uint8), np.array(ticks, dtype=np.int64)

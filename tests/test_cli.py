@@ -218,6 +218,18 @@ class TestAnalyze:
         ]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["T,0\nA,9223372036854775808\n", "T,50\nA,40\n"])
+    def test_out_of_range_or_unsorted_events_exit_two(self, tmp_path, capsys, body):
+        cfg = write_cfg(tmp_path / "c.cfg")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("detector,timestamp\n" + body)
+        assert cli.main([
+            "analyze", "--par", str(bad), "--perp", str(bad),
+            "--config", str(cfg), "--out", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "line 3" in err
+
     def test_no_coincidences_exit_three(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", n_triggers=200, eta_f=0.0, eta_s=0.0)
         cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "dark")])
