@@ -44,9 +44,7 @@ raw = visibility(h_par, h_perp, 25.0)
 print(f"V_raw = {raw.v:.3f} +- {raw.sigma_v:.3f}")
 
 print("\n== accidental floor ==")
-est_par = estimate_accidentals(h_par)
-est_perp = estimate_accidentals(h_perp)
-wing = 0.5 * (est_par.g_acc + est_perp.g_acc)
+wing = estimate_accidentals(h_par, h_perp).g_acc  # mean of the two wing levels
 print(f"wing estimate (|dt| in [100, 200] ns): {wing:.3e} per bin per trigger")
 
 cfg = ExperimentConfig(

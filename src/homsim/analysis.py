@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,10 +39,6 @@ class PairingResult:
     first_a: np.ndarray
     first_b: np.ndarray
     resolution: float
-    a_ticks: np.ndarray
-    a_trigger: np.ndarray
-    b_ticks: np.ndarray
-    b_trigger: np.ndarray
 
     @property
     def n_triggers(self) -> int:
@@ -57,13 +54,6 @@ class PairingResult:
         sel = self.paired
         diff = self.first_a[sel] - self.first_b[sel]
         return diff * (self.resolution / 1000.0)
-
-    def outcomes(self) -> Iterator[tuple[int, list[int], list[int], bool]]:
-        """Yield (trigger_tick, a_clicks, b_clicks, valid) per trigger."""
-        for i, t in enumerate(self.trigger_ticks):
-            a = self.a_ticks[self.a_trigger == i]
-            b = self.b_ticks[self.b_trigger == i]
-            yield int(t), a.tolist(), b.tolist(), bool(self.valid[i])
 
 
 def _assign(click_ticks, trigger_ticks):
@@ -112,10 +102,6 @@ def pair_events(stream: EventStream, valid_window: float = 85.0) -> PairingResul
         first_a=_first_per_trigger(a_ticks, a_owner, n),
         first_b=_first_per_trigger(b_ticks, b_owner, n),
         resolution=stream.resolution,
-        a_ticks=a_ticks,
-        a_trigger=a_owner,
-        b_ticks=b_ticks,
-        b_trigger=b_owner,
     )
 
 
@@ -199,26 +185,34 @@ class AccidentalEstimate(NamedTuple):
 
 
 def estimate_accidentals(
-    h: CoincidenceHistogram, wing: tuple[float, float] = (100.0, 200.0)
+    *histograms: CoincidenceHistogram, wing: tuple[float, float] = (100.0, 200.0)
 ) -> AccidentalEstimate:
     """Mean per-bin value over the flat wings |dt| in [wing_lo, wing_hi].
 
-    The standard error follows from Poisson counting of the summed wing
-    counts.
+    Each histogram's standard error follows from Poisson counting of its
+    summed wing counts. Given several histograms (a parallel and a
+    perpendicular run share one floor), returns the mean of their
+    estimates, with the standard errors added in quadrature and divided
+    by the number of histograms.
     """
+    if not histograms:
+        raise ValueError("need at least one histogram")
     lo, hi = wing
     if hi <= lo:
         raise ValueError("wing region must have positive extent")
-    sel = (np.abs(h.bin_centers) >= lo - _ALIGN_TOL) & (
-        np.abs(h.bin_centers) <= hi + _ALIGN_TOL
-    )
-    n_sel = int(sel.sum())
-    if n_sel == 0:
-        raise ValueError("wing region contains no histogram bins")
-    total = float(h.counts[sel].sum())
-    g = total / (n_sel * h.n_triggers)
-    sigma = np.sqrt(total) / (n_sel * h.n_triggers)
-    return AccidentalEstimate(g, sigma)
+    levels, sigmas = [], []
+    for h in histograms:
+        sel = (np.abs(h.bin_centers) >= lo - _ALIGN_TOL) & (
+            np.abs(h.bin_centers) <= hi + _ALIGN_TOL
+        )
+        n_sel = int(sel.sum())
+        if n_sel == 0:
+            raise ValueError("wing region contains no histogram bins")
+        total = float(h.counts[sel].sum())
+        levels.append(total / (n_sel * h.n_triggers))
+        sigmas.append(np.sqrt(total) / (n_sel * h.n_triggers))
+    n = len(histograms)
+    return AccidentalEstimate(sum(levels) / n, float(reduce(np.hypot, sigmas)) / n)
 
 
 @dataclass(frozen=True)
@@ -303,29 +297,19 @@ class DipPoint(NamedTuple):
 def dip_curve(
     runs: Sequence[tuple[float, CoincidenceHistogram, CoincidenceHistogram]],
     t_c: float = 150.0,
-    accidentals: str | float = "none",
+    subtract_accidentals: bool = False,
     wing: tuple[float, float] = (100.0, 200.0),
 ) -> list[DipPoint]:
     """Suppression ratio P_par/P_perp = 1 - V per delay-scan point.
 
     Unlike :func:`visibility`, `t_c` here is the total window length (the
-    window is the symmetric interval [-t_c/2, +t_c/2]). `accidentals`
-    selects the floor handling: "none", "wings" (estimated from each pair
-    of histograms), or an explicit per-bin value.
+    window is the symmetric interval [-t_c/2, +t_c/2]). With
+    `subtract_accidentals`, each point subtracts the wing floor that
+    :func:`estimate_accidentals` finds in its pair of histograms.
     """
     points = []
     for delta_t, h_par, h_perp in runs:
-        if accidentals == "none":
-            g: float | AccidentalEstimate = 0.0
-        elif accidentals == "wings":
-            est_par = estimate_accidentals(h_par, wing)
-            est_perp = estimate_accidentals(h_perp, wing)
-            g = AccidentalEstimate(
-                0.5 * (est_par.g_acc + est_perp.g_acc),
-                0.5 * np.hypot(est_par.sigma, est_perp.sigma),
-            )
-        else:
-            g = float(accidentals)
+        g = estimate_accidentals(h_par, h_perp, wing=wing) if subtract_accidentals else 0.0
         res = visibility(h_par, h_perp, 0.5 * t_c, g)
         points.append(DipPoint(delta_t, 1.0 - res.v, res.sigma_v))
     return points
@@ -387,10 +371,17 @@ def write_visibility_json(
     return path
 
 
-def write_dip_json(
-    points: Sequence[DipPoint], model: Sequence[float], path, config_hash: str = ""
-) -> Path:
-    path = Path(path)
+def write_dip(
+    points: Sequence[DipPoint], model: Sequence[float], out_dir, config_hash: str = ""
+) -> tuple[Path, Path]:
+    """Write a delay scan with its model ratios as dip.csv and dip.json."""
+    out_dir = Path(out_dir)
+    csv_path, json_path = out_dir / "dip.csv", out_dir / "dip.json"
+    with open(csv_path, "w") as fh:
+        fh.write(f"# config_hash={config_hash}\n")
+        fh.write("delta_t_ns,ratio,sigma,model_ratio\n")
+        for p, m in zip(points, model):
+            fh.write(f"{p.delta_t:g},{p.ratio:.12g},{p.sigma:.12g},{m:.12g}\n")
     payload = {
         "config_hash": config_hash,
         "points": [
@@ -398,7 +389,7 @@ def write_dip_json(
             for p, m in zip(points, model)
         ],
     }
-    with open(path, "w") as fh:
+    with open(json_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    return csv_path, json_path

@@ -9,6 +9,7 @@ error, 3 insufficient statistics.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -17,7 +18,6 @@ import numpy as np
 from . import analysis, interference, io, montecarlo
 from .errors import ConfigError, DataFormatError, InsufficientStatisticsError
 
-# key -> (parser, default); defaults of None mean "required when used"
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -33,25 +33,19 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(s) for s in items]
 
 
+_SIM_FIELDS = dataclasses.fields(montecarlo.ExperimentConfig)
+_FIELD_PARSERS = {"int": int, "float": float}
+
+# key -> (parser, default); defaults of None mean "required when used"
 CONFIG_KEYS = {
-    # simulation (units: ns unless stated)
-    "n_triggers": (int, None),
-    "trigger_period": (float, 1000.0),
-    "window_length": (float, 500.0),
-    "eta_f": (float, 0.005),
-    "eta_s": (float, 0.005),
-    "tau_f": (float, 13.61),
-    "tau_s": (float, 26.18),
-    "delta_t": (float, 0.0),
-    "excitation_jitter_sigma": (float, 0.0),
-    "detuning": (float, 0.0),  # MHz
-    "xi": (float, 1.0),
-    "bg_rate_a": (float, 0.0),  # events per ns per window
-    "bg_rate_b": (float, 0.0),
-    "timestamp_resolution": (float, 125.0),  # ps
-    "seed": (int, 0),
-    "detector_offset_a": (float, 0.0),
-    "detector_offset_b": (float, 0.0),
+    # simulation: the fields and defaults of montecarlo.ExperimentConfig
+    **{
+        f.name: (
+            _FIELD_PARSERS[f.type],
+            None if f.default is dataclasses.MISSING else f.default,
+        )
+        for f in _SIM_FIELDS
+    },
     # analysis
     "bin_width": (float, 10.0),
     "valid_window": (float, 85.0),
@@ -64,12 +58,6 @@ CONFIG_KEYS = {
     "delta_t_list": (_parse_float_list, []),
     "dip_t_c": (float, 150.0),  # total window length
 }
-
-_SIM_KEYS = (
-    "n_triggers trigger_period window_length eta_f eta_s tau_f tau_s delta_t "
-    "excitation_jitter_sigma detuning xi bg_rate_a bg_rate_b "
-    "timestamp_resolution seed detector_offset_a detector_offset_b"
-).split()
 
 
 def default_config_text() -> str:
@@ -122,7 +110,7 @@ def _require(cfg: dict, keys) -> None:
 
 
 def _experiment_config(cfg: dict, seed=None, xi=None, delta_t=None):
-    kwargs = {k: cfg[k] for k in _SIM_KEYS}
+    kwargs = {f.name: cfg[f.name] for f in _SIM_FIELDS}
     if seed is not None:
         kwargs["seed"] = seed
     if xi is not None:
@@ -214,27 +202,16 @@ def _build_histogram(stream, cfg):
     )
 
 
-def _analyze_pair(stream_par, stream_perp, cfg):
-    h_par = _build_histogram(stream_par, cfg)
-    h_perp = _build_histogram(stream_perp, cfg)
-    if cfg["subtract_accidentals"]:
-        wing = (cfg["wing_low"], cfg["wing_high"])
-        est_par = analysis.estimate_accidentals(h_par, wing)
-        est_perp = analysis.estimate_accidentals(h_perp, wing)
-        g_acc = analysis.AccidentalEstimate(
-            0.5 * (est_par.g_acc + est_perp.g_acc),
-            0.5 * float(np.hypot(est_par.sigma, est_perp.sigma)),
-        )
-    else:
-        g_acc = 0.0
-    return h_par, h_perp, g_acc
-
-
 def cmd_analyze(args) -> int:
     cfg = parse_config_file(args.config)
     stream_par = io.read_events(args.par)
     stream_perp = io.read_events(args.perp)
-    h_par, h_perp, g_acc = _analyze_pair(stream_par, stream_perp, cfg)
+    h_par = _build_histogram(stream_par, cfg)
+    h_perp = _build_histogram(stream_perp, cfg)
+    g_acc = 0.0
+    if cfg["subtract_accidentals"]:
+        wing = (cfg["wing_low"], cfg["wing_high"])
+        g_acc = analysis.estimate_accidentals(h_par, h_perp, wing=wing)
     result = analysis.visibility(h_par, h_perp, cfg["t_c"], g_acc)
 
     out = Path(args.out)
@@ -279,7 +256,7 @@ def cmd_dip(args) -> int:
     points = analysis.dip_curve(
         runs,
         t_c=cfg["dip_t_c"],
-        accidentals="wings" if cfg["subtract_accidentals"] else "none",
+        subtract_accidentals=cfg["subtract_accidentals"],
         wing=(cfg["wing_low"], cfg["wing_high"]),
     )
     model = [interference.dip_ratio(p.delta_t, cfg["tau_s"], cfg["tau_f"]) for p in points]
@@ -287,13 +264,7 @@ def cmd_dip(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     chash = io.config_hash(cfg)
-    path = out / "dip.csv"
-    with open(path, "w") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        fh.write("delta_t_ns,ratio,sigma,model_ratio\n")
-        for p, m in zip(points, model):
-            fh.write(f"{p.delta_t:g},{p.ratio:.12g},{p.sigma:.12g},{m:.12g}\n")
-    analysis.write_dip_json(points, model, out / "dip.json", chash)
+    path, _ = analysis.write_dip(points, model, out, chash)
     print("delta_t_ns  ratio    sigma    model")
     for p, m in zip(points, model):
         print(f"{p.delta_t:10g}  {p.ratio:.4f}  {p.sigma:.4f}  {m:.4f}")

@@ -21,9 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import UnreachableSampleError
-from .wavepacket import Envelope, amplitude
-
-_MHZ_NS = 1e-3
+from .wavepacket import _MHZ_NS, Envelope, amplitude
 
 
 @dataclass(frozen=True)

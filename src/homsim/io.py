@@ -10,11 +10,14 @@ run configuration and its hash, the record count ``n_records`` and the
 
 ``read_events`` raises ``DataFormatError`` naming the file and line for
 a bad header, a wrong field count, an unknown detector label, a
-non-integer, negative or out-of-range timestamp, or a record out of
-timestamp order; and naming the file when the sidecar's record count or
-digest disagrees with the CSV. ``_parse_lines`` is the definition of the
-format; the vectorised fast path accepts a subset of it (the canonical
-spelling that ``write_events`` produces) and hands everything else to it.
+non-integer, negative or out-of-range timestamp, a record out of
+timestamp order, undecodable bytes or a field beyond the csv module's
+size limit; naming the file when the sidecar's record count or digest
+disagrees with the CSV; and naming the sidecar when it is not a JSON
+object or a resolution it must supply is missing or not a positive
+number. ``_parse_lines`` is the definition of the format; the vectorised
+fast path accepts a subset of it (the canonical spelling that
+``write_events`` produces) and hands everything else to it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,28 +147,48 @@ def write_events(stream: EventStream, path, metadata: dict | None = None) -> Pat
 
 
 def read_sidecar(events_path) -> dict | None:
+    """The sidecar's contents, or None when there is no sidecar.
+
+    Raises DataFormatError naming the sidecar if it is not a JSON object.
+    """
     p = sidecar_path(events_path)
     if not p.exists():
         return None
     with open(p) as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            meta = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataFormatError(f"{p}: sidecar is not valid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{p}: sidecar is not a JSON object")
+    return meta
+
+
+def _sidecar_resolution(events_path, meta: dict) -> float:
+    p = sidecar_path(events_path)
+    if "resolution_ps" not in meta:
+        raise DataFormatError(f"{p}: sidecar has no resolution_ps")
+    value = meta["resolution_ps"]
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (is_number and 0 < value < math.inf):
+        raise DataFormatError(f"{p}: resolution_ps must be a positive number, got {value!r}")
+    return float(value)
 
 
 def read_events(path, resolution: float | None = None) -> EventStream:
     """Read a CSV event file; resolution comes from the sidecar if present.
 
     Raises DataFormatError naming the file, and the offending line where
-    there is one, on malformed, unsorted or negative input, and when the
-    sidecar's ``n_records`` or ``sha256`` (each checked if present) does
-    not match the CSV.
+    there is one, on malformed, undecodable, unsorted or negative input,
+    and when the sidecar's ``n_records`` or ``sha256`` (each checked if
+    present) does not match the CSV. Raises it naming the sidecar when
+    that is not a JSON object or, if `resolution` is not given, lacks a
+    positive ``resolution_ps``.
     """
     path = Path(path)
     meta = read_sidecar(path)
     if resolution is None:
-        resolution = float(meta["resolution_ps"]) if meta else 125.0
+        resolution = 125.0 if meta is None else _sidecar_resolution(path, meta)
     canonical, sha256 = _scan(path)
     parsed = _parse_fast(path) if canonical else None
     codes, ticks = parsed if parsed is not None else _parse_lines(path)
@@ -234,7 +258,7 @@ def _parse_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
     ticks: list[int] = []
     previous = 0
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -276,3 +300,32 @@ def _parse_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
             codes.append(_LABEL_TO_CODE[det])
             ticks.append(tick)
     return np.array(codes, dtype=np.uint8), np.array(ticks, dtype=np.int64)
+
+
+def _csv_rows(path: Path, fh) -> Iterator[list[str]]:
+    """csv rows of `fh`, raising DataFormatError for text the csv module
+    cannot read: undecodable bytes, or a field beyond its size limit."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc} on line {reader.line_num}") from None
+    except UnicodeDecodeError:
+        # The text layer decodes ahead in blocks, so find the line itself.
+        with open(path, "rb") as raw:
+            lines = raw.read().splitlines()
+        lineno = next(
+            (n for n, line in enumerate(lines, start=1) if not _decodes(line, fh.encoding)),
+            reader.line_num + 1,
+        )
+        raise DataFormatError(
+            f"{path}: bytes that are not {fh.encoding} text on line {lineno}"
+        ) from None
+
+
+def _decodes(data: bytes, encoding: str) -> bool:
+    try:
+        data.decode(encoding)
+    except UnicodeDecodeError:
+        return False
+    return True

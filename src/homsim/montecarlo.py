@@ -10,9 +10,12 @@ events and timestamp quantization complete the detector model.
 
 Delay convention: positive delta_t starts the heralded (f) envelope
 delta_t ns after the single-atom (s) envelope. The generator shifts the
-later-starting envelope forward so every emission begins at or after its
-trigger, mirroring the delay-line calibration of a real setup; only the
-relative offset is physical.
+later-starting envelope forward, mirroring the delay-line calibration of
+a real setup; only the relative offset is physical. Without excitation
+jitter every emission therefore begins at or after its trigger. Jitter
+moves the single-atom envelope start by a Gaussian offset, and an
+emission that then falls before its trigger is removed by the detector
+gate like any click outside the acquisition window, uncounted.
 
 Determinism: trials are generated in fixed-size chunks, each seeded from
 (seed, chunk_index), and the merged stream is sorted by (timestamp,
@@ -132,21 +135,11 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
     t_f = t0_f - config.tau_f * np.log1p(-u_f)
     t_s = t0_s - config.tau_s * np.log1p(-u_s)
 
+    # Routing: one detector label per photon. A lone photon goes to A on
+    # its r_route draw; a pair is routed by the conditional outcome law.
+    f_to_a = r_route < 0.5
+    s_to_a = f_to_a.copy()
     both = live_f & live_s
-    only_f = live_f & ~live_s
-    only_s = live_s & ~live_f
-
-    times_a = [np.empty(0)]
-    times_b = [np.empty(0)]
-    trig_a = [np.empty(0)]
-    trig_b = [np.empty(0)]
-
-    def route(times, trigs, to_a_mask):
-        times_a.append(times[to_a_mask])
-        trig_a.append(trigs[to_a_mask])
-        times_b.append(times[~to_a_mask])
-        trig_b.append(trigs[~to_a_mask])
-
     if np.any(both):
         amp_f1 = amplitude_with_starts(config.tau_f, 0.0, t_f[both], t0_f[both])
         amp_s2 = amplitude_with_starts(
@@ -161,58 +154,39 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
         )
         r_o = r_outcome[both]
         coinc = r_o < p_c
-        bunch_a = ~coinc & (r_o < p_c + p_a)
-        bunch_b = ~coinc & ~bunch_a
+        bunch_to_a = r_o < p_c + p_a
+        # Coincidence: `swap` sends the photons to opposite detectors;
+        # bunching: both photons on the same detector.
+        swap = f_to_a[both]
+        f_to_a[both] = np.where(coinc, swap, bunch_to_a)
+        s_to_a[both] = np.where(coinc, ~swap, bunch_to_a)
 
-        tf_b, ts_b, tr_b = t_f[both], t_s[both], trig[both]
-        swap = r_route[both] < 0.5
-        # Coincidence: one photon per detector, labels assigned at random.
-        ca = np.where(swap[coinc], tf_b[coinc], ts_b[coinc])
-        cb = np.where(swap[coinc], ts_b[coinc], tf_b[coinc])
-        times_a.append(ca)
-        trig_a.append(tr_b[coinc])
-        times_b.append(cb)
-        trig_b.append(tr_b[coinc])
-        # Bunching: both photons on the same detector.
-        for mask, tl, gl in ((bunch_a, times_a, trig_a), (bunch_b, times_b, trig_b)):
-            tl.append(tf_b[mask])
-            tl.append(ts_b[mask])
-            gl.append(tr_b[mask])
-            gl.append(tr_b[mask])
+    times = np.concatenate((t_f[live_f], t_s[live_s]))
+    owners = np.concatenate((trig[live_f], trig[live_s]))
+    to_a = np.concatenate((f_to_a[live_f], s_to_a[live_s]))
 
-    if np.any(only_f):
-        route(t_f[only_f], trig[only_f], r_route[only_f] < 0.5)
-    if np.any(only_s):
-        route(t_s[only_s], trig[only_s], r_route[only_s] < 0.5)
-
-    # Uniform Poisson background over each acquisition window.
-    w = config.window_length
-    for rate, tl, gl in (
-        (config.bg_rate_a, times_a, trig_a),
-        (config.bg_rate_b, times_b, trig_b),
-    ):
-        if rate > 0.0:
-            n_bg = rng.poisson(rate * w, count)
-            owners = np.repeat(trig, n_bg)
-            tl.append(owners + rng.random(owners.size) * w)
-            gl.append(owners)
-
-    det_parts = [np.full(len(trig), DET_T, dtype=np.uint8)]
+    det_parts = [np.full(count, DET_T, dtype=np.uint8)]
     time_parts = [trig]
-    for code, tl, gl, offset in (
-        (DET_A, times_a, trig_a, config.detector_offset_a),
-        (DET_B, times_b, trig_b, config.detector_offset_b),
+    w = config.window_length
+    for code, mine, rate, offset in (
+        (DET_A, to_a, config.bg_rate_a, config.detector_offset_a),
+        (DET_B, ~to_a, config.bg_rate_b, config.detector_offset_b),
     ):
-        times = np.concatenate(tl) + offset
-        owners = np.concatenate(gl)
+        t, own = times[mine], owners[mine]
+        if rate > 0.0:
+            # Uniform Poisson background over each acquisition window.
+            n_bg = rng.poisson(rate * w, count)
+            bg_owners = np.repeat(trig, n_bg)
+            t = np.concatenate((t, bg_owners + rng.random(bg_owners.size) * w))
+            own = np.concatenate((own, bg_owners))
+        t = t + offset
         # Detector gate: keep clicks inside their own acquisition window.
-        keep = (times >= owners) & (times < owners + w) & (times >= 0.0)
+        keep = (t >= own) & (t < own + w) & (t >= 0.0)
         det_parts.append(np.full(int(keep.sum()), code, dtype=np.uint8))
-        time_parts.append(times[keep])
+        time_parts.append(t[keep])
 
     det = np.concatenate(det_parts)
-    times = np.concatenate(time_parts)
-    ticks = quantize(times, config.timestamp_resolution)
+    ticks = quantize(np.concatenate(time_parts), config.timestamp_resolution)
     return det, ticks
 
 

@@ -6,7 +6,6 @@ Monte Carlo checks use fixed seeds, so the suite is deterministic.
 """
 
 import contextlib
-import math
 import time
 
 import numpy as np
@@ -16,7 +15,6 @@ from scipy.optimize import brentq
 from scipy.stats import chisquare
 
 import homsim as h
-from homsim.analysis import AccidentalEstimate
 
 TAU_S, TAU_F = 26.18, 13.61
 P_PAR_SYNC = (TAU_S - TAU_F) ** 2 / (2.0 * (TAU_S + TAU_F) ** 2)
@@ -175,9 +173,8 @@ def test_criterion_6_raw_and_corrected_visibility():
         # the same two-exponential profile as the non-interfering
         # coincidence distribution, so a wing constant undercorrects the
         # window).
-        est_par = h.estimate_accidentals(h_par)
-        est_perp = h.estimate_accidentals(h_perp)
-        wing_level = 0.5 * (est_par.g_acc + est_perp.g_acc)
+        g_const = h.estimate_accidentals(h_par, h_perp)
+        wing_level = g_const.g_acc
         cfg = h.ExperimentConfig(bg_rate_a=rate, bg_rate_b=rate, **base)
         model = h.expected_accidental_floor(cfg, h_par.bin_centers)
         wing_sel = np.abs(h_par.bin_centers) >= 100.0
@@ -186,9 +183,6 @@ def test_criterion_6_raw_and_corrected_visibility():
         notes.append(f"corrected V = {corrected.v:.3f} +- {corrected.sigma_v:.3f}")
 
         # the plain constant-floor correction, reported for comparison
-        g_const = AccidentalEstimate(
-            wing_level, 0.5 * math.hypot(est_par.sigma, est_perp.sigma)
-        )
         const_corrected = h.visibility(h_par, h_perp, 75.0, g_const)
         notes.append(f"constant-floor correction would give {const_corrected.v:.3f}")
 

@@ -18,7 +18,7 @@ from homsim import (
     visibility,
     visibility_closed_form,
 )
-from homsim.analysis import AccidentalEstimate, CoincidenceHistogram, write_histogram_csv
+from homsim.analysis import CoincidenceHistogram, write_histogram_csv
 
 TAU_S, TAU_F = 26.18, 13.61
 
@@ -75,10 +75,11 @@ class TestPairEvents:
             [("A", 100), ("T", 800), ("A", 800 + ns(20)), ("T", 8800), ("B", 8800 + ns(30))]
         )
         p = pair_events(s)
-        # the click before the first trigger is dropped entirely
-        assert p.a_ticks.tolist() == [800 + ns(20)]
-        assert p.a_trigger.tolist() == [0]
-        assert p.b_trigger.tolist() == [1]
+        # the click before the first trigger is dropped entirely: it is
+        # neither trigger 0's first A click nor wrapped onto the last trigger
+        assert p.first_a.tolist() == [800 + ns(20), -1]
+        assert p.first_b.tolist() == [-1, 8800 + ns(30)]
+        assert p.valid.tolist() == [True, True]
         assert p.delta_ts.size == 0
 
     def test_unsorted_stream_rejected(self):
@@ -86,13 +87,15 @@ class TestPairEvents:
         with pytest.raises(DataFormatError):
             pair_events(s)
 
-    def test_outcomes_iterator(self):
+    def test_per_trigger_first_clicks_and_validity(self):
         s = EventStream.from_records(
             [("T", 0), ("A", ns(50)), ("B", ns(60)), ("T", 8000)]
         )
-        out = list(pair_events(s).outcomes())
-        assert out[0] == (0, [ns(50)], [ns(60)], True)
-        assert out[1] == (8000, [], [], False)
+        p = pair_events(s)
+        assert p.trigger_ticks.tolist() == [0, 8000]
+        assert p.first_a.tolist() == [ns(50), -1]
+        assert p.first_b.tolist() == [ns(60), -1]
+        assert p.valid.tolist() == [True, False]
 
     def test_exactness_on_composite_stream(self):
         # several triggers exercising every branch at once
@@ -180,6 +183,22 @@ class TestEstimateAccidentals:
         est = estimate_accidentals(h)
         assert est.g_acc == pytest.approx(0.05, rel=1e-12)
         assert est.sigma > 0.0
+
+    def test_pair_estimate_is_mean_of_single_estimates(self):
+        rng = np.random.default_rng(3)
+        centers = np.arange(-200.0, 201.0, 10.0)
+        h_par = CoincidenceHistogram(10.0, centers, rng.integers(0, 90, centers.size), 7001)
+        h_perp = CoincidenceHistogram(10.0, centers, rng.integers(0, 90, centers.size), 6007)
+        wing = (80.0, 190.0)
+        est_par = estimate_accidentals(h_par, wing=wing)
+        est_perp = estimate_accidentals(h_perp, wing=wing)
+        pair = estimate_accidentals(h_par, h_perp, wing=wing)
+        assert pair.g_acc == 0.5 * (est_par.g_acc + est_perp.g_acc)
+        assert pair.sigma == 0.5 * np.hypot(est_par.sigma, est_perp.sigma)
+
+    def test_needs_a_histogram(self):
+        with pytest.raises(ValueError, match="at least one histogram"):
+            estimate_accidentals()
 
     def test_zero_background_run_is_statistically_zero(self):
         cfg = ExperimentConfig(n_triggers=200_000, seed=14)  # paper-like 0.5%
@@ -282,12 +301,7 @@ class TestVisibility:
             seed=61, bg_rate_a=1e-4, bg_rate_b=1e-4, **kw
         )
         v_clean = visibility(clean_par, clean_perp, 75.0)
-        est_par = estimate_accidentals(noisy_par)
-        est_perp = estimate_accidentals(noisy_perp)
-        g = AccidentalEstimate(
-            0.5 * (est_par.g_acc + est_perp.g_acc),
-            0.5 * math.hypot(est_par.sigma, est_perp.sigma),
-        )
+        g = estimate_accidentals(noisy_par, noisy_perp)
         v_corr = visibility(noisy_par, noisy_perp, 75.0, g)
         assert v_corr.g_acc > 3.0 * g.sigma  # the floor is really there
         combined = math.hypot(v_clean.sigma_v, v_corr.sigma_v)
@@ -316,6 +330,18 @@ class TestDipCurve:
         h_par, h_perp = self.histograms_for_delay(10.0)
         (point,) = dip_curve([(10.0, h_par, h_perp)], t_c=490.0)
         assert abs(point.ratio - dip_ratio(10.0, TAU_S, TAU_F)) < 3.0 * point.sigma
+
+    def test_subtracted_point_uses_pair_wing_estimate(self):
+        h_par, h_perp = self.histograms_for_delay(5.0)
+        wing = (150.0, 250.0)
+        (point,) = dip_curve(
+            [(5.0, h_par, h_perp)], t_c=150.0, subtract_accidentals=True, wing=wing
+        )
+        g = estimate_accidentals(h_par, h_perp, wing=wing)
+        res = visibility(h_par, h_perp, 75.0, g)
+        assert point == (5.0, 1.0 - res.v, res.sigma_v)
+        (raw,) = dip_curve([(5.0, h_par, h_perp)], t_c=150.0)
+        assert raw.ratio == 1.0 - visibility(h_par, h_perp, 75.0).v
 
     def test_far_delay_recovers_full_coincidences(self):
         out = []

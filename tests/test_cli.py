@@ -230,6 +230,24 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert str(bad) in err and "line 3" in err
 
+    @pytest.mark.parametrize("events, sidecar", [
+        (b"detector,timestamp\nT,0\nA,5\xff\n", None),
+        (b"detector,timestamp\nT,0\nA," + b"1" * 200_000 + b"\n", None),
+        (b"detector,timestamp\nT,0\n", '{"n_records": 1}'),
+        (b"detector,timestamp\nT,0\n", "[1]"),
+    ], ids=["undecodable-byte", "oversized-field", "no-resolution", "not-an-object"])
+    def test_unreadable_events_or_sidecar_exit_two(self, tmp_path, capsys, events, sidecar):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(events)
+        if sidecar is not None:
+            (tmp_path / "bad.json").write_text(sidecar)
+        cfg = write_cfg(tmp_path / "c.cfg")
+        rc = cli.main(["analyze", "--par", str(bad), "--perp", str(bad),
+                       "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        named = bad if sidecar is None else tmp_path / "bad.json"
+        assert f"data format error: {named}: " in capsys.readouterr().err
+
     def test_no_coincidences_exit_three(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", n_triggers=200, eta_f=0.0, eta_s=0.0)
         cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "dark")])

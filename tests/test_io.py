@@ -230,10 +230,12 @@ def test_writer_slices_are_seamless(tmp_path):
     ("T,-5\n", 2),
     ("T,10\nA,12\nB,11\n", 4),
     ("T\0,5\n", 2),
+    pytest.param("T,0\nA,5\xff\n", 3, id="undecodable-byte"),
+    pytest.param("T,0\nA," + "1" * 200_000 + "\n", 3, id="oversized-field"),
 ])
 def test_reader_rejects_with_line(tmp_path, body, line):
     path = tmp_path / "e.csv"
-    path.write_text("detector,timestamp\n" + body)
+    path.write_bytes(("detector,timestamp\n" + body).encode("latin-1"))
     with pytest.raises(DataFormatError, match=rf"{re.escape(str(path))}: .* line {line}\b"):
         read_events(path)
 
@@ -296,3 +298,21 @@ class TestSidecarIntegrity:
         sidecar_path(path).write_text("{not json")
         with pytest.raises(DataFormatError, match="sidecar"):
             read_events(path)
+
+    @pytest.mark.parametrize("sidecar", [
+        [1], "x", 5, None,  # not a JSON object
+        {"n_records": 5}, {},  # no resolution_ps
+        {"resolution_ps": 0}, {"resolution_ps": -125.0}, {"resolution_ps": "125"},
+        {"resolution_ps": True}, {"resolution_ps": float("nan")},
+    ], ids=["list", "string", "number", "null", "no-resolution", "empty", "zero-resolution",
+            "negative-resolution", "text-resolution", "bool-resolution", "nan-resolution"])
+    def test_unusable_sidecar_rejected(self, tmp_path, sidecar):
+        path = self.written(tmp_path)
+        sidecar_path(path).write_text(json.dumps(sidecar))
+        with pytest.raises(DataFormatError, match=re.escape(f"{sidecar_path(path)}: ")):
+            read_events(path)
+
+    def test_given_resolution_needs_none_from_sidecar(self, tmp_path):
+        path = self.written(tmp_path)
+        sidecar_path(path).write_text(json.dumps({"n_records": 5}))
+        assert read_events(path, resolution=62.5).resolution == 62.5

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from homsim import (
@@ -14,7 +16,10 @@ from homsim import (
     quantize,
     simulate,
 )
+from homsim.interference import outcome_probs_from_amplitudes
 from homsim.io import DET_A, DET_B, DET_T
+from homsim.montecarlo import _CHUNK
+from homsim.wavepacket import amplitude_with_starts
 
 TAU_S, TAU_F = 26.18, 13.61
 
@@ -81,6 +86,162 @@ class TestDeterminism:
         # a trigger quantized onto the same tick as a click sorts first
         same = np.flatnonzero(np.diff(s.timestamps) == 0)
         assert np.all(s.detectors[same] <= s.detectors[same + 1])
+
+
+def reference_simulate_chunk(config, first, count, chunk_idx):
+    """The chunk generator that routed photons through per-detector lists,
+    kept (comments dropped) as the reference for the one-label-per-photon
+    version."""
+    rng = np.random.default_rng([config.seed, chunk_idx])
+    trig = (first + np.arange(count, dtype=float)) * config.trigger_period
+
+    live_f = rng.random(count) < config.eta_f
+    live_s = rng.random(count) < config.eta_s
+    if config.excitation_jitter_sigma > 0.0:
+        jitter = rng.standard_normal(count) * config.excitation_jitter_sigma
+    else:
+        jitter = 0.0
+    u_f = rng.random(count)
+    u_s = rng.random(count)
+    r_outcome = rng.random(count)
+    r_route = rng.random(count)
+
+    t0_f = trig + max(config.delta_t, 0.0)
+    t0_s = trig + max(-config.delta_t, 0.0) + jitter
+    t_f = t0_f - config.tau_f * np.log1p(-u_f)
+    t_s = t0_s - config.tau_s * np.log1p(-u_s)
+
+    both = live_f & live_s
+    only_f = live_f & ~live_s
+    only_s = live_s & ~live_f
+
+    times_a = [np.empty(0)]
+    times_b = [np.empty(0)]
+    trig_a = [np.empty(0)]
+    trig_b = [np.empty(0)]
+
+    def route(times, trigs, to_a_mask):
+        times_a.append(times[to_a_mask])
+        trig_a.append(trigs[to_a_mask])
+        times_b.append(times[~to_a_mask])
+        trig_b.append(trigs[~to_a_mask])
+
+    if np.any(both):
+        amp_f1 = amplitude_with_starts(config.tau_f, 0.0, t_f[both], t0_f[both])
+        amp_s2 = amplitude_with_starts(
+            config.tau_s, config.detuning, t_s[both], t0_s[both]
+        )
+        amp_f2 = amplitude_with_starts(config.tau_f, 0.0, t_s[both], t0_f[both])
+        amp_s1 = amplitude_with_starts(
+            config.tau_s, config.detuning, t_f[both], t0_s[both]
+        )
+        p_c, p_a, _ = outcome_probs_from_amplitudes(
+            amp_f1 * amp_s2, amp_f2 * amp_s1, config.xi
+        )
+        r_o = r_outcome[both]
+        coinc = r_o < p_c
+        bunch_a = ~coinc & (r_o < p_c + p_a)
+        bunch_b = ~coinc & ~bunch_a
+
+        tf_b, ts_b, tr_b = t_f[both], t_s[both], trig[both]
+        swap = r_route[both] < 0.5
+        ca = np.where(swap[coinc], tf_b[coinc], ts_b[coinc])
+        cb = np.where(swap[coinc], ts_b[coinc], tf_b[coinc])
+        times_a.append(ca)
+        trig_a.append(tr_b[coinc])
+        times_b.append(cb)
+        trig_b.append(tr_b[coinc])
+        for mask, tl, gl in ((bunch_a, times_a, trig_a), (bunch_b, times_b, trig_b)):
+            tl.append(tf_b[mask])
+            tl.append(ts_b[mask])
+            gl.append(tr_b[mask])
+            gl.append(tr_b[mask])
+
+    if np.any(only_f):
+        route(t_f[only_f], trig[only_f], r_route[only_f] < 0.5)
+    if np.any(only_s):
+        route(t_s[only_s], trig[only_s], r_route[only_s] < 0.5)
+
+    w = config.window_length
+    for rate, tl, gl in (
+        (config.bg_rate_a, times_a, trig_a),
+        (config.bg_rate_b, times_b, trig_b),
+    ):
+        if rate > 0.0:
+            n_bg = rng.poisson(rate * w, count)
+            owners = np.repeat(trig, n_bg)
+            tl.append(owners + rng.random(owners.size) * w)
+            gl.append(owners)
+
+    det_parts = [np.full(len(trig), DET_T, dtype=np.uint8)]
+    time_parts = [trig]
+    for code, tl, gl, offset in (
+        (DET_A, times_a, trig_a, config.detector_offset_a),
+        (DET_B, times_b, trig_b, config.detector_offset_b),
+    ):
+        times = np.concatenate(tl) + offset
+        owners = np.concatenate(gl)
+        keep = (times >= owners) & (times < owners + w) & (times >= 0.0)
+        det_parts.append(np.full(int(keep.sum()), code, dtype=np.uint8))
+        time_parts.append(times[keep])
+
+    det = np.concatenate(det_parts)
+    times = np.concatenate(time_parts)
+    ticks = quantize(times, config.timestamp_resolution)
+    return det, ticks
+
+
+def reference_simulate(config):
+    n = config.n_triggers
+    parts = [
+        reference_simulate_chunk(config, start, min(_CHUNK, n - start), idx)
+        for idx, start in enumerate(range(0, n, _CHUNK))
+    ]
+    det = np.concatenate([p[0] for p in parts])
+    ticks = np.concatenate([p[1] for p in parts])
+    order = np.lexsort((det, ticks))
+    return det[order], ticks[order]
+
+
+def maybe(strategy, off=0.0):
+    return st.one_of(st.just(off), strategy)
+
+
+@st.composite
+def generator_configs(draw):
+    eta = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    return ExperimentConfig(
+        n_triggers=draw(st.sampled_from([1, 37, 3000, _CHUNK + 1234])),
+        eta_f=draw(eta),
+        eta_s=draw(eta),
+        xi=draw(st.floats(0.0, 1.0)),
+        delta_t=draw(maybe(st.floats(-60.0, 60.0))),
+        excitation_jitter_sigma=draw(maybe(st.floats(0.1, 5.0))),
+        detuning=draw(maybe(st.floats(-5.0, 5.0))),
+        bg_rate_a=draw(maybe(st.floats(1e-5, 2e-3))),
+        bg_rate_b=draw(maybe(st.floats(1e-5, 2e-3))),
+        detector_offset_a=draw(maybe(st.floats(0.0, 60.0))),
+        detector_offset_b=draw(maybe(st.floats(0.0, 60.0))),
+        timestamp_resolution=draw(st.sampled_from([125.0, 1.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=generator_configs(), workers=st.sampled_from([1, 2]))
+@example(
+    config=ExperimentConfig(
+        n_triggers=_CHUNK + 1234, eta_f=0.7, eta_s=1.0, xi=0.8, delta_t=-7.0,
+        excitation_jitter_sigma=1.5, detuning=2.0, bg_rate_a=1e-3, bg_rate_b=5e-4,
+        detector_offset_a=3.3, detector_offset_b=12.0, seed=5,
+    ),
+    workers=2,
+)
+def test_stream_matches_reference_generator(config, workers):
+    det, ticks = reference_simulate(config)
+    stream = simulate(config, workers=workers)
+    assert stream.detectors.tobytes() == det.tobytes()
+    assert stream.timestamps.tobytes() == ticks.tobytes()
 
 
 class TestEventContent:
