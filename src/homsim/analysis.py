@@ -393,3 +393,22 @@ def write_dip(
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return csv_path, json_path
+
+
+def write_oracle(
+    curves: dict[str, tuple[Sequence[float], Sequence[float]]],
+    visibility: float,
+    out_dir,
+    config_hash: str = "",
+) -> Path:
+    """Write the analytic model as oracle.csv: a `quantity,x_ns,value` row
+    per point of each named curve (x grid, values), then the visibility."""
+    path = Path(out_dir) / "oracle.csv"
+    with open(path, "w") as fh:
+        fh.write(f"# config_hash={config_hash}\n")
+        fh.write("quantity,x_ns,value\n")
+        for quantity, (xs, values) in curves.items():
+            for x, value in zip(xs, values):
+                fh.write(f"{quantity},{x:g},{value:.12g}\n")
+        fh.write(f"visibility,,{visibility:.12g}\n")
+    return path

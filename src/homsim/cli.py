@@ -9,6 +9,7 @@ error, 3 insufficient statistics.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -162,18 +163,14 @@ def cmd_oracle(args) -> int:
         "delta_t": args.delta_t,
         "density_range": args.density_range,
     }
-    chash = io.config_hash(params)
-    path = out / "oracle.csv"
-    with open(path, "w") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        fh.write("quantity,x_ns,value\n")
-        for dt in dens_grid:
-            fh.write(f"g_perp,{dt:g},{interference.coincidence_density(pair_perp, dt):.12g}\n")
-        for dt in dens_grid:
-            fh.write(f"g_par,{dt:g},{interference.coincidence_density(pair_par, dt):.12g}\n")
-        for d in dip_grid:
-            fh.write(f"dip_ratio,{d:g},{interference.dip_ratio(d, args.tau_s, args.tau_f):.12g}\n")
-        fh.write(f"visibility,,{vis:.12g}\n")
+    curves = {
+        name: (dens_grid, [interference.coincidence_density(pair, dt) for dt in dens_grid])
+        for name, pair in (("g_perp", pair_perp), ("g_par", pair_par))
+    }
+    curves["dip_ratio"] = (
+        dip_grid, [interference.dip_ratio(d, args.tau_s, args.tau_f) for d in dip_grid]
+    )
+    path = analysis.write_oracle(curves, vis, out, io.config_hash(params))
     print(f"visibility = {vis:.4f}")
     print(f"wrote {path}")
     return 0
@@ -193,13 +190,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _config_keys(*keys):
+    """Report a ValueError that analysis raises for the values of the
+    config `keys` as a ConfigError naming them."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{'/'.join(keys)}: {exc}") from None
+
+
 def _build_histogram(stream, cfg):
-    pairing = analysis.pair_events(stream, cfg["valid_window"])
-    if pairing.n_triggers == 0:
-        raise InsufficientStatisticsError("event stream contains no trigger records")
-    return analysis.histogram(
-        pairing.delta_ts, pairing.n_triggers, cfg["bin_width"], cfg["hist_range"]
-    )
+    with _config_keys("valid_window", "bin_width", "hist_range"):
+        pairing = analysis.pair_events(stream, cfg["valid_window"])
+        if pairing.n_triggers == 0:
+            raise InsufficientStatisticsError("event stream contains no trigger records")
+        return analysis.histogram(
+            pairing.delta_ts, pairing.n_triggers, cfg["bin_width"], cfg["hist_range"]
+        )
 
 
 def cmd_analyze(args) -> int:
@@ -211,8 +219,10 @@ def cmd_analyze(args) -> int:
     g_acc = 0.0
     if cfg["subtract_accidentals"]:
         wing = (cfg["wing_low"], cfg["wing_high"])
-        g_acc = analysis.estimate_accidentals(h_par, h_perp, wing=wing)
-    result = analysis.visibility(h_par, h_perp, cfg["t_c"], g_acc)
+        with _config_keys("wing_low", "wing_high"):
+            g_acc = analysis.estimate_accidentals(h_par, h_perp, wing=wing)
+    with _config_keys("t_c"):
+        result = analysis.visibility(h_par, h_perp, cfg["t_c"], g_acc)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -253,12 +263,13 @@ def cmd_dip(args) -> int:
         )
         runs.append((delta_t, _build_histogram(stream_par, cfg), _build_histogram(stream_perp, cfg)))
 
-    points = analysis.dip_curve(
-        runs,
-        t_c=cfg["dip_t_c"],
-        subtract_accidentals=cfg["subtract_accidentals"],
-        wing=(cfg["wing_low"], cfg["wing_high"]),
-    )
+    with _config_keys("dip_t_c", "wing_low", "wing_high"):
+        points = analysis.dip_curve(
+            runs,
+            t_c=cfg["dip_t_c"],
+            subtract_accidentals=cfg["subtract_accidentals"],
+            wing=(cfg["wing_low"], cfg["wing_high"]),
+        )
     model = [interference.dip_ratio(p.delta_t, cfg["tau_s"], cfg["tau_f"]) for p in points]
 
     out = Path(args.out)

@@ -4,8 +4,10 @@ Everything here treats a pair of single photons, one per input port of a
 50:50 beam splitter, each with a decaying-exponential temporal envelope.
 The interfering and non-interfering coincidence distributions, their
 integrals, the visibility, and the dip shape all have closed forms for
-this envelope family; numerical quadrature is kept as an independent path
-for cross-validation.
+this envelope family, at any pair of carrier detunings; numerical
+quadrature is kept as an independent path for cross-validation. scipy
+is imported only by the functions that integrate: loading it takes most
+of the time of ``import homsim``, and no default path needs it.
 
 Delay convention: a positive `delay` argument means the heralded (f)
 photon's envelope starts `delay` ns after the single-atom (s) photon's.
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import UnreachableSampleError
 from .wavepacket import _MHZ_NS, Envelope, amplitude
@@ -54,9 +55,17 @@ def _check_taus(tau_s: float, tau_f: float) -> None:
         raise ValueError("coherence times must be positive")
 
 
+def _d_omega(env_f: Envelope, env_s: Envelope) -> float:
+    """Relative carrier angular frequency in rad/ns."""
+    return 2.0 * np.pi * (env_f.detuning - env_s.detuning) * _MHZ_NS
+
+
 def _density_closed(env_f: Envelope, env_s: Envelope, xi: float, dt: float) -> float:
-    # Valid whenever the two carrier detunings are equal (phases cancel in
-    # the cross term). Each piece is the exact integral of an exponential.
+    # Each piece is the exact integral of an exponential. The carrier phases
+    # of a1 = psi_f(t) psi_s(t+dt) and a2 = psi_f(t+dt) psi_s(t) leave
+    # a1 a2* with the phase (omega_f - omega_s) dt, which does not depend on
+    # t, so a relative detuning only scales the cross term by cos(d_omega dt)
+    # and the direct terms not at all.
     a = 1.0 / env_f.tau
     b = 1.0 / env_s.tau
     tf, ts = env_f.t0, env_s.t0
@@ -70,10 +79,13 @@ def _density_closed(env_f: Envelope, env_s: Envelope, xi: float, dt: float) -> f
     cross = pref * math.exp(
         -0.5 * (a + b) * dt - a * (cross_lo - tf) - b * (cross_lo - ts)
     )
+    cross *= math.cos(_d_omega(env_f, env_s) * dt)
     return 0.25 * (direct(dt) + direct(-dt) - 2.0 * xi * xi * cross)
 
 
 def _density_quad(env_f: Envelope, env_s: Envelope, xi: float, dt: float) -> float:
+    from scipy.integrate import quad
+
     def integrand(t):
         a1 = amplitude(env_f, t) * amplitude(env_s, t + dt)
         a2 = amplitude(env_f, t + dt) * amplitude(env_s, t)
@@ -92,11 +104,13 @@ def _density_quad(env_f: Envelope, env_s: Envelope, xi: float, dt: float) -> flo
 def coincidence_density(pair: SourcePair, dt: float, force_quadrature: bool = False) -> float:
     """Coincidence probability density (per ns) at signed difference dt = t_a - t_b.
 
-    Uses the closed form for exponential envelopes when the two carriers
-    share the same detuning; falls back to adaptive quadrature otherwise
-    (or when `force_quadrature` is set). The two paths agree to 1e-8.
+    Uses the closed form for exponential envelopes, which holds at any
+    pair of carrier detunings: a relative detuning d_omega scales the
+    interference term by cos(d_omega dt). `force_quadrature` integrates
+    the amplitudes numerically instead, as an independent check; the two
+    paths agree to 1e-8.
     """
-    if force_quadrature or pair.env_f.detuning != pair.env_s.detuning:
+    if force_quadrature:
         return _density_quad(pair.env_f, pair.env_s, pair.xi, dt)
     return _density_closed(pair.env_f, pair.env_s, pair.xi, dt)
 
@@ -110,8 +124,7 @@ def _overlap_sq(env_f: Envelope, env_s: Envelope) -> float:
     # The earlier-starting envelope has decayed by the time the later one
     # turns on, with its own time constant.
     decay = math.exp(-b * gap) if gap >= 0.0 else math.exp(a * gap)
-    d_omega = 2.0 * np.pi * (env_f.detuning - env_s.detuning) * _MHZ_NS
-    return a * b * decay / (0.25 * (a + b) ** 2 + d_omega**2)
+    return a * b * decay / (0.25 * (a + b) ** 2 + _d_omega(env_f, env_s) ** 2)
 
 
 def coincidence_probability(pair: SourcePair, delay: float = 0.0) -> float:
@@ -132,6 +145,8 @@ def coincidence_probability_numeric(
     """Independent evaluation of the coincidence probability by integrating
     the density over dt. Slower than :func:`coincidence_probability`; kept
     as a cross-check of the closed forms."""
+    from scipy.integrate import quad
+
     shifted = pair.delayed(delay) if delay != 0.0 else pair
     span = 40.0 * max(pair.env_f.tau, pair.env_s.tau)
     gap = shifted.env_f.t0 - shifted.env_s.t0

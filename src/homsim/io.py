@@ -8,14 +8,14 @@ sidecar (same path with a .json suffix) echoes the resolution, the full
 run configuration and its hash, the record count ``n_records`` and the
 ``sha256`` of the CSV bytes.
 
-``read_events`` raises ``DataFormatError`` naming the file and line for
-a bad header, a wrong field count, an unknown detector label, a
+``read_events`` raises ``DataFormatError`` naming the file and physical
+line for a bad header, a wrong field count, an unknown detector label, a
 non-integer, negative or out-of-range timestamp, a record out of
-timestamp order, undecodable bytes or a field beyond the csv module's
-size limit; naming the file when the sidecar's record count or digest
-disagrees with the CSV; and naming the sidecar when it is not a JSON
-object or a resolution it must supply is missing or not a positive
-number. ``_parse_lines`` is the definition of the format; the vectorised
+timestamp order, a line break inside a quoted field, undecodable bytes
+or a field beyond the csv module's size limit; naming the file when the
+sidecar's record count or digest disagrees with the CSV; and naming the
+sidecar when it is not a JSON object or a resolution it must supply is
+missing or not a positive number. ``_parse_lines`` is the definition of the format; the vectorised
 fast path accepts a subset of it (the canonical spelling that
 ``write_events`` produces) and hands everything else to it.
 """
@@ -250,24 +250,24 @@ def _parse_fast(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
 def _parse_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Line-by-line parse: the definition of what an event file may contain.
 
-    Fields may be padded or quoted as the csv module allows, and blank
-    lines are skipped. Raises DataFormatError with the line number of the
-    first bad record.
+    Fields may be padded or quoted as the csv module allows, but may not
+    hold a line break, and blank lines are skipped. Raises DataFormatError
+    with the physical line number of the first bad record.
     """
     codes: list[int] = []
     ticks: list[int] = []
     previous = 0
     with open(path, newline="") as fh:
-        reader = _csv_rows(path, fh)
+        rows = _csv_rows(path, fh)
         try:
-            header = next(reader)
+            _, header = next(rows)
         except StopIteration:
             raise DataFormatError(f"{path}: empty event file (line 1)") from None
         if [h.strip() for h in header] != list(EVENT_HEADER):
             raise DataFormatError(
                 f"{path}: bad header {header!r} on line 1, expected 'detector,timestamp'"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != 2:
@@ -302,12 +302,22 @@ def _parse_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(codes, dtype=np.uint8), np.array(ticks, dtype=np.int64)
 
 
-def _csv_rows(path: Path, fh) -> Iterator[list[str]]:
-    """csv rows of `fh`, raising DataFormatError for text the csv module
-    cannot read: undecodable bytes, or a field beyond its size limit."""
+def _csv_rows(path: Path, fh) -> Iterator[tuple[int, list[str]]]:
+    """(physical line it starts on, row) for each csv row of `fh`.
+
+    Raises DataFormatError for text the csv module cannot read (undecodable
+    bytes, a field beyond its size limit) and for a field holding a line
+    break: quoting allows one, but ``strip`` would hide it and the record
+    would span lines.
+    """
     reader = csv.reader(fh)
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            if any("\r" in field or "\n" in field for field in row):
+                raise DataFormatError(f"{path}: line break inside a field on line {start}")
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise DataFormatError(f"{path}: {exc} on line {reader.line_num}") from None
     except UnicodeDecodeError:

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 # 1 MHz * 1 ns = 1e-3 cycles
 _MHZ_NS = 1e-3
@@ -87,6 +86,8 @@ def norm(env: Envelope, upper: float | None = None) -> float:
     The 40-tau cutoff leaves a truncation error of e^-40, far below the
     1e-9 quadrature tolerance.
     """
+    from scipy.integrate import quad  # deferred, as in interference
+
     if upper is None:
         upper = env.t0 + 40.0 * env.tau
 

@@ -1,10 +1,24 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from homsim import cli
+from homsim import (
+    Envelope,
+    SourcePair,
+    cli,
+    coincidence_density,
+    dip_ratio,
+    visibility_closed_form,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_cfg(path, **overrides):
@@ -88,6 +102,29 @@ class TestOracle:
         ]) == 0
         dip = dict(read_oracle_rows(tmp_path / "oracle.csv")["dip_ratio"])
         assert dip["0"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_detuned_rows_match_quadrature(self, tmp_path):
+        # every row in file order, formatted as the writer promises, with the
+        # detuned densities checked against the independent quadrature path
+        assert cli.main([
+            "oracle", "--detuning", "2", "--xi", "0.8", "--delta-t=-5:5:5",
+            "--density-range=-4:4:2", "--out", str(tmp_path),
+        ]) == 0
+        lines = (tmp_path / "oracle.csv").read_text().splitlines()
+        assert lines[0].startswith("# config_hash=") and lines[1] == "quantity,x_ns,value"
+        env_f, env_s = Envelope(13.61), Envelope(26.18, detuning=2.0)
+        expected = [
+            (name, x, coincidence_density(SourcePair(env_f, env_s, xi), x, force_quadrature=True))
+            for name, xi in (("g_perp", 0.0), ("g_par", 0.8))
+            for x in (-4.0, -2.0, 0.0, 2.0, 4.0)
+        ] + [("dip_ratio", x, dip_ratio(x, 26.18, 13.61)) for x in (-5.0, 0.0, 5.0)]
+        rows = [line.split(",") for line in lines[2:-1]]
+        assert [row[:2] for row in rows] == [[name, f"{x:g}"] for name, x, _ in expected]
+        for (_, _, value), (_, _, want) in zip(rows, expected):
+            assert float(value) == pytest.approx(want, abs=1e-10)
+        dip_text = [value for name, _, value in rows if name == "dip_ratio"]
+        assert dip_text == [f"{want:.12g}" for _, _, want in expected[-3:]]
+        assert lines[-1] == f"visibility,,{visibility_closed_form(26.18, 13.61):.12g}"
 
     def test_bad_parameters_exit_one(self, tmp_path, capsys):
         assert cli.main(["oracle", "--tau-s", "-4", "--out", str(tmp_path)]) == 1
@@ -313,3 +350,73 @@ class TestDip:
         cfg = write_cfg(tmp_path / "c.cfg", n_triggers=100)
         assert cli.main(["dip", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "delta_t_list" in capsys.readouterr().err
+
+
+# Analysis parameters that analysis rejects: a window whose half-width
+# (t_c, or dip_t_c / 2) is off the 10 ns bin edges, and an empty wing.
+BAD_ANALYSIS_PARAMETERS = [
+    pytest.param({"t_c": 30, "dip_t_c": 60}, "does not align with bin edges",
+                 id="window-off-bin-edges"),
+    pytest.param({"subtract_accidentals": "true", "wing_low": 200, "wing_high": 100},
+                 "wing region must have positive extent", id="inverted-wing"),
+]
+
+
+class TestAnalysisParameterErrors:
+    @pytest.mark.parametrize("overrides, message", BAD_ANALYSIS_PARAMETERS)
+    def test_analyze_reports_config_error(self, tmp_path, capsys, overrides, message):
+        cfg = write_cfg(tmp_path / "c.cfg", n_triggers=2000, **overrides)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        events = str(tmp_path / "events.csv")
+        assert cli.main(["analyze", "--par", events, "--perp", events,
+                         "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("overrides, message", BAD_ANALYSIS_PARAMETERS)
+    def test_dip_reports_config_error(self, tmp_path, capsys, overrides, message):
+        cfg = write_cfg(tmp_path / "c.cfg", n_triggers=2000, delta_t_list=0, **overrides)
+        assert cli.main(["dip", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
+
+def test_default_paths_do_not_import_scipy(tmp_path):
+    # scipy is imported only by the quadrature cross-checks; every CLI
+    # command, detuned oracle included, runs on closed forms.
+    script = textwrap.dedent("""
+        import sys
+        import homsim
+        from homsim import cli
+
+        base = "n_triggers = 2000\\neta_f = 1\\neta_s = 1\\ndelta_t_list = 0\\n"
+        with open("par.cfg", "w") as fh:
+            fh.write(base)
+        with open("perp.cfg", "w") as fh:
+            fh.write(base + "xi = 0\\n")
+        runs = [
+            ["oracle", "--detuning", "2", "--out", "oracle"],
+            ["simulate", "--config", "par.cfg", "--out", "par"],
+            ["simulate", "--config", "perp.cfg", "--out", "perp"],
+            ["analyze", "--par", "par/events.csv", "--perp", "perp/events.csv",
+             "--config", "par.cfg", "--out", "analyze"],
+            ["dip", "--config", "par.cfg", "--out", "dip"],
+        ]
+        for argv in runs:
+            assert cli.main(argv) == 0, argv
+        assert "scipy" not in sys.modules
+
+        pair = homsim.SourcePair(homsim.Envelope(13.61), homsim.Envelope(26.18, detuning=2.0))
+        numeric = homsim.coincidence_probability_numeric(pair)
+        assert abs(numeric - homsim.coincidence_probability(pair)) < 1e-8
+        assert abs(homsim.norm(homsim.Envelope(5.0)) - 1.0) < 1e-6
+        assert "scipy" in sys.modules
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

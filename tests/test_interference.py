@@ -81,13 +81,17 @@ class TestCoincidenceDensity:
         assert coincidence_density(pair, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_closed_form_matches_quadrature(self):
+        # carrier detunings (f, s) in MHz: none, equal non-zero, equal
+        # negative, and unequal of either sign
+        detunings = [(0.0, 0.0), (23.0, 23.0), (-41.0, -41.0),
+                     (0.0, 76.0), (2.0, -3.5), (-150.0, 120.0)]
         rng = np.random.default_rng(17)
-        for _ in range(8):
+        for det_f, det_s in detunings * 2:
             xi = rng.uniform(0.0, 1.0)
             delay = rng.uniform(-25.0, 25.0)
             pair = SourcePair(
-                Envelope(TAU_F, t0=max(delay, 0.0)),
-                Envelope(TAU_S, t0=max(-delay, 0.0)),
+                Envelope(TAU_F, t0=max(delay, 0.0), detuning=det_f),
+                Envelope(TAU_S, t0=max(-delay, 0.0), detuning=det_s),
                 xi,
             )
             for dt in (-60.0, -7.3, 0.0, 4.1, 18.0, 55.0):
@@ -110,8 +114,15 @@ class TestCoincidenceDensity:
             assert coincidence_density(par, dt) <= 2.0 * coincidence_density(perp, dt) + 1e-15
 
     def test_density_integrates_to_probability(self):
-        for xi, delay in ((0.0, 0.0), (1.0, 0.0), (1.0, 12.0), (0.7, -9.0)):
-            pair = default_pair(xi)
+        cases = [  # xi, delay, detuning of f and of s (MHz)
+            (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (1.0, 12.0, 0.0, 0.0),
+            (0.7, -9.0, 0.0, 0.0), (1.0, 0.0, 0.0, 2.0), (1.0, 0.0, 30.0, 30.0),
+            (0.9, 7.0, -5.0, 76.0), (0.6, -15.0, 40.0, -12.5),
+        ]
+        for xi, delay, det_f, det_s in cases:
+            pair = SourcePair(
+                Envelope(TAU_F, detuning=det_f), Envelope(TAU_S, detuning=det_s), xi
+            )
             numeric = coincidence_probability_numeric(pair, delay)
             assert numeric == pytest.approx(
                 coincidence_probability(pair, delay), abs=1e-8

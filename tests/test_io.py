@@ -112,9 +112,11 @@ def reference_write_csv(stream, path):
 
 
 def reference_read(path):
-    """The per-record reader that ``read_events`` replaced, plus the three
-    rules it lacked: negative ticks, ticks above int64 and records out of
-    timestamp order are rejected on their line.
+    """The per-record reader that ``read_events`` replaced, plus the four
+    rules it lacked: negative ticks, ticks above int64, records out of
+    timestamp order and fields holding a line break are rejected on their
+    line. Rows before the first line break each take one line, so counting
+    rows counts lines.
 
     Returns ("ok", codes, ticks) or ("error", line number).
     """
@@ -130,7 +132,7 @@ def reference_read(path):
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 2:
+            if len(row) != 2 or any("\r" in f or "\n" in f for f in row):
                 return ("error", lineno)
             det, ts = row[0].strip(), row[1].strip()
             if det not in _LABEL_TO_CODE:
@@ -173,6 +175,7 @@ ODD_LINES = [
     " T,5", "A ,7", "B,\t9 ", "T, 5", "   ",  # whitespace
     "",  # blank line
     '"T",5', 'T,"5"', "T\0,5", "T,5\0",  # quoting, NUL
+    '"T\n",5', '"A\r",5', 'B,"5\r\n"',  # quoted line breaks
 ]
 
 
@@ -232,6 +235,8 @@ def test_writer_slices_are_seamless(tmp_path):
     ("T\0,5\n", 2),
     pytest.param("T,0\nA,5\xff\n", 3, id="undecodable-byte"),
     pytest.param("T,0\nA," + "1" * 200_000 + "\n", 3, id="oversized-field"),
+    pytest.param('T,0\n"T\n",5\nX,6\n', 3, id="line-break-in-field"),
+    pytest.param('T,0\nA,5\n"B\r",7\n', 4, id="carriage-return-in-field"),
 ])
 def test_reader_rejects_with_line(tmp_path, body, line):
     path = tmp_path / "e.csv"
