@@ -38,6 +38,7 @@ from .montecarlo import (
     expected_accidental_floor,
     quantize,
     simulate,
+    simulate_histograms,
 )
 from .wavepacket import Envelope, amplitude, norm, sample_emission_time
 
@@ -78,6 +79,7 @@ __all__ = [
     "read_events",
     "sample_emission_time",
     "simulate",
+    "simulate_histograms",
     "visibility",
     "visibility_closed_form",
     "write_events",

@@ -25,7 +25,7 @@ _ALIGN_TOL = 1e-9
 
 @dataclass
 class PairingResult:
-    """Per-trigger click bookkeeping produced by :func:`pair_events`.
+    """Per-trigger click bookkeeping produced by :func:`pair_clicks`.
 
     first_a / first_b hold the earliest click per trigger in ticks, or -1
     where a detector never fired. `valid` marks sequences with at least
@@ -62,11 +62,30 @@ def _assign(click_ticks, trigger_ticks):
     return click_ticks[keep], idx[keep]
 
 
-def _first_per_trigger(ticks, owner, n):
-    first = np.full(n, -1, dtype=np.int64)
-    uniq, pos = np.unique(owner, return_index=True)
-    first[uniq] = ticks[pos]  # stream sorted, so first occurrence is earliest
-    return first
+_NO_CLICK = np.iinfo(np.int64).max
+
+
+def pair_clicks(trigger_ticks, a, b, valid_window: float, resolution: float) -> PairingResult:
+    """Pairing kernel: first click per trigger on each detector, and validity.
+
+    `a` and `b` are (click ticks, owner) pairs for detectors A and B;
+    `owner` indexes `trigger_ticks`. The earliest click of each trigger is
+    found with `np.minimum.at`, so clicks may come in any order. A
+    sequence is valid if any click falls within `valid_window` ns after
+    its trigger.
+    """
+    n = trigger_ticks.size
+    window_ticks = int(np.floor(valid_window * 1000.0 / resolution + 1e-9))
+    valid = np.zeros(n, dtype=bool)
+    firsts = []
+    for ticks, owner in (a, b):
+        near = (ticks - trigger_ticks[owner]) <= window_ticks
+        valid[owner[near]] = True
+        first = np.full(n, _NO_CLICK, dtype=np.int64)
+        np.minimum.at(first, owner, ticks)
+        first[first == _NO_CLICK] = -1
+        firsts.append(first)
+    return PairingResult(trigger_ticks, valid, firsts[0], firsts[1], resolution)
 
 
 def pair_events(stream: EventStream, valid_window: float = 85.0) -> PairingResult:
@@ -83,26 +102,8 @@ def pair_events(stream: EventStream, valid_window: float = 85.0) -> PairingResul
     det = stream.detectors
     ts = stream.timestamps
     trigger_ticks = ts[det == DET_T]
-    n = trigger_ticks.size
-
-    window_ticks = int(np.floor(valid_window * 1000.0 / stream.resolution + 1e-9))
-    valid = np.zeros(n, dtype=bool)
-
-    sides = []
-    for code in (DET_A, DET_B):
-        ticks, owner = _assign(ts[det == code], trigger_ticks)
-        near = (ticks - trigger_ticks[owner]) <= window_ticks
-        valid[owner[near]] = True
-        sides.append((ticks, owner))
-
-    (a_ticks, a_owner), (b_ticks, b_owner) = sides
-    return PairingResult(
-        trigger_ticks=trigger_ticks,
-        valid=valid,
-        first_a=_first_per_trigger(a_ticks, a_owner, n),
-        first_b=_first_per_trigger(b_ticks, b_owner, n),
-        resolution=stream.resolution,
-    )
+    a, b = (_assign(ts[det == code], trigger_ticks) for code in (DET_A, DET_B))
+    return pair_clicks(trigger_ticks, a, b, valid_window, stream.resolution)
 
 
 def coincidence_fraction(stream: EventStream) -> float:

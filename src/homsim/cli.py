@@ -200,29 +200,42 @@ def _config_keys(*keys):
         raise ConfigError(f"{'/'.join(keys)}: {exc}") from None
 
 
+def _check_analysis(cfg: dict, t_c_key: str, t_c: float) -> None:
+    """Run analysis's own checks of the binning, the visibility window
+    half-width `t_c` (from config key `t_c_key`) and the wings on an empty
+    histogram, before any events are made or read."""
+    with _config_keys("bin_width", "hist_range"):
+        empty = analysis.histogram([], 1, cfg["bin_width"], cfg["hist_range"])
+    with _config_keys(t_c_key):
+        empty.window_bins(t_c)
+    if cfg["subtract_accidentals"]:
+        with _config_keys("wing_low", "wing_high"):
+            analysis.estimate_accidentals(empty, wing=(cfg["wing_low"], cfg["wing_high"]))
+
+
 def _build_histogram(stream, cfg):
-    with _config_keys("valid_window", "bin_width", "hist_range"):
+    with _config_keys("valid_window"):
         pairing = analysis.pair_events(stream, cfg["valid_window"])
-        if pairing.n_triggers == 0:
-            raise InsufficientStatisticsError("event stream contains no trigger records")
-        return analysis.histogram(
-            pairing.delta_ts, pairing.n_triggers, cfg["bin_width"], cfg["hist_range"]
-        )
+    if pairing.n_triggers == 0:
+        raise InsufficientStatisticsError("event stream contains no trigger records")
+    return analysis.histogram(
+        pairing.delta_ts, pairing.n_triggers, cfg["bin_width"], cfg["hist_range"]
+    )
 
 
 def cmd_analyze(args) -> int:
     cfg = parse_config_file(args.config)
+    _check_analysis(cfg, "t_c", cfg["t_c"])
     stream_par = io.read_events(args.par)
     stream_perp = io.read_events(args.perp)
     h_par = _build_histogram(stream_par, cfg)
     h_perp = _build_histogram(stream_perp, cfg)
     g_acc = 0.0
     if cfg["subtract_accidentals"]:
-        wing = (cfg["wing_low"], cfg["wing_high"])
-        with _config_keys("wing_low", "wing_high"):
-            g_acc = analysis.estimate_accidentals(h_par, h_perp, wing=wing)
-    with _config_keys("t_c"):
-        result = analysis.visibility(h_par, h_perp, cfg["t_c"], g_acc)
+        g_acc = analysis.estimate_accidentals(
+            h_par, h_perp, wing=(cfg["wing_low"], cfg["wing_high"])
+        )
+    result = analysis.visibility(h_par, h_perp, cfg["t_c"], g_acc)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -249,27 +262,26 @@ def cmd_dip(args) -> int:
     deltas = cfg["delta_t_list"]
     if not deltas:
         raise ConfigError("delta_t_list is empty; nothing to scan")
+    _check_analysis(cfg, "dip_t_c", 0.5 * cfg["dip_t_c"])
     base_seed = args.seed if args.seed is not None else cfg["seed"]
 
-    runs = []
-    for k, delta_t in enumerate(deltas):
-        stream_par = montecarlo.simulate(
-            _experiment_config(cfg, seed=base_seed + 2 * k, xi=1.0, delta_t=delta_t),
+    # Per delay, a parallel (xi = 1) and a perpendicular (xi = 0) run.
+    configs = [
+        _experiment_config(cfg, seed=base_seed + 2 * k + j, xi=xi, delta_t=delta_t)
+        for k, delta_t in enumerate(deltas)
+        for j, xi in enumerate((1.0, 0.0))
+    ]
+    with _config_keys("valid_window"):
+        hists = montecarlo.simulate_histograms(
+            configs, cfg["valid_window"], cfg["bin_width"], cfg["hist_range"],
             workers=args.workers,
         )
-        stream_perp = montecarlo.simulate(
-            _experiment_config(cfg, seed=base_seed + 2 * k + 1, xi=0.0, delta_t=delta_t),
-            workers=args.workers,
-        )
-        runs.append((delta_t, _build_histogram(stream_par, cfg), _build_histogram(stream_perp, cfg)))
-
-    with _config_keys("dip_t_c", "wing_low", "wing_high"):
-        points = analysis.dip_curve(
-            runs,
-            t_c=cfg["dip_t_c"],
-            subtract_accidentals=cfg["subtract_accidentals"],
-            wing=(cfg["wing_low"], cfg["wing_high"]),
-        )
+    points = analysis.dip_curve(
+        list(zip(deltas, hists[0::2], hists[1::2])),
+        t_c=cfg["dip_t_c"],
+        subtract_accidentals=cfg["subtract_accidentals"],
+        wing=(cfg["wing_low"], cfg["wing_high"]),
+    )
     model = [interference.dip_ratio(p.delta_t, cfg["tau_s"], cfg["tau_f"]) for p in points]
 
     out = Path(args.out)

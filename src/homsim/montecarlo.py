@@ -21,15 +21,25 @@ Determinism: trials are generated in fixed-size chunks, each seeded from
 (seed, chunk_index), and the merged stream is sorted by (timestamp,
 detector). The output is therefore bit-identical for a given config
 regardless of how many workers generate the chunks.
+
+Chunks start and end on trigger boundaries, the gate keeps every click
+inside its own trigger's window, and `trigger_period` exceeds
+`window_length` by at least one tick, so every click's tick lies below
+the next trigger's. Pairing is therefore chunk-local:
+`simulate_histograms` pairs and bins each chunk on its own, and its
+histograms, sums of the chunks' integer counts, equal those of the
+merged stream for any number of workers.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
+from .analysis import CoincidenceHistogram, histogram, pair_clicks
 from .errors import ConfigError
 from .interference import SourcePair, outcome_probs_from_amplitudes
 from .io import DET_A, DET_B, DET_T, EventStream
@@ -80,13 +90,16 @@ class ExperimentConfig:
             raise ConfigError("excitation_jitter_sigma must be non-negative")
         if self.window_length <= 0.0:
             raise ConfigError("window_length must be positive")
-        if self.trigger_period <= self.window_length:
-            raise ConfigError(
-                "trigger_period must exceed window_length so acquisition "
-                "windows do not overlap"
-            )
         if self.timestamp_resolution <= 0.0:
             raise ConfigError("timestamp_resolution must be positive")
+        # A gap of one tick keeps every click's tick below the next
+        # trigger's, so pairing by tick gives each click to the trigger
+        # whose window the gate kept it in.
+        if self.trigger_period - self.window_length < self.timestamp_resolution / 1000.0:
+            raise ConfigError(
+                "trigger_period must exceed window_length by at least one "
+                "timestamp tick (timestamp_resolution / 1000 ns)"
+            )
         if self.detector_offset_a < 0.0 or self.detector_offset_b < 0.0:
             raise ConfigError("detector offsets must be non-negative")
 
@@ -114,6 +127,13 @@ def quantize(t, resolution: float = 125.0):
 
 
 def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx: int):
+    """Triggers `first` .. `first + count - 1` of a run, in ticks.
+
+    Returns (trigger ticks, A clicks, B clicks); the clicks of each
+    detector are (ticks, owner), where owner indexes this chunk's
+    triggers: the trigger whose acquisition window the gate kept the
+    click in.
+    """
     rng = np.random.default_rng([config.seed, chunk_idx])
     trig = (first + np.arange(count, dtype=float)) * config.trigger_period
 
@@ -161,33 +181,30 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
         f_to_a[both] = np.where(coinc, swap, bunch_to_a)
         s_to_a[both] = np.where(coinc, ~swap, bunch_to_a)
 
+    idx = np.arange(count)
     times = np.concatenate((t_f[live_f], t_s[live_s]))
-    owners = np.concatenate((trig[live_f], trig[live_s]))
+    owners = np.concatenate((idx[live_f], idx[live_s]))
     to_a = np.concatenate((f_to_a[live_f], s_to_a[live_s]))
 
-    det_parts = [np.full(count, DET_T, dtype=np.uint8)]
-    time_parts = [trig]
+    sides = []
     w = config.window_length
-    for code, mine, rate, offset in (
-        (DET_A, to_a, config.bg_rate_a, config.detector_offset_a),
-        (DET_B, ~to_a, config.bg_rate_b, config.detector_offset_b),
+    for mine, rate, offset in (
+        (to_a, config.bg_rate_a, config.detector_offset_a),
+        (~to_a, config.bg_rate_b, config.detector_offset_b),
     ):
         t, own = times[mine], owners[mine]
         if rate > 0.0:
             # Uniform Poisson background over each acquisition window.
-            n_bg = rng.poisson(rate * w, count)
-            bg_owners = np.repeat(trig, n_bg)
-            t = np.concatenate((t, bg_owners + rng.random(bg_owners.size) * w))
+            bg_owners = np.repeat(idx, rng.poisson(rate * w, count))
+            t = np.concatenate((t, trig[bg_owners] + rng.random(bg_owners.size) * w))
             own = np.concatenate((own, bg_owners))
         t = t + offset
         # Detector gate: keep clicks inside their own acquisition window.
-        keep = (t >= own) & (t < own + w) & (t >= 0.0)
-        det_parts.append(np.full(int(keep.sum()), code, dtype=np.uint8))
-        time_parts.append(t[keep])
+        start = trig[own]
+        keep = (t >= start) & (t < start + w) & (t >= 0.0)
+        sides.append((quantize(t[keep], config.timestamp_resolution), own[keep]))
 
-    det = np.concatenate(det_parts)
-    ticks = quantize(np.concatenate(time_parts), config.timestamp_resolution)
-    return det, ticks
+    return quantize(trig, config.timestamp_resolution), sides[0], sides[1]
 
 
 def expected_accidental_floor(
@@ -238,6 +255,23 @@ def expected_accidental_floor(
     return bin_width * floor
 
 
+def _spans(config: ExperimentConfig):
+    """(first trigger, trigger count, chunk index) of each chunk of a run."""
+    n = config.n_triggers
+    return [
+        (start, min(_CHUNK, n - start), idx)
+        for idx, start in enumerate(range(0, n, _CHUNK))
+    ]
+
+
+def _map(fn, tasks, workers: int):
+    """[fn(t) for t in tasks], on `workers` threads when that can help."""
+    if workers > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def simulate(config: ExperimentConfig, workers: int = 1) -> EventStream:
     """Generate the detection-event stream for `config`.
 
@@ -249,20 +283,47 @@ def simulate(config: ExperimentConfig, workers: int = 1) -> EventStream:
     Returns:
         EventStream sorted by (timestamp, detector), triggers first on ties.
     """
-    n = config.n_triggers
-    spans = [
-        (start, min(_CHUNK, n - start), idx)
-        for idx, start in enumerate(range(0, n, _CHUNK))
-    ]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda s: _simulate_chunk(config, *s), spans)
-            )
-    else:
-        parts = [_simulate_chunk(config, *s) for s in spans]
-
-    det = np.concatenate([p[0] for p in parts])
-    ticks = np.concatenate([p[1] for p in parts])
+    parts = _map(lambda s: _simulate_chunk(config, *s), _spans(config), workers)
+    det, ticks = [], []
+    for trig_ticks, (a_ticks, _), (b_ticks, _) in parts:
+        for code, t in ((DET_T, trig_ticks), (DET_A, a_ticks), (DET_B, b_ticks)):
+            det.append(np.full(t.size, code, dtype=np.uint8))
+            ticks.append(t)
+    det = np.concatenate(det)
+    ticks = np.concatenate(ticks)
     order = np.lexsort((det, ticks))
     return EventStream(det[order], ticks[order], config.timestamp_resolution)
+
+
+def simulate_histograms(
+    configs: Sequence[ExperimentConfig],
+    valid_window: float,
+    bin_width: float,
+    half_range: float,
+    workers: int = 1,
+) -> list[CoincidenceHistogram]:
+    """Coincidence histogram of each config's run, without its event stream.
+
+    Each chunk is paired and binned where it is generated, and the integer
+    counts are summed, so every histogram equals
+    ``histogram(pair_events(simulate(config), valid_window).delta_ts,
+    config.n_triggers, bin_width, half_range)`` bit for bit. The chunks
+    of all configs share one pool of `workers` threads.
+    """
+    empty = histogram([], 1, bin_width, half_range)  # checks the binning first
+
+    def chunk_counts(task):
+        k, span = task
+        config = configs[k]
+        trig_ticks, a, b = _simulate_chunk(config, *span)
+        pairing = pair_clicks(trig_ticks, a, b, valid_window, config.timestamp_resolution)
+        return histogram(pairing.delta_ts, span[1], bin_width, half_range).counts
+
+    tasks = [(k, span) for k, config in enumerate(configs) for span in _spans(config)]
+    totals = [0] * len(configs)
+    for (k, _), counts in zip(tasks, _map(chunk_counts, tasks, workers)):
+        totals[k] = totals[k] + counts
+    return [
+        replace(empty, counts=total, n_triggers=config.n_triggers)
+        for config, total in zip(configs, totals)
+    ]

@@ -43,12 +43,12 @@ def ideal_pair(xi):
 
 def run_histograms(n_triggers, seeds, half_range=255.0, **kw):
     """Simulate a parallel/perpendicular pair of runs and histogram them."""
-    out = []
-    for xi, seed in ((1.0, seeds[0]), (0.0, seeds[1])):
-        cfg = h.ExperimentConfig(n_triggers=n_triggers, xi=xi, seed=seed, **kw)
-        pairing = h.pair_events(h.simulate(cfg))
-        out.append(h.histogram(pairing.delta_ts, pairing.n_triggers, 10.0, half_range))
-    return out[0], out[1]  # parallel, perpendicular
+    configs = [
+        h.ExperimentConfig(n_triggers=n_triggers, xi=xi, seed=seed, **kw)
+        for xi, seed in ((1.0, seeds[0]), (0.0, seeds[1]))
+    ]
+    h_par, h_perp = h.simulate_histograms(configs, 85.0, 10.0, half_range)
+    return h_par, h_perp
 
 
 def test_criterion_1_closed_form_visibility():

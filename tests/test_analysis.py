@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homsim import (
     DataFormatError,
@@ -19,6 +21,7 @@ from homsim import (
     visibility_closed_form,
 )
 from homsim.analysis import CoincidenceHistogram, write_histogram_csv
+from homsim.io import DET_A, DET_B, DET_T
 
 TAU_S, TAU_F = 26.18, 13.61
 
@@ -120,6 +123,73 @@ class TestPairEvents:
         assert p.valid.tolist() == [True, True, False, True]
         assert p.paired.tolist() == [True, False, False, True]
         assert p.delta_ts.tolist() == [-12.0, -97.0]
+
+
+def reference_first_per_trigger(ticks, owner, n):
+    first = np.full(n, -1, dtype=np.int64)
+    uniq, pos = np.unique(owner, return_index=True)
+    first[uniq] = ticks[pos]  # stream sorted, so first occurrence is earliest
+    return first
+
+
+def reference_pair_events(stream, valid_window):
+    """pair_events as it was when the first click of a trigger was its
+    first occurrence in the sorted stream (found with np.unique), kept as
+    the reference for the order-free pairing kernel. Returns
+    (trigger_ticks, valid, first_a, first_b)."""
+    det = stream.detectors
+    ts = stream.timestamps
+    trigger_ticks = ts[det == DET_T]
+    n = trigger_ticks.size
+
+    window_ticks = int(np.floor(valid_window * 1000.0 / stream.resolution + 1e-9))
+    valid = np.zeros(n, dtype=bool)
+
+    sides = []
+    for code in (DET_A, DET_B):
+        clicks = ts[det == code]
+        idx = np.searchsorted(trigger_ticks, clicks, side="right") - 1
+        keep = idx >= 0
+        ticks, owner = clicks[keep], idx[keep]
+        near = (ticks - trigger_ticks[owner]) <= window_ticks
+        valid[owner[near]] = True
+        sides.append((ticks, owner))
+
+    (a_ticks, a_owner), (b_ticks, b_owner) = sides
+    return (
+        trigger_ticks,
+        valid,
+        reference_first_per_trigger(a_ticks, a_owner, n),
+        reference_first_per_trigger(b_ticks, b_owner, n),
+    )
+
+
+@st.composite
+def sorted_streams(draw):
+    """Streams sorted by tick, detectors in any order on a tied tick:
+    clicks before the first trigger, triggers sharing a tick, triggers
+    without clicks and several clicks per trigger all occur."""
+    records = draw(st.lists(
+        st.tuples(st.sampled_from([DET_T, DET_A, DET_B]), st.integers(0, 2000)),
+        max_size=120,
+    ))
+    det = np.array([r[0] for r in records], dtype=np.uint8)
+    ticks = np.array([r[1] for r in records], dtype=np.int64)
+    order = np.argsort(ticks, kind="stable")
+    resolution = draw(st.sampled_from([125.0, 1.0, 1000.0]))
+    return EventStream(det[order], ticks[order], resolution)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=sorted_streams(), valid_window=st.sampled_from([0.0, 0.125, 3.0, 85.0, 1e4]))
+def test_pair_events_matches_reference(stream, valid_window):
+    trigger_ticks, valid, first_a, first_b = reference_pair_events(stream, valid_window)
+    p = pair_events(stream, valid_window)
+    assert p.trigger_ticks.tobytes() == trigger_ticks.tobytes()
+    assert p.valid.tobytes() == valid.tobytes()
+    assert p.first_a.tobytes() == first_a.tobytes()
+    assert p.first_b.tobytes() == first_b.tobytes()
+    assert p.resolution == stream.resolution
 
 
 class TestHistogram:

@@ -346,6 +346,28 @@ class TestDip:
             1.0 - vis["v"], abs=1e-12
         )
 
+    def test_bytes_independent_of_run_and_worker_count(self, tmp_path):
+        # two chunks per run, background, offsets, jitter and detuning
+        cfg = write_cfg(
+            tmp_path / "c.cfg", n_triggers=70_000, eta_f=0.6, eta_s=0.8,
+            bg_rate_a=1e-3, bg_rate_b=5e-4, detector_offset_a=3.3,
+            detector_offset_b=12, excitation_jitter_sigma=1.5, detuning=2.5,
+            subtract_accidentals="true", delta_t_list="-15, 25",
+        )
+        outputs = []
+        for run, workers in (("a", 1), ("b", 1), ("c", 2), ("d", 4)):
+            out = tmp_path / run
+            assert cli.main(["dip", "--config", str(cfg), "--seed", "5",
+                             "--workers", str(workers), "--out", str(out)]) == 0
+            outputs.append(((out / "dip.csv").read_bytes(), (out / "dip.json").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+
+    def test_sub_tick_period_gap_exit_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", trigger_period=500.05, window_length=500,
+                        delta_t_list=0)
+        assert cli.main(["dip", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "one timestamp tick" in capsys.readouterr().err
+
     def test_empty_delta_t_list_is_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", n_triggers=100)
         assert cli.main(["dip", "--config", str(cfg), "--out", str(tmp_path)]) == 1
@@ -362,12 +384,18 @@ BAD_ANALYSIS_PARAMETERS = [
 ]
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("analysis parameters are checked before any events are made or read")
+
+
 class TestAnalysisParameterErrors:
     @pytest.mark.parametrize("overrides, message", BAD_ANALYSIS_PARAMETERS)
-    def test_analyze_reports_config_error(self, tmp_path, capsys, overrides, message):
+    def test_analyze_reports_config_error(self, tmp_path, capsys, monkeypatch,
+                                          overrides, message):
         cfg = write_cfg(tmp_path / "c.cfg", n_triggers=2000, **overrides)
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
+        monkeypatch.setattr(cli.io, "read_events", _must_not_run)
         events = str(tmp_path / "events.csv")
         assert cli.main(["analyze", "--par", events, "--perp", events,
                          "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
@@ -375,7 +403,8 @@ class TestAnalysisParameterErrors:
         assert err.startswith("config error: ") and message in err
 
     @pytest.mark.parametrize("overrides, message", BAD_ANALYSIS_PARAMETERS)
-    def test_dip_reports_config_error(self, tmp_path, capsys, overrides, message):
+    def test_dip_reports_config_error(self, tmp_path, capsys, monkeypatch, overrides, message):
+        monkeypatch.setattr(cli.montecarlo, "simulate_histograms", _must_not_run)
         cfg = write_cfg(tmp_path / "c.cfg", n_triggers=2000, delta_t_list=0, **overrides)
         assert cli.main(["dip", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from homsim import (
     pair_events,
     quantize,
     simulate,
+    simulate_histograms,
 )
 from homsim.interference import outcome_probs_from_amplitudes
 from homsim.io import DET_A, DET_B, DET_T
@@ -61,6 +64,15 @@ class TestConfigValidation:
             ideal_config(n_triggers=0)
         with pytest.raises(ConfigError):
             ideal_config(tau_f=0.0)
+
+
+    def test_period_exceeds_window_by_at_least_one_tick(self):
+        # 125 ps ticks are 0.125 ns: 500.125 leaves exactly one tick
+        # between consecutive acquisition windows
+        ideal_config(trigger_period=500.125, window_length=500.0)
+        for period in (np.nextafter(500.125, 0.0), 500.05):
+            with pytest.raises(ConfigError, match="one timestamp tick"):
+                ideal_config(trigger_period=period, window_length=500.0)
 
 
 class TestDeterminism:
@@ -207,9 +219,19 @@ def maybe(strategy, off=0.0):
     return st.one_of(st.just(off), strategy)
 
 
+def smallest_period(window_length, resolution):
+    """The shortest trigger period a config accepts for this window."""
+    tick = resolution / 1000.0
+    period = window_length + tick
+    while period - window_length < tick:
+        period = float(np.nextafter(period, np.inf))
+    return period
+
+
 @st.composite
 def generator_configs(draw):
     eta = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    resolution = draw(st.sampled_from([125.0, 1.0]))
     return ExperimentConfig(
         n_triggers=draw(st.sampled_from([1, 37, 3000, _CHUNK + 1234])),
         eta_f=draw(eta),
@@ -222,7 +244,8 @@ def generator_configs(draw):
         bg_rate_b=draw(maybe(st.floats(1e-5, 2e-3))),
         detector_offset_a=draw(maybe(st.floats(0.0, 60.0))),
         detector_offset_b=draw(maybe(st.floats(0.0, 60.0))),
-        timestamp_resolution=draw(st.sampled_from([125.0, 1.0])),
+        trigger_period=draw(st.sampled_from([1000.0, smallest_period(500.0, resolution)])),
+        timestamp_resolution=resolution,
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -242,6 +265,36 @@ def test_stream_matches_reference_generator(config, workers):
     stream = simulate(config, workers=workers)
     assert stream.detectors.tobytes() == det.tobytes()
     assert stream.timestamps.tobytes() == ticks.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config=generator_configs(),
+    workers=st.sampled_from([1, 2]),
+    binning=st.sampled_from([(85.0, 10.0, 255.0), (500.0, 2.0, 501.0)]),
+)
+@example(
+    # back-to-back windows with dense background: every click near a
+    # window's end ticks just before the next trigger
+    config=ExperimentConfig(
+        n_triggers=_CHUNK + 1234, trigger_period=500.125, eta_f=1.0, eta_s=1.0,
+        bg_rate_a=2e-3, bg_rate_b=2e-3, seed=3,
+    ),
+    workers=2,
+    binning=(500.0, 2.0, 501.0),
+)
+def test_fused_histograms_match_stream_pipeline(config, workers, binning):
+    valid_window, bin_width, half_range = binning
+    # a second run in the same call: the counts of the two must not mix
+    configs = [config, replace(config, seed=config.seed ^ 1, xi=1.0 - config.xi)]
+    fused = simulate_histograms(configs, valid_window, bin_width, half_range, workers=workers)
+    for cfg, h in zip(configs, fused):
+        pairing = pair_events(simulate(cfg), valid_window)
+        ref = histogram(pairing.delta_ts, pairing.n_triggers, bin_width, half_range)
+        assert h.n_triggers == ref.n_triggers == cfg.n_triggers
+        assert h.bin_width == ref.bin_width
+        assert h.bin_centers.tobytes() == ref.bin_centers.tobytes()
+        assert h.counts.tobytes() == ref.counts.tobytes()
 
 
 class TestEventContent:
