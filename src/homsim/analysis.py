@@ -9,7 +9,7 @@ visibilities and dip curves from windowed sums.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataFormatError, InsufficientStatisticsError
-from .io import DET_A, DET_B, DET_T, EventStream
+from .io import DET_A, DET_B, DET_T, EventStream, write_json
 
 _ALIGN_TOL = 1e-9
 
@@ -72,8 +72,11 @@ def pair_clicks(trigger_ticks, a, b, valid_window: float, resolution: float) -> 
     `owner` indexes `trigger_ticks`. The earliest click of each trigger is
     found with `np.minimum.at`, so clicks may come in any order. A
     sequence is valid if any click falls within `valid_window` ns after
-    its trigger.
+    its trigger; raises ValueError unless `valid_window` is finite and
+    non-negative.
     """
+    if not 0.0 <= valid_window < math.inf:
+        raise ValueError(f"valid_window must be finite and non-negative, got {valid_window}")
     n = trigger_ticks.size
     window_ticks = int(np.floor(valid_window * 1000.0 / resolution + 1e-9))
     valid = np.zeros(n, dtype=bool)
@@ -366,10 +369,7 @@ def write_visibility_json(
     payload["config_hash"] = config_hash
     if extra:
         payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(payload, path)
 
 
 def write_dip(
@@ -390,9 +390,7 @@ def write_dip(
             for p, m in zip(points, model)
         ],
     }
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, json_path)
     return csv_path, json_path
 
 

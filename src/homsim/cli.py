@@ -201,9 +201,15 @@ def _config_keys(*keys):
 
 
 def _check_analysis(cfg: dict, t_c_key: str, t_c: float) -> None:
-    """Run analysis's own checks of the binning, the visibility window
-    half-width `t_c` (from config key `t_c_key`) and the wings on an empty
-    histogram, before any events are made or read."""
+    """Run analysis's own checks of the validity window on no clicks, and
+    of the binning, the visibility window half-width `t_c` (from config key
+    `t_c_key`) and the wings on an empty histogram, before any events are
+    made or read."""
+    no_ticks = np.empty(0, dtype=np.int64)
+    with _config_keys("valid_window"):
+        analysis.pair_clicks(
+            no_ticks, (no_ticks, no_ticks), (no_ticks, no_ticks), cfg["valid_window"], 125.0
+        )
     with _config_keys("bin_width", "hist_range"):
         empty = analysis.histogram([], 1, cfg["bin_width"], cfg["hist_range"])
     with _config_keys(t_c_key):
@@ -214,8 +220,7 @@ def _check_analysis(cfg: dict, t_c_key: str, t_c: float) -> None:
 
 
 def _build_histogram(stream, cfg):
-    with _config_keys("valid_window"):
-        pairing = analysis.pair_events(stream, cfg["valid_window"])
+    pairing = analysis.pair_events(stream, cfg["valid_window"])
     if pairing.n_triggers == 0:
         raise InsufficientStatisticsError("event stream contains no trigger records")
     return analysis.histogram(
@@ -271,11 +276,10 @@ def cmd_dip(args) -> int:
         for k, delta_t in enumerate(deltas)
         for j, xi in enumerate((1.0, 0.0))
     ]
-    with _config_keys("valid_window"):
-        hists = montecarlo.simulate_histograms(
-            configs, cfg["valid_window"], cfg["bin_width"], cfg["hist_range"],
-            workers=args.workers,
-        )
+    hists = montecarlo.simulate_histograms(
+        configs, cfg["valid_window"], cfg["bin_width"], cfg["hist_range"],
+        workers=args.workers,
+    )
     points = analysis.dip_curve(
         list(zip(deltas, hists[0::2], hists[1::2])),
         t_c=cfg["dip_t_c"],

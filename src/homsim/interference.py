@@ -3,9 +3,10 @@
 Everything here treats a pair of single photons, one per input port of a
 50:50 beam splitter, each with a decaying-exponential temporal envelope.
 The interfering and non-interfering coincidence distributions, their
-integrals, the visibility, and the dip shape all have closed forms for
-this envelope family, at any pair of carrier detunings; numerical
-quadrature is kept as an independent path for cross-validation. scipy
+integrals, the visibility, the dip shape and the outcome law of one trial
+given both detection times all have closed forms for this envelope
+family, at any pair of carrier detunings; numerical quadrature is kept
+as an independent path for cross-validation. scipy
 is imported only by the functions that integrate: loading it takes most
 of the time of ``import homsim``, and no default path needs it.
 
@@ -81,6 +82,32 @@ def _density_closed(env_f: Envelope, env_s: Envelope, xi: float, dt: float) -> f
     )
     cross *= math.cos(_d_omega(env_f, env_s) * dt)
     return 0.25 * (direct(dt) + direct(-dt) - 2.0 * xi * xi * cross)
+
+
+def _p_coincidence(pair: SourcePair, t1, t2, t0_f, t0_s):
+    """Coincidence probability of one two-photon trial, given its detection times.
+
+    t1 is the heralded photon's time and t2 the single-atom photon's; the
+    envelopes start at t0_f and t0_s (scalars or per-sample arrays) and
+    take their coherence times and carrier detunings from `pair`. Raises
+    UnreachableSampleError if any sample has neither pair amplitude,
+    a = psi_f(t1) psi_s(t2) or b = psi_f(t2) psi_s(t1), supported.
+    """
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    direct = (t1 >= t0_f) & (t2 >= t0_s)
+    swapped = (t2 >= t0_f) & (t1 >= t0_s)
+    if not np.all(direct | swapped):
+        raise UnreachableSampleError("both pair amplitudes vanish; the sample cannot occur")
+    # With both supported, |b|^2 / |a|^2 = exp(kappa dt) and a b* has the
+    # phase d_omega dt, so xi^2 Re(a b*) / (|a|^2 + |b|^2) is
+    # xi^2 cos(d_omega dt) / (2 cosh(kappa dt / 2)). 1 / (2 cosh x) is
+    # written as e^-|x| / (1 + e^-2|x|), which stays finite where cosh x overflows.
+    dt = t1 - t2
+    kappa = 1.0 / pair.env_f.tau - 1.0 / pair.env_s.tau
+    e = np.exp(-np.abs(0.5 * kappa * dt))
+    cross = np.cos(_d_omega(pair.env_f, pair.env_s) * dt) * e / (1.0 + e * e)
+    return 0.5 - pair.xi**2 * np.where(direct & swapped, cross, 0.0)
 
 
 def _density_quad(env_f: Envelope, env_s: Envelope, xi: float, dt: float) -> float:
@@ -187,35 +214,15 @@ def dip_ratio(delta_t, tau_s: float, tau_f: float):
     return out
 
 
-def outcome_probs_from_amplitudes(amp_direct, amp_swapped, xi: float):
-    """Conditional outcome probabilities from the two pair amplitudes.
-
-    Given a = psi_f(t1) psi_s(t2) and b = psi_f(t2) psi_s(t1), returns
-    (p_coincidence, p_both_at_a, p_both_at_b). Vectorized; raises
-    UnreachableSampleError if any sample has both amplitudes zero.
-    """
-    a = np.asarray(amp_direct, dtype=complex)
-    b = np.asarray(amp_swapped, dtype=complex)
-    d = np.abs(a) ** 2 + np.abs(b) ** 2
-    if np.any(d == 0.0):
-        raise UnreachableSampleError(
-            "both pair amplitudes vanish; the sample cannot occur"
-        )
-    x = 2.0 * xi * xi * (a * np.conj(b)).real
-    p_c = (d - x) / (2.0 * d)
-    p_same = (d + x) / (4.0 * d)
-    return p_c, p_same, p_same
-
-
 def conditional_outcome_probs(pair: SourcePair, t1, t2):
     """Outcome law for one two-photon trial with sampled detection times.
 
     t1 is drawn from |psi_f|^2 and t2 from |psi_s|^2. Returns the triple
-    (p_coincidence, p_bunch_a, p_bunch_b), which sums to 1.
+    (p_coincidence, p_bunch_a, p_bunch_b), which sums to 1; the photons
+    bunch at either detector with probability (1 - p_coincidence) / 2.
     """
-    a = amplitude(pair.env_f, t1) * amplitude(pair.env_s, t2)
-    b = amplitude(pair.env_f, t2) * amplitude(pair.env_s, t1)
-    p_c, p_a, p_b = outcome_probs_from_amplitudes(a, b, pair.xi)
+    p_c = _p_coincidence(pair, t1, t2, pair.env_f.t0, pair.env_s.t0)
+    p_same = 0.5 * (1.0 - p_c)
     if np.ndim(t1) == 0 and np.ndim(t2) == 0:
-        return float(p_c), float(p_a), float(p_b)
-    return p_c, p_a, p_b
+        return float(p_c), float(p_same), float(p_same)
+    return p_c, p_same, p_same

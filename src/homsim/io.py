@@ -140,8 +140,15 @@ def write_events(stream: EventStream, path, metadata: dict | None = None) -> Pat
         sidecar.update(metadata)
     sidecar.setdefault("config_hash", config_hash(sidecar))
     sidecar["sha256"] = digest.hexdigest()
-    with open(sidecar_path(path), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+    write_json(sidecar, sidecar_path(path))
+    return path
+
+
+def write_json(payload: dict, path) -> Path:
+    """Write `payload` as indented, key-sorted JSON plus a final newline."""
+    path = Path(path)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 

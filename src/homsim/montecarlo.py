@@ -9,7 +9,8 @@ coincidence distributions by construction. Uniform Poisson background
 events and timestamp quantization complete the detector model.
 
 Delay convention: positive delta_t starts the heralded (f) envelope
-delta_t ns after the single-atom (s) envelope. The generator shifts the
+delta_t ns after the single-atom (s) envelope. `ExperimentConfig.source_pair`,
+which the generator and `expected_accidental_floor` read, shifts the
 later-starting envelope forward, mirroring the delay-line calibration of
 a real setup; only the relative offset is physical. Without excitation
 jitter every emission therefore begins at or after its trigger. Jitter
@@ -41,9 +42,9 @@ import numpy as np
 
 from .analysis import CoincidenceHistogram, histogram, pair_clicks
 from .errors import ConfigError
-from .interference import SourcePair, outcome_probs_from_amplitudes
+from .interference import SourcePair, _p_coincidence
 from .io import DET_A, DET_B, DET_T, EventStream
-from .wavepacket import Envelope, amplitude_with_starts
+from .wavepacket import Envelope
 
 _CHUNK = 1 << 16
 
@@ -82,7 +83,7 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        if self.tau_f <= 0.0 or self.tau_s <= 0.0:
+        if not (self.tau_f > 0.0 and self.tau_s > 0.0):  # rejects nan, as Envelope does
             raise ConfigError("coherence times must be positive")
         if self.bg_rate_a < 0.0 or self.bg_rate_b < 0.0:
             raise ConfigError("background rates must be non-negative")
@@ -104,7 +105,8 @@ class ExperimentConfig:
             raise ConfigError("detector offsets must be non-negative")
 
     def source_pair(self) -> SourcePair:
-        """Analytic counterpart of this config (relative offsets only)."""
+        """Analytic counterpart of this config: envelope starts relative to
+        the trigger, the later-starting envelope delayed by |delta_t|."""
         env_f = Envelope(self.tau_f, t0=max(self.delta_t, 0.0))
         env_s = Envelope(
             self.tau_s, t0=max(-self.delta_t, 0.0), detuning=self.detuning
@@ -135,6 +137,7 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
     click in.
     """
     rng = np.random.default_rng([config.seed, chunk_idx])
+    pair = config.source_pair()
     trig = (first + np.arange(count, dtype=float)) * config.trigger_period
 
     # Fixed draw order; part of the determinism contract.
@@ -149,11 +152,10 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
     r_outcome = rng.random(count)
     r_route = rng.random(count)
 
-    # Envelope start times; the later-starting source carries the offset.
-    t0_f = trig + max(config.delta_t, 0.0)
-    t0_s = trig + max(-config.delta_t, 0.0) + jitter
-    t_f = t0_f - config.tau_f * np.log1p(-u_f)
-    t_s = t0_s - config.tau_s * np.log1p(-u_s)
+    t0_f = trig + pair.env_f.t0
+    t0_s = trig + pair.env_s.t0 + jitter
+    t_f = t0_f - pair.env_f.tau * np.log1p(-u_f)
+    t_s = t0_s - pair.env_s.tau * np.log1p(-u_s)
 
     # Routing: one detector label per photon. A lone photon goes to A on
     # its r_route draw; a pair is routed by the conditional outcome law.
@@ -161,20 +163,10 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
     s_to_a = f_to_a.copy()
     both = live_f & live_s
     if np.any(both):
-        amp_f1 = amplitude_with_starts(config.tau_f, 0.0, t_f[both], t0_f[both])
-        amp_s2 = amplitude_with_starts(
-            config.tau_s, config.detuning, t_s[both], t0_s[both]
-        )
-        amp_f2 = amplitude_with_starts(config.tau_f, 0.0, t_s[both], t0_f[both])
-        amp_s1 = amplitude_with_starts(
-            config.tau_s, config.detuning, t_f[both], t0_s[both]
-        )
-        p_c, p_a, _ = outcome_probs_from_amplitudes(
-            amp_f1 * amp_s2, amp_f2 * amp_s1, config.xi
-        )
+        p_c = _p_coincidence(pair, t_f[both], t_s[both], t0_f[both], t0_s[both])
         r_o = r_outcome[both]
         coinc = r_o < p_c
-        bunch_to_a = r_o < p_c + p_a
+        bunch_to_a = r_o < p_c + 0.5 * (1.0 - p_c)
         # Coincidence: `swap` sends the photons to opposite detectors;
         # bunching: both photons on the same detector.
         swap = f_to_a[both]
@@ -233,14 +225,12 @@ def expected_accidental_floor(
     x = np.asarray(bin_centers, dtype=float)
     r_a, r_b = config.bg_rate_a, config.bg_rate_b
     eta_f, eta_s = config.eta_f, config.eta_s
-    t0_f, t0_s = max(config.delta_t, 0.0), max(-config.delta_t, 0.0)
+    pair = config.source_pair()
 
     def pooled_survival(t):
-        s_f = np.where(
-            t <= t0_f, 1.0, np.exp(-np.clip(t - t0_f, 0.0, None) / config.tau_f)
-        )
-        s_s = np.where(
-            t <= t0_s, 1.0, np.exp(-np.clip(t - t0_s, 0.0, None) / config.tau_s)
+        s_f, s_s = (
+            np.exp(-np.clip(t - env.t0, 0.0, None) / env.tau)
+            for env in (pair.env_f, pair.env_s)
         )
         return (eta_f * s_f + eta_s * s_s) / (eta_f + eta_s)
 

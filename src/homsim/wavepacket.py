@@ -38,28 +38,16 @@ class Envelope:
         return replace(self, t0=self.t0 + delay)
 
 
-def amplitude_with_starts(tau, detuning, t, t0):
-    """Vectorized envelope amplitude for per-sample start times.
-
-    Used by both :func:`amplitude` and the Monte Carlo generator so the
-    waveform is defined in exactly one place.
-    """
-    rel = np.asarray(t, dtype=float) - np.asarray(t0, dtype=float)
-    shape = rel.shape
-    rel = np.atleast_1d(rel)
+def amplitude(env: Envelope, t):
+    """Complex amplitude psi(t) in ns^-1/2 (0 for t < t0). Accepts arrays."""
+    rel = np.asarray(t, dtype=float) - env.t0
     out = np.zeros(rel.shape, dtype=complex)
     mask = rel >= 0.0
     r = rel[mask]
-    vals = math.sqrt(1.0 / tau) * np.exp(-r / (2.0 * tau))
-    if detuning != 0.0:
-        vals = vals * np.exp(-2j * np.pi * detuning * _MHZ_NS * r)
+    vals = math.sqrt(1.0 / env.tau) * np.exp(-r / (2.0 * env.tau))
+    if env.detuning != 0.0:
+        vals = vals * np.exp(-2j * np.pi * env.detuning * _MHZ_NS * r)
     out[mask] = vals
-    return out.reshape(shape)
-
-
-def amplitude(env: Envelope, t):
-    """Complex amplitude psi(t) in ns^-1/2 (0 for t < t0). Accepts arrays."""
-    out = amplitude_with_starts(env.tau, env.detuning, t, env.t0)
     if np.ndim(t) == 0:
         return complex(out)
     return out

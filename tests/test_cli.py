@@ -375,12 +375,16 @@ class TestDip:
 
 
 # Analysis parameters that analysis rejects: a window whose half-width
-# (t_c, or dip_t_c / 2) is off the 10 ns bin edges, and an empty wing.
+# (t_c, or dip_t_c / 2) is off the 10 ns bin edges, an empty wing, and a
+# validity window that is not finite or is negative.
 BAD_ANALYSIS_PARAMETERS = [
     pytest.param({"t_c": 30, "dip_t_c": 60}, "does not align with bin edges",
                  id="window-off-bin-edges"),
     pytest.param({"subtract_accidentals": "true", "wing_low": 200, "wing_high": 100},
                  "wing region must have positive extent", id="inverted-wing"),
+    *(pytest.param({"valid_window": value}, "must be finite and non-negative",
+                   id=f"valid-window-{value}")
+      for value in ("inf", "nan", "-1")),
 ]
 
 

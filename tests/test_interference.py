@@ -230,6 +230,12 @@ class TestConditionalOutcomes:
         p = conditional_outcome_probs(default_pair(0.0), 3.0, 41.0)
         assert p == (0.5, 0.25, 0.25)
 
+    def test_only_swapped_amplitude_supported(self):
+        # t1 precedes the heralded envelope's start, so a = psi_f(t1) psi_s(t2)
+        # vanishes and only b = psi_f(t2) psi_s(t1) remains: nothing interferes
+        pair = default_pair(1.0, detuning_s=3.0, t_f=10.0)
+        assert conditional_outcome_probs(pair, 5.0, 20.0) == (0.5, 0.25, 0.25)
+
     def test_against_brute_force_beam_splitter(self):
         rng = np.random.default_rng(31)
         for _ in range(250):

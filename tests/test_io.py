@@ -17,6 +17,7 @@ from homsim.io import (
     config_hash,
     read_sidecar,
     sidecar_path,
+    write_json,
 )
 
 
@@ -94,6 +95,14 @@ def test_config_hash_stable_and_order_free():
 
 def test_sidecar_path():
     assert str(sidecar_path("runs/events.csv")).endswith("runs/events.json")
+
+
+def test_write_json_layout(tmp_path):
+    # the one layout of the event sidecar, visibility.json and dip.json
+    path = write_json({"b": [1, 2.5], "a": {"d": None, "c": "x"}}, tmp_path / "out.json")
+    assert path.read_text() == (
+        '{\n  "a": {\n    "c": "x",\n    "d": null\n  },\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+    )
 
 
 PROPERTY_SETTINGS = settings(

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.stats import chi2
 from homsim import (
     ConfigError,
     ExperimentConfig,
+    SourcePair,
     coincidence_density,
     coincidence_fraction,
     coincidence_probability,
@@ -19,10 +21,10 @@ from homsim import (
     simulate,
     simulate_histograms,
 )
-from homsim.interference import outcome_probs_from_amplitudes
+from homsim.interference import _p_coincidence
 from homsim.io import DET_A, DET_B, DET_T
 from homsim.montecarlo import _CHUNK
-from homsim.wavepacket import amplitude_with_starts
+from homsim.wavepacket import Envelope, amplitude
 
 TAU_S, TAU_F = 26.18, 13.61
 
@@ -64,6 +66,8 @@ class TestConfigValidation:
             ideal_config(n_triggers=0)
         with pytest.raises(ConfigError):
             ideal_config(tau_f=0.0)
+        with pytest.raises(ConfigError):
+            ideal_config(tau_s=float("nan"))
 
 
     def test_period_exceeds_window_by_at_least_one_tick(self):
@@ -100,9 +104,26 @@ class TestDeterminism:
         assert np.all(s.detectors[same] <= s.detectors[same + 1])
 
 
+def reference_amplitude(tau, detuning, t, t0):
+    """Envelope amplitude with per-sample start times t0."""
+    return amplitude(Envelope(tau, detuning=detuning), t - t0)
+
+
+def reference_outcome_probs(amp_direct, amp_swapped, xi):
+    """The beam-splitter outcome law from the complex pair amplitudes
+    a = psi_f(t1) psi_s(t2) and b = psi_f(t2) psi_s(t1): (p_coincidence,
+    p_both_at_a, p_both_at_b)."""
+    a, b = amp_direct, amp_swapped
+    d = np.abs(a) ** 2 + np.abs(b) ** 2
+    x = 2.0 * xi * xi * (a * np.conj(b)).real
+    p_same = (d + x) / (4.0 * d)
+    return (d - x) / (2.0 * d), p_same, p_same
+
+
 def reference_simulate_chunk(config, first, count, chunk_idx):
-    """The chunk generator that routed photons through per-detector lists,
-    kept (comments dropped) as the reference for the one-label-per-photon
+    """The chunk generator that routed photons through per-detector lists
+    and drew the outcomes from the complex-amplitude law, kept (comments
+    dropped) as the reference for the one-label-per-photon, real-valued
     version."""
     rng = np.random.default_rng([config.seed, chunk_idx])
     trig = (first + np.arange(count, dtype=float)) * config.trigger_period
@@ -139,15 +160,15 @@ def reference_simulate_chunk(config, first, count, chunk_idx):
         trig_b.append(trigs[~to_a_mask])
 
     if np.any(both):
-        amp_f1 = amplitude_with_starts(config.tau_f, 0.0, t_f[both], t0_f[both])
-        amp_s2 = amplitude_with_starts(
+        amp_f1 = reference_amplitude(config.tau_f, 0.0, t_f[both], t0_f[both])
+        amp_s2 = reference_amplitude(
             config.tau_s, config.detuning, t_s[both], t0_s[both]
         )
-        amp_f2 = amplitude_with_starts(config.tau_f, 0.0, t_s[both], t0_f[both])
-        amp_s1 = amplitude_with_starts(
+        amp_f2 = reference_amplitude(config.tau_f, 0.0, t_s[both], t0_f[both])
+        amp_s1 = reference_amplitude(
             config.tau_s, config.detuning, t_f[both], t0_s[both]
         )
-        p_c, p_a, _ = outcome_probs_from_amplitudes(
+        p_c, p_a, _ = reference_outcome_probs(
             amp_f1 * amp_s2, amp_f2 * amp_s1, config.xi
         )
         r_o = r_outcome[both]
@@ -226,6 +247,45 @@ def smallest_period(window_length, resolution):
     while period - window_length < tick:
         period = float(np.nextafter(period, np.inf))
     return period
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    taus=st.tuples(st.floats(0.5, 80.0), st.floats(0.5, 80.0)),
+    gap=st.one_of(st.floats(-60.0, 60.0), st.floats(-1e4, 1e4)),
+    sigma=maybe(st.floats(0.1, 5.0)),
+    detunings=st.tuples(maybe(st.floats(-40.0, 40.0)), maybe(st.floats(-40.0, 40.0))),
+    xi=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# |kappa dt| / 2 up to ~3000 where both amplitudes are supported, far past
+# where cosh overflows
+@example(taus=(80.0, 0.5), gap=-10.0, sigma=3.0, detunings=(0.0, 2.5), xi=1.0, seed=1)
+def test_outcome_law_matches_complex_amplitudes(taus, gap, sigma, detunings, xi, seed):
+    # Per-sample starts as in the generator: the single-atom envelope
+    # starts `gap` ns after the heralded one, moved by Gaussian jitter.
+    # Times lie within 40 coherence times of their own envelope's start,
+    # so the direct amplitude never underflows in the reference.
+    tau_f, tau_s = taus
+    pair = SourcePair(
+        Envelope(tau_f, detuning=detunings[0]), Envelope(tau_s, detuning=detunings[1]), xi
+    )
+    rng = np.random.default_rng(seed)
+    n = 256
+    t0_f = np.zeros(n)
+    t0_s = gap + sigma * rng.standard_normal(n)
+    t1 = t0_f + tau_f * rng.uniform(0.0, 40.0, n)
+    t2 = t0_s + tau_s * rng.uniform(0.0, 40.0, n)
+    p_c = _p_coincidence(pair, t1, t2, t0_f, t0_s)
+    want_c, want_same, _ = reference_outcome_probs(
+        reference_amplitude(tau_f, detunings[0], t1, t0_f)
+        * reference_amplitude(tau_s, detunings[1], t2, t0_s),
+        reference_amplitude(tau_f, detunings[0], t2, t0_f)
+        * reference_amplitude(tau_s, detunings[1], t1, t0_s),
+        xi,
+    )
+    np.testing.assert_allclose(p_c, want_c, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(0.5 * (1.0 - p_c), want_same, rtol=0.0, atol=1e-12)
 
 
 @st.composite
@@ -435,6 +495,24 @@ class TestAccidentalFloorModel:
         sigma = np.sqrt(predicted + 1.0)
         pulls = (observed - predicted) / np.hypot(sigma, 0.07 * predicted)
         assert np.mean(np.abs(pulls) < 4.0) > 0.99
+
+    def test_photon_background_term_follows_the_live_source(self):
+        # one live source and background on B only: the floor is that
+        # source's survival function from its own envelope start (the
+        # heralded one starts delta_t = 20 ns late), scaled by the chance
+        # that the photon fell inside the validity window
+        x = np.array([-30.0, 10.0, 25.0, 50.0])
+        for eta_f, eta_s, tau, t0 in ((0.1, 0.0, TAU_F, 20.0), (0.0, 0.1, TAU_S, 0.0)):
+            cfg = ExperimentConfig(
+                n_triggers=1, eta_f=eta_f, eta_s=eta_s, delta_t=20.0, bg_rate_b=1e-4
+            )
+            v_ph = 1.0 - math.exp(-(85.0 - t0) / tau)
+            survival = np.exp(-np.clip(x - t0, 0.0, None) / tau)
+            np.testing.assert_allclose(
+                expected_accidental_floor(cfg, x),
+                10.0 * 0.05 * v_ph * 1e-4 * survival,
+                rtol=1e-12,
+            )
 
     def test_pedestal_shape_present(self):
         # with one source blocked there is no two-photon signal, yet the
