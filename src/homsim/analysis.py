@@ -62,7 +62,8 @@ def _assign(click_ticks, trigger_ticks):
     return click_ticks[keep], idx[keep]
 
 
-_NO_CLICK = np.iinfo(np.int64).max
+_MAX_TICK = np.iinfo(np.int64).max
+_NO_CLICK = _MAX_TICK
 
 
 def pair_clicks(trigger_ticks, a, b, valid_window: float, resolution: float) -> PairingResult:
@@ -78,7 +79,9 @@ def pair_clicks(trigger_ticks, a, b, valid_window: float, resolution: float) -> 
     if not 0.0 <= valid_window < math.inf:
         raise ValueError(f"valid_window must be finite and non-negative, got {valid_window}")
     n = trigger_ticks.size
-    window_ticks = int(np.floor(valid_window * 1000.0 / resolution + 1e-9))
+    # a window beyond the largest tick difference keeps every click
+    scaled = valid_window * 1000.0 / resolution + 1e-9
+    window_ticks = math.floor(scaled) if scaled < _MAX_TICK else _MAX_TICK
     valid = np.zeros(n, dtype=bool)
     firsts = []
     for ticks, owner in (a, b):

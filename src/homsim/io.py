@@ -1,31 +1,34 @@
-"""Event-stream container plus the CSV / JSON-sidecar file format.
+"""Event-stream container plus the event-file / JSON-sidecar format.
 
-An event file is plain CSV with the header line ``detector,timestamp``,
-one record per line, detector in {T, A, B} and the timestamp an integer
-count of resolution ticks since the start of the run. Records are sorted
-by timestamp and timestamps are non-negative and fit in int64. A JSON
-sidecar (same path with a .json suffix) echoes the resolution, the full
-run configuration and its hash, the record count ``n_records`` and the
-``sha256`` of the CSV bytes.
+An event file is ASCII text in one strict line grammar::
+
+    detector,timestamp<LF>
+    (T|A|B),(0|[1-9][0-9]*)<LF>      zero or more records
+
+The timestamp counts resolution ticks since the start of the run. It
+must fit in int64 and must not decrease from one record to the next.
+This is exactly the text ``write_events`` writes. A JSON sidecar (same
+path with a .json suffix) echoes the resolution, the full run
+configuration and its hash, the record count ``n_records`` and the
+``sha256`` of the event file's bytes.
 
 ``read_events`` raises ``DataFormatError`` naming the file and physical
-line for a bad header, a wrong field count, an unknown detector label, a
-non-integer, negative or out-of-range timestamp, a record out of
-timestamp order, a line break inside a quoted field, undecodable bytes
-or a field beyond the csv module's size limit; naming the file when the
-sidecar's record count or digest disagrees with the CSV; and naming the
-sidecar when it is not a JSON object or a resolution it must supply is
-missing or not a positive number. ``_parse_lines`` is the definition of the format; the vectorised
-fast path accepts a subset of it (the canonical spelling that
-``write_events`` produces) and hands everything else to it.
+line for a line outside the grammar (a last line without its line break
+included), a timestamp beyond int64 or a record out of timestamp order;
+naming the file when the sidecar's record count or digest disagrees
+with the file; and naming the sidecar when it is not a JSON object or a
+resolution it must supply is missing or not a positive number.
+``_parse_lines`` is the definition of the grammar; the vectorised fast
+path returns the same arrays for every file the grammar accepts and
+hands every other file to it.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,9 +43,11 @@ DETECTOR_LABELS = ("T", "A", "B")
 _LABEL_TO_CODE = {"T": DET_T, "A": DET_A, "B": DET_B}
 
 EVENT_HEADER = ("detector", "timestamp")
-_HEADER_LINE = ",".join(EVENT_HEADER) + "\n"
+_HEADER = (",".join(EVENT_HEADER) + "\n").encode()
+_RECORD = re.compile(rb"([TAB]),(0|[1-9][0-9]*)")
 _NO_CODE = 255  # marks a label outside DETECTOR_LABELS in the fast path
 _INT64_MAX = np.iinfo(np.int64).max
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 # Records formatted per write: big enough to amortise the format and the
 # write call, small enough that the .tolist() copies stay a few MB.
 _WRITE_SLICE = 1 << 15
@@ -112,9 +117,9 @@ def sidecar_path(events_path) -> Path:
     return Path(events_path).with_suffix(".json")
 
 
-def _csv_text(stream: EventStream) -> Iterator[str]:
-    """The event file's text: the header, then one string per slice of records."""
-    yield _HEADER_LINE
+def _file_bytes(stream: EventStream) -> Iterator[bytes]:
+    """The event file: the header line, then the records one slice at a time."""
+    yield _HEADER
     prefixes = tuple(f"{label}," for label in DETECTOR_LABELS)
     for lo in range(0, len(stream), _WRITE_SLICE):
         codes = stream.detectors[lo : lo + _WRITE_SLICE].tolist()
@@ -123,7 +128,7 @@ def _csv_text(stream: EventStream) -> Iterator[str]:
         fields = [None] * (2 * len(ticks))
         fields[0::2] = map(prefixes.__getitem__, codes)
         fields[1::2] = ticks
-        yield "%s%d\n" * len(ticks) % tuple(fields)
+        yield ("%s%d\n" * len(ticks) % tuple(fields)).encode("ascii")
 
 
 def write_events(stream: EventStream, path, metadata: dict | None = None) -> Path:
@@ -131,8 +136,7 @@ def write_events(stream: EventStream, path, metadata: dict | None = None) -> Pat
     path = Path(path)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for text in _csv_text(stream):
-            data = text.encode("ascii")
+        for data in _file_bytes(stream):
             digest.update(data)
             fh.write(data)
     sidecar = {"resolution_ps": stream.resolution, "n_records": len(stream)}
@@ -183,12 +187,12 @@ def _sidecar_resolution(events_path, meta: dict) -> float:
 
 
 def read_events(path, resolution: float | None = None) -> EventStream:
-    """Read a CSV event file; resolution comes from the sidecar if present.
+    """Read an event file; resolution comes from the sidecar if present.
 
     Raises DataFormatError naming the file, and the offending line where
-    there is one, on malformed, undecodable, unsorted or negative input,
+    there is one, on input outside the event-file grammar or unsorted,
     and when the sidecar's ``n_records`` or ``sha256`` (each checked if
-    present) does not match the CSV. Raises it naming the sidecar when
+    present) does not match the file. Raises it naming the sidecar when
     that is not a JSON object or, if `resolution` is not given, lacks a
     positive ``resolution_ps``.
     """
@@ -196,8 +200,8 @@ def read_events(path, resolution: float | None = None) -> EventStream:
     meta = read_sidecar(path)
     if resolution is None:
         resolution = 125.0 if meta is None else _sidecar_resolution(path, meta)
-    canonical, sha256 = _scan(path)
-    parsed = _parse_fast(path) if canonical else None
+    sha256, size, lf_lines = _scan(path)
+    parsed = _parse_fast(path, size) if lf_lines else None
     codes, ticks = parsed if parsed is not None else _parse_lines(path)
     if meta:
         if "n_records" in meta and meta["n_records"] != ticks.size:
@@ -211,138 +215,94 @@ def read_events(path, resolution: float | None = None) -> EventStream:
     return EventStream(codes, ticks, resolution)
 
 
-def _scan(path: Path) -> tuple[bool, str]:
-    """One pass over the file's bytes: (fast path applies, sha256 hex digest).
+def _scan(path: Path) -> tuple[str, int, bool]:
+    """One pass over the file's bytes: (sha256 hex digest, byte count, lf_lines).
 
-    The fast path needs the exact header line and no NUL byte: numpy drops
-    trailing NULs from string fields, so it would read ``T\\0`` as ``T``,
-    which ``_parse_lines`` rejects.
+    ``lf_lines`` holds when the file starts with the header line, has no
+    CR byte and ends in LF: then every line ``np.loadtxt`` sees ends in
+    one LF byte, which the size proof in ``_parse_fast`` relies on.
     """
     with open(path, "rb") as fh:
-        head = fh.readline()
-        canonical = head in (_HEADER_LINE.encode(), _HEADER_LINE.replace("\n", "\r\n").encode())
-        digest = hashlib.sha256(head)
+        head = fh.read(len(_HEADER))
+        digest, size, last, cr_free = hashlib.sha256(head), len(head), head, True
         while block := fh.read(_READ_BLOCK):
-            canonical = canonical and b"\0" not in block
+            cr_free = cr_free and b"\r" not in block
             digest.update(block)
-    return canonical, digest.hexdigest()
+            size += len(block)
+            last = block
+    return digest.hexdigest(), size, head == _HEADER and cr_free and last.endswith(b"\n")
 
 
-def _parse_fast(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
-    """Vectorised parse of the body, or None where ``_parse_lines`` must decide."""
+def _parse_fast(path: Path, size: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Vectorised parse of the body, or None where ``_parse_lines`` must decide.
+
+    Called only when ``_scan`` found ``lf_lines``, so every line loadtxt
+    reads ends in one LF byte. The result stands only if the file is
+    exactly as long as the canonical text of what was parsed. Every other
+    spelling loadtxt accepts for a record is longer (padding, quotes, a
+    sign, leading zeros, a NUL after the label, a blank line), so equal
+    size proves the file is canonical. That needs loadtxt to refuse
+    non-integer text such as ``1e3``, which older numpy only warned about.
+    """
     if path.suffix in _COMPRESSED_SUFFIXES:
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a header-only file
+        warnings.simplefilter("error", DeprecationWarning)  # integer parsed via float
         try:
             # U2, not U1: a U1 field would truncate "TT" to "T".
             rows = np.loadtxt(
                 path, delimiter=",", dtype=[("d", "U2"), ("t", "i8")],
                 ndmin=1, comments=None, skiprows=1,
             )
-        except ValueError:
+        except (ValueError, DeprecationWarning):
             return None
     labels = rows["d"]
     codes = np.full(labels.shape, _NO_CODE, dtype=np.uint8)
     for label, code in _LABEL_TO_CODE.items():
         codes[labels == label] = code
     ticks = np.ascontiguousarray(rows["t"])
-    if (codes == _NO_CODE).any() or (ticks.size and ticks[0] < 0):
+    if (codes == _NO_CODE).any() or (ticks[1:] < ticks[:-1]).any():
         return None
-    if (ticks[1:] < ticks[:-1]).any():
+    # A tick has one digit plus one per power of ten at or below it; the
+    # ticks are sorted, so one searchsorted counts the ticks below each
+    # power. A sign lengthens a line, so a negative tick fails the check.
+    digits = 19 * ticks.size - int(np.searchsorted(ticks, _POWERS_OF_TEN).sum())
+    if size != len(_HEADER) + 3 * ticks.size + digits:
         return None
     return codes, ticks
 
 
 def _parse_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """Line-by-line parse: the definition of what an event file may contain.
+    """Line-by-line parse: the definition of the event-file grammar.
 
-    Fields may be padded or quoted as the csv module allows, but may not
-    hold a line break, and blank lines are skipped. Raises DataFormatError
-    with the physical line number of the first bad record.
+    Raises DataFormatError with the number of the first line that breaks it.
     """
-    codes: list[int] = []
-    ticks: list[int] = []
-    previous = 0
-    with open(path, newline="") as fh:
-        rows = _csv_rows(path, fh)
-        try:
-            _, header = next(rows)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty event file (line 1)") from None
-        if [h.strip() for h in header] != list(EVENT_HEADER):
-            raise DataFormatError(
-                f"{path}: bad header {header!r} on line 1, expected 'detector,timestamp'"
-            )
-        for lineno, row in rows:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataFormatError(f"{path}: expected 2 fields on line {lineno}")
-            det, ts = row[0].strip(), row[1].strip()
-            if det not in _LABEL_TO_CODE:
-                raise DataFormatError(
-                    f"{path}: unknown detector {det!r} on line {lineno}"
-                )
-            try:
-                tick = int(ts)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: non-integer timestamp {ts!r} on line {lineno}"
-                ) from None
-            if tick < 0:
-                raise DataFormatError(
-                    f"{path}: negative timestamp {ts!r} on line {lineno}"
-                )
-            if tick > _INT64_MAX:
-                raise DataFormatError(
-                    f"{path}: timestamp {ts!r} exceeds int64 on line {lineno}"
-                )
-            if tick < previous:
-                raise DataFormatError(
-                    f"{path}: timestamp {tick} on line {lineno} is earlier than the "
-                    f"record before it ({previous}); records must be sorted by timestamp"
-                )
-            previous = tick
-            codes.append(_LABEL_TO_CODE[det])
-            ticks.append(tick)
-    return np.array(codes, dtype=np.uint8), np.array(ticks, dtype=np.int64)
-
-
-def _csv_rows(path: Path, fh) -> Iterator[tuple[int, list[str]]]:
-    """(physical line it starts on, row) for each csv row of `fh`.
-
-    Raises DataFormatError for text the csv module cannot read (undecodable
-    bytes, a field beyond its size limit) and for a field holding a line
-    break: quoting allows one, but ``strip`` would hide it and the record
-    would span lines.
-    """
-    reader = csv.reader(fh)
-    start = 1
-    try:
-        for row in reader:
-            if any("\r" in field or "\n" in field for field in row):
-                raise DataFormatError(f"{path}: line break inside a field on line {start}")
-            yield start, row
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise DataFormatError(f"{path}: {exc} on line {reader.line_num}") from None
-    except UnicodeDecodeError:
-        # The text layer decodes ahead in blocks, so find the line itself.
-        with open(path, "rb") as raw:
-            lines = raw.read().splitlines()
-        lineno = next(
-            (n for n, line in enumerate(lines, start=1) if not _decodes(line, fh.encoding)),
-            reader.line_num + 1,
-        )
+    lines = path.read_bytes().split(b"\n")
+    if lines[0] != _HEADER[:-1]:
         raise DataFormatError(
-            f"{path}: bytes that are not {fh.encoding} text on line {lineno}"
-        ) from None
-
-
-def _decodes(data: bytes, encoding: str) -> bool:
-    try:
-        data.decode(encoding)
-    except UnicodeDecodeError:
-        return False
-    return True
+            f"{path}: bad header {lines[0][:40]!r} on line 1, expected 'detector,timestamp'"
+        )
+    codes, ticks, previous = [], [], 0
+    for lineno, line in enumerate(lines[1:-1], start=2):
+        record = _RECORD.fullmatch(line)
+        if record is None:
+            raise DataFormatError(
+                f"{path}: {line[:40]!r} on line {lineno} is not a record 'T|A|B,<ticks>'"
+            )
+        digits = record[2]
+        # int() refuses digit strings beyond a few thousand digits
+        tick = int(digits) if len(digits) <= 19 else _INT64_MAX + 1
+        if tick > _INT64_MAX:
+            raise DataFormatError(f"{path}: timestamp exceeds int64 on line {lineno}")
+        if tick < previous:
+            raise DataFormatError(
+                f"{path}: timestamp {tick} on line {lineno} is earlier than the "
+                f"record before it ({previous}); records must be sorted by timestamp"
+            )
+        previous = tick
+        codes.append(_LABEL_TO_CODE[record[1].decode()])
+        ticks.append(tick)
+    if lines[-1]:
+        raise DataFormatError(f"{path}: no line break at the end of line {len(lines)}")
+    return np.array(codes, dtype=np.uint8), np.array(ticks, dtype=np.int64)

@@ -34,8 +34,9 @@ merged stream for any number of workers.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -77,13 +78,17 @@ class ExperimentConfig:
     detector_offset_b: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.n_triggers <= 0:
             raise ConfigError("n_triggers must be positive")
         for name in ("eta_f", "eta_s", "xi"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        if not (self.tau_f > 0.0 and self.tau_s > 0.0):  # rejects nan, as Envelope does
+        if self.tau_f <= 0.0 or self.tau_s <= 0.0:
             raise ConfigError("coherence times must be positive")
         if self.bg_rate_a < 0.0 or self.bg_rate_b < 0.0:
             raise ConfigError("background rates must be non-negative")

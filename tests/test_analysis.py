@@ -20,7 +20,7 @@ from homsim import (
     visibility,
     visibility_closed_form,
 )
-from homsim.analysis import CoincidenceHistogram, write_histogram_csv
+from homsim.analysis import CoincidenceHistogram, pair_clicks, write_histogram_csv
 from homsim.io import DET_A, DET_B, DET_T
 
 TAU_S, TAU_F = 26.18, 13.61
@@ -84,6 +84,16 @@ class TestPairEvents:
         assert p.first_b.tolist() == [-1, 8800 + ns(30)]
         assert p.valid.tolist() == [True, True]
         assert p.delta_ts.size == 0
+
+    @pytest.mark.parametrize("valid_window", [1e306, 2**63 / 1000.0])
+    def test_window_beyond_int64_ticks_keeps_every_click(self, valid_window):
+        # at 1 ps ticks each window spans at least 2**63 ticks
+        trigger_ticks = np.array([0, 2**62], dtype=np.int64)
+        a = (np.array([2**62 - 1, 2**63 - 2]), np.array([0, 1]))
+        b = (np.array([5]), np.array([1]))
+        p = pair_clicks(trigger_ticks, a, b, valid_window, resolution=1.0)
+        assert p.valid.tolist() == [True, True]
+        assert p.first_a.tolist() == [2**62 - 1, 2**63 - 2]
 
     def test_unsorted_stream_rejected(self):
         s = EventStream.from_records([("T", 100), ("A", 50)])

@@ -204,6 +204,12 @@ class TestSimulate:
         cfg = write_cfg(tmp_path / "c.cfg", trigger_period=100)
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
+    def test_non_finite_value_exit_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", n_triggers=1000, bg_rate_a="nan")
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: bg_rate_a must be finite")
+        assert not (tmp_path / "events.csv").exists()
+
 
 class TestAnalyze:
     @pytest.fixture()
@@ -367,6 +373,13 @@ class TestDip:
                         delta_t_list=0)
         assert cli.main(["dip", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "one timestamp tick" in capsys.readouterr().err
+
+    def test_window_beyond_int64_ticks_runs(self, tmp_path):
+        # 1e306 ns at 1 ps ticks overflows any integer tick count
+        cfg = write_cfg(tmp_path / "c.cfg", n_triggers=2000, delta_t_list=0,
+                        valid_window=1e306, timestamp_resolution=1)
+        assert cli.main(["dip", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "dip.json").exists()
 
     def test_empty_delta_t_list_is_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", n_triggers=100)

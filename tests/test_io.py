@@ -1,4 +1,3 @@
-import csv
 import hashlib
 import json
 import re
@@ -10,8 +9,8 @@ from hypothesis import strategies as st
 
 from homsim import DataFormatError, EventStream, read_events, write_events
 from homsim.io import (
-    _LABEL_TO_CODE,
     _WRITE_SLICE,
+    _parse_fast,
     DETECTOR_LABELS,
     EVENT_HEADER,
     config_hash,
@@ -121,39 +120,30 @@ def reference_write_csv(stream, path):
 
 
 def reference_read(path):
-    """The per-record reader that ``read_events`` replaced, plus the four
-    rules it lacked: negative ticks, ticks above int64, records out of
-    timestamp order and fields holding a line break are rejected on their
-    line. Rows before the first line break each take one line, so counting
-    rows counts lines.
+    """The event-file grammar, spelled out without a regular expression:
+    the header line, then records ``T|A|B,<ticks>`` with ticks in plain
+    decimal (no sign, padding or leading zero), below 2**63 and never
+    decreasing, and every line ending in LF.
 
     Returns ("ok", codes, ticks) or ("error", line number).
     """
+    lines = path.read_bytes().split(b"\n")
+    if lines[0] != ",".join(EVENT_HEADER).encode():
+        return ("error", 1)
     codes, ticks = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return ("error", 1)
-        if [h.strip() for h in header] != list(EVENT_HEADER):
-            return ("error", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 or any("\r" in f or "\n" in f for f in row):
-                return ("error", lineno)
-            det, ts = row[0].strip(), row[1].strip()
-            if det not in _LABEL_TO_CODE:
-                return ("error", lineno)
-            try:
-                tick = int(ts)
-            except ValueError:
-                return ("error", lineno)
-            if tick < 0 or tick >= 2**63 or (ticks and tick < ticks[-1]):
-                return ("error", lineno)
-            codes.append(_LABEL_TO_CODE[det])
-            ticks.append(tick)
+    for lineno, line in enumerate(lines[1:-1], start=2):
+        label, comma, digits = line.partition(b",")
+        if label.decode("latin-1") not in DETECTOR_LABELS or not comma:
+            return ("error", lineno)
+        if not digits.isdigit() or len(digits) > 19 or digits != str(int(digits)).encode():
+            return ("error", lineno)
+        tick = int(digits)
+        if tick >= 2**63 or (ticks and tick < ticks[-1]):
+            return ("error", lineno)
+        codes.append(DETECTOR_LABELS.index(label.decode()))
+        ticks.append(tick)
+    if lines[-1]:
+        return ("error", len(lines))
     return ("ok", codes, ticks)
 
 
@@ -177,7 +167,7 @@ def sorted_streams(draw, max_size=60):
 # Lines that each break, or bend without breaking, one rule of the format.
 ODD_LINES = [
     "Q,5", "t,5", "TT,5", "TTT,5", ",5",  # labels
-    "T,5.0", "T,1e3", "T,0x10", "T,", "T,zero", "T,5_0", "T,+5", "T,-0",  # integers
+    "T,5.0", "T,1e3", "T,0x10", "T,", "T,zero", "T,5_0", "T,+5", "T,-0", "T,05", "T,00",  # integers
     "T", "T,5,6", "T,5,", "T;5",  # field counts
     "T,-5", "A,-9223372036854775808",  # negative
     f"T,{2**63}", f"B,{2**64 + 3}", f"A,{2**63 - 1}",  # int64 range
@@ -199,9 +189,28 @@ def event_file_bytes(draw):
         else:
             lines.insert(draw(st.integers(0, len(lines))), odd)
     header = draw(st.sampled_from(["detector,timestamp"] * 4 + [" detector , timestamp", "det,time"]))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     tail = eol if draw(st.booleans()) else ""
     return (eol.join([header] + lines) + tail).encode()
+
+
+# Line breaks, padding, separators, signs, digits, labels and quotes: the
+# bytes that turn a canonical line into a near miss
+MUTATION_BYTES = list(b'\n\r\0\t ,+-059TAB"e\xff')
+
+
+@st.composite
+def single_byte_mutations(draw):
+    """A canonical event file with one byte replaced, inserted or deleted."""
+    ticks = sorted(draw(st.lists(st.integers(0, 10**6), max_size=8)))
+    text = ",".join(EVENT_HEADER) + "\n"
+    text += "".join(f"{draw(st.sampled_from('TAB'))},{t}\n" for t in ticks)
+    data = bytearray(text.encode())
+    edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+    pos = draw(st.integers(0, len(data) - (edit != "insert")))
+    byte = draw(st.one_of(st.sampled_from(MUTATION_BYTES), st.integers(0, 255)))
+    data[pos : pos + (edit != "insert")] = b"" if edit == "delete" else bytes([byte])
+    return bytes(data)
 
 
 @PROPERTY_SETTINGS
@@ -218,12 +227,23 @@ def test_roundtrip_matches_reference_writer(tmp_path, stream):
     assert back.resolution == stream.resolution
 
 
-@PROPERTY_SETTINGS
-@given(data=event_file_bytes())
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(data=st.one_of(event_file_bytes(), single_byte_mutations()))
 def test_reader_accepts_and_rejects_as_reference(tmp_path, data):
     path = tmp_path / "odd.csv"  # no sidecar
     path.write_bytes(data)
     assert outcome(path) == reference_read(path)
+
+
+def test_fast_path_takes_canonical_files(tmp_path):
+    # every digit count, at and beside each power of ten; declining would
+    # still read right, through the line-by-line parse
+    ticks = sorted({0, 2**63 - 1} | {10**k + d for k in range(1, 19) for d in (-1, 0, 1)})
+    stream = EventStream(np.arange(len(ticks)) % 3, ticks)
+    path = write_events(stream, tmp_path / "events.csv")
+    parsed = _parse_fast(path, path.stat().st_size)
+    assert parsed is not None
+    assert parsed[0].tolist() == stream.detectors.tolist() and parsed[1].tolist() == ticks
 
 
 def test_writer_slices_are_seamless(tmp_path):
@@ -254,11 +274,7 @@ def test_reader_rejects_with_line(tmp_path, body, line):
         read_events(path)
 
 
-@pytest.mark.parametrize("text", [
-    "detector,timestamp\n",
-    "detector,timestamp\n\n\r\n",
-    "detector , timestamp\r\n",
-])
+@pytest.mark.parametrize("text", ["detector,timestamp\n"])
 def test_header_only_file_reads_empty(tmp_path, text):
     path = tmp_path / "e.csv"
     path.write_bytes(text.encode())
@@ -266,13 +282,66 @@ def test_header_only_file_reads_empty(tmp_path, text):
     assert len(s) == 0
 
 
+@pytest.mark.parametrize("text, line", [
+    ("detector , timestamp\r\n", 1),
+    ("detector,timestamp\n\n\r\n", 2),
+], ids=["detector , timestamp\r\n", "detector,timestamp\n\n\r\n"])
+def test_header_only_spellings_rejected(tmp_path, text, line):
+    path = tmp_path / "e.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataFormatError, match=rf"{re.escape(str(path))}: .* line {line}\b"):
+        read_events(path)
+
+
+# Near-canonical spellings of the records T,0 / A,50 / B,60, each with the
+# line the grammar rejects
+RARE_SPELLINGS = [
+    (b"detector,timestamp\r\nT,0\nA,50\nB,60\n", 1),
+    (b" detector , timestamp\nT,0\nA,50\nB,60\n", 1),
+    (b'detector,timestamp\n"T",0\nA,50\nB,60\n', 2),
+    (b"detector,timestamp\nT,+0\nA,50\nB,60\n", 2),
+    (b"detector,timestamp\nT,0\r\nA,50\nB,60\n", 2),
+    (b"detector,timestamp\nT,0\n\nA,50\nB,60\n", 3),
+    (b"detector,timestamp\nT,0\n A ,50\nB,60\n", 3),
+    (b"detector,timestamp\nT,0\nA,5_0\nB,60\n", 3),
+    (b"detector,timestamp\nT,0\nA,050\nB,60\n", 3),
+    (b"detector,timestamp\nT,0\nA,50\nB,\t60 \n", 4),
+]
+
+
 @pytest.mark.parametrize("name", ["e.csv", "e.gz", "e.xz"])
-def test_rare_spellings_read_like_canonical(tmp_path, name):
+def test_rare_spellings_rejected(tmp_path, name):
     path = tmp_path / name
-    path.write_bytes(b'detector,timestamp\r\n"T",+0\r\n\r\n A ,5_0\nB,\t60 \n')
-    s = read_events(path)
-    assert s.detectors.tolist() == [0, 1, 2]
-    assert s.timestamps.tolist() == [0, 50, 60]
+    for data, line in RARE_SPELLINGS:
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError, match=rf"{re.escape(str(path))}: .* line {line}\b"):
+            read_events(path)
+
+
+# Files exactly as long as the canonical text of what np.loadtxt reads
+# from them: the fast path's size check alone would not tell them apart
+@pytest.mark.parametrize("data, line", [
+    (b"detector,timestamq\nT,0\nA,5\n", 1),
+    (b"detector,timestamp\nT,0\rA,5\n", 2),
+    (b"detector,timestamp\nT,0\n\nA,5", 3),
+    (b"detector,timestamp\nT,0\nA,5\r", 3),
+], ids=["same-length-header", "lone-carriage-return", "blank-line-and-no-final-break",
+        "carriage-return-at-end"])
+def test_same_size_spellings_rejected(tmp_path, data, line):
+    path = tmp_path / "e.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataFormatError, match=rf"{re.escape(str(path))}: .* line {line}\b"):
+        read_events(path)
+
+
+def test_file_cut_mid_record_fails_on_last_line(tmp_path):
+    path = write_events(sample_stream(), tmp_path / "events.csv")
+    sidecar_path(path).unlink()
+    data = path.read_bytes()
+    path.write_bytes(data[: data.rindex(b"8100") + 2])  # "... A,81"
+    expected = f"{path}: no line break at the end of line 6"
+    with pytest.raises(DataFormatError, match=re.escape(expected)):
+        read_events(path)
 
 
 class TestSidecarIntegrity:

@@ -69,6 +69,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ideal_config(tau_s=float("nan"))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [
+        "trigger_period", "eta_f", "eta_s", "tau_f", "tau_s", "delta_t",
+        "excitation_jitter_sigma", "detuning", "xi", "bg_rate_a", "bg_rate_b",
+        "window_length", "timestamp_resolution", "detector_offset_a", "detector_offset_b",
+    ])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            ideal_config(**{name: value})
 
     def test_period_exceeds_window_by_at_least_one_tick(self):
         # 125 ps ticks are 0.125 ns: 500.125 leaves exactly one tick
