@@ -63,7 +63,6 @@ def _assign(click_ticks, trigger_ticks):
 
 
 _MAX_TICK = np.iinfo(np.int64).max
-_NO_CLICK = _MAX_TICK
 
 
 def pair_clicks(trigger_ticks, a, b, valid_window: float, resolution: float) -> PairingResult:
@@ -87,9 +86,12 @@ def pair_clicks(trigger_ticks, a, b, valid_window: float, resolution: float) -> 
     for ticks, owner in (a, b):
         near = (ticks - trigger_ticks[owner]) <= window_ticks
         valid[owner[near]] = True
-        first = np.full(n, _NO_CLICK, dtype=np.int64)
+        first = np.full(n, _MAX_TICK, dtype=np.int64)
         np.minimum.at(first, owner, ticks)
-        first[first == _NO_CLICK] = -1
+        # a click may fall on _MAX_TICK itself, so the owners mark who clicked
+        clicked = np.zeros(n, dtype=bool)
+        clicked[owner] = True
+        first[~clicked] = -1
         firsts.append(first)
     return PairingResult(trigger_ticks, valid, firsts[0], firsts[1], resolution)
 

@@ -18,9 +18,11 @@ included), a timestamp beyond int64 or a record out of timestamp order;
 naming the file when the sidecar's record count or digest disagrees
 with the file; and naming the sidecar when it is not a JSON object or a
 resolution it must supply is missing or not a positive number.
-``_parse_lines`` is the definition of the grammar; the vectorised fast
-path returns the same arrays for every file the grammar accepts and
-hands every other file to it.
+
+The reader makes one pass over the file in blocks of ``_READ_BLOCK``
+bytes: it hashes each block, parses the block's whole lines as one uint8
+array and carries a partial last line into the next block. Besides the
+records read so far it holds one block and the arrays made from it.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -44,16 +44,15 @@ _LABEL_TO_CODE = {"T": DET_T, "A": DET_A, "B": DET_B}
 
 EVENT_HEADER = ("detector", "timestamp")
 _HEADER = (",".join(EVENT_HEADER) + "\n").encode()
-_RECORD = re.compile(rb"([TAB]),(0|[1-9][0-9]*)")
-_NO_CODE = 255  # marks a label outside DETECTOR_LABELS in the fast path
 _INT64_MAX = np.iinfo(np.int64).max
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+_MAX_DIGITS = len(str(_INT64_MAX))
+# Detector code of each byte value; every byte but a label maps past DET_B.
+_CODE_OF_BYTE = np.full(256, DET_B + 1, dtype=np.uint8)
+_CODE_OF_BYTE[[ord(label) for label in _LABEL_TO_CODE]] = list(_LABEL_TO_CODE.values())
 # Records formatted per write: big enough to amortise the format and the
 # write call, small enough that the .tolist() copies stay a few MB.
 _WRITE_SLICE = 1 << 15
-_READ_BLOCK = 1 << 20
-# np.loadtxt opens paths with these suffixes through a decompressor.
-_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+_READ_BLOCK = 1 << 18  # bytes; larger blocks read no faster but raise the peak memory
 
 
 class DetectionRecord(NamedTuple):
@@ -90,7 +89,8 @@ class EventStream:
         return np.array(DETECTOR_LABELS)[self.detectors]
 
     def is_sorted(self) -> bool:
-        return bool(np.all(np.diff(self.timestamps) >= 0))
+        # a comparison, not np.diff, which wraps for ticks 2**63 apart
+        return not (self.timestamps[1:] < self.timestamps[:-1]).any()
 
     def records(self) -> Iterator[DetectionRecord]:
         for code, tick in zip(self.detectors, self.timestamps):
@@ -132,7 +132,13 @@ def _file_bytes(stream: EventStream) -> Iterator[bytes]:
 
 
 def write_events(stream: EventStream, path, metadata: dict | None = None) -> Path:
-    """Write the CSV event file and its JSON sidecar; returns the CSV path."""
+    """Write the CSV event file and its JSON sidecar; returns the CSV path.
+
+    Raises ValueError, before opening the file, for ticks that
+    ``read_events`` would reject: a negative or a decreasing one.
+    """
+    if not stream.is_sorted() or (len(stream) and stream.timestamps[0] < 0):
+        raise ValueError("timestamps must be non-negative and must not decrease")
     path = Path(path)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -200,9 +206,7 @@ def read_events(path, resolution: float | None = None) -> EventStream:
     meta = read_sidecar(path)
     if resolution is None:
         resolution = 125.0 if meta is None else _sidecar_resolution(path, meta)
-    sha256, size, lf_lines = _scan(path)
-    parsed = _parse_fast(path, size) if lf_lines else None
-    codes, ticks = parsed if parsed is not None else _parse_lines(path)
+    sha256, codes, ticks = _read_records(path)
     if meta:
         if "n_records" in meta and meta["n_records"] != ticks.size:
             raise DataFormatError(
@@ -215,94 +219,80 @@ def read_events(path, resolution: float | None = None) -> EventStream:
     return EventStream(codes, ticks, resolution)
 
 
-def _scan(path: Path) -> tuple[str, int, bool]:
-    """One pass over the file's bytes: (sha256 hex digest, byte count, lf_lines).
-
-    ``lf_lines`` holds when the file starts with the header line, has no
-    CR byte and ends in LF: then every line ``np.loadtxt`` sees ends in
-    one LF byte, which the size proof in ``_parse_fast`` relies on.
-    """
+def _read_records(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
+    """One pass over the file in blocks: (sha256 hex digest, codes, ticks)."""
     with open(path, "rb") as fh:
-        head = fh.read(len(_HEADER))
-        digest, size, last, cr_free = hashlib.sha256(head), len(head), head, True
-        while block := fh.read(_READ_BLOCK):
-            cr_free = cr_free and b"\r" not in block
-            digest.update(block)
-            size += len(block)
-            last = block
-    return digest.hexdigest(), size, head == _HEADER and cr_free and last.endswith(b"\n")
-
-
-def _parse_fast(path: Path, size: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Vectorised parse of the body, or None where ``_parse_lines`` must decide.
-
-    Called only when ``_scan`` found ``lf_lines``, so every line loadtxt
-    reads ends in one LF byte. The result stands only if the file is
-    exactly as long as the canonical text of what was parsed. Every other
-    spelling loadtxt accepts for a record is longer (padding, quotes, a
-    sign, leading zeros, a NUL after the label, a blank line), so equal
-    size proves the file is canonical. That needs loadtxt to refuse
-    non-integer text such as ``1e3``, which older numpy only warned about.
-    """
-    if path.suffix in _COMPRESSED_SUFFIXES:
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a header-only file
-        warnings.simplefilter("error", DeprecationWarning)  # integer parsed via float
-        try:
-            # U2, not U1: a U1 field would truncate "TT" to "T".
-            rows = np.loadtxt(
-                path, delimiter=",", dtype=[("d", "U2"), ("t", "i8")],
-                ndmin=1, comments=None, skiprows=1,
+        head = fh.readline(len(_HEADER))  # stops after the first LF
+        if head == _HEADER[:-1]:  # and the file ends there
+            raise DataFormatError(f"{path}: no line break at the end of line 1")
+        if head != _HEADER:
+            raise DataFormatError(
+                f"{path}: bad header {head!r} on line 1, expected 'detector,timestamp'"
             )
-        except (ValueError, DeprecationWarning):
-            return None
-    labels = rows["d"]
-    codes = np.full(labels.shape, _NO_CODE, dtype=np.uint8)
-    for label, code in _LABEL_TO_CODE.items():
-        codes[labels == label] = code
-    ticks = np.ascontiguousarray(rows["t"])
-    if (codes == _NO_CODE).any() or (ticks[1:] < ticks[:-1]).any():
-        return None
-    # A tick has one digit plus one per power of ten at or below it; the
-    # ticks are sorted, so one searchsorted counts the ticks below each
-    # power. A sign lengthens a line, so a negative tick fails the check.
-    digits = 19 * ticks.size - int(np.searchsorted(ticks, _POWERS_OF_TEN).sum())
-    if size != len(_HEADER) + 3 * ticks.size + digits:
-        return None
+        digest, carry, lineno, previous = hashlib.sha256(head), b"", 2, 0
+        parts = [(np.empty(0, np.uint8), np.empty(0, np.int64))]
+        while block := fh.read(_READ_BLOCK):
+            digest.update(block)
+            data = carry + block
+            end = data.rfind(b"\n") + 1
+            codes, ticks = _parse_block(path, np.frombuffer(data, np.uint8, end), lineno, previous)
+            parts.append((codes, ticks))
+            lineno, previous = lineno + ticks.size, int(ticks[-1]) if ticks.size else previous
+            carry = data[end:]
+            if len(carry) > _MAX_DIGITS + 2:  # longer than any record line
+                raise _bad_line(path, carry, lineno, previous)
+    if carry:
+        raise DataFormatError(f"{path}: no line break at the end of line {lineno}")
+    return (digest.hexdigest(), *map(np.concatenate, zip(*parts)))
+
+
+def _parse_block(path: Path, lines: np.ndarray, lineno: int, previous: int) -> tuple:
+    """Codes and ticks of `lines`, the uint8 bytes of whole lines from line
+    `lineno` on, after tick `previous`; DataFormatError at the first bad line."""
+    ends = np.flatnonzero(lines == ord("\n"))
+    lengths = np.diff(ends, prepend=-1) - 1
+    widths = lengths - 2  # the digits of a record
+    # Sorted records have non-decreasing digit counts, so they fall into at
+    # most _MAX_DIGITS runs of fixed-width rows. The parse stops at the
+    # first line that breaks this: it is not a record or is out of order.
+    broken = (widths < 1) | (widths > _MAX_DIGITS)
+    broken[1:] |= widths[1:] < widths[:-1]
+    n = int(broken.argmax()) if broken.any() else widths.size
+    codes, ticks, good = np.empty(n, np.uint8), np.empty(n, np.uint64), np.empty(n, bool)
+    firsts = np.flatnonzero(np.diff(widths[:n], prepend=0)).tolist()  # of each run
+    for lo, hi in zip(firsts, firsts[1:] + [n]):
+        k = int(widths[lo])
+        rows = lines[ends[lo] - lengths[lo] : ends[hi - 1] + 1].reshape(hi - lo, k + 3)
+        codes[lo:hi] = _CODE_OF_BYTE[rows[:, 0]]
+        digits = rows[:, 2 : k + 2] - ord("0")  # a byte below '0' wraps past 9
+        value = ticks[lo:hi]  # 19 digits stay below 2**64: exact in uint64
+        value[:] = digits[:, 0]
+        for j in range(1, k):
+            value *= 10
+            value += digits[:, j]
+        ok = (codes[lo:hi] <= DET_B) & (rows[:, 1] == ord(",")) & (digits.max(axis=1) <= 9)
+        good[lo:hi] = ok & ((digits[:, 0] > 0) | (k == 1)) & (value <= np.uint64(_INT64_MAX))
+    ticks = ticks.view(np.int64)
+    # a bad line's tick can only misjudge the order of the line after it
+    good &= np.diff(ticks, prepend=previous) >= 0
+    n = n if good.all() else int(good.argmin())
+    if n < widths.size:
+        line = lines[ends[n] - lengths[n] : ends[n]].tobytes()
+        raise _bad_line(path, line, lineno + n, int(ticks[n - 1]) if n else previous)
     return codes, ticks
 
 
-def _parse_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """Line-by-line parse: the definition of the event-file grammar.
-
-    Raises DataFormatError with the number of the first line that breaks it.
-    """
-    lines = path.read_bytes().split(b"\n")
-    if lines[0] != _HEADER[:-1]:
-        raise DataFormatError(
-            f"{path}: bad header {lines[0][:40]!r} on line 1, expected 'detector,timestamp'"
+def _bad_line(path: Path, line: bytes, lineno: int, previous: int) -> DataFormatError:
+    """The error for line `lineno` (or its start), found bad by the block parse."""
+    label, comma, digits = line.partition(b",")
+    decimal = digits.isdigit() and (digits == b"0" or not digits.startswith(b"0"))
+    if not (label.decode("latin-1") in DETECTOR_LABELS and comma and decimal):
+        return DataFormatError(
+            f"{path}: {line[:40]!r} on line {lineno} is not a record 'T|A|B,<ticks>'"
         )
-    codes, ticks, previous = [], [], 0
-    for lineno, line in enumerate(lines[1:-1], start=2):
-        record = _RECORD.fullmatch(line)
-        if record is None:
-            raise DataFormatError(
-                f"{path}: {line[:40]!r} on line {lineno} is not a record 'T|A|B,<ticks>'"
-            )
-        digits = record[2]
-        # int() refuses digit strings beyond a few thousand digits
-        tick = int(digits) if len(digits) <= 19 else _INT64_MAX + 1
-        if tick > _INT64_MAX:
-            raise DataFormatError(f"{path}: timestamp exceeds int64 on line {lineno}")
-        if tick < previous:
-            raise DataFormatError(
-                f"{path}: timestamp {tick} on line {lineno} is earlier than the "
-                f"record before it ({previous}); records must be sorted by timestamp"
-            )
-        previous = tick
-        codes.append(_LABEL_TO_CODE[record[1].decode()])
-        ticks.append(tick)
-    if lines[-1]:
-        raise DataFormatError(f"{path}: no line break at the end of line {len(lines)}")
-    return np.array(codes, dtype=np.uint8), np.array(ticks, dtype=np.int64)
+    if len(digits) > _MAX_DIGITS or int(digits) > _INT64_MAX:
+        return DataFormatError(f"{path}: timestamp exceeds int64 on line {lineno}")
+    return DataFormatError(
+        f"{path}: timestamp {int(digits)} on line {lineno} is earlier than the "
+        f"record before it ({previous}); records must be sorted by timestamp"
+    )

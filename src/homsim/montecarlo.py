@@ -45,7 +45,7 @@ from .analysis import CoincidenceHistogram, histogram, pair_clicks
 from .errors import ConfigError
 from .interference import SourcePair, _p_coincidence
 from .io import DET_A, DET_B, DET_T, EventStream
-from .wavepacket import Envelope
+from .wavepacket import Envelope, _inverse_cdf
 
 _CHUNK = 1 << 16
 
@@ -159,8 +159,8 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
 
     t0_f = trig + pair.env_f.t0
     t0_s = trig + pair.env_s.t0 + jitter
-    t_f = t0_f - pair.env_f.tau * np.log1p(-u_f)
-    t_s = t0_s - pair.env_s.tau * np.log1p(-u_s)
+    t_f = _inverse_cdf(t0_f, pair.env_f.tau, u_f)
+    t_s = _inverse_cdf(t0_s, pair.env_s.tau, u_s)
 
     # Routing: one detector label per photon. A lone photon goes to A on
     # its r_route draw; a pair is routed by the conditional outcome law.

@@ -62,10 +62,15 @@ def sample_emission_time(env: Envelope, u):
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
         raise ValueError("u must lie in [0, 1)")
-    t = env.t0 - env.tau * np.log1p(-u_arr)
+    t = _inverse_cdf(env.t0, env.tau, u_arr)
     if np.ndim(u) == 0:
         return float(t)
     return t
+
+
+def _inverse_cdf(t0, tau: float, u):
+    """Emission time t0 - tau*ln(1 - u) for uniform u in [0, 1), unchecked."""
+    return t0 - tau * np.log1p(-u)
 
 
 def norm(env: Envelope, upper: float | None = None) -> float:

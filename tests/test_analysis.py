@@ -95,6 +95,12 @@ class TestPairEvents:
         assert p.valid.tolist() == [True, True]
         assert p.first_a.tolist() == [2**62 - 1, 2**63 - 2]
 
+    def test_click_on_largest_tick_is_a_click(self):
+        s = EventStream.from_records([("T", 2**63 - 100), ("A", 2**63 - 50), ("B", 2**63 - 1)])
+        p = pair_events(s)
+        assert p.first_a.tolist() == [2**63 - 50]
+        assert p.first_b.tolist() == [2**63 - 1]
+
     def test_unsorted_stream_rejected(self):
         s = EventStream.from_records([("T", 100), ("A", 50)])
         with pytest.raises(DataFormatError):

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from homsim import DataFormatError, EventStream, read_events, write_events
+from homsim import DataFormatError, EventStream, io, read_events, write_events
 from homsim.io import (
     _WRITE_SLICE,
-    _parse_fast,
     DETECTOR_LABELS,
     EVENT_HEADER,
     config_hash,
@@ -31,6 +30,7 @@ def test_from_records_and_labels():
     assert len(s) == 5
     assert list(s.labels()) == ["T", "A", "B", "T", "A"]
     assert s.is_sorted()
+    assert not EventStream([0, 1], [10, 5 - 2**63]).is_sorted()
     recs = list(s.records())
     assert recs[1].detector == "A" and recs[1].timestamp == 400
 
@@ -194,9 +194,9 @@ def event_file_bytes(draw):
     return (eol.join([header] + lines) + tail).encode()
 
 
-# Line breaks, padding, separators, signs, digits, labels and quotes: the
-# bytes that turn a canonical line into a near miss
-MUTATION_BYTES = list(b'\n\r\0\t ,+-059TAB"e\xff')
+# Line breaks, padding, separators, signs, digits and the bytes beside
+# them, labels and quotes: the bytes that turn a canonical line into a near miss
+MUTATION_BYTES = list(b'\n\r\0\t ,+-/059:TAB"e\xff')
 
 
 @st.composite
@@ -228,22 +228,37 @@ def test_roundtrip_matches_reference_writer(tmp_path, stream):
 
 
 @settings(PROPERTY_SETTINGS, max_examples=400)
-@given(data=st.one_of(event_file_bytes(), single_byte_mutations()))
-def test_reader_accepts_and_rejects_as_reference(tmp_path, data):
+@given(
+    data=st.one_of(event_file_bytes(), single_byte_mutations()),
+    block=st.one_of(st.integers(1, 40), st.just(io._READ_BLOCK)),
+)
+def test_reader_accepts_and_rejects_as_reference(tmp_path, monkeypatch, data, block):
+    # small blocks put the header and the records across block edges
+    monkeypatch.setattr(io, "_READ_BLOCK", block)
     path = tmp_path / "odd.csv"  # no sidecar
     path.write_bytes(data)
     assert outcome(path) == reference_read(path)
 
 
-def test_fast_path_takes_canonical_files(tmp_path):
-    # every digit count, at and beside each power of ten; declining would
-    # still read right, through the line-by-line parse
+def test_every_digit_count_round_trips(tmp_path, monkeypatch):
+    # every digit count, at and beside each power of ten: one run of
+    # fixed-width rows per count, in one block or across many
     ticks = sorted({0, 2**63 - 1} | {10**k + d for k in range(1, 19) for d in (-1, 0, 1)})
     stream = EventStream(np.arange(len(ticks)) % 3, ticks)
     path = write_events(stream, tmp_path / "events.csv")
-    parsed = _parse_fast(path, path.stat().st_size)
-    assert parsed is not None
-    assert parsed[0].tolist() == stream.detectors.tolist() and parsed[1].tolist() == ticks
+    for block in (1, 7, 22, io._READ_BLOCK):
+        monkeypatch.setattr(io, "_READ_BLOCK", block)
+        back = read_events(path)
+        assert back.detectors.tolist() == stream.detectors.tolist()
+        assert back.timestamps.tolist() == ticks
+
+
+@pytest.mark.parametrize("ticks", [[5, 3], [-5, 0], [10, 5 - 2**63]])
+def test_writer_refuses_what_the_reader_rejects(tmp_path, ticks):
+    path = tmp_path / "events.csv"
+    with pytest.raises(ValueError, match="timestamps"):
+        write_events(EventStream([0, 1], ticks), path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_writer_slices_are_seamless(tmp_path):
@@ -257,21 +272,38 @@ def test_writer_slices_are_seamless(tmp_path):
     assert np.array_equal(read_events(path).timestamps, stream.timestamps)
 
 
-@pytest.mark.parametrize("body, line", [
-    (f"T,0\nA,{2**63}\n", 3),
-    ("T,-5\n", 2),
-    ("T,10\nA,12\nB,11\n", 4),
-    ("T\0,5\n", 2),
-    pytest.param("T,0\nA,5\xff\n", 3, id="undecodable-byte"),
-    pytest.param("T,0\nA," + "1" * 200_000 + "\n", 3, id="oversized-field"),
-    pytest.param('T,0\n"T\n",5\nX,6\n', 3, id="line-break-in-field"),
-    pytest.param('T,0\nA,5\n"B\r",7\n', 4, id="carriage-return-in-field"),
+NOT_A_RECORD = "is not a record"
+EXCEEDS_INT64 = "timestamp exceeds int64"
+OUT_OF_ORDER = "is earlier than the record before it"
+NO_LINE_BREAK = "no line break"
+
+
+def rejection(body, line, kind, id=None):
+    return pytest.param(body, line, kind, id=id or f"{body}-{line}")
+
+
+@pytest.mark.parametrize("body, line, kind", [
+    rejection(f"T,0\nA,{2**63}\n", 3, EXCEEDS_INT64),
+    rejection(f"T,5\nA,{2**63}\n", 3, EXCEEDS_INT64),
+    rejection("T,0\nA,1:\nB,1/\n", 3, NOT_A_RECORD),
+    rejection("T,-5\n", 2, NOT_A_RECORD),
+    rejection("T,10\nA,12\nB,11\n", 4, OUT_OF_ORDER),
+    rejection("T,10\nA,12\nB,9\n", 4, OUT_OF_ORDER),
+    rejection("T\0,5\n", 2, NOT_A_RECORD),
+    rejection("T,0\nA,5", 3, NO_LINE_BREAK),
+    rejection("T,0\nA,5\xff\n", 3, NOT_A_RECORD, id="undecodable-byte"),
+    rejection("T,0\nA," + "1" * 200_000 + "\n", 3, EXCEEDS_INT64, id="oversized-field"),
+    rejection('T,0\n"T\n",5\nX,6\n', 3, NOT_A_RECORD, id="line-break-in-field"),
+    rejection('T,0\nA,5\n"B\r",7\n', 4, NOT_A_RECORD, id="carriage-return-in-field"),
 ])
-def test_reader_rejects_with_line(tmp_path, body, line):
+def test_reader_rejects_with_line(tmp_path, monkeypatch, body, line, kind):
     path = tmp_path / "e.csv"
     path.write_bytes(("detector,timestamp\n" + body).encode("latin-1"))
-    with pytest.raises(DataFormatError, match=rf"{re.escape(str(path))}: .* line {line}\b"):
-        read_events(path)
+    pattern = rf"^{re.escape(str(path))}: (?=.*{kind}).* line {line}\b"
+    for block in (5, io._READ_BLOCK):  # the same error whatever the block edges
+        monkeypatch.setattr(io, "_READ_BLOCK", block)
+        with pytest.raises(DataFormatError, match=pattern):
+            read_events(path)
 
 
 @pytest.mark.parametrize("text", ["detector,timestamp\n"])
@@ -318,8 +350,8 @@ def test_rare_spellings_rejected(tmp_path, name):
             read_events(path)
 
 
-# Files exactly as long as the canonical text of what np.loadtxt reads
-# from them: the fast path's size check alone would not tell them apart
+# Files exactly as long as the canonical text of their records, once
+# spelled out: a reader that only counted bytes would take them
 @pytest.mark.parametrize("data, line", [
     (b"detector,timestamq\nT,0\nA,5\n", 1),
     (b"detector,timestamp\nT,0\rA,5\n", 2),
