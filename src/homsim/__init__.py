@@ -24,12 +24,15 @@ from .errors import (
     UnreachableSampleError,
 )
 from .interference import (
+    Envelope,
     SourcePair,
+    amplitude,
     coincidence_density,
     coincidence_probability,
     coincidence_probability_numeric,
     conditional_outcome_probs,
     dip_ratio,
+    sample_emission_time,
     visibility_closed_form,
 )
 from .io import DetectionRecord, EventStream, read_events, write_events
@@ -40,7 +43,6 @@ from .montecarlo import (
     simulate,
     simulate_histograms,
 )
-from .wavepacket import Envelope, amplitude, norm, sample_emission_time
 
 __version__ = "0.1.0"
 
@@ -73,7 +75,6 @@ __all__ = [
     "expected_accidental_floor",
     "fit_scale",
     "histogram",
-    "norm",
     "pair_events",
     "quantize",
     "read_events",

@@ -151,7 +151,10 @@ class CoincidenceHistogram:
         centered on zero).
         """
         half = 0.5 * self.bin_width
-        if abs((t_c - half) / self.bin_width - round((t_c - half) / self.bin_width)) > _ALIGN_TOL:
+        k = (t_c - half) / self.bin_width
+        if not abs(k) < 2**63:
+            raise ValueError(f"t_c={t_c} must be finite and within 2**63 bins of zero")
+        if abs(k - round(k)) > _ALIGN_TOL:
             raise ValueError(
                 f"t_c={t_c} does not align with bin edges (width {self.bin_width})"
             )
@@ -175,6 +178,11 @@ def histogram(
     if half_range < 0.5 * bin_width:
         raise ValueError("empty histogram range")
     k = (half_range - 0.5 * bin_width) / bin_width
+    if not k < 2**62:
+        raise ValueError(
+            f"bin_width={bin_width} and half_range={half_range} must be finite "
+            "and give fewer than 2**63 bins"
+        )
     if abs(k - round(k)) > _ALIGN_TOL:
         raise ValueError(
             "half_range must terminate on a bin edge of the zero-centered grid"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -133,8 +134,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ConfigError(
             f"bad grid {text!r}, expected START:STOP:STEP"
         ) from None
-    if step <= 0.0 or hi < lo:
-        raise ConfigError(f"bad grid {text!r}: need STOP >= START and STEP > 0")
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
+        raise ConfigError(f"bad grid {text!r}: need finite STOP >= START and STEP > 0")
     return np.arange(lo, hi + 0.5 * step, step)
 
 
@@ -145,11 +146,13 @@ def cmd_oracle(args) -> int:
         raise ConfigError(f"tau_s/tau_f: {exc}") from None
     if not 0.0 <= args.xi <= 1.0:
         raise ConfigError(f"xi: must lie in [0, 1], got {args.xi}")
+    try:
+        env_s = interference.Envelope(args.tau_s, detuning=args.detuning)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    env_f = interference.Envelope(args.tau_f)
     dip_grid = _parse_grid(args.delta_t)
     dens_grid = _parse_grid(args.density_range)
-
-    env_f = interference.Envelope(args.tau_f)
-    env_s = interference.Envelope(args.tau_s, detuning=args.detuning)
     pair_perp = interference.SourcePair(env_f, env_s, 0.0)
     pair_par = interference.SourcePair(env_f, env_s, args.xi)
 

@@ -1,14 +1,16 @@
-"""Analytic two-photon beam-splitter statistics for dissimilar sources.
+"""Analytic model: single-photon envelopes and two-photon beam-splitter statistics.
 
-Everything here treats a pair of single photons, one per input port of a
-50:50 beam splitter, each with a decaying-exponential temporal envelope.
-The interfering and non-interfering coincidence distributions, their
-integrals, the visibility, the dip shape and the outcome law of one trial
-given both detection times all have closed forms for this envelope
-family, at any pair of carrier detunings; numerical quadrature is kept
-as an independent path for cross-validation. scipy
-is imported only by the functions that integrate: loading it takes most
-of the time of ``import homsim``, and no default path needs it.
+Each photon has a decaying-exponential temporal envelope (times in ns,
+carrier detunings in MHz entering only as a phase of the complex
+amplitude). A pair of them, one per input port of a 50:50 beam
+splitter, has closed forms for the interfering and non-interfering
+coincidence distributions, their integrals, the visibility, the dip
+shape and the outcome law of one trial given both detection times, at
+any pair of carrier detunings. Each quantity has exactly one
+implementation here; the independent quadrature references live with
+the tests. scipy is imported only by
+:func:`coincidence_probability_numeric`, which integrates: loading it
+takes most of the time of ``import homsim``, and no default path needs it.
 
 Delay convention: a positive `delay` argument means the heralded (f)
 photon's envelope starts `delay` ns after the single-atom (s) photon's.
@@ -18,12 +20,75 @@ The dip-shape branches below are only consistent with this orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import UnreachableSampleError
-from .wavepacket import _MHZ_NS, Envelope, amplitude
+
+# 1 MHz * 1 ns = 1e-3 cycles
+_MHZ_NS = 1e-3
+
+
+@dataclass(frozen=True)
+class Envelope:
+    """Decaying-exponential temporal amplitude of a single photon.
+
+    Attributes:
+        tau: coherence (decay) time in ns, must be positive and finite.
+        t0: emission start time in ns; the amplitude vanishes for t < t0.
+        detuning: carrier frequency offset in MHz (0 = compensated carrier),
+            must be finite.
+    """
+
+    tau: float
+    t0: float = 0.0
+    detuning: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not math.isfinite(self.detuning):
+            raise ValueError(f"detuning must be finite, got {self.detuning}")
+
+    def shifted(self, delay: float) -> "Envelope":
+        """Return the same envelope starting `delay` ns later."""
+        return replace(self, t0=self.t0 + delay)
+
+
+def amplitude(env: Envelope, t):
+    """Complex amplitude psi(t) in ns^-1/2 (0 for t < t0). Accepts arrays."""
+    rel = np.asarray(t, dtype=float) - env.t0
+    out = np.zeros(rel.shape, dtype=complex)
+    mask = rel >= 0.0
+    r = rel[mask]
+    vals = math.sqrt(1.0 / env.tau) * np.exp(-r / (2.0 * env.tau))
+    if env.detuning != 0.0:
+        vals = vals * np.exp(-2j * np.pi * env.detuning * _MHZ_NS * r)
+    out[mask] = vals
+    if np.ndim(t) == 0:
+        return complex(out)
+    return out
+
+
+def sample_emission_time(env: Envelope, u):
+    """Map uniform u in [0, 1) to an emission time by inverting the |psi|^2 CDF.
+
+    The squared envelope is an exponential density, so the inverse CDF is
+    t0 - tau*ln(1 - u). Accepts scalars or arrays.
+    """
+    u_arr = np.asarray(u, dtype=float)
+    if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
+        raise ValueError("u must lie in [0, 1)")
+    t = _inverse_cdf(env.t0, env.tau, u_arr)
+    if np.ndim(u) == 0:
+        return float(t)
+    return t
+
+
+def _inverse_cdf(t0, tau: float, u):
+    """Emission time t0 - tau*ln(1 - u) for uniform u in [0, 1), unchecked."""
+    return t0 - tau * np.log1p(-u)
 
 
 @dataclass(frozen=True)
@@ -52,36 +117,13 @@ class SourcePair:
 
 
 def _check_taus(tau_s: float, tau_f: float) -> None:
-    if tau_s <= 0.0 or tau_f <= 0.0:
-        raise ValueError("coherence times must be positive")
+    if not (0.0 < tau_s < math.inf and 0.0 < tau_f < math.inf):
+        raise ValueError("coherence times must be positive and finite")
 
 
 def _d_omega(env_f: Envelope, env_s: Envelope) -> float:
     """Relative carrier angular frequency in rad/ns."""
     return 2.0 * np.pi * (env_f.detuning - env_s.detuning) * _MHZ_NS
-
-
-def _density_closed(env_f: Envelope, env_s: Envelope, xi: float, dt: float) -> float:
-    # Each piece is the exact integral of an exponential. The carrier phases
-    # of a1 = psi_f(t) psi_s(t+dt) and a2 = psi_f(t+dt) psi_s(t) leave
-    # a1 a2* with the phase (omega_f - omega_s) dt, which does not depend on
-    # t, so a relative detuning only scales the cross term by cos(d_omega dt)
-    # and the direct terms not at all.
-    a = 1.0 / env_f.tau
-    b = 1.0 / env_s.tau
-    tf, ts = env_f.t0, env_s.t0
-    pref = a * b / (a + b)
-
-    def direct(d):
-        lo = max(tf, ts - d)
-        return pref * math.exp(-a * (lo - tf) - b * (lo + d - ts))
-
-    cross_lo = max(tf, ts) + max(0.0, -dt)
-    cross = pref * math.exp(
-        -0.5 * (a + b) * dt - a * (cross_lo - tf) - b * (cross_lo - ts)
-    )
-    cross *= math.cos(_d_omega(env_f, env_s) * dt)
-    return 0.25 * (direct(dt) + direct(-dt) - 2.0 * xi * xi * cross)
 
 
 def _p_coincidence(pair: SourcePair, t1, t2, t0_f, t0_s):
@@ -110,36 +152,34 @@ def _p_coincidence(pair: SourcePair, t1, t2, t0_f, t0_s):
     return 0.5 - pair.xi**2 * np.where(direct & swapped, cross, 0.0)
 
 
-def _density_quad(env_f: Envelope, env_s: Envelope, xi: float, dt: float) -> float:
-    from scipy.integrate import quad
-
-    def integrand(t):
-        a1 = amplitude(env_f, t) * amplitude(env_s, t + dt)
-        a2 = amplitude(env_f, t + dt) * amplitude(env_s, t)
-        return (
-            abs(a1) ** 2 + abs(a2) ** 2 - 2.0 * xi * xi * (a1 * a2.conjugate()).real
-        )
-
-    starts = [env_f.t0, env_s.t0, env_f.t0 - dt, env_s.t0 - dt]
-    lo = min(starts)
-    hi = max(env_f.t0, env_s.t0) + abs(dt) + 40.0 * max(env_f.tau, env_s.tau)
-    pts = sorted(p for p in set(starts) if lo < p < hi)
-    val, _ = quad(integrand, lo, hi, points=pts or None, limit=400, epsabs=1e-10)
-    return 0.25 * val
-
-
-def coincidence_density(pair: SourcePair, dt: float, force_quadrature: bool = False) -> float:
+def coincidence_density(pair: SourcePair, dt: float) -> float:
     """Coincidence probability density (per ns) at signed difference dt = t_a - t_b.
 
-    Uses the closed form for exponential envelopes, which holds at any
-    pair of carrier detunings: a relative detuning d_omega scales the
-    interference term by cos(d_omega dt). `force_quadrature` integrates
-    the amplitudes numerically instead, as an independent check; the two
-    paths agree to 1e-8.
+    Closed form for exponential envelopes, which holds at any pair of
+    carrier detunings: a relative detuning d_omega scales the
+    interference term by cos(d_omega dt).
     """
-    if force_quadrature:
-        return _density_quad(pair.env_f, pair.env_s, pair.xi, dt)
-    return _density_closed(pair.env_f, pair.env_s, pair.xi, dt)
+    # Each piece is the exact integral of an exponential. The carrier phases
+    # of a1 = psi_f(t) psi_s(t+dt) and a2 = psi_f(t+dt) psi_s(t) leave
+    # a1 a2* with the phase (omega_f - omega_s) dt, which does not depend on
+    # t, so a relative detuning only scales the cross term by cos(d_omega dt)
+    # and the direct terms not at all.
+    env_f, env_s = pair.env_f, pair.env_s
+    a = 1.0 / env_f.tau
+    b = 1.0 / env_s.tau
+    tf, ts = env_f.t0, env_s.t0
+    pref = a * b / (a + b)
+
+    def direct(d):
+        lo = max(tf, ts - d)
+        return pref * math.exp(-a * (lo - tf) - b * (lo + d - ts))
+
+    cross_lo = max(tf, ts) + max(0.0, -dt)
+    cross = pref * math.exp(
+        -0.5 * (a + b) * dt - a * (cross_lo - tf) - b * (cross_lo - ts)
+    )
+    cross *= math.cos(_d_omega(env_f, env_s) * dt)
+    return 0.25 * (direct(dt) + direct(-dt) - 2.0 * pair.xi * pair.xi * cross)
 
 
 def _overlap_sq(env_f: Envelope, env_s: Envelope) -> float:
@@ -162,24 +202,22 @@ def coincidence_probability(pair: SourcePair, delay: float = 0.0) -> float:
     (tau_s - tau_f)^2 / (2 (tau_s + tau_f)^2) at xi=1, zero delay, zero
     detuning with synchronized starts.
     """
-    env_f = pair.env_f.shifted(delay) if delay != 0.0 else pair.env_f
-    return 0.5 * (1.0 - pair.xi**2 * _overlap_sq(env_f, pair.env_s))
+    shifted = pair.delayed(delay)
+    return 0.5 * (1.0 - pair.xi**2 * _overlap_sq(shifted.env_f, shifted.env_s))
 
 
-def coincidence_probability_numeric(
-    pair: SourcePair, delay: float = 0.0, force_quadrature: bool = False
-) -> float:
-    """Independent evaluation of the coincidence probability by integrating
-    the density over dt. Slower than :func:`coincidence_probability`; kept
-    as a cross-check of the closed forms."""
+def coincidence_probability_numeric(pair: SourcePair, delay: float = 0.0) -> float:
+    """Coincidence probability by integrating :func:`coincidence_density`
+    over dt. Slower than :func:`coincidence_probability`; kept as a
+    cross-check of its closed form."""
     from scipy.integrate import quad
 
-    shifted = pair.delayed(delay) if delay != 0.0 else pair
+    shifted = pair.delayed(delay)
     span = 40.0 * max(pair.env_f.tau, pair.env_s.tau)
     gap = shifted.env_f.t0 - shifted.env_s.t0
 
     def g(dt):
-        return coincidence_density(shifted, dt, force_quadrature=force_quadrature)
+        return coincidence_density(shifted, dt)
 
     # Split at the kink locations of the density.
     knots = sorted({-span, -abs(gap), 0.0, abs(gap), span})

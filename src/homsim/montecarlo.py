@@ -43,9 +43,8 @@ import numpy as np
 
 from .analysis import CoincidenceHistogram, histogram, pair_clicks
 from .errors import ConfigError
-from .interference import SourcePair, _p_coincidence
+from .interference import Envelope, SourcePair, _inverse_cdf, _p_coincidence
 from .io import DET_A, DET_B, DET_T, EventStream
-from .wavepacket import Envelope, _inverse_cdf
 
 _CHUNK = 1 << 16
 
@@ -84,6 +83,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.n_triggers <= 0:
             raise ConfigError("n_triggers must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("eta_f", "eta_s", "xi"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

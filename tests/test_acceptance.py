@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 from scipy.stats import chisquare
 
 import homsim as h
+import quadrature
 
 TAU_S, TAU_F = 26.18, 13.61
 P_PAR_SYNC = (TAU_S - TAU_F) ** 2 / (2.0 * (TAU_S + TAU_F) ** 2)
@@ -60,9 +61,9 @@ def test_criterion_1_closed_form_visibility():
 
 def test_criterion_2_oracle_self_consistency():
     with criterion(2, "quadrature agrees with the closed forms") as notes:
-        p_perp = h.coincidence_probability_numeric(ideal_pair(0.0), force_quadrature=True)
+        p_perp = quadrature.probability(ideal_pair(0.0))
         assert abs(p_perp - 0.5) < 1e-6
-        p_par = h.coincidence_probability_numeric(ideal_pair(1.0), force_quadrature=True)
+        p_par = quadrature.probability(ideal_pair(1.0))
         assert abs(p_par - P_PAR_SYNC) < 1e-6
         notes.append(f"P_perp err {abs(p_perp - 0.5):.1e}")
         notes.append(f"P_par err {abs(p_par - P_PAR_SYNC):.1e}")
@@ -209,7 +210,7 @@ def test_criterion_8_property_suites():
     with criterion(8, "normalization, conditional law, analyzer exactness, flat background") as notes:
         # envelope normalization across three decades of coherence time
         for tau in (0.1, 1.0, 13.61, 26.18, 150.0, 1000.0):
-            assert abs(h.norm(h.Envelope(tau)) - 1.0) < 1e-6
+            assert abs(quadrature.norm(h.Envelope(tau)) - 1.0) < 1e-6
         notes.append("norms 1 +- 1e-6 over tau in [0.1, 1000]")
 
         # conditional outcome probabilities over 1e5 random draws

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -13,10 +14,10 @@ from homsim import (
     Envelope,
     SourcePair,
     cli,
-    coincidence_density,
     dip_ratio,
     visibility_closed_form,
 )
+import quadrature
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -114,7 +115,7 @@ class TestOracle:
         assert lines[0].startswith("# config_hash=") and lines[1] == "quantity,x_ns,value"
         env_f, env_s = Envelope(13.61), Envelope(26.18, detuning=2.0)
         expected = [
-            (name, x, coincidence_density(SourcePair(env_f, env_s, xi), x, force_quadrature=True))
+            (name, x, quadrature.density(SourcePair(env_f, env_s, xi), x))
             for name, xi in (("g_perp", 0.0), ("g_par", 0.8))
             for x in (-4.0, -2.0, 0.0, 2.0, 4.0)
         ] + [("dip_ratio", x, dip_ratio(x, 26.18, 13.61)) for x in (-5.0, 0.0, 5.0)]
@@ -134,6 +135,15 @@ class TestOracle:
         assert cli.main([
             "oracle", "--delta-t", "10:0:5", "--out", str(tmp_path)
         ]) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--tau-s", "nan"], ["--tau-f", "inf"], ["--detuning", "inf"], ["--detuning", "nan"],
+        ["--delta-t", "0:10:nan"], ["--delta-t", "0:inf:1"], ["--density-range", "nan:1:1"],
+    ], ids=" ".join)
+    def test_non_finite_arguments_exit_one(self, tmp_path, capsys, args):
+        assert cli.main(["oracle", *args, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "oracle.csv").exists()
 
 
 class TestSimulate:
@@ -398,6 +408,12 @@ BAD_ANALYSIS_PARAMETERS = [
     *(pytest.param({"valid_window": value}, "must be finite and non-negative",
                    id=f"valid-window-{value}")
       for value in ("inf", "nan", "-1")),
+    pytest.param({"hist_range": "inf"}, "must be finite and give fewer than 2**63 bins",
+                 id="hist-range-inf"),
+    pytest.param({"bin_width": "1e-300"}, "must be finite and give fewer than 2**63 bins",
+                 id="bin-width-tiny"),
+    pytest.param({"t_c": "inf", "dip_t_c": "inf"}, "must be finite and within 2**63 bins",
+                 id="window-inf"),
 ]
 
 
@@ -428,11 +444,38 @@ class TestAnalysisParameterErrors:
         assert err.startswith("config error: ") and message in err
 
 
+@pytest.mark.parametrize("command, cfg_seed", [
+    (["simulate"], -1),
+    (["dip", "--seed", "-5"], 11),
+], ids=["simulate-config-seed", "dip-seed-option"])
+def test_negative_seed_exits_one(tmp_path, capsys, command, cfg_seed):
+    cfg = write_cfg(tmp_path / "c.cfg", n_triggers=100, seed=cfg_seed, delta_t_list=0)
+    out = tmp_path / "out"
+    assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: seed must be non-negative")
+    assert not out.exists()
+
+
 def test_default_paths_do_not_import_scipy(tmp_path):
-    # scipy is imported only by the quadrature cross-checks; every CLI
-    # command, detuned oracle included, runs on closed forms.
+    # scipy is imported only by coincidence_probability_numeric; every CLI
+    # command, detuned oracle included, and the rest of the analytic model
+    # run on closed forms.
+    scipy_imports = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("homsim/*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
+        or isinstance(node, ast.Import) and any(a.name.startswith("scipy") for a in node.names)
+    ]
+    tree = ast.parse((SRC / "homsim" / "interference.py").read_text())
+    numeric = next(node for node in ast.walk(tree)
+                   if getattr(node, "name", None) == "coincidence_probability_numeric")
+    assert [name for name, _ in scipy_imports] == ["interference.py"]
+    assert numeric.lineno < scipy_imports[0][1] <= numeric.end_lineno
+
     script = textwrap.dedent("""
         import sys
+        import numpy as np
         import homsim
         from homsim import cli
 
@@ -442,6 +485,7 @@ def test_default_paths_do_not_import_scipy(tmp_path):
         with open("perp.cfg", "w") as fh:
             fh.write(base + "xi = 0\\n")
         runs = [
+            ["--dump-config"],
             ["oracle", "--detuning", "2", "--out", "oracle"],
             ["simulate", "--config", "par.cfg", "--out", "par"],
             ["simulate", "--config", "perp.cfg", "--out", "perp"],
@@ -451,12 +495,20 @@ def test_default_paths_do_not_import_scipy(tmp_path):
         ]
         for argv in runs:
             assert cli.main(argv) == 0, argv
-        assert "scipy" not in sys.modules
 
         pair = homsim.SourcePair(homsim.Envelope(13.61), homsim.Envelope(26.18, detuning=2.0))
+        ts = np.linspace(0.0, 50.0, 11)
+        homsim.amplitude(pair.env_s, ts)
+        homsim.sample_emission_time(pair.env_s, np.linspace(0.0, 0.9, 10))
+        homsim.conditional_outcome_probs(pair, ts, ts[::-1])
+        assert homsim.coincidence_density(pair, 3.0) > 0.0
+        homsim.expected_accidental_floor(
+            homsim.ExperimentConfig(n_triggers=10, detuning=2.0, bg_rate_a=1e-4),
+            np.arange(-200.0, 201.0, 10.0))
+        assert "scipy" not in sys.modules
+
         numeric = homsim.coincidence_probability_numeric(pair)
         assert abs(numeric - homsim.coincidence_probability(pair)) < 1e-8
-        assert abs(homsim.norm(homsim.Envelope(5.0)) - 1.0) < 1e-6
         assert "scipy" in sys.modules
     """)
     env = dict(os.environ)

@@ -7,6 +7,7 @@ from homsim import (
     Envelope,
     SourcePair,
     UnreachableSampleError,
+    amplitude,
     coincidence_density,
     coincidence_probability,
     coincidence_probability_numeric,
@@ -14,7 +15,7 @@ from homsim import (
     dip_ratio,
     visibility_closed_form,
 )
-from homsim.wavepacket import amplitude
+import quadrature
 
 TAU_S, TAU_F = 26.18, 13.61
 
@@ -62,7 +63,7 @@ class TestCoincidenceDensity:
     def test_exact_null_at_zero_difference(self):
         pair = default_pair(1.0)
         assert coincidence_density(pair, 0.0) == 0.0
-        assert coincidence_density(pair, 0.0, force_quadrature=True) == 0.0
+        assert quadrature.density(pair, 0.0) == 0.0
 
     def test_exact_null_randomized(self):
         # interfering photons never produce a simultaneous coincidence,
@@ -96,7 +97,7 @@ class TestCoincidenceDensity:
             )
             for dt in (-60.0, -7.3, 0.0, 4.1, 18.0, 55.0):
                 closed = coincidence_density(pair, dt)
-                quad = coincidence_density(pair, dt, force_quadrature=True)
+                quad = quadrature.density(pair, dt)
                 assert closed == pytest.approx(quad, abs=1e-8)
 
     def test_detuned_cross_term_suppression(self):
@@ -147,7 +148,7 @@ class TestCoincidenceProbability:
     def test_detuned_probability_matches_quadrature(self):
         pair = default_pair(1.0, detuning_s=76.0)
         closed = coincidence_probability(pair)
-        numeric = coincidence_probability_numeric(pair, force_quadrature=True)
+        numeric = quadrature.probability(pair)
         assert closed == pytest.approx(numeric, abs=1e-6)
 
     def test_visibility_scales_as_xi_squared(self):

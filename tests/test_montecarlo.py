@@ -21,10 +21,9 @@ from homsim import (
     simulate,
     simulate_histograms,
 )
-from homsim.interference import _p_coincidence
+from homsim.interference import Envelope, _p_coincidence, amplitude
 from homsim.io import DET_A, DET_B, DET_T
 from homsim.montecarlo import _CHUNK
-from homsim.wavepacket import Envelope, amplitude
 
 TAU_S, TAU_F = 26.18, 13.61
 
@@ -68,6 +67,8 @@ class TestConfigValidation:
             ideal_config(tau_f=0.0)
         with pytest.raises(ConfigError):
             ideal_config(tau_s=float("nan"))
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            ideal_config(seed=-1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", [

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import expon, kstest
 
-from homsim import Envelope, amplitude, norm, sample_emission_time
+from homsim import Envelope, amplitude, sample_emission_time
+from quadrature import norm
 
 
 def test_invalid_tau_rejected():
@@ -12,6 +13,11 @@ def test_invalid_tau_rejected():
         Envelope(0.0)
     with pytest.raises(ValueError):
         Envelope(-3.0)
+    for tau in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            Envelope(tau)
+    with pytest.raises(ValueError, match="detuning must be finite"):
+        Envelope(26.18, detuning=math.nan)
 
 
 def test_amplitude_zero_before_start():
