@@ -148,7 +148,8 @@ class CoincidenceHistogram:
         """Boolean mask of bins fully inside [-t_c, +t_c].
 
         t_c must coincide with bin edges (e.g. 25 or 75 for 10 ns bins
-        centered on zero).
+        centered on zero) and be at least half a bin width, so that the
+        window holds at least the central bin.
         """
         half = 0.5 * self.bin_width
         k = (t_c - half) / self.bin_width
@@ -157,6 +158,10 @@ class CoincidenceHistogram:
         if abs(k - round(k)) > _ALIGN_TOL:
             raise ValueError(
                 f"t_c={t_c} does not align with bin edges (width {self.bin_width})"
+            )
+        if round(k) < 0:
+            raise ValueError(
+                f"t_c={t_c} selects no bin: it must be at least half the bin width ({half:g})"
             )
         return np.abs(self.bin_centers) <= t_c - half + _ALIGN_TOL
 

@@ -109,6 +109,16 @@ class ExperimentConfig:
             )
         if self.detector_offset_a < 0.0 or self.detector_offset_b < 0.0:
             raise ConfigError("detector offsets must be non-negative")
+        # Every click lies inside its trigger's window, so before
+        # n_triggers * trigger_period: that many ticks must fit in int64.
+        # A period is at least one tick, so the first test covers any
+        # n_triggers too large for a float.
+        ticks_per_period = self.trigger_period * 1000.0 / self.timestamp_resolution
+        if self.n_triggers >= 2**63 or self.n_triggers * ticks_per_period >= 2**63:
+            raise ConfigError(
+                "the run's ticks, up to n_triggers * trigger_period * 1000 / "
+                "timestamp_resolution, must stay below 2**63 (int64)"
+            )
 
     def source_pair(self) -> SourcePair:
         """Analytic counterpart of this config: envelope starts relative to
@@ -124,11 +134,19 @@ class ExperimentConfig:
 
 
 def quantize(t, resolution: float = 125.0):
-    """Floor a time in ns onto integer ticks of `resolution` ps."""
+    """Floor a time in ns onto integer ticks of `resolution` ps.
+
+    Raises ValueError for a negative or non-finite time and for one whose
+    tick does not fit in int64.
+    """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("cannot quantize negative times")
-    ticks = np.floor(t_arr * (1000.0 / resolution)).astype(np.int64)
+    ticks = np.floor(t_arr * (1000.0 / resolution))
+    if not np.all(ticks < 2.0**63):  # false for nan as well
+        what = "non-finite times" if not np.isfinite(t_arr).all() else "times beyond int64 ticks"
+        raise ValueError(f"cannot quantize {what}")
+    ticks = ticks.astype(np.int64)
     if np.ndim(t) == 0:
         return int(ticks)
     return ticks

@@ -248,6 +248,9 @@ class TestHistogram:
         assert int(h.window_bins(75.0).sum()) == 15
         with pytest.raises(ValueError):
             h.window_bins(30.0)
+        assert int(h.window_bins(5.0).sum()) == 1
+        with pytest.raises(ValueError, match="selects no bin"):
+            h.window_bins(-5.0)
 
     def test_csv_writer(self, tmp_path):
         h = histogram([2.0, 14.0], 4, 10.0, 25.0)
@@ -372,6 +375,8 @@ class TestVisibility:
         assert res.g_acc == pytest.approx(0.02)
         with pytest.raises(ValueError):
             visibility(h_par, h_perp, 25.0, g_acc=np.zeros(3))
+        with pytest.raises(ValueError, match="selects no bin"):  # an empty window
+            visibility(h_par, h_perp, -5.0, g_acc=g)
 
     def test_end_to_end_matches_closed_form(self):
         h_par, h_perp = self.make_pair_histograms(seed=51)

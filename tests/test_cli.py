@@ -414,6 +414,7 @@ BAD_ANALYSIS_PARAMETERS = [
                  id="bin-width-tiny"),
     pytest.param({"t_c": "inf", "dip_t_c": "inf"}, "must be finite and within 2**63 bins",
                  id="window-inf"),
+    pytest.param({"t_c": -5, "dip_t_c": -10}, "selects no bin", id="window-empty"),
 ]
 
 
@@ -453,6 +454,17 @@ def test_negative_seed_exits_one(tmp_path, capsys, command, cfg_seed):
     out = tmp_path / "out"
     assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("config error: seed must be non-negative")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["dip"]], ids=["simulate", "dip"])
+def test_ticks_beyond_int64_exit_one(tmp_path, capsys, command):
+    # 20 triggers 1e18 ns apart need 1.6e20 ticks of 125 ps
+    cfg = write_cfg(tmp_path / "c.cfg", n_triggers=20, trigger_period=1e18, delta_t_list=0)
+    out = tmp_path / "out"
+    assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "2**63" in err
     assert not out.exists()
 
 

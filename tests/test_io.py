@@ -245,12 +245,49 @@ def test_every_digit_count_round_trips(tmp_path, monkeypatch):
     # fixed-width rows per count, in one block or across many
     ticks = sorted({0, 2**63 - 1} | {10**k + d for k in range(1, 19) for d in (-1, 0, 1)})
     stream = EventStream(np.arange(len(ticks)) % 3, ticks)
-    path = write_events(stream, tmp_path / "events.csv")
+    path, ref = tmp_path / "events.csv", tmp_path / "reference.csv"
+    write_events(stream, path)
+    reference_write_csv(stream, ref)
+    assert path.read_bytes() == ref.read_bytes()
     for block in (1, 7, 22, io._READ_BLOCK):
         monkeypatch.setattr(io, "_READ_BLOCK", block)
         back = read_events(path)
         assert back.detectors.tolist() == stream.detectors.tolist()
         assert back.timestamps.tolist() == ticks
+
+
+# ticks whose digit counts, 1 to 19, are drawn alike
+ticks_of_any_width = st.integers(1, 19).flatmap(
+    lambda k: st.integers(10 ** (k - 1) if k > 1 else 0, min(10**k, 2**63) - 1)
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    ticks=st.lists(ticks_of_any_width, max_size=40).map(sorted),
+    codes=st.lists(st.integers(0, 2), min_size=40, max_size=40),
+    slice_size=st.integers(1, 7),
+)
+def test_writer_matches_reference_across_slice_and_width_edges(
+    tmp_path, monkeypatch, ticks, codes, slice_size
+):
+    # small slices end inside runs of one digit count and exactly where it changes
+    monkeypatch.setattr(io, "_WRITE_SLICE", slice_size)
+    stream = EventStream(codes[: len(ticks)], np.array(ticks, dtype=np.int64))
+    path, ref = tmp_path / "events.csv", tmp_path / "reference.csv"
+    write_events(stream, path)
+    reference_write_csv(stream, ref)
+    assert path.read_bytes() == ref.read_bytes()
+    assert read_sidecar(path)["sha256"] == hashlib.sha256(ref.read_bytes()).hexdigest()
+
+
+def test_empty_stream_writes_header_only(tmp_path):
+    path = write_events(EventStream([], []), tmp_path / "events.csv")
+    assert path.read_bytes() == b"detector,timestamp\n"
+    meta = read_sidecar(path)
+    assert meta["n_records"] == 0
+    assert meta["sha256"] == hashlib.sha256(b"detector,timestamp\n").hexdigest()
+    assert len(read_events(path)) == 0
 
 
 @pytest.mark.parametrize("ticks", [[5, 3], [-5, 0], [10, 5 - 2**63]])

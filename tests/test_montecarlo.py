@@ -48,6 +48,17 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(-0.1, 125.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, [1.0, math.nan]])
+    def test_non_finite_rejected(self, t):
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize(t, 125.0)
+
+    def test_ticks_beyond_int64_rejected(self):
+        # 2**63 ticks of 125 ps: the first time whose tick int64 cannot hold
+        assert quantize(np.nextafter(2.0**63 * 0.125, 0.0), 125.0) < 2**63
+        with pytest.raises(ValueError, match="beyond int64"):
+            quantize(np.array([0.0, 2.0**63 * 0.125]), 125.0)
+
 
 class TestConfigValidation:
     def test_probability_bounds(self):
@@ -69,6 +80,16 @@ class TestConfigValidation:
             ideal_config(tau_s=float("nan"))
         with pytest.raises(ConfigError, match="seed must be non-negative"):
             ideal_config(seed=-1)
+
+    def test_ticks_must_fit_in_int64(self):
+        # 20 triggers of 1e18 ns are 1.6e20 ticks of 125 ps
+        with pytest.raises(ConfigError, match="below 2\\*\\*63"):
+            ideal_config(n_triggers=20, trigger_period=1e18)
+        ideal_config(n_triggers=2**20, trigger_period=2.0**43 * 0.125 - 1.0)
+        with pytest.raises(ConfigError, match="below 2\\*\\*63"):
+            ideal_config(n_triggers=2**20, trigger_period=2.0**43 * 0.125)
+        with pytest.raises(ConfigError, match="below 2\\*\\*63"):
+            ideal_config(n_triggers=10**400)  # beyond any float
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", [
