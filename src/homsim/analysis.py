@@ -4,16 +4,19 @@ Mirrors a standard time-tag post-processing chain: group clicks by
 trigger, keep sequences with a click near the trigger, histogram the
 signed time difference between the earliest A and B clicks normalized per
 trigger, estimate the accidental floor from the histogram wings, and form
-visibilities and dip curves from windowed sums.
+visibilities and dip curves from windowed sums. A stream too long to
+hold is histogrammed block by block (`histogram_blocks`), with the same
+integer counts as the whole stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,6 +117,52 @@ def pair_events(stream: EventStream, valid_window: float = 85.0) -> PairingResul
     return pair_clicks(trigger_ticks, a, b, valid_window, stream.resolution)
 
 
+def histogram_blocks(
+    blocks: Iterable[EventStream],
+    valid_window: float = 85.0,
+    bin_width: float = 10.0,
+    half_range: float = 205.0,
+) -> CoincidenceHistogram:
+    """Coincidence histogram of a sorted stream given as consecutive blocks.
+
+    Equals ``histogram(pair_events(stream, valid_window).delta_ts,
+    n_triggers, bin_width, half_range)`` of the whole stream bit for bit,
+    holding one block at a time. A click belongs to the last trigger at or
+    before its tick, so only the records from the last trigger's tick on
+    (from the last tick, before any trigger) can still be joined by a
+    trigger of a later block. Those are carried into the next block; the
+    rest is paired with :func:`pair_events` and binned, and the integer
+    counts are summed, as :func:`~homsim.montecarlo.simulate_histograms`
+    does.
+
+    Raises InsufficientStatisticsError if the stream has no trigger record.
+    """
+    empty = histogram([], 1, bin_width, half_range)  # checks the binning first
+    counts, n_triggers, resolution = empty.counts, 0, None
+    det, ticks = np.empty(0, np.uint8), np.empty(0, np.int64)
+    for block in chain(blocks, [None]):
+        if block is None:  # the end of the stream: nothing is carried
+            cut = ticks.size
+        else:
+            det = np.concatenate((det, block.detectors))
+            ticks = np.concatenate((ticks, block.timestamps))
+            resolution = block.resolution
+            triggers = ticks[det == DET_T]
+            last = triggers[-1] if triggers.size else ticks[-1] if ticks.size else 0
+            cut = int(np.searchsorted(ticks, last))
+        if cut:
+            pairing = pair_events(EventStream(det[:cut], ticks[:cut], resolution), valid_window)
+            if pairing.n_triggers:
+                n_triggers += pairing.n_triggers
+                counts = counts + histogram(
+                    pairing.delta_ts, pairing.n_triggers, bin_width, half_range
+                ).counts
+        det, ticks = det[cut:], ticks[cut:]
+    if n_triggers == 0:
+        raise InsufficientStatisticsError("event stream contains no trigger records")
+    return replace(empty, counts=counts, n_triggers=n_triggers)
+
+
 def coincidence_fraction(stream: EventStream) -> float:
     """Fraction of triggers with at least one click on each output detector."""
     pairing = pair_events(stream)
@@ -148,8 +197,9 @@ class CoincidenceHistogram:
         """Boolean mask of bins fully inside [-t_c, +t_c].
 
         t_c must coincide with bin edges (e.g. 25 or 75 for 10 ns bins
-        centered on zero) and be at least half a bin width, so that the
-        window holds at least the central bin.
+        centered on zero), be at least half a bin width, so that the
+        window holds at least the central bin, and lie within the
+        histogram's half range, so that no part of the window is cut off.
         """
         half = 0.5 * self.bin_width
         k = (t_c - half) / self.bin_width
@@ -162,6 +212,12 @@ class CoincidenceHistogram:
         if round(k) < 0:
             raise ValueError(
                 f"t_c={t_c} selects no bin: it must be at least half the bin width ({half:g})"
+            )
+        n_side = self.bin_centers.size // 2  # bins on either side of the central one
+        if round(k) > n_side:
+            raise ValueError(
+                f"t_c={t_c} is wider than the histogram's half range "
+                f"({(n_side + 0.5) * self.bin_width:g})"
             )
         return np.abs(self.bin_centers) <= t_c - half + _ALIGN_TOL
 

@@ -183,13 +183,15 @@ def cmd_simulate(args) -> int:
     cfg = parse_config_file(args.config)
     _require(cfg, ["n_triggers"])
     config = _experiment_config(cfg, seed=args.seed)
-    stream = montecarlo.simulate(config, workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"config": config.to_dict()}
     meta["config_hash"] = io.config_hash(meta["config"])
-    path = io.write_events(stream, out / "events.csv", metadata=meta)
-    print(f"wrote {path} ({len(stream)} records) and {io.sidecar_path(path)}")
+    # the chunks are generated as write_events asks for them
+    chunks = montecarlo.simulate_chunks(config, workers=args.workers)
+    path = io.write_events(chunks, out / "events.csv", metadata=meta)
+    n_records = io.read_sidecar(path)["n_records"]
+    print(f"wrote {path} ({n_records} records) and {io.sidecar_path(path)}")
     return 0
 
 
@@ -222,22 +224,15 @@ def _check_analysis(cfg: dict, t_c_key: str, t_c: float) -> None:
             analysis.estimate_accidentals(empty, wing=(cfg["wing_low"], cfg["wing_high"]))
 
 
-def _build_histogram(stream, cfg):
-    pairing = analysis.pair_events(stream, cfg["valid_window"])
-    if pairing.n_triggers == 0:
-        raise InsufficientStatisticsError("event stream contains no trigger records")
-    return analysis.histogram(
-        pairing.delta_ts, pairing.n_triggers, cfg["bin_width"], cfg["hist_range"]
-    )
-
-
 def cmd_analyze(args) -> int:
     cfg = parse_config_file(args.config)
     _check_analysis(cfg, "t_c", cfg["t_c"])
-    stream_par = io.read_events(args.par)
-    stream_perp = io.read_events(args.perp)
-    h_par = _build_histogram(stream_par, cfg)
-    h_perp = _build_histogram(stream_perp, cfg)
+    h_par, h_perp = (
+        analysis.histogram_blocks(
+            io.read_event_blocks(path), cfg["valid_window"], cfg["bin_width"], cfg["hist_range"]
+        )
+        for path in (args.par, args.perp)
+    )
     g_acc = 0.0
     if cfg["subtract_accidentals"]:
         g_acc = analysis.estimate_accidentals(

@@ -12,23 +12,27 @@ path with a .json suffix) echoes the resolution, the full run
 configuration and its hash, the record count ``n_records`` and the
 ``sha256`` of the event file's bytes.
 
-``read_events`` raises ``DataFormatError`` naming the file and physical
-line for a line outside the grammar (a last line without its line break
-included), a timestamp beyond int64 or a record out of timestamp order;
-naming the file when the sidecar's record count or digest disagrees
-with the file; and naming the sidecar when it is not a JSON object or a
-resolution it must supply is missing or not a positive number.
+``read_events`` (and ``read_event_blocks``, as it reaches the fault)
+raises ``DataFormatError`` naming the file and physical line for a line
+outside the grammar (a last line without its line break included), a
+timestamp beyond int64 or a record out of timestamp order; naming the
+file when the sidecar's record count or digest disagrees with the file;
+and naming the sidecar when it is not a JSON object or a resolution it
+must supply is missing or not a positive number.
 
 Sorted ticks have non-decreasing digit counts, so any stretch of
 records falls into at most ``_MAX_DIGITS`` runs of fixed-width rows
-(``_width_runs``). The writer formats each run of a slice of
-``_WRITE_SLICE`` records as one uint8 array, a row per line, with the
-digit columns filled from the right; the file's sha256 is computed as
-the slices are written. The reader makes one pass over the file in
+(``_width_runs``). ``write_events`` takes the records as a sequence of
+chunk streams, so a run need never be held whole: it checks each chunk's
+order and its seam with the chunk before, formats each run of a slice
+of ``_WRITE_SLICE`` records as one uint8 array, a row per line, with the
+digit columns filled from the right, and counts and hashes the records
+as it writes them. ``read_event_blocks`` makes one pass over the file in
 blocks of ``_READ_BLOCK`` bytes: it hashes each block, parses the
-block's whole lines run by run, column by column, and carries a partial
-last line into the next block. Besides the records read so far it holds
-one block and the arrays made from it.
+block's whole lines run by run, column by column, carries a partial
+last line into the next block and yields the block's records; after
+the last block it checks the sidecar. It holds one block and the arrays
+made from it. ``read_events`` concatenates the blocks.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,6 +110,15 @@ class EventStream:
             yield DetectionRecord(DETECTOR_LABELS[code], int(tick))
 
     @classmethod
+    def concatenate(cls, streams: Sequence["EventStream"]) -> "EventStream":
+        """One stream of `streams` (at least one), in order, at the first's resolution."""
+        return cls(
+            np.concatenate([s.detectors for s in streams]),
+            np.concatenate([s.timestamps for s in streams]),
+            streams[0].resolution,
+        )
+
+    @classmethod
     def from_records(
         cls, records: Iterable[tuple[str, int]], resolution: float = 125.0
     ) -> "EventStream":
@@ -134,10 +147,9 @@ def _width_runs(widths: np.ndarray) -> list[tuple[int, int, int]]:
 
 
 def _file_bytes(stream: EventStream) -> Iterator[bytes]:
-    """The event file: the header line, then the records one run of
-    fixed-width rows at a time. The ticks must be non-negative; sorted,
-    they make at most _MAX_DIGITS runs a slice."""
-    yield _HEADER
+    """The records of `stream` as event-file lines, one run of fixed-width
+    rows at a time. The ticks must be non-negative; sorted, they make at
+    most _MAX_DIGITS runs a slice."""
     for start in range(0, len(stream), _WRITE_SLICE):
         codes = stream.detectors[start : start + _WRITE_SLICE]
         ticks = stream.timestamps[start : start + _WRITE_SLICE]
@@ -155,26 +167,49 @@ def _file_bytes(stream: EventStream) -> Iterator[bytes]:
             yield rows.tobytes()
 
 
-def write_events(stream: EventStream, path, metadata: dict | None = None) -> Path:
+def write_events(
+    chunks: EventStream | Iterable[EventStream], path, metadata: dict | None = None
+) -> Path:
     """Write the CSV event file and its JSON sidecar; returns the CSV path.
 
-    Raises ValueError, before opening the file, for ticks that
-    ``read_events`` would reject: a negative or a decreasing one.
+    `chunks` is one stream or the consecutive chunks of one, written as
+    they come; the sidecar's record count and digest cover them all.
+    Raises ValueError, and leaves neither file, for a chunk whose ticks
+    ``read_events`` would reject (a negative or a decreasing one, within
+    a chunk or across the seam with the chunk before), for chunks of
+    different resolutions and for no chunk at all.
     """
-    if not stream.is_sorted() or (len(stream) and stream.timestamps[0] < 0):
-        raise ValueError("timestamps must be non-negative and must not decrease")
+    if isinstance(chunks, EventStream):
+        chunks = (chunks,)
     path = Path(path)
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for data in _file_bytes(stream):
-            digest.update(data)
-            fh.write(data)
-    sidecar = {"resolution_ps": stream.resolution, "n_records": len(stream)}
-    if metadata:
-        sidecar.update(metadata)
-    sidecar.setdefault("config_hash", config_hash(sidecar))
-    sidecar["sha256"] = digest.hexdigest()
-    write_json(sidecar, sidecar_path(path))
+    digest, n_records, resolution, previous = hashlib.sha256(_HEADER), 0, None, 0
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(_HEADER)
+            for chunk in chunks:
+                ticks = chunk.timestamps
+                if not chunk.is_sorted() or (ticks.size and ticks[0] < previous):
+                    raise ValueError("timestamps must be non-negative and must not decrease")
+                if resolution not in (None, chunk.resolution):
+                    raise ValueError("the chunks of an event file must share one resolution")
+                for data in _file_bytes(chunk):
+                    digest.update(data)
+                    fh.write(data)
+                n_records += ticks.size
+                previous, resolution = ticks[-1] if ticks.size else previous, chunk.resolution
+            if resolution is None:
+                raise ValueError("no chunk to write: a stream needs at least one")
+        sidecar = {"resolution_ps": resolution, "n_records": n_records}
+        if metadata:
+            sidecar.update(metadata)
+        sidecar.setdefault("config_hash", config_hash(sidecar))
+        sidecar["sha256"] = digest.hexdigest()
+        write_json(sidecar, sidecar_path(path))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        sidecar_path(path).unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -219,32 +254,29 @@ def _sidecar_resolution(events_path, meta: dict) -> float:
 def read_events(path, resolution: float | None = None) -> EventStream:
     """Read an event file; resolution comes from the sidecar if present.
 
-    Raises DataFormatError naming the file, and the offending line where
-    there is one, on input outside the event-file grammar or unsorted,
-    and when the sidecar's ``n_records`` or ``sha256`` (each checked if
-    present) does not match the file. Raises it naming the sidecar when
-    that is not a JSON object or, if `resolution` is not given, lacks a
-    positive ``resolution_ps``.
+    The blocks of ``read_event_blocks``, concatenated; it raises what
+    that raises.
+    """
+    return EventStream.concatenate(list(read_event_blocks(path, resolution)))
+
+
+def read_event_blocks(path, resolution: float | None = None) -> Iterator[EventStream]:
+    """The records of an event file, one stream per block read, in file
+    order; the last block, read at the end of the file, is empty.
+
+    The resolution comes from the sidecar if present. Raises
+    DataFormatError naming the file, and the offending line where there
+    is one, on input outside the event-file grammar or unsorted, and,
+    after the last block, when the sidecar's ``n_records`` or ``sha256``
+    (each checked if present) does not match the file. Raises it naming
+    the sidecar, before the first block, when that is not a JSON object
+    or, if `resolution` is not given, lacks a positive ``resolution_ps``.
     """
     path = Path(path)
     meta = read_sidecar(path)
     if resolution is None:
         resolution = 125.0 if meta is None else _sidecar_resolution(path, meta)
-    sha256, codes, ticks = _read_records(path)
-    if meta:
-        if "n_records" in meta and meta["n_records"] != ticks.size:
-            raise DataFormatError(
-                f"{path}: {ticks.size} records but the sidecar says {meta['n_records']}"
-            )
-        if "sha256" in meta and meta["sha256"] != sha256:
-            raise DataFormatError(
-                f"{path}: contents do not match the sidecar's sha256"
-            )
-    return EventStream(codes, ticks, resolution)
-
-
-def _read_records(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
-    """One pass over the file in blocks: (sha256 hex digest, codes, ticks)."""
+    meta = meta or {}
     with open(path, "rb") as fh:
         head = fh.readline(len(_HEADER))  # stops after the first LF
         if head == _HEADER[:-1]:  # and the file ends there
@@ -254,20 +286,28 @@ def _read_records(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
                 f"{path}: bad header {head!r} on line 1, expected 'detector,timestamp'"
             )
         digest, carry, lineno, previous = hashlib.sha256(head), b"", 2, 0
-        parts = [(np.empty(0, np.uint8), np.empty(0, np.int64))]
-        while block := fh.read(_READ_BLOCK):
+        while True:
+            block = fh.read(_READ_BLOCK)
             digest.update(block)
             data = carry + block
             end = data.rfind(b"\n") + 1
             codes, ticks = _parse_block(path, np.frombuffer(data, np.uint8, end), lineno, previous)
-            parts.append((codes, ticks))
             lineno, previous = lineno + ticks.size, int(ticks[-1]) if ticks.size else previous
             carry = data[end:]
             if len(carry) > _MAX_DIGITS + 2:  # longer than any record line
                 raise _bad_line(path, carry, lineno, previous)
-    if carry:
-        raise DataFormatError(f"{path}: no line break at the end of line {lineno}")
-    return (digest.hexdigest(), *map(np.concatenate, zip(*parts)))
+            if carry and not block:
+                raise DataFormatError(f"{path}: no line break at the end of line {lineno}")
+            yield EventStream(codes, ticks, resolution)
+            if not block:
+                break
+    n_records = lineno - 2
+    if "n_records" in meta and meta["n_records"] != n_records:
+        raise DataFormatError(
+            f"{path}: {n_records} records but the sidecar says {meta['n_records']}"
+        )
+    if "sha256" in meta and meta["sha256"] != digest.hexdigest():
+        raise DataFormatError(f"{path}: contents do not match the sidecar's sha256")
 
 
 def _parse_block(path: Path, lines: np.ndarray, lineno: int, previous: int) -> tuple:
@@ -286,14 +326,17 @@ def _parse_block(path: Path, lines: np.ndarray, lineno: int, previous: int) -> t
     for lo, hi, k in _width_runs(widths[:n]):
         rows = lines[ends[lo] - lengths[lo] : ends[hi - 1] + 1].reshape(hi - lo, k + 3)
         codes[lo:hi] = _CODE_OF_BYTE[rows[:, 0]]
-        digits = rows[:, 2 : k + 2] - ord("0")  # a byte below '0' wraps past 9
+        first = rows[:, 2] - ord("0")  # a byte below '0' wraps past 9
         value = ticks[lo:hi]  # 19 digits stay below 2**64: exact in uint64
-        value[:] = digits[:, 0]
-        for j in range(1, k):
+        value[:] = first
+        largest = first.copy()  # the largest digit of each row so far
+        for j in range(3, k + 2):
+            digit = rows[:, j] - ord("0")
+            np.maximum(largest, digit, out=largest)
             value *= 10
-            value += digits[:, j]
-        ok = (codes[lo:hi] <= DET_B) & (rows[:, 1] == ord(",")) & (digits.max(axis=1) <= 9)
-        good[lo:hi] = ok & ((digits[:, 0] > 0) | (k == 1)) & (value <= np.uint64(_INT64_MAX))
+            value += digit
+        ok = (codes[lo:hi] <= DET_B) & (rows[:, 1] == ord(",")) & (largest <= 9)
+        good[lo:hi] = ok & ((first > 0) | (k == 1)) & (value <= np.uint64(_INT64_MAX))
     ticks = ticks.view(np.int64)
     # a bad line's tick can only misjudge the order of the line after it
     good &= np.diff(ticks, prepend=previous) >= 0

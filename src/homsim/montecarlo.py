@@ -19,25 +19,30 @@ emission that then falls before its trigger is removed by the detector
 gate like any click outside the acquisition window, uncounted.
 
 Determinism: trials are generated in fixed-size chunks, each seeded from
-(seed, chunk_index), and the merged stream is sorted by (timestamp,
+(seed, chunk_index), and each chunk's stream is sorted by (timestamp,
 detector). The output is therefore bit-identical for a given config
 regardless of how many workers generate the chunks.
 
 Chunks start and end on trigger boundaries, the gate keeps every click
 inside its own trigger's window, and `trigger_period` exceeds
 `window_length` by at least one tick, so every click's tick lies below
-the next trigger's. Pairing is therefore chunk-local:
+the next trigger's. The chunk streams, in chunk order, therefore make
+up the globally sorted stream without a global sort: `simulate_chunks`
+yields them one by one for `write_events`, in memory bounded by a few
+chunks, and `simulate` concatenates them. Pairing is chunk-local too:
 `simulate_histograms` pairs and bins each chunk on its own, and its
 histograms, sums of the chunks' integer counts, equal those of the
-merged stream for any number of workers.
+whole stream for any number of workers.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Sequence
+from functools import partial
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -278,12 +283,39 @@ def _spans(config: ExperimentConfig):
     ]
 
 
-def _map(fn, tasks, workers: int):
-    """[fn(t) for t in tasks], on `workers` threads when that can help."""
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+def _imap(fn, tasks, workers: int, ahead: int) -> Iterator:
+    """fn(t) for t in tasks, in order, on `workers` threads when that can
+    help; at most `ahead` results are made ahead of the consumer."""
+    if workers <= 1 or len(tasks) <= 1:
+        yield from map(fn, tasks)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(fn, t) for t in tasks[:ahead])
+        for task in tasks[ahead:]:
+            done = pending.popleft().result()
+            pending.append(pool.submit(fn, task))
+            yield done
+        while pending:
+            yield pending.popleft().result()
+
+
+def _chunk_stream(config: ExperimentConfig, span) -> EventStream:
+    """One chunk's events sorted by (timestamp, detector), triggers first on ties."""
+    trig_ticks, (a_ticks, _), (b_ticks, _) = _simulate_chunk(config, *span)
+    det = np.repeat(
+        np.array([DET_T, DET_A, DET_B], np.uint8), [trig_ticks.size, a_ticks.size, b_ticks.size]
+    )
+    ticks = np.concatenate((trig_ticks, a_ticks, b_ticks))
+    order = np.lexsort((det, ticks))
+    return EventStream(det[order], ticks[order], config.timestamp_resolution)
+
+
+def simulate_chunks(config: ExperimentConfig, workers: int = 1) -> Iterator[EventStream]:
+    """The event stream of `config`, chunk by chunk in chunk order; their
+    concatenation is ``simulate(config)``. Nothing is generated before
+    the first chunk is asked for, and at most `workers` chunks ahead of
+    the one asked for."""
+    yield from _imap(partial(_chunk_stream, config), _spans(config), workers, workers)
 
 
 def simulate(config: ExperimentConfig, workers: int = 1) -> EventStream:
@@ -297,16 +329,7 @@ def simulate(config: ExperimentConfig, workers: int = 1) -> EventStream:
     Returns:
         EventStream sorted by (timestamp, detector), triggers first on ties.
     """
-    parts = _map(lambda s: _simulate_chunk(config, *s), _spans(config), workers)
-    det, ticks = [], []
-    for trig_ticks, (a_ticks, _), (b_ticks, _) in parts:
-        for code, t in ((DET_T, trig_ticks), (DET_A, a_ticks), (DET_B, b_ticks)):
-            det.append(np.full(t.size, code, dtype=np.uint8))
-            ticks.append(t)
-    det = np.concatenate(det)
-    ticks = np.concatenate(ticks)
-    order = np.lexsort((det, ticks))
-    return EventStream(det[order], ticks[order], config.timestamp_resolution)
+    return EventStream.concatenate(list(simulate_chunks(config, workers)))
 
 
 def simulate_histograms(
@@ -335,7 +358,9 @@ def simulate_histograms(
 
     tasks = [(k, span) for k, config in enumerate(configs) for span in _spans(config)]
     totals = [0] * len(configs)
-    for (k, _), counts in zip(tasks, _map(chunk_counts, tasks, workers)):
+    # the counts are small: every chunk is queued at once, so no thread
+    # waits on a longer chunk ahead of it
+    for (k, _), counts in zip(tasks, _imap(chunk_counts, tasks, workers, len(tasks))):
         totals[k] = totals[k] + counts
     return [
         replace(empty, counts=total, n_triggers=config.n_triggers)

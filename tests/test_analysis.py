@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from homsim import (
@@ -19,8 +19,15 @@ from homsim import (
     simulate,
     visibility,
     visibility_closed_form,
+    write_events,
 )
-from homsim.analysis import CoincidenceHistogram, pair_clicks, write_histogram_csv
+from homsim import io
+from homsim.analysis import (
+    CoincidenceHistogram,
+    histogram_blocks,
+    pair_clicks,
+    write_histogram_csv,
+)
 from homsim.io import DET_A, DET_B, DET_T
 
 TAU_S, TAU_F = 26.18, 13.61
@@ -208,6 +215,32 @@ def test_pair_events_matches_reference(stream, valid_window):
     assert p.resolution == stream.resolution
 
 
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    stream=sorted_streams(),
+    valid_window=st.sampled_from([0.0, 3.0, 85.0, 1e4]),
+    block=st.integers(1, 40),
+)
+def test_histogram_blocks_matches_whole_stream(tmp_path, monkeypatch, stream, valid_window,
+                                               block):
+    # `homsim analyze` bins the blocks of an event file as they are read;
+    # blocks of a few bytes cut the stream at every kind of record
+    monkeypatch.setattr(io, "_READ_BLOCK", block)
+    path = write_events(stream, tmp_path / "events.csv")
+    blocks = io.read_event_blocks(path)
+    pairing = pair_events(stream, valid_window)
+    if pairing.n_triggers == 0:
+        with pytest.raises(InsufficientStatisticsError, match="no trigger records"):
+            histogram_blocks(blocks, valid_window, 10.0, 1005.0)
+        return
+    want = histogram(pairing.delta_ts, pairing.n_triggers, 10.0, 1005.0)
+    got = histogram_blocks(blocks, valid_window, 10.0, 1005.0)
+    assert got.n_triggers == want.n_triggers
+    assert got.counts.tobytes() == want.counts.tobytes()
+    assert got.bin_centers.tobytes() == want.bin_centers.tobytes()
+
+
 class TestHistogram:
     def test_direct_binning(self):
         h = histogram([2.0, -3.0, 14.0], n_triggers=10, bin_width=10.0, half_range=205.0)
@@ -251,6 +284,9 @@ class TestHistogram:
         assert int(h.window_bins(5.0).sum()) == 1
         with pytest.raises(ValueError, match="selects no bin"):
             h.window_bins(-5.0)
+        assert int(h.window_bins(205.0).sum()) == h.bin_centers.size
+        with pytest.raises(ValueError, match="wider than the histogram's half range"):
+            h.window_bins(215.0)
 
     def test_csv_writer(self, tmp_path):
         h = histogram([2.0, 14.0], 4, 10.0, 25.0)

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from homsim import (
     SourcePair,
     cli,
     dip_ratio,
+    montecarlo,
     visibility_closed_form,
 )
 import quadrature
@@ -320,6 +323,35 @@ class TestAnalyze:
         ]) == 3
 
 
+def traced_peak(argv):
+    """Peak traced memory of one CLI command, in bytes."""
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_and_analyze_memory_does_not_grow_with_run_length(tmp_path, capsys):
+    # sparse rates, as in the paper's eta = 0.05 runs: three times the
+    # chunks, and so three times the records, in about the same memory
+    start, peaks = time.perf_counter(), {}
+    for n_chunks in (2, 6):
+        cfg = write_cfg(tmp_path / f"{n_chunks}.cfg", n_triggers=n_chunks * montecarlo._CHUNK,
+                        eta_f=0.05, eta_s=0.05, bg_rate_a=1e-4, bg_rate_b=1e-4)
+        out = tmp_path / str(n_chunks)
+        events = str(out / "events.csv")
+        peaks[n_chunks] = [
+            traced_peak(["simulate", "--config", str(cfg), "--out", str(out)]),
+            traced_peak(["analyze", "--par", events, "--perp", events,
+                         "--config", str(cfg), "--out", str(out / "a")]),
+        ]
+    for short, long in zip(peaks[2], peaks[6]):
+        assert long < 1.3 * short, peaks
+    assert time.perf_counter() - start < 2.0
+
+
 class TestDip:
     def test_scan_with_model_overlay(self, tmp_path):
         cfg = write_cfg(
@@ -398,8 +430,9 @@ class TestDip:
 
 
 # Analysis parameters that analysis rejects: a window whose half-width
-# (t_c, or dip_t_c / 2) is off the 10 ns bin edges, an empty wing, and a
-# validity window that is not finite or is negative.
+# (t_c, or dip_t_c / 2) is off the 10 ns bin edges or reaches past the
+# histogram, an empty wing, and a validity window that is not finite or
+# is negative.
 BAD_ANALYSIS_PARAMETERS = [
     pytest.param({"t_c": 30, "dip_t_c": 60}, "does not align with bin edges",
                  id="window-off-bin-edges"),
@@ -415,6 +448,10 @@ BAD_ANALYSIS_PARAMETERS = [
     pytest.param({"t_c": "inf", "dip_t_c": "inf"}, "must be finite and within 2**63 bins",
                  id="window-inf"),
     pytest.param({"t_c": -5, "dip_t_c": -10}, "selects no bin", id="window-empty"),
+    pytest.param({"t_c": 1005, "dip_t_c": 2010}, "is wider than the histogram's half range",
+                 id="window-wider-than-histogram"),
+    pytest.param({"hist_range": 15}, "is wider than the histogram's half range",
+                 id="histogram-narrower-than-window"),
 ]
 
 
@@ -429,7 +466,7 @@ class TestAnalysisParameterErrors:
         cfg = write_cfg(tmp_path / "c.cfg", n_triggers=2000, **overrides)
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(cli.io, "read_events", _must_not_run)
+        monkeypatch.setattr(cli.io, "read_event_blocks", _must_not_run)
         events = str(tmp_path / "events.csv")
         assert cli.main(["analyze", "--par", events, "--perp", events,
                          "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1

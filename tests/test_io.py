@@ -298,6 +298,44 @@ def test_writer_refuses_what_the_reader_rejects(tmp_path, ticks):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_chunked_write_equals_one_stream(tmp_path):
+    n = 2 * _WRITE_SLICE + 7
+    rng = np.random.default_rng(6)
+    stream = EventStream(rng.integers(0, 3, n), np.sort(rng.integers(0, 10**12, n)), 62.5)
+    cuts = [0, 0, 1, 5000, 5000, _WRITE_SLICE + 3, n]  # empty chunks too
+    chunks = (
+        EventStream(stream.detectors[lo:hi], stream.timestamps[lo:hi], stream.resolution)
+        for lo, hi in zip(cuts, cuts[1:])
+    )
+    whole = write_events(stream, tmp_path / "whole.csv", metadata={"config_hash": "abc"})
+    chunked = write_events(chunks, tmp_path / "chunked.csv", metadata={"config_hash": "abc"})
+    assert chunked.read_bytes() == whole.read_bytes()
+    assert sidecar_path(chunked).read_bytes() == sidecar_path(whole).read_bytes()
+
+
+def _chunks_then_failure():
+    yield EventStream([0, 1], [10, 20])
+    raise RuntimeError("the chunk source failed")
+
+
+@pytest.mark.parametrize("chunks, error, match", [
+    ([EventStream([0, 1], [10, 20]), EventStream([0, 2], [15, 30])], ValueError, "timestamps"),
+    ([EventStream([0], [10]), EventStream([], []), EventStream([1], [9])], ValueError,
+     "timestamps"),
+    ([EventStream([0], [10]), EventStream([1], [20], 62.5)], ValueError, "one resolution"),
+    ([], ValueError, "no chunk"),
+    (_chunks_then_failure(), RuntimeError, "chunk source"),
+], ids=["unsorted-seam", "unsorted-seam-after-empty-chunk", "mixed-resolutions", "no-chunk",
+        "failing-source"])
+def test_writer_refuses_bad_chunks_and_leaves_no_file(tmp_path, chunks, error, match):
+    path = tmp_path / "events.csv"
+    path.write_text("an earlier run")
+    sidecar_path(path).write_text("{}")
+    with pytest.raises(error, match=match):
+        write_events(iter(chunks), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_writer_slices_are_seamless(tmp_path):
     n = 2 * _WRITE_SLICE + 7
     rng = np.random.default_rng(5)

@@ -22,8 +22,9 @@ from homsim import (
     simulate_histograms,
 )
 from homsim.interference import Envelope, _p_coincidence, amplitude
+from homsim import montecarlo
 from homsim.io import DET_A, DET_B, DET_T
-from homsim.montecarlo import _CHUNK
+from homsim.montecarlo import _CHUNK, simulate_chunks
 
 TAU_S, TAU_F = 26.18, 13.61
 
@@ -125,6 +126,29 @@ class TestDeterminism:
             alt = simulate(cfg, workers=workers)
             assert np.array_equal(ref.detectors, alt.detectors)
             assert np.array_equal(ref.timestamps, alt.timestamps)
+
+    def test_chunks_are_trigger_aligned_pieces_of_the_stream(self):
+        cfg = ideal_config(n_triggers=2 * _CHUNK + 5, trigger_period=500.125,
+                           bg_rate_a=2e-3, bg_rate_b=2e-3)
+        chunks = list(simulate_chunks(cfg, workers=2))
+        assert [int(np.sum(c.detectors == DET_T)) for c in chunks] == [_CHUNK, _CHUNK, 5]
+        assert all(c.detectors[0] == DET_T and c.is_sorted() for c in chunks)
+        whole = simulate(cfg)
+        assert np.concatenate([c.detectors for c in chunks]).tobytes() == whole.detectors.tobytes()
+        assert np.concatenate([c.timestamps for c in chunks]).tobytes() == whole.timestamps.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_chunks_made_as_they_are_asked_for(self, monkeypatch, workers):
+        made = []
+        chunk = montecarlo._simulate_chunk
+        monkeypatch.setattr(montecarlo, "_CHUNK", 100)
+        monkeypatch.setattr(montecarlo, "_simulate_chunk",
+                            lambda config, *span: made.append(span) or chunk(config, *span))
+        chunks = simulate_chunks(ideal_config(n_triggers=1000), workers=workers)
+        assert made == []
+        for k, _ in enumerate(chunks):
+            assert len(made) <= k + 1 + workers * (workers > 1)
+        assert sorted(made) == [(first, 100, first // 100) for first in range(0, 1000, 100)]
 
     def test_stream_sorted_with_triggers_first(self):
         cfg = ideal_config(n_triggers=20_000)
