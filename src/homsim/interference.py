@@ -149,7 +149,10 @@ def _p_coincidence(pair: SourcePair, t1, t2, t0_f, t0_s):
     kappa = 1.0 / pair.env_f.tau - 1.0 / pair.env_s.tau
     e = np.exp(-np.abs(0.5 * kappa * dt))
     cross = np.cos(_d_omega(pair.env_f, pair.env_s) * dt) * e / (1.0 + e * e)
-    return 0.5 - pair.xi**2 * np.where(direct & swapped, cross, 0.0)
+    # cross is finite, so the product with the support mask is cross or a
+    # signed zero: np.where would branch on a mask that is random when the
+    # envelopes start apart
+    return 0.5 - pair.xi**2 * (cross * (direct & swapped))
 
 
 def coincidence_density(pair: SourcePair, dt: float) -> float:

@@ -6,7 +6,13 @@ time is drawn from its squared envelope; if both photons are present the
 beam-splitter outcome (coincidence or bunching) is drawn from the exact
 conditional law, so the generated event statistics match the analytic
 coincidence distributions by construction. Uniform Poisson background
-events and timestamp quantization complete the detector model.
+events and timestamp quantization complete the detector model. The
+chunk kernel turns a mask that mixes True and False at random, such as
+the detector routing, into indices once (`np.flatnonzero`) and gathers
+at those, and it combines routing labels with boolean algebra rather
+than `np.where`, because numpy indexes with such a mask several times
+slower than with indices; masks that are nearly all True at unit
+efficiency, such as the gate's and the two-photon mask, stay boolean.
 
 Delay convention: positive delta_t starts the heralded (f) envelope
 delta_t ns after the single-atom (s) envelope. `ExperimentConfig.source_pair`,
@@ -195,17 +201,18 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
         p_c = _p_coincidence(pair, t_f[both], t_s[both], t0_f[both], t0_s[both])
         r_o = r_outcome[both]
         coinc = r_o < p_c
-        bunch_to_a = r_o < p_c + 0.5 * (1.0 - p_c)
+        bunch_to_a = ~coinc & (r_o < p_c + 0.5 * (1.0 - p_c))
         # Coincidence: `swap` sends the photons to opposite detectors;
         # bunching: both photons on the same detector.
-        swap = f_to_a[both]
-        f_to_a[both] = np.where(coinc, swap, bunch_to_a)
-        s_to_a[both] = np.where(coinc, ~swap, bunch_to_a)
+        swap = coinc & f_to_a[both]
+        f_to_a[both] = swap | bunch_to_a
+        s_to_a[both] = (coinc ^ swap) | bunch_to_a
 
-    idx = np.arange(count)
-    times = np.concatenate((t_f[live_f], t_s[live_s]))
-    owners = np.concatenate((idx[live_f], idx[live_s]))
-    to_a = np.concatenate((f_to_a[live_f], s_to_a[live_s]))
+    owners = np.concatenate((np.flatnonzero(live_f), np.flatnonzero(live_s)))
+    # views: the owner column is also the index that gathers each photon
+    owner_f, owner_s = np.split(owners, [np.count_nonzero(live_f)])
+    times = np.concatenate((t_f[owner_f], t_s[owner_s]))
+    to_a = np.concatenate((f_to_a[owner_f], s_to_a[owner_s]))
 
     sides = []
     w = config.window_length
@@ -213,10 +220,11 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
         (to_a, config.bg_rate_a, config.detector_offset_a),
         (~to_a, config.bg_rate_b, config.detector_offset_b),
     ):
+        mine = np.flatnonzero(mine)
         t, own = times[mine], owners[mine]
         if rate > 0.0:
             # Uniform Poisson background over each acquisition window.
-            bg_owners = np.repeat(idx, rng.poisson(rate * w, count))
+            bg_owners = np.repeat(np.arange(count), rng.poisson(rate * w, count))
             t = np.concatenate((t, trig[bg_owners] + rng.random(bg_owners.size) * w))
             own = np.concatenate((own, bg_owners))
         t = t + offset

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from homsim import (
@@ -213,6 +213,94 @@ def test_pair_events_matches_reference(stream, valid_window):
     assert p.first_a.tobytes() == first_a.tobytes()
     assert p.first_b.tobytes() == first_b.tobytes()
     assert p.resolution == stream.resolution
+
+
+MAX_TICK = 2**63 - 1
+
+
+def reference_pair_clicks(trigger_ticks, sides, valid_window, resolution):
+    """pair_clicks as a per-trigger loop over Python ints. `sides` holds
+    each detector's clicks as (owner, tick) pairs in any order. Returns
+    (valid, first_a, first_b, delta_ts)."""
+    window_ticks = math.floor(valid_window * 1000.0 / resolution + 1e-9)
+    n = len(trigger_ticks)
+    valid = [False] * n
+    firsts = []
+    for clicks in sides:
+        first = [-1] * n
+        for owner, tick in clicks:
+            if tick - trigger_ticks[owner] <= window_ticks:
+                valid[owner] = True
+            if first[owner] == -1 or tick < first[owner]:
+                first[owner] = tick
+        firsts.append(first)
+    delta_ts = [
+        float(a - b) * (resolution / 1000.0)
+        for v, a, b in zip(valid, *firsts)
+        if v and a >= 0 and b >= 0
+    ]
+    return valid, firsts[0], firsts[1], delta_ts
+
+
+@st.composite
+def click_sets(draw):
+    """Trigger ticks and each side's clicks as (owner, tick) lists: several
+    clicks of one trigger, triggers without clicks, an empty side and
+    clicks on the largest tick all occur. A side's clicks come shuffled,
+    or as up to three blocks each sorted by owner, as the chunk generator
+    hands over its photons and its background."""
+    base = draw(st.sampled_from([0, MAX_TICK - 3000]))
+    trigger_ticks = [base + t for t in sorted(draw(st.lists(st.integers(0, 2000), max_size=12)))]
+    sides = []
+    for _ in range(2):
+        offsets = [] if not trigger_ticks else draw(st.lists(st.tuples(
+            st.integers(0, len(trigger_ticks) - 1),
+            st.one_of(st.integers(0, 1000), st.none()),  # None: the largest tick
+        ), max_size=30))
+        clicks = [
+            (owner, MAX_TICK if off is None else trigger_ticks[owner] + off)
+            for owner, off in offsets
+        ]
+        if draw(st.booleans()):
+            clicks = draw(st.permutations(clicks))
+        else:
+            cuts = sorted(draw(st.lists(st.integers(0, len(clicks)), max_size=2)))
+            clicks = [
+                click for lo, hi in zip([0, *cuts], [*cuts, len(clicks)])
+                for click in sorted(clicks[lo:hi], key=lambda click: click[0])
+            ]
+        sides.append(clicks)
+    return trigger_ticks, sides
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=click_sets(),
+    valid_window=st.sampled_from([0.0, 0.125, 3.0, 85.0, 1e4]),
+    resolution=st.sampled_from([125.0, 1.0, 1000.0]),
+)
+@example(  # an empty side, a trigger without clicks and a click on the largest tick
+    case=(
+        [MAX_TICK - 3000, MAX_TICK - 2000, MAX_TICK - 10],
+        [[(0, MAX_TICK - 2990), (2, MAX_TICK), (0, MAX_TICK - 2995)], []],
+    ),
+    valid_window=0.125, resolution=125.0,
+)
+def test_pair_clicks_matches_per_trigger_loop(case, valid_window, resolution):
+    trigger_ticks, sides = case
+    a, b = (
+        (np.array([tick for _, tick in clicks], dtype=np.int64),
+         np.array([owner for owner, _ in clicks], dtype=np.int64))
+        for clicks in sides
+    )
+    p = pair_clicks(np.array(trigger_ticks, dtype=np.int64), a, b, valid_window, resolution)
+    valid, first_a, first_b, delta_ts = reference_pair_clicks(
+        trigger_ticks, sides, valid_window, resolution
+    )
+    assert p.valid.tolist() == valid
+    assert p.first_a.tolist() == first_a
+    assert p.first_b.tolist() == first_b
+    assert p.delta_ts.tobytes() == np.array(delta_ts, dtype=float).tobytes()
 
 
 @settings(max_examples=400, deadline=None,

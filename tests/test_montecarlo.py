@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -375,6 +376,12 @@ def generator_configs(draw):
     ),
     workers=2,
 )
+# the `homsim dip` regime over two chunks: every trigger's photons take
+# the conditional outcome law
+@example(
+    config=ExperimentConfig(n_triggers=_CHUNK + 1234, eta_f=1.0, eta_s=1.0, xi=1.0, seed=8),
+    workers=2,
+)
 def test_stream_matches_reference_generator(config, workers):
     det, ticks = reference_simulate(config)
     stream = simulate(config, workers=workers)
@@ -398,6 +405,11 @@ def test_stream_matches_reference_generator(config, workers):
     workers=2,
     binning=(500.0, 2.0, 501.0),
 )
+@example(  # the `homsim dip` regime over two chunks
+    config=ExperimentConfig(n_triggers=_CHUNK + 1234, eta_f=1.0, eta_s=1.0, xi=1.0, seed=8),
+    workers=2,
+    binning=(85.0, 10.0, 255.0),
+)
 def test_fused_histograms_match_stream_pipeline(config, workers, binning):
     valid_window, bin_width, half_range = binning
     # a second run in the same call: the counts of the two must not mix
@@ -410,6 +422,22 @@ def test_fused_histograms_match_stream_pipeline(config, workers, binning):
         assert h.bin_width == ref.bin_width
         assert h.bin_centers.tobytes() == ref.bin_centers.tobytes()
         assert h.counts.tobytes() == ref.counts.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fused_histograms_memory_does_not_grow_with_run_length(workers):
+    # `homsim dip` at unit efficiency: three times the chunks, each paired
+    # and binned where it is made, in about the same memory
+    peaks = {}
+    for n_chunks in (2, 6):
+        config = ideal_config(n_triggers=n_chunks * _CHUNK)
+        tracemalloc.start()
+        try:
+            simulate_histograms([config], 85.0, 10.0, 255.0, workers=workers)
+            peaks[n_chunks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[6] < 1.3 * peaks[2], peaks
 
 
 class TestEventContent:
