@@ -5,13 +5,10 @@ from .analysis import (
     AccidentalEstimate,
     CoincidenceHistogram,
     DipPoint,
-    FitResult,
     PairingResult,
     VisibilityResult,
-    coincidence_fraction,
     dip_curve,
     estimate_accidentals,
-    fit_scale,
     histogram,
     pair_events,
     visibility,
@@ -35,7 +32,7 @@ from .interference import (
     sample_emission_time,
     visibility_closed_form,
 )
-from .io import DetectionRecord, EventStream, read_events, write_events
+from .io import EventStream, read_events, write_events
 from .montecarlo import (
     ExperimentConfig,
     expected_accidental_floor,
@@ -51,12 +48,10 @@ __all__ = [
     "CoincidenceHistogram",
     "ConfigError",
     "DataFormatError",
-    "DetectionRecord",
     "DipPoint",
     "Envelope",
     "EventStream",
     "ExperimentConfig",
-    "FitResult",
     "HomsimError",
     "InsufficientStatisticsError",
     "PairingResult",
@@ -65,7 +60,6 @@ __all__ = [
     "VisibilityResult",
     "amplitude",
     "coincidence_density",
-    "coincidence_fraction",
     "coincidence_probability",
     "coincidence_probability_numeric",
     "conditional_outcome_probs",
@@ -73,7 +67,6 @@ __all__ = [
     "dip_ratio",
     "estimate_accidentals",
     "expected_accidental_floor",
-    "fit_scale",
     "histogram",
     "pair_events",
     "quantize",

@@ -166,12 +166,6 @@ def histogram_blocks(
     return replace(empty, counts=counts, n_triggers=n_triggers)
 
 
-def coincidence_fraction(stream: EventStream) -> float:
-    """Fraction of triggers with at least one click on each output detector."""
-    pairing = pair_events(stream)
-    return float(np.mean((pairing.first_a >= 0) & (pairing.first_b >= 0)))
-
-
 @dataclass
 class CoincidenceHistogram:
     """Trigger-normalized histogram of signed coincidence time differences.
@@ -235,7 +229,8 @@ def histogram(
 
     `half_range` is the histogram extent; bin edges run from -half_range
     to +half_range and must line up with the zero-centered grid, i.e.
-    half_range = bin_width/2 + k*bin_width.
+    half_range = bin_width/2 + k*bin_width. Differences outside the range
+    are dropped; a non-finite one raises ValueError.
     """
     if bin_width <= 0.0:
         raise ValueError("bin_width must be positive")
@@ -253,9 +248,13 @@ def histogram(
         )
     n_bins = 2 * int(round(k)) + 1
     d = np.asarray(delta_ts, dtype=float)
-    idx = np.floor((d + half_range) / bin_width).astype(np.int64)
-    inside = (idx >= 0) & (idx < n_bins)
-    counts = np.bincount(idx[inside], minlength=n_bins)
+    if not np.isfinite(d).all():
+        raise ValueError("time differences must be finite")
+    # compared as floats, so an index beyond int64 is dropped, not cast
+    with np.errstate(over="ignore"):  # a far difference may scale past the float range
+        pos = np.floor((d + half_range) / bin_width)
+    idx = pos[(pos >= 0) & (pos < n_bins)].astype(np.int64)
+    counts = np.bincount(idx, minlength=n_bins)
     centers = -half_range + (np.arange(n_bins) + 0.5) * bin_width
     return CoincidenceHistogram(bin_width, centers, counts, n_triggers)
 
@@ -396,61 +395,27 @@ def dip_curve(
     return points
 
 
-class FitResult(NamedTuple):
-    scale: float
-    offset: float
-
-
-def fit_scale(model, data, with_offset: bool = True) -> FitResult:
-    """Least-squares fit data ~ offset + scale * model.
-
-    Raises ValueError for fewer than 2 points or a degenerate model
-    (constant when fitting an offset, identically zero otherwise).
-    """
-    m = np.asarray(model, dtype=float)
-    y = np.asarray(data, dtype=float)
-    if m.shape != y.shape or m.size < 2:
-        raise ValueError("need at least 2 matching model/data points")
-    if with_offset:
-        if np.ptp(m) == 0.0:
-            raise ValueError("model values are all equal; scale is degenerate")
-        design = np.column_stack([m, np.ones_like(m)])
-    else:
-        if not np.any(m):
-            raise ValueError("model is identically zero")
-        design = m[:, None]
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    if with_offset:
-        return FitResult(float(coef[0]), float(coef[1]))
-    return FitResult(float(coef[0]), 0.0)
-
-
-def write_histogram_csv(h: CoincidenceHistogram, path, config_hash: str = "") -> Path:
+def write_histogram_csv(h: CoincidenceHistogram, path, config_hash: str) -> Path:
     """Write bin_center_ns,counts,value rows (config hash on a comment line)."""
     path = Path(path)
     with open(path, "w") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
+        fh.write(f"# config_hash={config_hash}\n")
         fh.write(f"# n_triggers={h.n_triggers}\n")
         fh.write("bin_center_ns,counts,value\n")
         for c, n, v in zip(h.bin_centers, h.counts, h.values):
-            fh.write(f"{c:g},{int(n)},{v:.12g}\n")
+            fh.write(f"{c:.15g},{int(n)},{v:.12g}\n")
     return path
 
 
-def write_visibility_json(
-    result: VisibilityResult, path, config_hash: str = "", extra: dict | None = None
-) -> Path:
-    path = Path(path)
+def write_visibility_json(result: VisibilityResult, path, config_hash: str, extra: dict) -> Path:
     payload = result.to_dict()
     payload["config_hash"] = config_hash
-    if extra:
-        payload.update(extra)
+    payload.update(extra)
     return write_json(payload, path)
 
 
 def write_dip(
-    points: Sequence[DipPoint], model: Sequence[float], out_dir, config_hash: str = ""
+    points: Sequence[DipPoint], model: Sequence[float], out_dir, config_hash: str
 ) -> tuple[Path, Path]:
     """Write a delay scan with its model ratios as dip.csv and dip.json."""
     out_dir = Path(out_dir)
@@ -459,7 +424,7 @@ def write_dip(
         fh.write(f"# config_hash={config_hash}\n")
         fh.write("delta_t_ns,ratio,sigma,model_ratio\n")
         for p, m in zip(points, model):
-            fh.write(f"{p.delta_t:g},{p.ratio:.12g},{p.sigma:.12g},{m:.12g}\n")
+            fh.write(f"{p.delta_t:.15g},{p.ratio:.12g},{p.sigma:.12g},{m:.12g}\n")
     payload = {
         "config_hash": config_hash,
         "points": [
@@ -475,7 +440,7 @@ def write_oracle(
     curves: dict[str, tuple[Sequence[float], Sequence[float]]],
     visibility: float,
     out_dir,
-    config_hash: str = "",
+    config_hash: str,
 ) -> Path:
     """Write the analytic model as oracle.csv: a `quantity,x_ns,value` row
     per point of each named curve (x grid, values), then the visibility."""
@@ -485,6 +450,6 @@ def write_oracle(
         fh.write("quantity,x_ns,value\n")
         for quantity, (xs, values) in curves.items():
             for x, value in zip(xs, values):
-                fh.write(f"{quantity},{x:g},{value:.12g}\n")
+                fh.write(f"{quantity},{x:.15g},{value:.12g}\n")
         fh.write(f"visibility,,{visibility:.12g}\n")
     return path

@@ -12,15 +12,16 @@ the tests. scipy is imported only by
 :func:`coincidence_probability_numeric`, which integrates: loading it
 takes most of the time of ``import homsim``, and no default path needs it.
 
-Delay convention: a positive `delay` argument means the heralded (f)
-photon's envelope starts `delay` ns after the single-atom (s) photon's.
-The dip-shape branches below are only consistent with this orientation.
+Delay convention: a delay is the envelopes' start times, ``env_f.t0 -
+env_s.t0``; a positive one means the heralded (f) photon's envelope
+starts after the single-atom (s) photon's. The dip-shape branches below
+are only consistent with this orientation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +51,6 @@ class Envelope:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not math.isfinite(self.detuning):
             raise ValueError(f"detuning must be finite, got {self.detuning}")
-
-    def shifted(self, delay: float) -> "Envelope":
-        """Return the same envelope starting `delay` ns later."""
-        return replace(self, t0=self.t0 + delay)
 
 
 def amplitude(env: Envelope, t):
@@ -110,10 +107,6 @@ class SourcePair:
     def __post_init__(self):
         if not 0.0 <= self.xi <= 1.0:
             raise ValueError(f"xi must lie in [0, 1], got {self.xi}")
-
-    def delayed(self, delay: float) -> "SourcePair":
-        """Pair with the heralded photon delayed by `delay` ns (may be < 0)."""
-        return SourcePair(self.env_f.shifted(delay), self.env_s, self.xi)
 
 
 def _check_taus(tau_s: float, tau_f: float) -> None:
@@ -197,30 +190,27 @@ def _overlap_sq(env_f: Envelope, env_s: Envelope) -> float:
     return a * b * decay / (0.25 * (a + b) ** 2 + _d_omega(env_f, env_s) ** 2)
 
 
-def coincidence_probability(pair: SourcePair, delay: float = 0.0) -> float:
+def coincidence_probability(pair: SourcePair) -> float:
     """Total A-B coincidence probability, integrated over all dt.
 
-    `delay` shifts the heralded photon's start by +delay ns before
-    evaluating. Equals 1/2 exactly at xi=0 and
-    (tau_s - tau_f)^2 / (2 (tau_s + tau_f)^2) at xi=1, zero delay, zero
-    detuning with synchronized starts.
+    Equals 1/2 exactly at xi=0 and
+    (tau_s - tau_f)^2 / (2 (tau_s + tau_f)^2) at xi=1, zero detuning
+    with synchronized starts.
     """
-    shifted = pair.delayed(delay)
-    return 0.5 * (1.0 - pair.xi**2 * _overlap_sq(shifted.env_f, shifted.env_s))
+    return 0.5 * (1.0 - pair.xi**2 * _overlap_sq(pair.env_f, pair.env_s))
 
 
-def coincidence_probability_numeric(pair: SourcePair, delay: float = 0.0) -> float:
+def coincidence_probability_numeric(pair: SourcePair) -> float:
     """Coincidence probability by integrating :func:`coincidence_density`
     over dt. Slower than :func:`coincidence_probability`; kept as a
     cross-check of its closed form."""
     from scipy.integrate import quad
 
-    shifted = pair.delayed(delay)
     span = 40.0 * max(pair.env_f.tau, pair.env_s.tau)
-    gap = shifted.env_f.t0 - shifted.env_s.t0
+    gap = pair.env_f.t0 - pair.env_s.t0
 
     def g(dt):
-        return coincidence_density(shifted, dt)
+        return coincidence_density(pair, dt)
 
     # Split at the kink locations of the density.
     knots = sorted({-span, -abs(gap), 0.0, abs(gap), span})

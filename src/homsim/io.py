@@ -17,8 +17,8 @@ raises ``DataFormatError`` naming the file and physical line for a line
 outside the grammar (a last line without its line break included), a
 timestamp beyond int64 or a record out of timestamp order; naming the
 file when the sidecar's record count or digest disagrees with the file;
-and naming the sidecar when it is not a JSON object or a resolution it
-must supply is missing or not a positive number.
+and naming the sidecar when it is not a JSON object or its resolution
+is missing or not a positive number.
 
 Sorted ticks have non-decreasing digit counts, so any stretch of
 records falls into at most ``_MAX_DIGITS`` runs of fixed-width rows
@@ -42,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,11 +66,6 @@ _POWERS_OF_TEN = 10 ** np.arange(1, _MAX_DIGITS, dtype=np.int64)  # 10 .. 10**18
 # bytes a record) and its int64 digit arithmetic stay below 1 MB.
 _WRITE_SLICE = 1 << 15
 _READ_BLOCK = 1 << 18  # bytes; larger blocks read no faster but raise the peak memory
-
-
-class DetectionRecord(NamedTuple):
-    detector: str
-    timestamp: int
 
 
 @dataclass
@@ -98,16 +93,9 @@ class EventStream:
     def __len__(self) -> int:
         return self.timestamps.size
 
-    def labels(self) -> np.ndarray:
-        return np.array(DETECTOR_LABELS)[self.detectors]
-
     def is_sorted(self) -> bool:
         # a comparison, not np.diff, which wraps for ticks 2**63 apart
         return not (self.timestamps[1:] < self.timestamps[:-1]).any()
-
-    def records(self) -> Iterator[DetectionRecord]:
-        for code, tick in zip(self.detectors, self.timestamps):
-            yield DetectionRecord(DETECTOR_LABELS[code], int(tick))
 
     @classmethod
     def concatenate(cls, streams: Sequence["EventStream"]) -> "EventStream":
@@ -251,31 +239,30 @@ def _sidecar_resolution(events_path, meta: dict) -> float:
     return float(value)
 
 
-def read_events(path, resolution: float | None = None) -> EventStream:
+def read_events(path) -> EventStream:
     """Read an event file; resolution comes from the sidecar if present.
 
     The blocks of ``read_event_blocks``, concatenated; it raises what
     that raises.
     """
-    return EventStream.concatenate(list(read_event_blocks(path, resolution)))
+    return EventStream.concatenate(list(read_event_blocks(path)))
 
 
-def read_event_blocks(path, resolution: float | None = None) -> Iterator[EventStream]:
+def read_event_blocks(path) -> Iterator[EventStream]:
     """The records of an event file, one stream per block read, in file
     order; the last block, read at the end of the file, is empty.
 
-    The resolution comes from the sidecar if present. Raises
-    DataFormatError naming the file, and the offending line where there
-    is one, on input outside the event-file grammar or unsorted, and,
-    after the last block, when the sidecar's ``n_records`` or ``sha256``
-    (each checked if present) does not match the file. Raises it naming
-    the sidecar, before the first block, when that is not a JSON object
-    or, if `resolution` is not given, lacks a positive ``resolution_ps``.
+    The resolution comes from the sidecar, or is 125 ps when there is no
+    sidecar. Raises DataFormatError naming the file, and the offending
+    line where there is one, on input outside the event-file grammar or
+    unsorted, and, after the last block, when the sidecar's
+    ``n_records`` or ``sha256`` (each checked if present) does not match
+    the file. Raises it naming the sidecar, before the first block, when
+    that is not a JSON object or lacks a positive ``resolution_ps``.
     """
     path = Path(path)
     meta = read_sidecar(path)
-    if resolution is None:
-        resolution = 125.0 if meta is None else _sidecar_resolution(path, meta)
+    resolution = 125.0 if meta is None else _sidecar_resolution(path, meta)
     meta = meta or {}
     with open(path, "rb") as fh:
         head = fh.readline(len(_HEADER))  # stops after the first LF

@@ -45,16 +45,15 @@ def density(pair, dt):
     return 0.25 * val
 
 
-def probability(pair, delay=0.0):
+def probability(pair):
     """Total coincidence probability: `density` integrated over dt (nested quadrature)."""
-    shifted = pair.delayed(delay)
     span = 40.0 * max(pair.env_f.tau, pair.env_s.tau)
-    gap = shifted.env_f.t0 - shifted.env_s.t0
+    gap = pair.env_f.t0 - pair.env_s.t0
     # Split at the kink locations of the density.
     knots = sorted({-span, -abs(gap), 0.0, abs(gap), span})
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
         if hi > lo:
-            val, _ = quad(lambda dt: density(shifted, dt), lo, hi, limit=400, epsabs=1e-9)
+            val, _ = quad(lambda dt: density(pair, dt), lo, hi, limit=400, epsabs=1e-9)
             total += val
     return total

@@ -16,6 +16,7 @@ from scipy.stats import chisquare
 
 import homsim as h
 import quadrature
+from helpers import coincidence_fraction
 
 TAU_S, TAU_F = 26.18, 13.61
 P_PAR_SYNC = (TAU_S - TAU_F) ** 2 / (2.0 * (TAU_S + TAU_F) ** 2)
@@ -38,8 +39,8 @@ def criterion(num, label):
         )
 
 
-def ideal_pair(xi):
-    return h.SourcePair(h.Envelope(TAU_F), h.Envelope(TAU_S), xi)
+def ideal_pair(xi, delay=0.0):
+    return h.SourcePair(h.Envelope(TAU_F, t0=delay), h.Envelope(TAU_S), xi)
 
 
 def run_histograms(n_triggers, seeds, half_range=255.0, **kw):
@@ -70,8 +71,8 @@ def test_criterion_2_oracle_self_consistency():
         worst = 0.0
         for delay in (-20.0, -10.0, 0.0, 10.0, 20.0):
             ratio = h.coincidence_probability_numeric(
-                ideal_pair(1.0), delay
-            ) / h.coincidence_probability_numeric(ideal_pair(0.0), delay)
+                ideal_pair(1.0, delay)
+            ) / h.coincidence_probability_numeric(ideal_pair(0.0, delay))
             worst = max(worst, abs(ratio - h.dip_ratio(delay, TAU_S, TAU_F)))
         notes.append(f"dip ratio err {worst:.1e}")
         assert worst < 1e-6
@@ -98,7 +99,7 @@ def test_criterion_4_monte_carlo_vs_oracle():
         frac = {}
         for xi, seed in ((0.0, 401), (1.0, 402)):
             cfg = h.ExperimentConfig(n_triggers=n, eta_f=1.0, eta_s=1.0, xi=xi, seed=seed)
-            frac[xi] = h.coincidence_fraction(h.simulate(cfg))
+            frac[xi] = coincidence_fraction(h.simulate(cfg))
         notes.append(f"xi=0: {frac[0.0]:.4f}")
         notes.append(f"xi=1: {frac[1.0]:.5f}")
         assert abs(frac[0.0] - 0.5) <= 0.0015

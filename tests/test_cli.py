@@ -7,11 +7,13 @@ import sys
 import textwrap
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homsim
 from homsim import (
     Envelope,
     SourcePair,
@@ -410,6 +412,15 @@ class TestDip:
             outputs.append(((out / "dip.csv").read_bytes(), (out / "dip.json").read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
+    def test_csv_delays_keep_their_digits(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", n_triggers=2000, delta_t_list="1.23456789, 0")
+        assert cli.main(["dip", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "dip.csv") as fh:
+            rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+            delays = [float(row["delta_t_ns"]) for row in rows]
+        points = json.loads((tmp_path / "dip.json").read_text())["points"]
+        assert delays == [p["delta_t"] for p in points] == [1.23456789, 0.0]
+
     def test_sub_tick_period_gap_exit_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", trigger_period=500.05, window_length=500,
                         delta_t_list=0)
@@ -503,6 +514,13 @@ def test_ticks_beyond_int64_exit_one(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "2**63" in err
     assert not out.exists()
+
+
+def test_all_is_exactly_the_public_names():
+    public = {name for name, value in vars(homsim).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert homsim.__all__ == sorted(set(homsim.__all__))
+    assert set(homsim.__all__) == public
 
 
 def test_default_paths_do_not_import_scipy(tmp_path):

@@ -122,18 +122,16 @@ class TestCoincidenceDensity:
         ]
         for xi, delay, det_f, det_s in cases:
             pair = SourcePair(
-                Envelope(TAU_F, detuning=det_f), Envelope(TAU_S, detuning=det_s), xi
+                Envelope(TAU_F, t0=delay, detuning=det_f), Envelope(TAU_S, detuning=det_s), xi
             )
-            numeric = coincidence_probability_numeric(pair, delay)
-            assert numeric == pytest.approx(
-                coincidence_probability(pair, delay), abs=1e-8
-            )
+            numeric = coincidence_probability_numeric(pair)
+            assert numeric == pytest.approx(coincidence_probability(pair), abs=1e-8)
 
 
 class TestCoincidenceProbability:
     def test_perpendicular_is_exactly_half(self):
         assert coincidence_probability(default_pair(0.0)) == 0.5
-        assert coincidence_probability(default_pair(0.0), 33.0) == 0.5
+        assert coincidence_probability(default_pair(0.0, t_f=33.0)) == 0.5
 
     def test_identical_photons_bunch_perfectly(self):
         pair = SourcePair(Envelope(20.0), Envelope(20.0), 1.0)
@@ -158,10 +156,10 @@ class TestCoincidenceProbability:
             assert v == pytest.approx(xi**2 * v1, abs=1e-12)
 
     def test_monotone_degradation(self):
-        pair = default_pair(1.0)
-        vis_delay = [1.0 - coincidence_probability(pair, d) / 0.5 for d in (0, 5, 10, 20, 40)]
+        delays = (0.0, 5.0, 10.0, 20.0, 40.0)
+        vis_delay = [1.0 - coincidence_probability(default_pair(1.0, t_f=d)) / 0.5 for d in delays]
         assert all(a >= b - 1e-12 for a, b in zip(vis_delay, vis_delay[1:]))
-        vis_neg = [1.0 - coincidence_probability(pair, -d) / 0.5 for d in (0, 5, 10, 20, 40)]
+        vis_neg = [1.0 - coincidence_probability(default_pair(1.0, t_f=-d)) / 0.5 for d in delays]
         assert all(a >= b - 1e-12 for a, b in zip(vis_neg, vis_neg[1:]))
         vis_det = [
             1.0 - coincidence_probability(default_pair(1.0, detuning_s=d)) / 0.5
@@ -217,8 +215,8 @@ class TestDipRatio:
         # integrating the coincidence distributions reproduces the dip
         # shape, branch structure included
         for d in (-20.0, -10.0, 0.0, 10.0, 20.0):
-            ratio = coincidence_probability(default_pair(1.0), d) / coincidence_probability(
-                default_pair(0.0), d
+            ratio = coincidence_probability(default_pair(1.0, t_f=d)) / coincidence_probability(
+                default_pair(0.0, t_f=d)
             )
             assert ratio == pytest.approx(dip_ratio(d, TAU_S, TAU_F), abs=1e-8)
 

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from homsim import DataFormatError, EventStream, io, read_events, write_events
 from homsim.io import (
     _WRITE_SLICE,
+    DET_A,
+    DET_B,
+    DET_T,
     DETECTOR_LABELS,
     EVENT_HEADER,
     config_hash,
@@ -28,11 +31,10 @@ def sample_stream():
 def test_from_records_and_labels():
     s = sample_stream()
     assert len(s) == 5
-    assert list(s.labels()) == ["T", "A", "B", "T", "A"]
+    assert list(s.detectors) == [DET_T, DET_A, DET_B, DET_T, DET_A]
+    assert list(s.timestamps) == [0, 400, 480, 8000, 8100]
     assert s.is_sorted()
     assert not EventStream([0, 1], [10, 5 - 2**63]).is_sorted()
-    recs = list(s.records())
-    assert recs[1].detector == "A" and recs[1].timestamp == 400
 
 
 def test_roundtrip_with_sidecar(tmp_path):
@@ -501,8 +503,3 @@ class TestSidecarIntegrity:
         sidecar_path(path).write_text(json.dumps(sidecar))
         with pytest.raises(DataFormatError, match=re.escape(f"{sidecar_path(path)}: ")):
             read_events(path)
-
-    def test_given_resolution_needs_none_from_sidecar(self, tmp_path):
-        path = self.written(tmp_path)
-        sidecar_path(path).write_text(json.dumps({"n_records": 5}))
-        assert read_events(path, resolution=62.5).resolution == 62.5

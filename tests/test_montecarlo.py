@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from homsim import (
     ExperimentConfig,
     SourcePair,
     coincidence_density,
-    coincidence_fraction,
     coincidence_probability,
     expected_accidental_floor,
     histogram,
@@ -26,6 +26,7 @@ from homsim.interference import Envelope, _p_coincidence, amplitude
 from homsim import montecarlo
 from homsim.io import DET_A, DET_B, DET_T
 from homsim.montecarlo import _CHUNK, simulate_chunks
+from helpers import coincidence_fraction
 
 TAU_S, TAU_F = 26.18, 13.61
 
@@ -425,9 +426,23 @@ def test_fused_histograms_match_stream_pipeline(config, workers, binning):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_fused_histograms_memory_does_not_grow_with_run_length(workers):
+def test_fused_histograms_memory_does_not_grow_with_run_length(workers, monkeypatch):
     # `homsim dip` at unit efficiency: three times the chunks, each paired
-    # and binned where it is made, in about the same memory
+    # and binned where it is made, in about the same memory. The chunks of
+    # each batch of `workers` are made one at a time and all held until the
+    # last is made, so both scans overlap their chunks the same way however
+    # the host schedules the threads.
+    generate = montecarlo._simulate_chunk
+    barrier, lock = threading.Barrier(workers, timeout=60), threading.Lock()
+
+    def batched(*args):
+        barrier.wait()
+        with lock:
+            chunk = generate(*args)
+        barrier.wait()
+        return chunk
+
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", batched)
     peaks = {}
     for n_chunks in (2, 6):
         config = ideal_config(n_triggers=n_chunks * _CHUNK)
