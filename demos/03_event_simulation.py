@@ -6,6 +6,7 @@ coincidence statistics against the analytic model.
 """
 
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,7 @@ print("\n== event file round trip ==")
 with tempfile.TemporaryDirectory() as tmp:
     path = write_events(
         stream, Path(tmp) / "events.csv",
-        metadata={"config": config.to_dict()},
+        metadata={"config": asdict(config)},
     )
     print(f"wrote {path.stat().st_size} bytes + JSON sidecar")
     back = read_events(path)

@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import chain
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataFormatError, InsufficientStatisticsError
-from .io import DET_A, DET_B, DET_T, EventStream, write_json
+from .io import DET_A, DET_B, DET_T, EventStream
 
 _ALIGN_TOL = 1e-9
 
@@ -308,9 +307,6 @@ class VisibilityResult:
     t_c: float
     g_acc: float
 
-    def to_dict(self) -> dict:
-        return {"v": self.v, "sigma_v": self.sigma_v, "t_c": self.t_c, "g_acc": self.g_acc}
-
 
 def visibility(
     h_par: CoincidenceHistogram,
@@ -393,63 +389,3 @@ def dip_curve(
         res = visibility(h_par, h_perp, 0.5 * t_c, g)
         points.append(DipPoint(delta_t, 1.0 - res.v, res.sigma_v))
     return points
-
-
-def write_histogram_csv(h: CoincidenceHistogram, path, config_hash: str) -> Path:
-    """Write bin_center_ns,counts,value rows (config hash on a comment line)."""
-    path = Path(path)
-    with open(path, "w") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        fh.write(f"# n_triggers={h.n_triggers}\n")
-        fh.write("bin_center_ns,counts,value\n")
-        for c, n, v in zip(h.bin_centers, h.counts, h.values):
-            fh.write(f"{c:.15g},{int(n)},{v:.12g}\n")
-    return path
-
-
-def write_visibility_json(result: VisibilityResult, path, config_hash: str, extra: dict) -> Path:
-    payload = result.to_dict()
-    payload["config_hash"] = config_hash
-    payload.update(extra)
-    return write_json(payload, path)
-
-
-def write_dip(
-    points: Sequence[DipPoint], model: Sequence[float], out_dir, config_hash: str
-) -> tuple[Path, Path]:
-    """Write a delay scan with its model ratios as dip.csv and dip.json."""
-    out_dir = Path(out_dir)
-    csv_path, json_path = out_dir / "dip.csv", out_dir / "dip.json"
-    with open(csv_path, "w") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        fh.write("delta_t_ns,ratio,sigma,model_ratio\n")
-        for p, m in zip(points, model):
-            fh.write(f"{p.delta_t:.15g},{p.ratio:.12g},{p.sigma:.12g},{m:.12g}\n")
-    payload = {
-        "config_hash": config_hash,
-        "points": [
-            {"delta_t": p.delta_t, "ratio": p.ratio, "sigma": p.sigma, "model": m}
-            for p, m in zip(points, model)
-        ],
-    }
-    write_json(payload, json_path)
-    return csv_path, json_path
-
-
-def write_oracle(
-    curves: dict[str, tuple[Sequence[float], Sequence[float]]],
-    visibility: float,
-    out_dir,
-    config_hash: str,
-) -> Path:
-    """Write the analytic model as oracle.csv: a `quantity,x_ns,value` row
-    per point of each named curve (x grid, values), then the visibility."""
-    path = Path(out_dir) / "oracle.csv"
-    with open(path, "w") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        fh.write("quantity,x_ns,value\n")
-        for quantity, (xs, values) in curves.items():
-            for x, value in zip(xs, values):
-                fh.write(f"{quantity},{x:.15g},{value:.12g}\n")
-        fh.write(f"visibility,,{visibility:.12g}\n")
-    return path

@@ -1,9 +1,9 @@
 """Command-line front end: oracle | simulate | analyze | dip.
 
 Run configurations are plain-text key = value files (units: ns, MHz, ps;
-see `homsim --dump-config`). Unknown keys are rejected so typos fail
-loudly. Exit codes: 0 success, 1 configuration error, 2 data-format
-error, 3 insufficient statistics.
+see `homsim --dump-config`). Unknown keys, and keys given twice, are
+rejected so typos fail loudly. Exit codes: 0 success, 1 configuration
+error, 2 data-format error, 3 insufficient statistics.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ def parse_config_file(path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     values: dict = {}
+    first_lines: dict = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,6 +94,12 @@ def parse_config_file(path) -> dict:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_lines:
+            raise ConfigError(
+                f"{path}:{lineno}: config key {key!r} given again "
+                f"(first on line {first_lines[key]})"
+            )
+        first_lines[key] = lineno
         parser, _ = CONFIG_KEYS[key]
         try:
             values[key] = parser(text.strip())
@@ -109,6 +116,11 @@ def _require(cfg: dict, keys) -> None:
     missing = [k for k in keys if cfg.get(k) is None]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
 
 
 def _experiment_config(cfg: dict, seed=None, xi=None, delta_t=None):
@@ -166,26 +178,30 @@ def cmd_oracle(args) -> int:
         "delta_t": args.delta_t,
         "density_range": args.density_range,
     }
-    curves = {
-        name: (dens_grid, [interference.coincidence_density(pair, dt) for dt in dens_grid])
-        for name, pair in (("g_perp", pair_perp), ("g_par", pair_par))
-    }
-    curves["dip_ratio"] = (
-        dip_grid, [interference.dip_ratio(d, args.tau_s, args.tau_f) for d in dip_grid]
+    points = [
+        *((name, x, interference.coincidence_density(pair, x))
+          for name, pair in (("g_perp", pair_perp), ("g_par", pair_par)) for x in dens_grid),
+        *(("dip_ratio", d, interference.dip_ratio(d, args.tau_s, args.tau_f)) for d in dip_grid),
+    ]
+    rows = [(name, f"{x:.15g}", f"{value:.12g}") for name, x, value in points]
+    rows.append(("visibility", "", f"{vis:.12g}"))
+    path = io.write_table(
+        out / "oracle.csv", {"config_hash": io.config_hash(params)},
+        ("quantity", "x_ns", "value"), rows,
     )
-    path = analysis.write_oracle(curves, vis, out, io.config_hash(params))
     print(f"visibility = {vis:.4f}")
     print(f"wrote {path}")
     return 0
 
 
 def cmd_simulate(args) -> int:
+    _check_workers(args.workers)
     cfg = parse_config_file(args.config)
     _require(cfg, ["n_triggers"])
     config = _experiment_config(cfg, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    meta = {"config": config.to_dict()}
+    meta = {"config": dataclasses.asdict(config)}
     meta["config_hash"] = io.config_hash(meta["config"])
     # the chunks are generated as write_events asks for them
     chunks = montecarlo.simulate_chunks(config, workers=args.workers)
@@ -243,23 +259,26 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     chash = io.config_hash(cfg)
-    analysis.write_histogram_csv(h_par, out / "histogram_par.csv", chash)
-    analysis.write_histogram_csv(h_perp, out / "histogram_perp.csv", chash)
-    extra = {
-        "n_triggers_par": h_par.n_triggers,
-        "n_triggers_perp": h_perp.n_triggers,
-    }
-    for name, path in (("source_par", args.par), ("source_perp", args.perp)):
+    payload = {**dataclasses.asdict(result), "config_hash": chash}
+    for name, h, path in (("par", h_par, args.par), ("perp", h_perp, args.perp)):
+        io.write_table(
+            out / f"histogram_{name}.csv", {"config_hash": chash, "n_triggers": h.n_triggers},
+            ("bin_center_ns", "counts", "value"),
+            ((f"{c:.15g}", int(n), f"{v:.12g}")
+             for c, n, v in zip(h.bin_centers, h.counts, h.values)),
+        )
+        payload[f"n_triggers_{name}"] = h.n_triggers
         meta = io.read_sidecar(path)
         if meta and "config_hash" in meta:
-            extra[f"{name}_config_hash"] = meta["config_hash"]
-    analysis.write_visibility_json(result, out / "visibility.json", chash, extra)
+            payload[f"source_{name}_config_hash"] = meta["config_hash"]
+    io.write_json(payload, out / "visibility.json")
     print(f"V = {result.v:.4f} +- {result.sigma_v:.4f} "
           f"(T_c = +-{result.t_c:g} ns, g_acc = {result.g_acc:.4g})")
     return 0
 
 
 def cmd_dip(args) -> int:
+    _check_workers(args.workers)
     cfg = parse_config_file(args.config)
     _require(cfg, ["n_triggers"])
     deltas = cfg["delta_t_list"]
@@ -289,7 +308,16 @@ def cmd_dip(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     chash = io.config_hash(cfg)
-    path, _ = analysis.write_dip(points, model, out, chash)
+    path = io.write_table(
+        out / "dip.csv", {"config_hash": chash}, ("delta_t_ns", "ratio", "sigma", "model_ratio"),
+        ((f"{p.delta_t:.15g}", f"{p.ratio:.12g}", f"{p.sigma:.12g}", f"{m:.12g}")
+         for p, m in zip(points, model)),
+    )
+    json_points = [
+        {"delta_t": p.delta_t, "ratio": p.ratio, "sigma": p.sigma, "model": m}
+        for p, m in zip(points, model)
+    ]
+    io.write_json({"config_hash": chash, "points": json_points}, out / "dip.json")
     print("delta_t_ns  ratio    sigma    model")
     for p, m in zip(points, model):
         print(f"{p.delta_t:10g}  {p.ratio:.4f}  {p.sigma:.4f}  {m:.4f}")

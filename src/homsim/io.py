@@ -33,6 +33,9 @@ block's whole lines run by run, column by column, carries a partial
 last line into the next block and yields the block's records; after
 the last block it checks the sidecar. It holds one block and the arrays
 made from it. ``read_events`` concatenates the blocks.
+
+The other output files are written here too: every CSV table by
+``write_table`` and every JSON file by ``write_json``.
 """
 
 from __future__ import annotations
@@ -165,8 +168,14 @@ def write_events(
     Raises ValueError, and leaves neither file, for a chunk whose ticks
     ``read_events`` would reject (a negative or a decreasing one, within
     a chunk or across the seam with the chunk before), for chunks of
-    different resolutions and for no chunk at all.
+    different resolutions, for no chunk at all and for `metadata` that
+    would overwrite a field the sidecar takes from the records
+    (``resolution_ps``, ``n_records``, ``sha256``); ``config_hash`` may be
+    supplied.
     """
+    clash = sorted({"resolution_ps", "n_records", "sha256"}.intersection(metadata or {}))
+    if clash:
+        raise ValueError(f"metadata must not set the sidecar's own fields: {', '.join(clash)}")
     if isinstance(chunks, EventStream):
         chunks = (chunks,)
     path = Path(path)
@@ -207,6 +216,18 @@ def write_json(payload: dict, path) -> Path:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
+
+
+def write_table(path, comments: dict, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write a CSV table: a ``# key=value`` line per item of `comments`, the
+    `header` line, then a line per row, cells joined by commas as ``str``
+    gives them (format floats first), each line ending in LF."""
+    path = Path(path)
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(f"# {key}={value}\n" for key, value in comments.items())
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
     return path
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Iterator, Sequence
 
@@ -139,9 +139,6 @@ class ExperimentConfig:
             self.tau_s, t0=max(-self.delta_t, 0.0), detuning=self.detuning
         )
         return SourcePair(env_f, env_s, self.xi)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def quantize(t, resolution: float = 125.0):

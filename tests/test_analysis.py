@@ -25,7 +25,6 @@ from homsim.analysis import (
     CoincidenceHistogram,
     histogram_blocks,
     pair_clicks,
-    write_histogram_csv,
 )
 from homsim.io import DET_A, DET_B, DET_T
 
@@ -381,14 +380,6 @@ class TestHistogram:
         assert int(h.window_bins(205.0).sum()) == h.bin_centers.size
         with pytest.raises(ValueError, match="wider than the histogram's half range"):
             h.window_bins(215.0)
-
-    def test_csv_writer(self, tmp_path):
-        h = histogram([2.0, 14.0], 4, 10.0, 25.0)
-        path = write_histogram_csv(h, tmp_path / "h.csv", config_hash="beef")
-        text = path.read_text().splitlines()
-        assert text[0] == "# config_hash=beef"
-        assert text[2] == "bin_center_ns,counts,value"
-        assert any(line.startswith("0,1,0.25") for line in text)
 
 
 class TestEstimateAccidentals:

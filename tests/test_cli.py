@@ -2,6 +2,7 @@ import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -71,6 +72,16 @@ class TestConfigParsing:
         p.write_text("n_triggers = lots\n")
         with pytest.raises(cli.ConfigError, match="n_triggers"):
             cli.parse_config_file(p)
+
+    def test_key_given_twice_exit_one(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("n_triggers = 1000\n# a second run length\nn_triggers = 2000\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {p}:3: config key 'n_triggers' given again (first on line 1)\n"
+        )
+        assert not out.exists()
 
     def test_comments_and_lists(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -253,6 +264,20 @@ class TestAnalyze:
         assert (tmp_path / "ana" / "histogram_par.csv").exists()
         assert (tmp_path / "ana" / "histogram_perp.csv").exists()
         assert result["source_par_config_hash"]
+
+    def test_histogram_csv_layout(self, simulated_pair, tmp_path):
+        par, perp, cfg = simulated_pair
+        out = tmp_path / "ana"
+        assert cli.main([
+            "analyze", "--par", str(par), "--perp", str(perp), "--config", str(cfg),
+            "--out", str(out),
+        ]) == 0
+        lines = (out / "histogram_par.csv").read_text().splitlines()
+        assert re.fullmatch(r"# config_hash=[0-9a-f]{16}", lines[0])
+        assert lines[1:3] == ["# n_triggers=40000", "bin_center_ns,counts,value"]
+        # 10 ns bins over +-255 ns; the n_triggers line is what the benchmark parses
+        assert len(lines) == 3 + 51
+        assert lines[3].startswith("-250,")
 
     def test_orthogonal_pair_gives_zero(self, simulated_pair, tmp_path):
         _, perp, cfg = simulated_pair
@@ -513,6 +538,17 @@ def test_ticks_beyond_int64_exit_one(tmp_path, capsys, command):
     assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "2**63" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["simulate", "dip"])
+def test_workers_below_one_exit_one(tmp_path, capsys, command, workers):
+    cfg = write_cfg(tmp_path / "c.cfg", n_triggers=100, delta_t_list=0)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out), "--workers", workers]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"config error: --workers must be at least 1, got {workers}\n"
     assert not out.exists()
 
 

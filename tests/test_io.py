@@ -19,6 +19,7 @@ from homsim.io import (
     read_sidecar,
     sidecar_path,
     write_json,
+    write_table,
 )
 
 
@@ -48,6 +49,16 @@ def test_roundtrip_with_sidecar(tmp_path):
     assert np.array_equal(back.detectors, s.detectors)
     assert np.array_equal(back.timestamps, s.timestamps)
     assert back.resolution == 125.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("resolution_ps", 250.0), ("n_records", 99), ("sha256", "0" * 64),
+])
+def test_metadata_cannot_overwrite_the_sidecar_fields(tmp_path, field, value):
+    # a resolution_ps of 250 on a 125 ps stream would double every time read back
+    with pytest.raises(ValueError, match=field):
+        write_events(sample_stream(), tmp_path / "events.csv", metadata={field: value})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_without_sidecar_defaults_resolution(tmp_path):
@@ -103,6 +114,17 @@ def test_write_json_layout(tmp_path):
     path = write_json({"b": [1, 2.5], "a": {"d": None, "c": "x"}}, tmp_path / "out.json")
     assert path.read_text() == (
         '{\n  "a": {\n    "c": "x",\n    "d": null\n  },\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+    )
+
+
+def test_write_table_layout(tmp_path):
+    # the one layout of oracle.csv, histogram_*.csv and dip.csv
+    path = write_table(
+        tmp_path / "out.csv", {"config_hash": "beef", "n_triggers": 4},
+        ("bin_center_ns", "counts", "value"), [("-10", 0, "0"), ("0", 1, "0.25")],
+    )
+    assert path.read_bytes() == (
+        b"# config_hash=beef\n# n_triggers=4\nbin_center_ns,counts,value\n-10,0,0\n0,1,0.25\n"
     )
 
 
