@@ -243,6 +243,9 @@ def _check_analysis(cfg: dict, t_c_key: str, t_c: float) -> None:
 def cmd_analyze(args) -> int:
     cfg = parse_config_file(args.config)
     _check_analysis(cfg, "t_c", cfg["t_c"])
+    for path in (args.par, args.perp):
+        if not Path(path).is_file():
+            raise ConfigError(f"event file not found: {path}")
     h_par, h_perp = (
         analysis.histogram_blocks(
             io.read_event_blocks(path), cfg["valid_window"], cfg["bin_width"], cfg["hist_range"]

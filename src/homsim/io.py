@@ -31,8 +31,16 @@ as it writes them. ``read_event_blocks`` makes one pass over the file in
 blocks of ``_READ_BLOCK`` bytes: it hashes each block, parses the
 block's whole lines run by run, column by column, carries a partial
 last line into the next block and yields the block's records; after
-the last block it checks the sidecar. It holds one block and the arrays
-made from it. ``read_events`` concatenates the blocks.
+the last block it checks the sidecar. ``read_events`` concatenates the
+blocks.
+
+Each open event file has one I/O thread, so that its bytes overlap the
+caller's work: while the caller makes the next chunk, the writer thread
+formats, hashes and writes the chunk before it; while the caller works
+on a block, the reader thread reads, hashes and parses the next one. So
+one chunk or one block is in flight beside the caller's, and no more.
+The checks of ``write_events`` and every error's text and order stay
+as on one thread, and the thread ends with the call or the iterator.
 
 The other output files are written here too: every CSV table by
 ``write_table`` and every JSON file by ``write_json``.
@@ -43,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -182,19 +191,23 @@ def write_events(
     digest, n_records, resolution, previous = hashlib.sha256(_HEADER), 0, None, 0
     fh = open(path, "wb")
     try:
-        with fh:
-            fh.write(_HEADER)
-            for chunk in chunks:
-                ticks = chunk.timestamps
-                if not chunk.is_sorted() or (ticks.size and ticks[0] < previous):
-                    raise ValueError("timestamps must be non-negative and must not decrease")
-                if resolution not in (None, chunk.resolution):
-                    raise ValueError("the chunks of an event file must share one resolution")
-                for data in _file_bytes(chunk):
-                    digest.update(data)
-                    fh.write(data)
-                n_records += ticks.size
-                previous, resolution = ticks[-1] if ticks.size else previous, chunk.resolution
+        with fh, ThreadPoolExecutor(max_workers=1) as writer:
+            written = writer.submit(fh.write, _HEADER)
+            try:
+                for chunk in chunks:
+                    ticks = chunk.timestamps
+                    if not chunk.is_sorted() or (ticks.size and ticks[0] < previous):
+                        raise ValueError("timestamps must be non-negative and must not decrease")
+                    if resolution not in (None, chunk.resolution):
+                        raise ValueError("the chunks of an event file must share one resolution")
+                    written.result()  # one chunk in flight: the one before is written
+                    written = writer.submit(_write_chunk, fh, digest, chunk)
+                    n_records += ticks.size
+                    previous, resolution = ticks[-1] if ticks.size else previous, chunk.resolution
+            finally:
+                # the last chunk is written before the sidecar, and a write
+                # that failed raises before a later chunk's error does
+                written.result()
             if resolution is None:
                 raise ValueError("no chunk to write: a stream needs at least one")
         sidecar = {"resolution_ps": resolution, "n_records": n_records}
@@ -208,6 +221,13 @@ def write_events(
         sidecar_path(path).unlink(missing_ok=True)
         raise
     return path
+
+
+def _write_chunk(fh, digest, chunk: EventStream) -> None:
+    """Format, hash and write the records of `chunk` (on the writer thread)."""
+    for data in _file_bytes(chunk):
+        digest.update(data)
+        fh.write(data)
 
 
 def write_json(payload: dict, path) -> Path:
@@ -280,7 +300,25 @@ def read_event_blocks(path) -> Iterator[EventStream]:
     ``n_records`` or ``sha256`` (each checked if present) does not match
     the file. Raises it naming the sidecar, before the first block, when
     that is not a JSON object or lacks a positive ``resolution_ps``.
+
+    One I/O thread reads, hashes and parses the block after the one
+    handed out, while the caller works on that one.
     """
+    blocks = _read_blocks(path)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as reader:
+            ahead = reader.submit(next, blocks, None)
+            while (block := ahead.result()) is not None:
+                ahead = reader.submit(next, blocks, None)
+                yield block
+    finally:
+        # Closed early, the block read ahead is dropped once read (the
+        # executor waits for it), and the file is closed here.
+        blocks.close()
+
+
+def _read_blocks(path) -> Iterator[EventStream]:
+    """The blocks of ``read_event_blocks``, read on the thread that asks."""
     path = Path(path)
     meta = read_sidecar(path)
     resolution = 125.0 if meta is None else _sidecar_resolution(path, meta)

@@ -11,8 +11,10 @@ chunk kernel turns a mask that mixes True and False at random, such as
 the detector routing, into indices once (`np.flatnonzero`) and gathers
 at those, and it combines routing labels with boolean algebra rather
 than `np.where`, because numpy indexes with such a mask several times
-slower than with indices; masks that are nearly all True at unit
-efficiency, such as the gate's and the two-photon mask, stay boolean.
+slower than with indices. The two-photon mask is turned into indices
+only when it is mixed: when every trigger has both photons (at unit
+efficiency) its selector is a slice, so the gathers are views. The
+gate's mask, nearly all True at unit efficiency, stays boolean.
 
 Delay convention: positive delta_t starts the heralded (f) envelope
 delta_t ns after the single-atom (s) envelope. `ExperimentConfig.source_pair`,
@@ -194,7 +196,10 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
     f_to_a = r_route < 0.5
     s_to_a = f_to_a.copy()
     both = live_f & live_s
-    if np.any(both):
+    n_both = np.count_nonzero(both)
+    if n_both:
+        # one selector for the eight gathers and scatters below
+        both = slice(None) if n_both == count else np.flatnonzero(both)
         p_c = _p_coincidence(pair, t_f[both], t_s[both], t0_f[both], t0_s[both])
         r_o = r_outcome[both]
         coinc = r_o < p_c

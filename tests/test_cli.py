@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import tracemalloc
 import types
@@ -331,6 +332,20 @@ class TestAnalyze:
         named = bad if sidecar is None else tmp_path / "bad.json"
         assert f"data format error: {named}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, gone", [
+        ("--par", "gone.csv"), ("--perp", "gone.csv"), ("--par", "."),
+    ], ids=["missing-par", "missing-perp", "par-is-a-directory"])
+    def test_missing_event_file_exit_one(self, tmp_path, capsys, option, gone):
+        cfg = write_cfg(tmp_path / "c.cfg")
+        events = tmp_path / "events.csv"
+        events.write_text("detector,timestamp\nT,0\n")
+        files = {"--par": str(events), "--perp": str(events), option: str(tmp_path / gone)}
+        out = tmp_path / "out"
+        argv = ["analyze", *(x for item in files.items() for x in item), "--config", str(cfg)]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: event file not found: {tmp_path / gone}\n"
+        assert not out.exists()
+
     def test_no_coincidences_exit_three(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", n_triggers=200, eta_f=0.0, eta_s=0.0)
         cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "dark")])
@@ -377,6 +392,34 @@ def test_simulate_and_analyze_memory_does_not_grow_with_run_length(tmp_path, cap
     for short, long in zip(peaks[2], peaks[6]):
         assert long < 1.3 * short, peaks
     assert time.perf_counter() - start < 2.0
+
+
+def test_layer_functions_run_on_the_main_thread(tmp_path, capsys, monkeypatch):
+    # bench/tracing.py's Tracer keeps a single span stack: the layer
+    # functions it wraps must run on the thread that called the command,
+    # whatever threads generate chunks or read and write event files
+    calls = []
+    for module, name in [
+        (homsim.io, "write_events"), (homsim.io, "read_events"), (montecarlo, "simulate"),
+        (homsim.analysis, "pair_events"), (homsim.analysis, "histogram"),
+        (homsim.analysis, "estimate_accidentals"), (homsim.analysis, "visibility"),
+    ]:
+        def on_thread(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append((_name, threading.current_thread() is threading.main_thread()))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, on_thread)
+    monkeypatch.setattr(homsim.io, "_READ_BLOCK", 1 << 14)  # many blocks read ahead
+    cfg = write_cfg(tmp_path / "c.cfg", n_triggers=3 * montecarlo._CHUNK, eta_f=0.05,
+                    eta_s=0.05, bg_rate_a=1e-4, bg_rate_b=1e-4, subtract_accidentals="true")
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path), "--workers", "2"]
+    assert cli.main(argv) == 0
+    events = str(tmp_path / "events.csv")
+    assert cli.main(["analyze", "--par", events, "--perp", events, "--config", str(cfg),
+                     "--out", str(tmp_path / "a")]) == 0
+    assert {"write_events", "pair_events", "histogram", "estimate_accidentals",
+            "visibility"} <= {name for name, _ in calls}
+    assert [call for call in calls if not call[1]] == []
 
 
 class TestDip:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -525,3 +526,92 @@ class TestSidecarIntegrity:
         sidecar_path(path).write_text(json.dumps(sidecar))
         with pytest.raises(DataFormatError, match=re.escape(f"{sidecar_path(path)}: ")):
             read_events(path)
+
+
+class TestIOThreads:
+    """Each open event file has one I/O thread; none outlives the call or
+    the iterator, and errors reach the caller as the serial loop raised
+    them."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @staticmethod
+    def chunks(fail_after=None):
+        for k in range(3):
+            if k == fail_after:
+                raise RuntimeError("the chunk source failed")
+            yield EventStream([0, 1], [10 * k, 10 * k + 5])
+
+    @pytest.mark.parametrize("fail_after, writer_fails, error", [
+        (2, False, "chunk source"),
+        (None, True, "disk full"),
+        (1, True, "disk full"),  # the first chunk's write fails before the source does
+    ], ids=["source-fails", "writer-fails", "writer-fails-first"])
+    def test_write_errors_propagate_and_leave_no_file(
+        self, tmp_path, monkeypatch, fail_after, writer_fails, error
+    ):
+        threads = []
+
+        def failing_file_bytes(chunk):
+            threads.append(threading.current_thread())
+            raise OSError("disk full")
+
+        if writer_fails:
+            monkeypatch.setattr(io, "_file_bytes", failing_file_bytes)
+        with pytest.raises((RuntimeError, OSError), match=error):
+            write_events(self.chunks(fail_after), tmp_path / "events.csv")
+        assert list(tmp_path.iterdir()) == []
+        assert len(threads) == writer_fails and threading.main_thread() not in threads
+
+    @staticmethod
+    def multi_block_file(tmp_path, monkeypatch, n=100, bad=None):
+        """An event file of `n` records of 7 bytes, read 10 records a block;
+        record `bad` (if given) is not a record."""
+        monkeypatch.setattr(io, "_READ_BLOCK", 70)
+        path = tmp_path / "events.csv"
+        write_events(EventStream(np.zeros(n), 1000 + np.arange(n)), path)
+        if bad is not None:
+            path.write_bytes(path.read_bytes().replace(b"T,%d" % (1000 + bad), b"X,%d" % bad))
+        return path
+
+    def test_close_after_the_first_block_returns_promptly(self, tmp_path, monkeypatch):
+        path = self.multi_block_file(tmp_path, monkeypatch)
+        parsed = []
+        parse = io._parse_block
+        monkeypatch.setattr(io, "_parse_block", lambda *a: parsed.append(1) or parse(*a))
+        blocks = io.read_event_blocks(path)
+        assert len(next(blocks)) == 10
+        blocks.close()
+        assert len(parsed) <= 2  # the block handed out and the one read ahead
+
+    def test_bad_line_in_block_3_after_blocks_0_to_2(self, tmp_path, monkeypatch):
+        path = self.multi_block_file(tmp_path, monkeypatch, bad=35)
+        for read in (io.read_event_blocks, io._read_blocks):  # threaded, then serial
+            seen = []
+            with pytest.raises(DataFormatError) as caught:
+                for block in read(path):
+                    seen.append(block.timestamps)
+            assert [list(t) for t in seen] == [list(range(1000 + k, 1010 + k)) for k in (0, 10, 20)]
+            expected = f"{path}: b'X,35' on line 37 is not a record 'T|A|B,<ticks>'"
+            assert str(caught.value) == expected
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_records", 99, "100 records but the sidecar says 99"),
+        ("sha256", "0" * 64, "contents do not match the sidecar's sha256"),
+    ])
+    def test_sidecar_mismatch_raised_after_the_last_block(
+        self, tmp_path, monkeypatch, field, value, message
+    ):
+        path = self.multi_block_file(tmp_path, monkeypatch)
+        meta = read_sidecar(path)
+        meta[field] = value
+        sidecar_path(path).write_text(json.dumps(meta))
+        blocks = io.read_event_blocks(path)
+        sizes = [len(next(blocks)) for _ in range(11)]
+        assert sizes == [10] * 10 + [0]  # every block, the empty last one too
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: {message}")):
+            next(blocks)
