@@ -28,7 +28,7 @@ configs = [
 hists = simulate_histograms(configs, 85.0, 10.0, 255.0)
 runs = list(zip(DELAYS.tolist(), hists[0::2], hists[1::2]))
 
-points = dip_curve(runs, t_c=490.0)  # wide window: capture the full overlap
+points = dip_curve(runs, t_c=245.0)  # a wide +-245 ns window captures the full overlap
 
 print("delay_ns   simulated ratio   closed form")
 for point in points:

@@ -18,7 +18,6 @@ from .errors import (
     DataFormatError,
     HomsimError,
     InsufficientStatisticsError,
-    UnreachableSampleError,
 )
 from .interference import (
     Envelope,
@@ -27,7 +26,6 @@ from .interference import (
     coincidence_density,
     coincidence_probability,
     coincidence_probability_numeric,
-    conditional_outcome_probs,
     dip_ratio,
     sample_emission_time,
     visibility_closed_form,
@@ -56,13 +54,11 @@ __all__ = [
     "InsufficientStatisticsError",
     "PairingResult",
     "SourcePair",
-    "UnreachableSampleError",
     "VisibilityResult",
     "amplitude",
     "coincidence_density",
     "coincidence_probability",
     "coincidence_probability_numeric",
-    "conditional_outcome_probs",
     "dip_curve",
     "dip_ratio",
     "estimate_accidentals",

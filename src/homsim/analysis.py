@@ -120,10 +120,7 @@ def pair_events(stream: EventStream, valid_window: float = 85.0) -> PairingResul
 
 
 def histogram_blocks(
-    blocks: Iterable[EventStream],
-    valid_window: float = 85.0,
-    bin_width: float = 10.0,
-    half_range: float = 205.0,
+    blocks: Iterable[EventStream], valid_window: float, bin_width: float, half_range: float
 ) -> CoincidenceHistogram:
     """Coincidence histogram of a sorted stream given as consecutive blocks.
 
@@ -372,20 +369,20 @@ class DipPoint(NamedTuple):
 
 def dip_curve(
     runs: Sequence[tuple[float, CoincidenceHistogram, CoincidenceHistogram]],
-    t_c: float = 150.0,
+    t_c: float,
     subtract_accidentals: bool = False,
     wing: tuple[float, float] = (100.0, 200.0),
 ) -> list[DipPoint]:
     """Suppression ratio P_par/P_perp = 1 - V per delay-scan point.
 
-    Unlike :func:`visibility`, `t_c` here is the total window length (the
-    window is the symmetric interval [-t_c/2, +t_c/2]). With
-    `subtract_accidentals`, each point subtracts the wing floor that
-    :func:`estimate_accidentals` finds in its pair of histograms.
+    As in :func:`visibility`, `t_c` is the window's half-width: each point
+    sums the bins in [-t_c, +t_c]. With `subtract_accidentals`, each point
+    subtracts the wing floor that :func:`estimate_accidentals` finds in its
+    pair of histograms.
     """
     points = []
     for delta_t, h_par, h_perp in runs:
         g = estimate_accidentals(h_par, h_perp, wing=wing) if subtract_accidentals else 0.0
-        res = visibility(h_par, h_perp, 0.5 * t_c, g)
+        res = visibility(h_par, h_perp, t_c, g)
         points.append(DipPoint(delta_t, 1.0 - res.v, res.sigma_v))
     return points

@@ -80,11 +80,17 @@ def default_config_text() -> str:
 def parse_config_file(path) -> dict:
     """Read a key = value config file, applying defaults and type checks."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {path}: {exc}") from None
     values: dict = {}
     first_lines: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -148,25 +154,35 @@ def _parse_grid(text: str) -> np.ndarray:
         ) from None
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
         raise ConfigError(f"bad grid {text!r}: need finite STOP >= START and STEP > 0")
-    return np.arange(lo, hi + 0.5 * step, step)
+    try:
+        return np.arange(lo, hi + 0.5 * step, step)
+    except ValueError as exc:  # more points than an array can hold
+        raise ConfigError(f"bad grid {text!r}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _config_keys(*keys):
+    """Report a ValueError that the library raises for the values of the
+    config keys or options `keys` as a ConfigError naming them."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{'/'.join(keys)}: {exc}") from None
 
 
 def cmd_oracle(args) -> int:
-    try:
+    # the library's own checks, in the order tau_s/tau_f, xi, detuning
+    with _config_keys("tau_s", "tau_f"):
         vis = interference.visibility_closed_form(args.tau_s, args.tau_f)
-    except ValueError as exc:
-        raise ConfigError(f"tau_s/tau_f: {exc}") from None
-    if not 0.0 <= args.xi <= 1.0:
-        raise ConfigError(f"xi: must lie in [0, 1], got {args.xi}")
-    try:
-        env_s = interference.Envelope(args.tau_s, detuning=args.detuning)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    env_f = interference.Envelope(args.tau_f)
+    env_s = interference.Envelope(args.tau_s)
+    with _config_keys("xi"):
+        pair_par = interference.SourcePair(interference.Envelope(args.tau_f), env_s, args.xi)
+    with _config_keys("detuning"):
+        env_s = dataclasses.replace(env_s, detuning=args.detuning)
+    pair_par = dataclasses.replace(pair_par, env_s=env_s)
+    pair_perp = dataclasses.replace(pair_par, xi=0.0)
     dip_grid = _parse_grid(args.delta_t)
     dens_grid = _parse_grid(args.density_range)
-    pair_perp = interference.SourcePair(env_f, env_s, 0.0)
-    pair_par = interference.SourcePair(env_f, env_s, args.xi)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -209,16 +225,6 @@ def cmd_simulate(args) -> int:
     n_records = io.read_sidecar(path)["n_records"]
     print(f"wrote {path} ({n_records} records) and {io.sidecar_path(path)}")
     return 0
-
-
-@contextlib.contextmanager
-def _config_keys(*keys):
-    """Report a ValueError that analysis raises for the values of the
-    config `keys` as a ConfigError naming them."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{'/'.join(keys)}: {exc}") from None
 
 
 def _check_analysis(cfg: dict, t_c_key: str, t_c: float) -> None:
@@ -287,7 +293,8 @@ def cmd_dip(args) -> int:
     deltas = cfg["delta_t_list"]
     if not deltas:
         raise ConfigError("delta_t_list is empty; nothing to scan")
-    _check_analysis(cfg, "dip_t_c", 0.5 * cfg["dip_t_c"])
+    t_c = 0.5 * cfg["dip_t_c"]  # dip_t_c is the window's total length
+    _check_analysis(cfg, "dip_t_c", t_c)
     base_seed = args.seed if args.seed is not None else cfg["seed"]
 
     # Per delay, a parallel (xi = 1) and a perpendicular (xi = 0) run.
@@ -302,7 +309,7 @@ def cmd_dip(args) -> int:
     )
     points = analysis.dip_curve(
         list(zip(deltas, hists[0::2], hists[1::2])),
-        t_c=cfg["dip_t_c"],
+        t_c,
         subtract_accidentals=cfg["subtract_accidentals"],
         wing=(cfg["wing_low"], cfg["wing_high"]),
     )

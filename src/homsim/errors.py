@@ -15,7 +15,3 @@ class DataFormatError(HomsimError):
 
 class InsufficientStatisticsError(HomsimError):
     """An estimate cannot be formed (e.g. empty coincidence window)."""
-
-
-class UnreachableSampleError(HomsimError):
-    """A conditional outcome was requested for a zero-probability sample."""

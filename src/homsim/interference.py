@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnreachableSampleError
-
 # 1 MHz * 1 ns = 1e-3 cycles
 _MHZ_NS = 1e-3
 
@@ -124,16 +122,14 @@ def _p_coincidence(pair: SourcePair, t1, t2, t0_f, t0_s):
 
     t1 is the heralded photon's time and t2 the single-atom photon's; the
     envelopes start at t0_f and t0_s (scalars or per-sample arrays) and
-    take their coherence times and carrier detunings from `pair`. Raises
-    UnreachableSampleError if any sample has neither pair amplitude,
-    a = psi_f(t1) psi_s(t2) or b = psi_f(t2) psi_s(t1), supported.
+    take their coherence times and carrier detunings from `pair`. Exact
+    wherever a = psi_f(t1) psi_s(t2) or b = psi_f(t2) psi_s(t1) is
+    supported; the generator draws t1 >= t0_f and t2 >= t0_s, so a always is.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     direct = (t1 >= t0_f) & (t2 >= t0_s)
     swapped = (t2 >= t0_f) & (t1 >= t0_s)
-    if not np.all(direct | swapped):
-        raise UnreachableSampleError("both pair amplitudes vanish; the sample cannot occur")
     # With both supported, |b|^2 / |a|^2 = exp(kappa dt) and a b* has the
     # phase d_omega dt, so xi^2 Re(a b*) / (|a|^2 + |b|^2) is
     # xi^2 cos(d_omega dt) / (2 cosh(kappa dt / 2)). 1 / (2 cosh x) is
@@ -244,16 +240,3 @@ def dip_ratio(delta_t, tau_s: float, tau_f: float):
         return float(out)
     return out
 
-
-def conditional_outcome_probs(pair: SourcePair, t1, t2):
-    """Outcome law for one two-photon trial with sampled detection times.
-
-    t1 is drawn from |psi_f|^2 and t2 from |psi_s|^2. Returns the triple
-    (p_coincidence, p_bunch_a, p_bunch_b), which sums to 1; the photons
-    bunch at either detector with probability (1 - p_coincidence) / 2.
-    """
-    p_c = _p_coincidence(pair, t1, t2, pair.env_f.t0, pair.env_s.t0)
-    p_same = 0.5 * (1.0 - p_c)
-    if np.ndim(t1) == 0 and np.ndim(t2) == 0:
-        return float(p_c), float(p_same), float(p_same)
-    return p_c, p_same, p_same

@@ -62,16 +62,15 @@ from .errors import DataFormatError
 
 DET_T, DET_A, DET_B = 0, 1, 2
 DETECTOR_LABELS = ("T", "A", "B")
-_LABEL_TO_CODE = {"T": DET_T, "A": DET_A, "B": DET_B}
 
 EVENT_HEADER = ("detector", "timestamp")
 _HEADER = (",".join(EVENT_HEADER) + "\n").encode()
 _INT64_MAX = np.iinfo(np.int64).max
 _MAX_DIGITS = len(str(_INT64_MAX))
 # Detector code of each byte value; every byte but a label maps past DET_B.
-_CODE_OF_BYTE = np.full(256, DET_B + 1, dtype=np.uint8)
-_CODE_OF_BYTE[[ord(label) for label in _LABEL_TO_CODE]] = list(_LABEL_TO_CODE.values())
 _LABEL_BYTE = np.frombuffer("".join(DETECTOR_LABELS).encode(), np.uint8)  # of each code
+_CODE_OF_BYTE = np.full(256, DET_B + 1, dtype=np.uint8)
+_CODE_OF_BYTE[_LABEL_BYTE] = np.arange(_LABEL_BYTE.size)
 _POWERS_OF_TEN = 10 ** np.arange(1, _MAX_DIGITS, dtype=np.int64)  # 10 .. 10**18
 # Records formatted per slice: big enough to amortise the per-run numpy
 # calls and the write call, small enough that a slice's rows (at most 22
@@ -117,16 +116,6 @@ class EventStream:
             np.concatenate([s.timestamps for s in streams]),
             streams[0].resolution,
         )
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable[tuple[str, int]], resolution: float = 125.0
-    ) -> "EventStream":
-        """Build a stream from (label, ticks) pairs, e.g. [("T", 0), ("A", 400)]."""
-        pairs = list(records)
-        codes = np.array([_LABEL_TO_CODE[label] for label, _ in pairs], dtype=np.uint8)
-        ticks = np.array([tick for _, tick in pairs], dtype=np.int64)
-        return cls(codes, ticks, resolution)
 
 
 def config_hash(mapping: dict) -> str:

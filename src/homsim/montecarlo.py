@@ -230,9 +230,10 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
             t = np.concatenate((t, trig[bg_owners] + rng.random(bg_owners.size) * w))
             own = np.concatenate((own, bg_owners))
         t = t + offset
-        # Detector gate: keep clicks inside their own acquisition window.
+        # Detector gate: keep clicks inside their own acquisition window;
+        # none is negative, as t >= start and no trigger time is.
         start = trig[own]
-        keep = (t >= start) & (t < start + w) & (t >= 0.0)
+        keep = (t >= start) & (t < start + w)
         sides.append((quantize(t[keep], config.timestamp_resolution), own[keep]))
 
     return quantize(trig, config.timestamp_resolution), sides[0], sides[1]

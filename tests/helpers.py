@@ -1,11 +1,43 @@
-"""Measurements the tests take of a simulated event stream."""
+"""Measurements the tests take of a simulated event stream, and the
+test-side forms of two library ideas: the two-photon outcome law as a
+triple, and an event stream built from labelled records."""
 
 import numpy as np
 
-from homsim import pair_events
+from homsim import EventStream, pair_events
+from homsim.interference import _p_coincidence
+from homsim.io import DETECTOR_LABELS
 
 
 def coincidence_fraction(stream):
     """Fraction of triggers with at least one click on each output detector."""
     pairing = pair_events(stream)
     return float(np.mean((pairing.first_a >= 0) & (pairing.first_b >= 0)))
+
+
+def conditional_outcome_probs(pair, t1, t2):
+    """Outcome law for one two-photon trial with sampled detection times.
+
+    t1 is drawn from |psi_f|^2 and t2 from |psi_s|^2. Returns the triple
+    (p_coincidence, p_bunch_a, p_bunch_b), which sums to 1; the photons
+    bunch at either detector with probability (1 - p_coincidence) / 2.
+    Raises ValueError if a sample has neither pair amplitude supported.
+    """
+    t0_f, t0_s = pair.env_f.t0, pair.env_s.t0
+    t1_arr, t2_arr = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    direct = (t1_arr >= t0_f) & (t2_arr >= t0_s)
+    swapped = (t2_arr >= t0_f) & (t1_arr >= t0_s)
+    if not np.all(direct | swapped):
+        raise ValueError("both pair amplitudes vanish; the sample cannot occur")
+    p_c = _p_coincidence(pair, t1_arr, t2_arr, t0_f, t0_s)
+    p_same = 0.5 * (1.0 - p_c)
+    if np.ndim(t1) == 0 and np.ndim(t2) == 0:
+        return float(p_c), float(p_same), float(p_same)
+    return p_c, p_same, p_same
+
+
+def stream_from_records(records, resolution=125.0):
+    """An event stream of (label, ticks) pairs, e.g. [("T", 0), ("A", 400)]."""
+    codes = np.array([DETECTOR_LABELS.index(label) for label, _ in records], dtype=np.uint8)
+    ticks = np.array([tick for _, tick in records], dtype=np.int64)
+    return EventStream(codes, ticks, resolution)

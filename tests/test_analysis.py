@@ -27,6 +27,7 @@ from homsim.analysis import (
     pair_clicks,
 )
 from homsim.io import DET_A, DET_B, DET_T
+from helpers import stream_from_records
 
 TAU_S, TAU_F = 26.18, 13.61
 
@@ -38,25 +39,25 @@ def ns(t):
 
 class TestPairEvents:
     def test_basic_pair(self):
-        s = EventStream.from_records([("T", 0), ("A", ns(50)), ("B", ns(60))])
+        s = stream_from_records([("T", 0), ("A", ns(50)), ("B", ns(60))])
         p = pair_events(s)
         assert p.n_triggers == 1
         assert p.valid.tolist() == [True]
         assert p.delta_ts.tolist() == [-10.0]
 
     def test_sole_click_outside_window_invalid(self):
-        s = EventStream.from_records([("T", 0), ("A", ns(90))])
+        s = stream_from_records([("T", 0), ("A", ns(90))])
         p = pair_events(s)
         assert p.valid.tolist() == [False]
         assert p.delta_ts.size == 0
         assert p.n_triggers == 1
 
     def test_click_on_window_edge_is_valid(self):
-        s = EventStream.from_records([("T", 0), ("A", ns(85))])
+        s = stream_from_records([("T", 0), ("A", ns(85))])
         assert pair_events(s).valid.tolist() == [True]
 
     def test_empty_sequence_counts_in_normalization(self):
-        s = EventStream.from_records([("T", 0), ("T", 8000), ("A", 8000 + ns(10))])
+        s = stream_from_records([("T", 0), ("T", 8000), ("A", 8000 + ns(10))])
         p = pair_events(s)
         assert p.n_triggers == 2
         assert p.valid.tolist() == [False, True]
@@ -64,13 +65,13 @@ class TestPairEvents:
     def test_pairing_uses_clicks_beyond_validity_window(self):
         # validity comes from the early A click; the late B click still
         # pairs even though it misses the 85 ns gate
-        s = EventStream.from_records([("T", 0), ("A", ns(50)), ("B", ns(120))])
+        s = stream_from_records([("T", 0), ("A", ns(50)), ("B", ns(120))])
         p = pair_events(s)
         assert p.valid.tolist() == [True]
         assert p.delta_ts.tolist() == [-70.0]
 
     def test_first_click_semantics(self):
-        s = EventStream.from_records(
+        s = stream_from_records(
             [("T", 0), ("B", ns(5)), ("A", ns(30)), ("B", ns(40)), ("A", ns(70))]
         )
         p = pair_events(s)
@@ -79,7 +80,7 @@ class TestPairEvents:
         assert p.delta_ts.tolist() == [25.0]
 
     def test_clicks_attach_to_most_recent_trigger(self):
-        s = EventStream.from_records(
+        s = stream_from_records(
             [("A", 100), ("T", 800), ("A", 800 + ns(20)), ("T", 8800), ("B", 8800 + ns(30))]
         )
         p = pair_events(s)
@@ -101,18 +102,18 @@ class TestPairEvents:
         assert p.first_a.tolist() == [2**62 - 1, 2**63 - 2]
 
     def test_click_on_largest_tick_is_a_click(self):
-        s = EventStream.from_records([("T", 2**63 - 100), ("A", 2**63 - 50), ("B", 2**63 - 1)])
+        s = stream_from_records([("T", 2**63 - 100), ("A", 2**63 - 50), ("B", 2**63 - 1)])
         p = pair_events(s)
         assert p.first_a.tolist() == [2**63 - 50]
         assert p.first_b.tolist() == [2**63 - 1]
 
     def test_unsorted_stream_rejected(self):
-        s = EventStream.from_records([("T", 100), ("A", 50)])
+        s = stream_from_records([("T", 100), ("A", 50)])
         with pytest.raises(DataFormatError):
             pair_events(s)
 
     def test_per_trigger_first_clicks_and_validity(self):
-        s = EventStream.from_records(
+        s = stream_from_records(
             [("T", 0), ("A", ns(50)), ("B", ns(60)), ("T", 8000)]
         )
         p = pair_events(s)
@@ -123,7 +124,7 @@ class TestPairEvents:
 
     def test_exactness_on_composite_stream(self):
         # several triggers exercising every branch at once
-        s = EventStream.from_records(
+        s = stream_from_records(
             [
                 ("T", 0),
                 ("A", ns(10)),
@@ -534,25 +535,25 @@ class TestDipCurve:
 
     def test_zero_delay_point(self):
         h_par, h_perp = self.histograms_for_delay(0.0)
-        (point,) = dip_curve([(0.0, h_par, h_perp)], t_c=490.0)
+        (point,) = dip_curve([(0.0, h_par, h_perp)], t_c=245.0)
         expected = 1.0 - visibility_closed_form(TAU_S, TAU_F)
         assert abs(point.ratio - expected) < 3.0 * point.sigma
 
     def test_positive_delay_point(self):
         h_par, h_perp = self.histograms_for_delay(10.0)
-        (point,) = dip_curve([(10.0, h_par, h_perp)], t_c=490.0)
+        (point,) = dip_curve([(10.0, h_par, h_perp)], t_c=245.0)
         assert abs(point.ratio - dip_ratio(10.0, TAU_S, TAU_F)) < 3.0 * point.sigma
 
     def test_subtracted_point_uses_pair_wing_estimate(self):
         h_par, h_perp = self.histograms_for_delay(5.0)
         wing = (150.0, 250.0)
         (point,) = dip_curve(
-            [(5.0, h_par, h_perp)], t_c=150.0, subtract_accidentals=True, wing=wing
+            [(5.0, h_par, h_perp)], t_c=75.0, subtract_accidentals=True, wing=wing
         )
         g = estimate_accidentals(h_par, h_perp, wing=wing)
         res = visibility(h_par, h_perp, 75.0, g)
         assert point == (5.0, 1.0 - res.v, res.sigma_v)
-        (raw,) = dip_curve([(5.0, h_par, h_perp)], t_c=150.0)
+        (raw,) = dip_curve([(5.0, h_par, h_perp)], t_c=75.0)
         assert raw.ratio == 1.0 - visibility(h_par, h_perp, 75.0).v
 
     def test_far_delay_recovers_full_coincidences(self):
@@ -565,7 +566,7 @@ class TestDipCurve:
             )
             p = pair_events(simulate(cfg))
             out.append(histogram(p.delta_ts, p.n_triggers, 10.0, 1505.0))
-        (point,) = dip_curve([(-1000.0, out[0], out[1])], t_c=2990.0)
+        (point,) = dip_curve([(-1000.0, out[0], out[1])], t_c=1495.0)
         assert abs(point.ratio - 1.0) < 3.0 * point.sigma
 
 

@@ -84,6 +84,22 @@ class TestConfigParsing:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "dip"])
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    def test_unreadable_config_exit_one(self, tmp_path, capsys, command, kind):
+        p = tmp_path / "c.cfg"
+        if kind == "directory":
+            p.mkdir()
+        else:
+            p.write_bytes(b"\xffn_triggers = 1000\n")
+        out = tmp_path / "out"
+        events = ["--par", str(p), "--perp", str(p)] if command == "analyze" else []
+        assert cli.main([command, *events, "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(p) in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_comments_and_lists(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text(
@@ -152,6 +168,23 @@ class TestOracle:
         assert cli.main([
             "oracle", "--delta-t", "10:0:5", "--out", str(tmp_path)
         ]) == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["--tau-s", "-4"], "tau_s/tau_f: coherence times must be positive and finite"),
+        (["--xi", "1.5"], "xi: xi must lie in [0, 1], got 1.5"),
+        (["--detuning", "inf"], "detuning: detuning must be finite, got inf"),
+    ], ids=["tau", "xi", "detuning"])
+    def test_bad_parameter_names_its_option(self, tmp_path, capsys, args, message):
+        assert cli.main(["oracle", *args, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", ["--delta-t", "--density-range"])
+    def test_grid_too_large_to_build_exit_one(self, tmp_path, capsys, option):
+        # np.arange refuses this many points before it allocates anything
+        assert cli.main(["oracle", option, "0:1e300:1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error: bad grid '0:1e300:1': ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args", [
         ["--tau-s", "nan"], ["--tau-f", "inf"], ["--detuning", "inf"], ["--detuning", "nan"],
@@ -646,7 +679,6 @@ def test_default_paths_do_not_import_scipy(tmp_path):
         ts = np.linspace(0.0, 50.0, 11)
         homsim.amplitude(pair.env_s, ts)
         homsim.sample_emission_time(pair.env_s, np.linspace(0.0, 0.9, 10))
-        homsim.conditional_outcome_probs(pair, ts, ts[::-1])
         assert homsim.coincidence_density(pair, 3.0) > 0.0
         homsim.expected_accidental_floor(
             homsim.ExperimentConfig(n_triggers=10, detuning=2.0, bg_rate_a=1e-4),

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from helpers import stream_from_records
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from homsim.io import (
 
 
 def sample_stream():
-    return EventStream.from_records(
+    return stream_from_records(
         [("T", 0), ("A", 400), ("B", 480), ("T", 8000), ("A", 8100)]
     )
 

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.stats import expon, kstest
 
 from homsim import Envelope, amplitude, sample_emission_time
+from homsim.interference import _inverse_cdf
 from quadrature import norm
 
 
@@ -69,6 +72,22 @@ def test_sample_emission_time_inverse_cdf():
         sample_emission_time(env, 1.0)
     with pytest.raises(ValueError):
         sample_emission_time(env, -0.1)
+
+
+@given(
+    t0=st.floats(-1e15, 1e15),
+    tau=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    u=st.floats(0.0, 1.0, exclude_max=True),
+)
+@example(t0=1e15, tau=26.18, u=0.0)
+@example(t0=1e15, tau=1e-300, u=0.0)
+@example(t0=-1e15, tau=1.7e308, u=math.nextafter(1.0, 0.0))
+@example(t0=3.0, tau=13.61, u=math.nextafter(1.0, 0.0))
+def test_inverse_cdf_never_precedes_envelope_start(t0, tau, u):
+    # the generator's draws rely on this: the direct pair amplitude
+    # psi_f(t1) psi_s(t2) is always supported, so every drawn sample can occur
+    with np.errstate(over="ignore"):  # a tau near the float maximum gives inf
+        assert _inverse_cdf(t0, tau, u) >= t0
 
 
 def test_sample_emission_time_mean():
