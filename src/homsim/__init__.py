@@ -39,7 +39,7 @@ from .montecarlo import (
     simulate_histograms,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AccidentalEstimate",

@@ -6,10 +6,12 @@ signed time difference between the earliest A and B clicks normalized per
 trigger, estimate the accidental floor from the histogram wings, and form
 visibilities and dip curves from windowed sums. A stream too long to
 hold is histogrammed block by block (`histogram_blocks`), with the same
-integer counts as the whole stream. The pairing kernel takes the indices
-of a randomly mixed mask once (`np.flatnonzero`) and gathers or scatters
-at those, because numpy indexes with such a mask several times slower
-than with indices.
+integer counts as the whole stream. The pairing kernel works on each
+click's offset in ticks from its trigger, so the fused `homsim dip` path
+pairs the generator's offsets as they come. It takes the indices of a
+randomly mixed mask once (`np.flatnonzero`) and gathers at those,
+because numpy indexes with such a mask several times slower than with
+indices.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ _ALIGN_TOL = 1e-9
 class PairingResult:
     """Per-trigger click bookkeeping produced by :func:`pair_clicks`.
 
-    first_a / first_b hold the earliest click per trigger in ticks, or -1
-    where a detector never fired. `valid` marks sequences with at least
-    one click within the validity window after the trigger. Coincidence
-    time differences are formed only for valid sequences that have clicks
-    on both detectors; `n_triggers` counts every trigger regardless.
+    first_a / first_b hold the earliest click per trigger as its offset in
+    ticks from the trigger, or -1 where a detector never fired. `valid`
+    marks sequences with at least one click within the validity window
+    after the trigger. Coincidence time differences are formed only for
+    valid sequences that have clicks on both detectors; `n_triggers`
+    counts every trigger regardless.
     """
 
     trigger_ticks: np.ndarray
@@ -57,46 +60,47 @@ class PairingResult:
     def delta_ts(self) -> np.ndarray:
         """Signed t_a - t_b in ns for every paired sequence."""
         sel = np.flatnonzero(self.paired)
-        diff = self.first_a[sel] - self.first_b[sel]
+        diff = self.first_a[sel]
+        diff -= self.first_b[sel]
         return diff * (self.resolution / 1000.0)
 
 
 def _assign(click_ticks, trigger_ticks):
-    idx = np.searchsorted(trigger_ticks, click_ticks, side="right") - 1
-    keep = idx >= 0
-    return click_ticks[keep], idx[keep]
-
-
-_MAX_TICK = np.iinfo(np.int64).max
+    """(offset ticks, owner) of the clicks at or after the first trigger,
+    each owned by the last trigger at or before it."""
+    owner = np.searchsorted(trigger_ticks, click_ticks, side="right") - 1
+    keep = owner >= 0
+    owner = owner[keep]
+    return click_ticks[keep] - trigger_ticks[owner], owner
 
 
 def pair_clicks(trigger_ticks, a, b, valid_window: float, resolution: float) -> PairingResult:
     """Pairing kernel: first click per trigger on each detector, and validity.
 
-    `a` and `b` are (click ticks, owner) pairs for detectors A and B;
-    `owner` indexes `trigger_ticks`. The earliest click of each trigger is
-    found with `np.minimum.at`, so clicks may come in any order. A
-    sequence is valid if any click falls within `valid_window` ns after
-    its trigger; raises ValueError unless `valid_window` is finite and
-    non-negative.
+    `a` and `b` are (offset ticks, owner) pairs for detectors A and B:
+    `owner` indexes `trigger_ticks`, and a click's offset is its tick
+    minus its owner's, so never negative. The earliest click of each
+    trigger is found with `np.minimum.at`, so clicks may come in any
+    order. A sequence is valid if any click falls within `valid_window`
+    ns after its trigger; raises ValueError unless `valid_window` is
+    finite and non-negative.
     """
     if not 0.0 <= valid_window < math.inf:
         raise ValueError(f"valid_window must be finite and non-negative, got {valid_window}")
     n = trigger_ticks.size
     # a window beyond the largest tick difference keeps every click
     scaled = valid_window * 1000.0 / resolution + 1e-9
-    window_ticks = math.floor(scaled) if scaled < _MAX_TICK else _MAX_TICK
+    window_ticks = math.floor(scaled) if scaled < 2**63 else 2**63 - 1
     valid = np.zeros(n, dtype=bool)
     firsts = []
-    for ticks, owner in (a, b):
-        near = (ticks - trigger_ticks[owner]) <= window_ticks
-        valid[owner[near]] = True
-        first = np.full(n, _MAX_TICK, dtype=np.int64)
-        np.minimum.at(first, owner, ticks)
-        # a click may fall on _MAX_TICK itself, so the owners mark who clicked
-        clicked = np.zeros(n, dtype=bool)
-        clicked[owner] = True
-        first[np.flatnonzero(~clicked)] = -1
+    for offsets, owner in (a, b):
+        first = np.full(n, -1, dtype=np.int64)
+        # Read as unsigned, -1 exceeds every offset, so it is left only
+        # where no click came, and lies beyond every window. A trigger has
+        # a click within the window if its first click is.
+        unsigned = first.view(np.uint64)
+        np.minimum.at(unsigned, owner, offsets.view(np.uint64))
+        valid |= unsigned <= np.uint64(window_ticks)
         firsts.append(first)
     return PairingResult(trigger_ticks, valid, firsts[0], firsts[1], resolution)
 
@@ -248,7 +252,9 @@ def histogram(
         raise ValueError("time differences must be finite")
     # compared as floats, so an index beyond int64 is dropped, not cast
     with np.errstate(over="ignore"):  # a far difference may scale past the float range
-        pos = np.floor((d + half_range) / bin_width)
+        pos = d + half_range
+        pos /= bin_width
+        np.floor(pos, out=pos)
     idx = pos[(pos >= 0) & (pos < n_bins)].astype(np.int64)
     counts = np.bincount(idx, minlength=n_bins)
     centers = -half_range + (np.arange(n_bins) + 0.5) * bin_width

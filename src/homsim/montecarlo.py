@@ -6,15 +6,39 @@ time is drawn from its squared envelope; if both photons are present the
 beam-splitter outcome (coincidence or bunching) is drawn from the exact
 conditional law, so the generated event statistics match the analytic
 coincidence distributions by construction. Uniform Poisson background
-events and timestamp quantization complete the detector model. The
-chunk kernel turns a mask that mixes True and False at random, such as
-the detector routing, into indices once (`np.flatnonzero`) and gathers
-at those, and it combines routing labels with boolean algebra rather
-than `np.where`, because numpy indexes with such a mask several times
-slower than with indices. The two-photon mask is turned into indices
-only when it is mixed: when every trigger has both photons (at unit
-efficiency) its selector is a slice, so the gathers are views. The
-gate's mask, nearly all True at unit efficiency, stays boolean.
+events and timestamp quantization complete the detector model.
+
+The chunk kernel's cost follows the photons, not the triggers: it draws
+only for the photons that exist. Per chunk, in this fixed order, which is
+part of the determinism contract:
+
+1. each source's live triggers, heralded (f) then single-atom (s): a
+   binomial count and a sorted uniform sample of that many triggers
+   (every trigger at efficiency 1 and none at 0, with no draw);
+2. an emission uniform per f photon, then per s photon;
+3. a route uniform per photon, f photons first;
+4. an excitation-jitter normal per s photon, if the jitter is on;
+5. an outcome uniform per two-photon trigger;
+6. for detector A, then B, if its background rate is non-zero: a Poisson
+   total for the chunk, then a uniform owner trigger and a uniform offset
+   in the window per background click.
+
+No draw count depends on `xi` or on the outcome law, so `xi` changes
+which detector a photon reaches but no detection time. A lone photon
+goes to A on a route uniform below 1/2. In a pair the heralded photon
+does so too, and the single-atom photon goes to the other detector on a
+coincidence and to the same one on bunching. The two-photon triggers
+are found by marking one source's triggers in a boolean array; where a
+source fires on every trigger its selector is a slice, so the gathers
+are views. A randomly mixed mask, such as the routing, is turned into
+indices once (`np.flatnonzero`), because numpy indexes with such a mask
+several times slower than with indices.
+
+Times are offsets from the trigger. Each click's offset is quantised
+alone, and its tick is its trigger's tick plus that offset tick, so no
+click's tick depends on how far into the run its trigger lies. The
+trigger ticks are those of the trigger times, floored. The detector gate
+keeps a click whose offset tick lies inside the window's whole ticks.
 
 Delay convention: positive delta_t starts the heralded (f) envelope
 delta_t ns after the single-atom (s) envelope. `ExperimentConfig.source_pair`,
@@ -38,9 +62,9 @@ the next trigger's. The chunk streams, in chunk order, therefore make
 up the globally sorted stream without a global sort: `simulate_chunks`
 yields them one by one for `write_events`, in memory bounded by a few
 chunks, and `simulate` concatenates them. Pairing is chunk-local too:
-`simulate_histograms` pairs and bins each chunk on its own, and its
-histograms, sums of the chunks' integer counts, equal those of the
-whole stream for any number of workers.
+`simulate_histograms` pairs each chunk's offsets as generated and bins
+them, and its histograms, sums of the chunks' integer counts, equal
+those of the whole stream for any number of workers.
 """
 
 from __future__ import annotations
@@ -146,9 +170,12 @@ class ExperimentConfig:
 def quantize(t, resolution: float = 125.0):
     """Floor a time in ns onto integer ticks of `resolution` ps.
 
-    Raises ValueError for a negative or non-finite time and for one whose
-    tick does not fit in int64.
+    Raises ValueError for a resolution that is not positive and finite,
+    for a negative or non-finite time and for one whose tick does not fit
+    in int64.
     """
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("cannot quantize negative times")
@@ -162,62 +189,83 @@ def quantize(t, resolution: float = 125.0):
     return ticks
 
 
+def _live(rng, count: int, eta: float) -> np.ndarray:
+    """Sorted indices of the triggers at which a source of efficiency `eta`
+    emits: a binomial count of them, placed by a uniform sample. No draw
+    at eta 0 or 1."""
+    if eta >= 1.0:
+        return np.arange(count)
+    if eta <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    return np.sort(rng.choice(count, rng.binomial(count, eta), replace=False, shuffle=False))
+
+
+def _shared(mine: np.ndarray, other: np.ndarray, count: int):
+    """Positions in `mine` of the triggers `other` also holds (both sorted
+    trigger indices): a slice where that is all of `mine`, so that the
+    gathers at unit efficiency are views."""
+    if other.size == count:
+        return slice(None)
+    if mine.size == count:  # trigger i sits at position i of `mine`
+        return other
+    marked = np.zeros(count, dtype=bool)
+    marked[other] = True
+    return np.flatnonzero(marked[mine])
+
+
 def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx: int):
     """Triggers `first` .. `first + count - 1` of a run, in ticks.
 
     Returns (trigger ticks, A clicks, B clicks); the clicks of each
-    detector are (ticks, owner), where owner indexes this chunk's
-    triggers: the trigger whose acquisition window the gate kept the
-    click in.
+    detector are (offset ticks, owner): owner indexes this chunk's
+    triggers, the one whose acquisition window the gate kept the click
+    in, and the click's tick is its owner's tick plus the offset.
     """
     rng = np.random.default_rng([config.seed, chunk_idx])
     pair = config.source_pair()
-    trig = (first + np.arange(count, dtype=float)) * config.trigger_period
+    k = 1000.0 / config.timestamp_resolution
+    # quantize((first + i) * trigger_period), with its checks left to the
+    # config and its steps in place
+    trig = np.arange(first, first + count, dtype=float)
+    trig *= config.trigger_period
+    trig *= k
+    trig_ticks = trig.astype(np.int64)
 
-    # Fixed draw order; part of the determinism contract.
-    live_f = rng.random(count) < config.eta_f
-    live_s = rng.random(count) < config.eta_s
+    # the fixed draw order of the module docstring
+    on_f = _live(rng, count, config.eta_f)
+    on_s = _live(rng, count, config.eta_s)
+    u_f = rng.random(on_f.size)
+    u_s = rng.random(on_s.size)
+    # one route uniform per photon, heralded photons first
+    to_a = rng.random(on_f.size + on_s.size) < 0.5
+    t0_s = pair.env_s.t0
     if config.excitation_jitter_sigma > 0.0:
-        jitter = rng.standard_normal(count) * config.excitation_jitter_sigma
-    else:
-        jitter = 0.0
-    u_f = rng.random(count)
-    u_s = rng.random(count)
-    r_outcome = rng.random(count)
-    r_route = rng.random(count)
+        t0_s = t0_s + rng.standard_normal(on_s.size) * config.excitation_jitter_sigma
+    # the photons of the two-photon triggers, as positions in each source's arrays
+    both_f, both_s = _shared(on_f, on_s, count), _shared(on_s, on_f, count)
+    r_outcome = rng.random(on_f[both_f].size)
 
-    t0_f = trig + pair.env_f.t0
-    t0_s = trig + pair.env_s.t0 + jitter
-    t_f = _inverse_cdf(t0_f, pair.env_f.tau, u_f)
+    # emission times as offsets from the trigger, in ns
+    t_f = _inverse_cdf(pair.env_f.t0, pair.env_f.tau, u_f)
     t_s = _inverse_cdf(t0_s, pair.env_s.tau, u_s)
 
-    # Routing: one detector label per photon. A lone photon goes to A on
-    # its r_route draw; a pair is routed by the conditional outcome law.
-    f_to_a = r_route < 0.5
-    s_to_a = f_to_a.copy()
-    both = live_f & live_s
-    n_both = np.count_nonzero(both)
-    if n_both:
-        # one selector for the eight gathers and scatters below
-        both = slice(None) if n_both == count else np.flatnonzero(both)
-        p_c = _p_coincidence(pair, t_f[both], t_s[both], t0_f[both], t0_s[both])
-        r_o = r_outcome[both]
-        coinc = r_o < p_c
-        bunch_to_a = ~coinc & (r_o < p_c + 0.5 * (1.0 - p_c))
-        # Coincidence: `swap` sends the photons to opposite detectors;
-        # bunching: both photons on the same detector.
-        swap = coinc & f_to_a[both]
-        f_to_a[both] = swap | bunch_to_a
-        s_to_a[both] = (coinc ^ swap) | bunch_to_a
+    # Routing: a lone photon goes where its route uniform says. In a pair
+    # the heralded photon does; the single-atom photon goes to the other
+    # detector on a coincidence and to the same one on bunching.
+    to_a_f, to_a_s = to_a[: on_f.size], to_a[on_f.size :]
+    if r_outcome.size:
+        t0_both = t0_s if np.ndim(t0_s) == 0 else t0_s[both_s]
+        p_c = _p_coincidence(pair, t_f[both_f], t_s[both_s], pair.env_f.t0, t0_both)
+        to_a_s[both_s] = to_a_f[both_f] ^ (r_outcome < p_c)
 
-    owners = np.concatenate((np.flatnonzero(live_f), np.flatnonzero(live_s)))
-    # views: the owner column is also the index that gathers each photon
-    owner_f, owner_s = np.split(owners, [np.count_nonzero(live_f)])
-    times = np.concatenate((t_f[owner_f], t_s[owner_s]))
-    to_a = np.concatenate((f_to_a[owner_f], s_to_a[owner_s]))
-
-    sides = []
+    times = np.concatenate((t_f, t_s))
+    owners = np.concatenate((on_f, on_s))
+    # The gate keeps a click whose offset tick lies in the window's
+    # n_w ticks; `trigger_period` exceeds `window_length` by a tick, so
+    # every offset tick stays below the next trigger's tick.
     w = config.window_length
+    n_w = math.floor(w * k + 1e-9)
+    sides = []
     for mine, rate, offset in (
         (to_a, config.bg_rate_a, config.detector_offset_a),
         (~to_a, config.bg_rate_b, config.detector_offset_b),
@@ -225,18 +273,19 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
         mine = np.flatnonzero(mine)
         t, own = times[mine], owners[mine]
         if rate > 0.0:
-            # Uniform Poisson background over each acquisition window.
-            bg_owners = np.repeat(np.arange(count), rng.poisson(rate * w, count))
-            t = np.concatenate((t, trig[bg_owners] + rng.random(bg_owners.size) * w))
-            own = np.concatenate((own, bg_owners))
-        t = t + offset
-        # Detector gate: keep clicks inside their own acquisition window;
-        # none is negative, as t >= start and no trigger time is.
-        start = trig[own]
-        keep = (t >= start) & (t < start + w)
-        sides.append((quantize(t[keep], config.timestamp_resolution), own[keep]))
+            # Uniform Poisson background over each acquisition window: a
+            # Poisson total for the chunk, with uniform owners and offsets.
+            n_bg = rng.poisson(rate * w * count)
+            own = np.concatenate((own, rng.integers(count, size=n_bg)))
+            t = np.concatenate((t, rng.random(n_bg) * w))
+        t += offset
+        t *= k  # the offset from the trigger in ticks, before the floor
+        keep = (t >= 0.0) & (t < n_w)
+        if not keep.all():  # all are kept unless jitter or an offset moves them
+            t, own = t[keep], own[keep]
+        sides.append((t.astype(np.int64), own))
 
-    return quantize(trig, config.timestamp_resolution), sides[0], sides[1]
+    return trig_ticks, sides[0], sides[1]
 
 
 def expected_accidental_floor(
@@ -312,11 +361,11 @@ def _imap(fn, tasks, workers: int, ahead: int) -> Iterator:
 
 def _chunk_stream(config: ExperimentConfig, span) -> EventStream:
     """One chunk's events sorted by (timestamp, detector), triggers first on ties."""
-    trig_ticks, (a_ticks, _), (b_ticks, _) = _simulate_chunk(config, *span)
+    trig_ticks, (a_off, a_own), (b_off, b_own) = _simulate_chunk(config, *span)
     det = np.repeat(
-        np.array([DET_T, DET_A, DET_B], np.uint8), [trig_ticks.size, a_ticks.size, b_ticks.size]
+        np.array([DET_T, DET_A, DET_B], np.uint8), [trig_ticks.size, a_off.size, b_off.size]
     )
-    ticks = np.concatenate((trig_ticks, a_ticks, b_ticks))
+    ticks = np.concatenate((trig_ticks, trig_ticks[a_own] + a_off, trig_ticks[b_own] + b_off))
     order = np.lexsort((det, ticks))
     return EventStream(det[order], ticks[order], config.timestamp_resolution)
 

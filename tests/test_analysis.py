@@ -86,8 +86,8 @@ class TestPairEvents:
         p = pair_events(s)
         # the click before the first trigger is dropped entirely: it is
         # neither trigger 0's first A click nor wrapped onto the last trigger
-        assert p.first_a.tolist() == [800 + ns(20), -1]
-        assert p.first_b.tolist() == [-1, 8800 + ns(30)]
+        assert p.first_a.tolist() == [ns(20), -1]
+        assert p.first_b.tolist() == [-1, ns(30)]
         assert p.valid.tolist() == [True, True]
         assert p.delta_ts.size == 0
 
@@ -95,14 +95,15 @@ class TestPairEvents:
     def test_window_beyond_int64_ticks_keeps_every_click(self, valid_window):
         # at 1 ps ticks each window spans at least 2**63 ticks
         trigger_ticks = np.array([0, 2**62], dtype=np.int64)
-        a = (np.array([2**62 - 1, 2**63 - 2]), np.array([0, 1]))
+        a = (np.array([2**63 - 2, 2**62 - 1]), np.array([0, 1]))
         b = (np.array([5]), np.array([1]))
         p = pair_clicks(trigger_ticks, a, b, valid_window, resolution=1.0)
         assert p.valid.tolist() == [True, True]
-        assert p.first_a.tolist() == [2**62 - 1, 2**63 - 2]
+        assert p.first_a.tolist() == [2**63 - 2, 2**62 - 1]
 
     def test_click_on_largest_tick_is_a_click(self):
-        s = stream_from_records([("T", 2**63 - 100), ("A", 2**63 - 50), ("B", 2**63 - 1)])
+        # the largest offset too: -1 marks no click, and no offset reaches it
+        s = stream_from_records([("T", 0), ("A", 2**63 - 50), ("B", 2**63 - 1)])
         p = pair_events(s)
         assert p.first_a.tolist() == [2**63 - 50]
         assert p.first_b.tolist() == [2**63 - 1]
@@ -147,18 +148,20 @@ class TestPairEvents:
         assert p.delta_ts.tolist() == [-12.0, -97.0]
 
 
-def reference_first_per_trigger(ticks, owner, n):
-    first = np.full(n, -1, dtype=np.int64)
+def reference_first_per_trigger(ticks, owner, trigger_ticks):
+    first = np.full(trigger_ticks.size, -1, dtype=np.int64)
     uniq, pos = np.unique(owner, return_index=True)
-    first[uniq] = ticks[pos]  # stream sorted, so first occurrence is earliest
+    # stream sorted, so first occurrence is earliest
+    first[uniq] = ticks[pos] - trigger_ticks[uniq]
     return first
 
 
 def reference_pair_events(stream, valid_window):
     """pair_events as it was when the first click of a trigger was its
     first occurrence in the sorted stream (found with np.unique), kept as
-    the reference for the order-free pairing kernel. Returns
-    (trigger_ticks, valid, first_a, first_b)."""
+    the reference for the order-free pairing kernel, its first clicks
+    made offsets from their triggers. Returns (trigger_ticks, valid,
+    first_a, first_b)."""
     det = stream.detectors
     ts = stream.timestamps
     trigger_ticks = ts[det == DET_T]
@@ -181,8 +184,8 @@ def reference_pair_events(stream, valid_window):
     return (
         trigger_ticks,
         valid,
-        reference_first_per_trigger(a_ticks, a_owner, n),
-        reference_first_per_trigger(b_ticks, b_owner, n),
+        reference_first_per_trigger(a_ticks, a_owner, trigger_ticks),
+        reference_first_per_trigger(b_ticks, b_owner, trigger_ticks),
     )
 
 
@@ -220,7 +223,8 @@ MAX_TICK = 2**63 - 1
 def reference_pair_clicks(trigger_ticks, sides, valid_window, resolution):
     """pair_clicks as a per-trigger loop over Python ints. `sides` holds
     each detector's clicks as (owner, tick) pairs in any order. Returns
-    (valid, first_a, first_b, delta_ts)."""
+    (valid, first_a, first_b, delta_ts), the first clicks as offsets from
+    their triggers."""
     window_ticks = math.floor(valid_window * 1000.0 / resolution + 1e-9)
     n = len(trigger_ticks)
     valid = [False] * n
@@ -228,10 +232,11 @@ def reference_pair_clicks(trigger_ticks, sides, valid_window, resolution):
     for clicks in sides:
         first = [-1] * n
         for owner, tick in clicks:
-            if tick - trigger_ticks[owner] <= window_ticks:
+            offset = tick - trigger_ticks[owner]
+            if offset <= window_ticks:
                 valid[owner] = True
-            if first[owner] == -1 or tick < first[owner]:
-                first[owner] = tick
+            if first[owner] == -1 or offset < first[owner]:
+                first[owner] = offset
         firsts.append(first)
     delta_ts = [
         float(a - b) * (resolution / 1000.0)
@@ -288,7 +293,7 @@ def click_sets(draw):
 def test_pair_clicks_matches_per_trigger_loop(case, valid_window, resolution):
     trigger_ticks, sides = case
     a, b = (
-        (np.array([tick for _, tick in clicks], dtype=np.int64),
+        (np.array([tick - trigger_ticks[owner] for owner, tick in clicks], dtype=np.int64),
          np.array([owner for owner, _ in clicks], dtype=np.int64))
         for clicks in sides
     )

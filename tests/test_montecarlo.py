@@ -62,6 +62,11 @@ class TestQuantize:
         with pytest.raises(ValueError, match="beyond int64"):
             quantize(np.array([0.0, 2.0**63 * 0.125]), 125.0)
 
+    @pytest.mark.parametrize("resolution", [-125.0, 0.0, math.nan, math.inf])
+    def test_bad_resolution_rejected(self, resolution):
+        with pytest.raises(ValueError, match=f"positive and finite, got {resolution}"):
+            quantize(1.0, resolution)
+
 
 class TestConfigValidation:
     def test_probability_bounds(self):
@@ -177,108 +182,97 @@ def reference_outcome_probs(amp_direct, amp_swapped, xi):
     return (d - x) / (2.0 * d), p_same, p_same
 
 
+def reference_live(rng, count, eta):
+    """Sorted trigger indices of one source's photons: every trigger at
+    eta 1 and none at eta 0, with no draw; otherwise a binomial count,
+    placed by a uniform sample without replacement."""
+    if eta == 1.0:
+        return np.arange(count)
+    if eta == 0.0:
+        return np.zeros(0, dtype=np.int64)
+    n = rng.binomial(count, eta)
+    return np.sort(rng.choice(count, n, replace=False, shuffle=False))
+
+
 def reference_simulate_chunk(config, first, count, chunk_idx):
-    """The chunk generator that routed photons through per-detector lists
-    and drew the outcomes from the complex-amplitude law, kept (comments
-    dropped) as the reference for the one-label-per-photon, real-valued
-    version."""
+    """The chunk generator as per-detector lists of (offset, owner), with
+    the two-photon triggers found by np.intersect1d and the outcomes drawn
+    from the complex-amplitude law: the reference for the live-photon,
+    offset-tick kernel. Returns the chunk's (detectors, ticks)."""
     rng = np.random.default_rng([config.seed, chunk_idx])
-    trig = (first + np.arange(count, dtype=float)) * config.trigger_period
+    res = config.timestamp_resolution
+    trig_ticks = quantize((first + np.arange(count, dtype=float)) * config.trigger_period, res)
 
-    live_f = rng.random(count) < config.eta_f
-    live_s = rng.random(count) < config.eta_s
+    on_f = reference_live(rng, count, config.eta_f)
+    on_s = reference_live(rng, count, config.eta_s)
+    u_f = rng.random(on_f.size)
+    u_s = rng.random(on_s.size)
+    route = rng.random(on_f.size + on_s.size) < 0.5
+    route_f, route_s = route[: on_f.size], route[on_f.size :]
+    jitter = np.zeros(on_s.size)
     if config.excitation_jitter_sigma > 0.0:
-        jitter = rng.standard_normal(count) * config.excitation_jitter_sigma
-    else:
-        jitter = 0.0
-    u_f = rng.random(count)
-    u_s = rng.random(count)
-    r_outcome = rng.random(count)
-    r_route = rng.random(count)
+        jitter = rng.standard_normal(on_s.size) * config.excitation_jitter_sigma
+    both, in_f, in_s = np.intersect1d(on_f, on_s, assume_unique=True, return_indices=True)
+    r_outcome = rng.random(both.size)
 
-    t0_f = trig + max(config.delta_t, 0.0)
-    t0_s = trig + max(-config.delta_t, 0.0) + jitter
+    # emission times relative to the trigger
+    t0_f = np.full(on_f.size, max(config.delta_t, 0.0))
+    t0_s = max(-config.delta_t, 0.0) + jitter
     t_f = t0_f - config.tau_f * np.log1p(-u_f)
     t_s = t0_s - config.tau_s * np.log1p(-u_s)
 
-    both = live_f & live_s
-    only_f = live_f & ~live_s
-    only_s = live_s & ~live_f
+    clicks = {DET_A: ([], []), DET_B: ([], [])}  # detector -> (offsets, owners)
 
-    times_a = [np.empty(0)]
-    times_b = [np.empty(0)]
-    trig_a = [np.empty(0)]
-    trig_b = [np.empty(0)]
+    def send(times, owners, to_a):
+        for code, mask in ((DET_A, to_a), (DET_B, ~to_a)):
+            clicks[code][0].append(times[mask])
+            clicks[code][1].append(owners[mask])
 
-    def route(times, trigs, to_a_mask):
-        times_a.append(times[to_a_mask])
-        trig_a.append(trigs[to_a_mask])
-        times_b.append(times[~to_a_mask])
-        trig_b.append(trigs[~to_a_mask])
+    lone_f = np.ones(on_f.size, dtype=bool)
+    lone_f[in_f] = False
+    lone_s = np.ones(on_s.size, dtype=bool)
+    lone_s[in_s] = False
+    send(t_f[lone_f], on_f[lone_f], route_f[lone_f])
+    send(t_s[lone_s], on_s[lone_s], route_s[lone_s])
 
-    if np.any(both):
-        amp_f1 = reference_amplitude(config.tau_f, 0.0, t_f[both], t0_f[both])
-        amp_s2 = reference_amplitude(
-            config.tau_s, config.detuning, t_s[both], t0_s[both]
+    if both.size:
+        t1, t2 = t_f[in_f], t_s[in_s]
+        s1, s2 = t0_f[in_f], t0_s[in_s]
+        p_c, _, _ = reference_outcome_probs(
+            reference_amplitude(config.tau_f, 0.0, t1, s1)
+            * reference_amplitude(config.tau_s, config.detuning, t2, s2),
+            reference_amplitude(config.tau_f, 0.0, t2, s1)
+            * reference_amplitude(config.tau_s, config.detuning, t1, s2),
+            config.xi,
         )
-        amp_f2 = reference_amplitude(config.tau_f, 0.0, t_s[both], t0_f[both])
-        amp_s1 = reference_amplitude(
-            config.tau_s, config.detuning, t_f[both], t0_s[both]
-        )
-        p_c, p_a, _ = reference_outcome_probs(
-            amp_f1 * amp_s2, amp_f2 * amp_s1, config.xi
-        )
-        r_o = r_outcome[both]
-        coinc = r_o < p_c
-        bunch_a = ~coinc & (r_o < p_c + p_a)
-        bunch_b = ~coinc & ~bunch_a
-
-        tf_b, ts_b, tr_b = t_f[both], t_s[both], trig[both]
-        swap = r_route[both] < 0.5
-        ca = np.where(swap[coinc], tf_b[coinc], ts_b[coinc])
-        cb = np.where(swap[coinc], ts_b[coinc], tf_b[coinc])
-        times_a.append(ca)
-        trig_a.append(tr_b[coinc])
-        times_b.append(cb)
-        trig_b.append(tr_b[coinc])
-        for mask, tl, gl in ((bunch_a, times_a, trig_a), (bunch_b, times_b, trig_b)):
-            tl.append(tf_b[mask])
-            tl.append(ts_b[mask])
-            gl.append(tr_b[mask])
-            gl.append(tr_b[mask])
-
-    if np.any(only_f):
-        route(t_f[only_f], trig[only_f], r_route[only_f] < 0.5)
-    if np.any(only_s):
-        route(t_s[only_s], trig[only_s], r_route[only_s] < 0.5)
+        coinc = r_outcome < p_c
+        f_to_a = route_f[in_f]
+        send(t1, both, f_to_a)
+        # coincidence: the other detector; bunching: the heralded photon's
+        send(t2, both, f_to_a != coinc)
 
     w = config.window_length
-    for rate, tl, gl in (
-        (config.bg_rate_a, times_a, trig_a),
-        (config.bg_rate_b, times_b, trig_b),
-    ):
+    for code, rate in ((DET_A, config.bg_rate_a), (DET_B, config.bg_rate_b)):
         if rate > 0.0:
-            n_bg = rng.poisson(rate * w, count)
-            owners = np.repeat(trig, n_bg)
-            tl.append(owners + rng.random(owners.size) * w)
-            gl.append(owners)
+            n_bg = rng.poisson(rate * w * count)
+            owners = rng.integers(count, size=n_bg)
+            clicks[code][0].append(rng.random(n_bg) * w)
+            clicks[code][1].append(owners)
 
-    det_parts = [np.full(len(trig), DET_T, dtype=np.uint8)]
-    time_parts = [trig]
-    for code, tl, gl, offset in (
-        (DET_A, times_a, trig_a, config.detector_offset_a),
-        (DET_B, times_b, trig_b, config.detector_offset_b),
-    ):
-        times = np.concatenate(tl) + offset
-        owners = np.concatenate(gl)
-        keep = (times >= owners) & (times < owners + w) & (times >= 0.0)
-        det_parts.append(np.full(int(keep.sum()), code, dtype=np.uint8))
-        time_parts.append(times[keep])
+    n_w = quantize(w, res)  # whole ticks in the window
+    det_parts = [np.full(count, DET_T, dtype=np.uint8)]
+    tick_parts = [trig_ticks]
+    for code, offset in ((DET_A, config.detector_offset_a), (DET_B, config.detector_offset_b)):
+        times = np.concatenate(clicks[code][0]) + offset
+        owners = np.concatenate(clicks[code][1])
+        inside = times >= 0.0
+        rel = quantize(times[inside], res)
+        owners = owners[inside][rel < n_w]
+        rel = rel[rel < n_w]
+        det_parts.append(np.full(rel.size, code, dtype=np.uint8))
+        tick_parts.append(trig_ticks[owners] + rel)
 
-    det = np.concatenate(det_parts)
-    times = np.concatenate(time_parts)
-    ticks = quantize(times, config.timestamp_resolution)
-    return det, ticks
+    return np.concatenate(det_parts), np.concatenate(tick_parts)
 
 
 def reference_simulate(config):
@@ -388,6 +382,74 @@ def test_stream_matches_reference_generator(config, workers):
     stream = simulate(config, workers=workers)
     assert stream.detectors.tobytes() == det.tobytes()
     assert stream.timestamps.tobytes() == ticks.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=generator_configs(), shift=st.integers(1, 10**10))
+def test_offset_ticks_do_not_depend_on_the_trigger_index(config, shift):
+    # the chunk's triggers moved `shift` triggers later in the run
+    count = min(config.n_triggers, _CHUNK)
+    _, *sides = montecarlo._simulate_chunk(config, 0, count, 0)
+    _, *moved = montecarlo._simulate_chunk(config, shift, count, 0)
+    for (offsets, owners), (moved_offsets, moved_owners) in zip(sides, moved):
+        assert moved_offsets.tobytes() == offsets.tobytes()
+        assert moved_owners.tobytes() == owners.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=generator_configs(), first=st.one_of(st.just(0), st.integers(0, 10**10)))
+# back-to-back windows late in a long run: the detector offset pushes a
+# dense background across each window's end, a few clicks into every tick
+@example(
+    config=ExperimentConfig(
+        n_triggers=_CHUNK, trigger_period=500.125, bg_rate_a=2e-3, bg_rate_b=2e-3,
+        detector_offset_a=60.0, seed=4,
+    ),
+    first=10**10,
+)
+@example(  # the same at 1 ps ticks, where the float trigger times lose a tick
+    config=ExperimentConfig(
+        n_triggers=3000, trigger_period=smallest_period(500.0, 1.0), eta_f=1.0, eta_s=1.0,
+        bg_rate_a=2e-3, bg_rate_b=2e-3, timestamp_resolution=1.0, detector_offset_a=60.0,
+        seed=4,
+    ),
+    first=10**10,
+)
+def test_every_click_ticks_below_the_next_trigger(config, first):
+    count = min(config.n_triggers, _CHUNK)
+    trig_ticks, *sides = montecarlo._simulate_chunk(config, first, count, 0)
+    following = quantize(
+        (first + np.arange(1, count + 1, dtype=float)) * config.trigger_period,
+        config.timestamp_resolution,
+    )
+    for offsets, owners in sides:
+        assert np.all(offsets >= 0)
+        assert np.all(trig_ticks[owners] + offsets < following[owners])
+
+
+def test_sampler_laws(monkeypatch):
+    # 16 chunks at the paper's efficiency with background: photons per
+    # source follow Binomial(n, eta) and background clicks Poisson(rate w n)
+    eta, rate, n = 0.05, 1e-4, 16 * _CHUNK
+    cfg = ExperimentConfig(n_triggers=n, eta_f=eta, eta_s=eta, bg_rate_a=rate,
+                           bg_rate_b=rate, seed=17)
+    photons = []
+    live = montecarlo._live
+
+    def counted(*args):
+        on = live(*args)
+        photons.append(on.size)  # heralded, then single-atom, per chunk
+        return on
+
+    monkeypatch.setattr(montecarlo, "_live", counted)
+    clicks = sum(int(np.sum(c.detectors != DET_T)) for c in simulate_chunks(cfg))
+    n_f, n_s = sum(photons[0::2]), sum(photons[1::2])
+    for count in (n_f, n_s):
+        assert abs(count - n * eta) < 4.0 * math.sqrt(n * eta * (1.0 - eta))
+    # a photon misses the 500 ns window with probability exp(-500 / 26.18)
+    # at most, so the clicks beyond the photons are the background
+    mean = 2.0 * rate * cfg.window_length * n
+    assert abs(clicks - n_f - n_s - mean) < 4.0 * math.sqrt(mean)
 
 
 @settings(max_examples=40, deadline=None)
