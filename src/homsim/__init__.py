@@ -34,6 +34,7 @@ from .io import EventStream, read_events, write_events
 from .montecarlo import (
     ExperimentConfig,
     expected_accidental_floor,
+    expected_histogram,
     quantize,
     simulate,
     simulate_histograms,
@@ -63,6 +64,7 @@ __all__ = [
     "dip_ratio",
     "estimate_accidentals",
     "expected_accidental_floor",
+    "expected_histogram",
     "histogram",
     "pair_events",
     "quantize",

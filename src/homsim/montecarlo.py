@@ -334,6 +334,96 @@ def expected_accidental_floor(
     return bin_width * floor
 
 
+def expected_histogram(
+    config: ExperimentConfig,
+    valid_window: float = 85.0,
+    bin_width: float = 10.0,
+    half_range: float = 205.0,
+) -> np.ndarray:
+    """Expected per-trigger value of each bin of the coincidence histogram.
+
+    The bins are those of ``histogram(pair_events(simulate(config),
+    valid_window).delta_ts, n, bin_width, half_range)``, and the model is
+    exact on the simulator's tick grid: signal and accidentals to all
+    orders in efficiency and background, with the gate, the detector
+    offsets, the first click of each detector and the validity window.
+
+    Given the photons of a trigger, each detector's first click is the
+    earliest of its photons and of its Poisson background, independently
+    of the other detector's. This holds for every trigger only while the
+    two photons of a pair are routed independently, so the model covers
+    configs with `xi` = 0 or at most one live source, and no excitation
+    jitter; it raises NotImplementedError otherwise.
+    """
+    if (config.xi > 0.0 and config.eta_f > 0.0 and config.eta_s > 0.0) or (
+        config.excitation_jitter_sigma > 0.0
+    ):
+        raise NotImplementedError(
+            "expected_histogram needs independent photons (xi = 0 or one live "
+            "source) and no excitation jitter"
+        )
+    if not 0.0 <= valid_window < math.inf:
+        raise ValueError(f"valid_window must be finite and non-negative, got {valid_window}")
+    edges = histogram([], 1, bin_width, half_range)  # checks the binning
+    k = 1000.0 / config.timestamp_resolution
+    w = config.window_length
+    n_w = math.floor(w * k + 1e-9)
+    if n_w == 0:  # a window shorter than a tick keeps no click
+        return np.zeros(edges.counts.size)
+    scaled = valid_window * 1000.0 / config.timestamp_resolution + 1e-9  # as pair_clicks
+    last_valid = math.floor(scaled) if scaled < n_w else n_w - 1
+    lo = np.arange(n_w + 1) / k  # tick edges, as offsets from the trigger
+
+    def background(rate, offset):
+        # P(no background click before tick j), j = 0 .. n_w: the ticks
+        # take independent Poisson counts, each the rate times the part of
+        # the window that the offset maps onto the tick
+        covered = np.clip(lo - offset, 0.0, w)
+        return np.exp(-rate * covered)
+
+    def photon(env, offset):
+        # P(the photon makes no click before tick j), j = 0 .. n_w; a
+        # photon the gate drops makes none
+        return np.exp(-np.clip(lo - offset - env.t0, 0.0, None) / env.tau)
+
+    pair = config.source_pair()
+    sides = (
+        (config.bg_rate_a, config.detector_offset_a),
+        (config.bg_rate_b, config.detector_offset_b),
+    )
+    bg = [background(rate, off) for rate, off in sides]
+    # each source is off, or live and routed to A or to B
+    states = []
+    for env, eta in ((pair.env_f, config.eta_f), (pair.env_s, config.eta_s)):
+        states.append(
+            [(1.0 - eta, None)]
+            + [(0.5 * eta, (d, photon(env, sides[d][1]))) for d in (0, 1) if eta > 0.0]
+        )
+    corr = np.zeros(2 * n_w - 1)
+    for p_f, ph_f in states[0]:
+        for p_s, ph_s in states[1]:
+            if p_f * p_s == 0.0:
+                continue
+            first = []
+            for d in (0, 1):
+                survival = bg[d].copy()
+                for ph in (ph_f, ph_s):
+                    if ph is not None and ph[0] == d:
+                        survival *= ph[1]
+                p = survival[:-1] - survival[1:]  # first click at each tick
+                late = p.copy()
+                late[: last_valid + 1] = 0.0
+                first.append((p, late))
+            (a, a_late), (b, b_late) = first
+            # pairs with a - b = index - (n_w - 1), less those with neither
+            # click inside the validity window
+            corr += p_f * p_s * (np.convolve(a, b[::-1]) - np.convolve(a_late, b_late[::-1]))
+    d = np.arange(1 - n_w, n_w) * (config.timestamp_resolution / 1000.0)
+    pos = np.floor((d + half_range) / bin_width)
+    inside = (pos >= 0) & (pos < edges.counts.size)
+    return np.bincount(pos[inside].astype(np.int64), corr[inside], edges.counts.size)
+
+
 def _spans(config: ExperimentConfig):
     """(first trigger, trigger count, chunk index) of each chunk of a run."""
     n = config.n_triggers

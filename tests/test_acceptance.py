@@ -188,8 +188,13 @@ def test_criterion_6_raw_and_corrected_visibility():
         const_corrected = h.visibility(h_par, h_perp, 75.0, g_const)
         notes.append(f"constant-floor correction would give {const_corrected.v:.3f}")
 
+        # The corrected V is a ratio of window sums over +-75 ns, so its
+        # model is the ratio of the window integrals (0.9224), not the
+        # t_c -> infinity closed form (0.900).
+        v_model_75 = 1.0 - windowed(ideal_pair(1.0), 75.0) / windowed(ideal_pair(0.0), 75.0)
+        notes.append(f"windowed model V = {v_model_75:.4f}")
         assert 0.93 - 0.06 <= corrected.v <= 0.93 + 0.06
-        assert abs(corrected.v - 0.900) <= 3.0 * corrected.sigma_v
+        assert abs(corrected.v - v_model_75) <= 3.0 * corrected.sigma_v
 
 
 def test_criterion_7_determinism(tmp_path):

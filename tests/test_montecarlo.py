@@ -16,6 +16,7 @@ from homsim import (
     coincidence_density,
     coincidence_probability,
     expected_accidental_floor,
+    expected_histogram,
     histogram,
     pair_events,
     quantize,
@@ -638,19 +639,23 @@ class TestAccidentalFloorModel:
         p = pair_events(simulate(cfg))
         h = histogram(p.delta_ts, p.n_triggers)
         model = expected_accidental_floor(cfg, h.bin_centers, h.bin_width)
-        return h, model
+        return h, model, expected_histogram(cfg)
 
     @pytest.mark.parametrize(
         "eta_f,eta_s,seed", [(0.0, 0.0, 201), (0.1, 0.0, 202), (0.0, 0.1, 203)]
     )
     def test_blocked_arm_spectra_match_model(self, eta_f, eta_s, seed):
-        h, model = self.run_floor(eta_f, eta_s, seed)
+        h, model, exact = self.run_floor(eta_f, eta_s, seed)
         observed = h.counts.astype(float)
         predicted = model * h.n_triggers
-        # the model is first order in the per-window click probabilities;
-        # omitted first-click corrections are O(rate * window) ~ 5 percent
-        tol = max(0.07 * predicted.sum(), 4.0 * np.sqrt(predicted.sum()))
-        assert abs(observed.sum() - predicted.sum()) < tol
+        expected = exact * h.n_triggers
+        # the exact histogram is the mean of the Monte Carlo's, in total
+        # and bin by bin, to counting noise
+        assert abs(observed.sum() - expected.sum()) < 4.0 * np.sqrt(expected.sum())
+        assert np.mean(np.abs(observed - expected) < 4.0 * np.sqrt(expected + 1.0)) > 0.99
+        # the first-order model omits the first-click corrections, which
+        # are O(rate * window) ~ 5 percent
+        assert abs(predicted.sum() - expected.sum()) < 0.07 * predicted.sum()
         # per-bin agreement within counting noise plus model tolerance
         sigma = np.sqrt(predicted + 1.0)
         pulls = (observed - predicted) / np.hypot(sigma, 0.07 * predicted)
@@ -678,10 +683,50 @@ class TestAccidentalFloorModel:
         # with one source blocked there is no two-photon signal, yet the
         # photon-background pedestal still lifts the floor at the center
         # well above the wing level
-        h, model = self.run_floor(0.1, 0.0, seed=204)
+        h, model, _ = self.run_floor(0.1, 0.0, seed=204)
         centers = h.bin_centers
         mid = np.abs(centers) <= 5.0  # central bin, before the tau_f decay
         wing = np.abs(centers) >= 100.0
         assert model[mid].mean() > 1.6 * model[wing].mean()
         observed_ratio = h.values[mid].mean() / h.values[wing].mean()
         assert observed_ratio > 1.3
+
+
+class TestExpectedHistogram:
+    @pytest.mark.parametrize(
+        "resolution,seed", [(125.0, 211), (2500.0, 212)]
+    )
+    def test_matches_monte_carlo(self, resolution, seed):
+        # perpendicular photons from both sources, a delay, detector
+        # offsets and unequal backgrounds; 2.5 ns ticks put four ticks in
+        # a bin, so the tick grid shows
+        cfg = ExperimentConfig(
+            n_triggers=300_000, eta_f=0.3, eta_s=0.5, xi=0.0, delta_t=12.0,
+            detector_offset_a=3.3, bg_rate_a=2e-4, bg_rate_b=1e-3,
+            timestamp_resolution=resolution, seed=seed,
+        )
+        (h,) = simulate_histograms([cfg], 85.0, 10.0, 205.0)
+        expected = expected_histogram(cfg, 85.0, 10.0, 205.0) * cfg.n_triggers
+        assert abs(h.counts.sum() - expected.sum()) < 4.0 * np.sqrt(expected.sum())
+        sel = expected >= 5.0
+        stat = np.sum((h.counts[sel] - expected[sel]) ** 2 / expected[sel])
+        assert sel.sum() > 30 and chi2.sf(stat, sel.sum()) > 1e-4
+
+    def test_one_click_per_trigger_never_pairs(self):
+        cfg = ExperimentConfig(n_triggers=1, eta_f=1.0, eta_s=0.0)
+        assert not expected_histogram(cfg).any()
+        # a window shorter than a tick keeps no click at all
+        short = ExperimentConfig(n_triggers=1, xi=0.0, bg_rate_a=1.0, bg_rate_b=1.0, window_length=0.1)
+        assert not expected_histogram(short).any()
+
+    @pytest.mark.parametrize(
+        "kw", [dict(eta_f=0.1, eta_s=0.1, xi=0.5), dict(eta_s=0.1, excitation_jitter_sigma=1.0)]
+    )
+    def test_dependent_photons_are_not_modelled(self, kw):
+        with pytest.raises(NotImplementedError):
+            expected_histogram(ExperimentConfig(n_triggers=1, **kw))
+
+    @pytest.mark.parametrize("window", [-1.0, math.inf, math.nan])
+    def test_bad_validity_window_rejected(self, window):
+        with pytest.raises(ValueError, match="valid_window"):
+            expected_histogram(ExperimentConfig(n_triggers=1, xi=0.0), window)
