@@ -6,12 +6,15 @@ signed time difference between the earliest A and B clicks normalized per
 trigger, estimate the accidental floor from the histogram wings, and form
 visibilities and dip curves from windowed sums. A stream too long to
 hold is histogrammed block by block (`histogram_blocks`), with the same
-integer counts as the whole stream. The pairing kernel works on each
-click's offset in ticks from its trigger, so the fused `homsim dip` path
-pairs the generator's offsets as they come. It takes the indices of a
-randomly mixed mask once (`np.flatnonzero`) and gathers at those,
-because numpy indexes with such a mask several times slower than with
-indices.
+integer counts as the whole stream. The pairing kernel works on one
+click list, per click its offset in ticks from its trigger, its owner
+and its detector code, so the fused `homsim dip` path pairs the
+generator's list as it comes, and `pair_events` builds the same list
+from a stream with one `np.searchsorted` for the A and B records
+together. One `np.minimum.at` finds the first click of every trigger
+and detector. It takes the indices of a randomly mixed mask once
+(`np.flatnonzero`) and gathers at those, because numpy indexes with
+such a mask several times slower than with indices.
 """
 
 from __future__ import annotations
@@ -39,18 +42,20 @@ class PairingResult:
     marks sequences with at least one click within the validity window
     after the trigger. Coincidence time differences are formed only for
     valid sequences that have clicks on both detectors; `n_triggers`
-    counts every trigger regardless.
+    counts every trigger regardless. `trigger_ticks` holds the triggers'
+    ticks where the pairing had them (:func:`pair_events`), and None
+    where it paired offsets alone.
     """
 
-    trigger_ticks: np.ndarray
     valid: np.ndarray
     first_a: np.ndarray
     first_b: np.ndarray
     resolution: float
+    trigger_ticks: np.ndarray | None = None
 
     @property
     def n_triggers(self) -> int:
-        return int(self.trigger_ticks.size)
+        return int(self.valid.size)
 
     @property
     def paired(self) -> np.ndarray:
@@ -65,44 +70,42 @@ class PairingResult:
         return diff * (self.resolution / 1000.0)
 
 
-def _assign(click_ticks, trigger_ticks):
-    """(offset ticks, owner) of the clicks at or after the first trigger,
-    each owned by the last trigger at or before it."""
-    owner = np.searchsorted(trigger_ticks, click_ticks, side="right") - 1
-    keep = owner >= 0
-    owner = owner[keep]
-    return click_ticks[keep] - trigger_ticks[owner], owner
-
-
-def pair_clicks(trigger_ticks, a, b, valid_window: float, resolution: float) -> PairingResult:
+def pair_clicks(n_triggers: int, clicks, valid_window: float, resolution: float) -> PairingResult:
     """Pairing kernel: first click per trigger on each detector, and validity.
 
-    `a` and `b` are (offset ticks, owner) pairs for detectors A and B:
-    `owner` indexes `trigger_ticks`, and a click's offset is its tick
-    minus its owner's, so never negative. The earliest click of each
-    trigger is found with `np.minimum.at`, so clicks may come in any
+    `clicks` is the click list (offset ticks, owner, detector) of
+    `n_triggers` triggers: per click, `owner` indexes the triggers, the
+    offset is the click's tick minus its owner's, so never negative, and
+    `detector` is DET_A or DET_B. The earliest click of each trigger and
+    detector is found with `np.minimum.at`, so clicks may come in any
     order. A sequence is valid if any click falls within `valid_window`
     ns after its trigger; raises ValueError unless `valid_window` is
     finite and non-negative.
     """
     if not 0.0 <= valid_window < math.inf:
         raise ValueError(f"valid_window must be finite and non-negative, got {valid_window}")
-    n = trigger_ticks.size
+    offsets, owner, detector = clicks
+    n = n_triggers
     # a window beyond the largest tick difference keeps every click
     scaled = valid_window * 1000.0 / resolution + 1e-9
     window_ticks = math.floor(scaled) if scaled < 2**63 else 2**63 - 1
-    valid = np.zeros(n, dtype=bool)
-    firsts = []
-    for offsets, owner in (a, b):
-        first = np.full(n, -1, dtype=np.int64)
-        # Read as unsigned, -1 exceeds every offset, so it is left only
-        # where no click came, and lies beyond every window. A trigger has
-        # a click within the window if its first click is.
-        unsigned = first.view(np.uint64)
-        np.minimum.at(unsigned, owner, offsets.view(np.uint64))
-        valid |= unsigned <= np.uint64(window_ticks)
-        firsts.append(first)
-    return PairingResult(trigger_ticks, valid, firsts[0], firsts[1], resolution)
+    # A's first clicks, then B's: the click of trigger i at detector d
+    # goes to slot i + n * (d - DET_A). Read as unsigned, -1 exceeds every
+    # offset, so it is left only where no click came, and lies beyond
+    # every window.
+    firsts = np.full(2 * n, -1, dtype=np.int64)
+    unsigned = firsts.view(np.uint64)
+    slot = np.multiply(detector, n, dtype=np.int64)
+    slot += owner
+    slot -= DET_A * n
+    np.minimum.at(unsigned, slot, offsets.view(np.uint64))
+    del slot  # not held through the validity test
+    # A trigger has a click within the window if its first click on A or
+    # on B is; two comparisons need no uint64 temporary of n entries.
+    window_ticks = np.uint64(window_ticks)
+    valid = unsigned[:n] <= window_ticks
+    valid |= unsigned[n:] <= window_ticks
+    return PairingResult(valid, firsts[:n], firsts[n:], resolution)
 
 
 def pair_events(stream: EventStream, valid_window: float = 85.0) -> PairingResult:
@@ -119,8 +122,18 @@ def pair_events(stream: EventStream, valid_window: float = 85.0) -> PairingResul
     det = stream.detectors
     ts = stream.timestamps
     trigger_ticks = ts[det == DET_T]
-    a, b = (_assign(ts[det == code], trigger_ticks) for code in (DET_A, DET_B))
-    return pair_clicks(trigger_ticks, a, b, valid_window, stream.resolution)
+    sel = np.flatnonzero(det != DET_T)
+    click_ticks = ts[sel]
+    owner = np.searchsorted(trigger_ticks, click_ticks, side="right") - 1
+    # the stream is sorted, so the clicks before the first trigger lead
+    start = int(np.searchsorted(owner, 0))
+    owner = owner[start:]
+    offsets = click_ticks[start:]
+    offsets -= trigger_ticks[owner]
+    clicks = (offsets, owner, det[sel[start:]])
+    del sel  # not held through the pairing
+    pairing = pair_clicks(trigger_ticks.size, clicks, valid_window, stream.resolution)
+    return replace(pairing, trigger_ticks=trigger_ticks)
 
 
 def histogram_blocks(

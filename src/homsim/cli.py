@@ -233,10 +233,9 @@ def _check_analysis(cfg: dict, t_c_key: str, t_c: float) -> None:
     `t_c_key`) and the wings on an empty histogram, before any events are
     made or read."""
     no_ticks = np.empty(0, dtype=np.int64)
+    no_clicks = (no_ticks, no_ticks, np.empty(0, dtype=np.uint8))
     with _config_keys("valid_window"):
-        analysis.pair_clicks(
-            no_ticks, (no_ticks, no_ticks), (no_ticks, no_ticks), cfg["valid_window"], 125.0
-        )
+        analysis.pair_clicks(0, no_clicks, cfg["valid_window"], 125.0)
     with _config_keys("bin_width", "hist_range"):
         empty = analysis.histogram([], 1, cfg["bin_width"], cfg["hist_range"])
     with _config_keys(t_c_key):

@@ -81,14 +81,15 @@ def sample_emission_time(env: Envelope, u):
     return t
 
 
-def _inverse_cdf(t0, tau: float, u):
+def _inverse_cdf(t0, tau: float, u, out=None):
     """Emission time t0 - tau*ln(1 - u) for uniform u in [0, 1), unchecked.
 
     1 - u is exact for the uniforms numpy draws (multiples of 2**-53), and
     np.log of it is several times faster than np.log1p(-u). The steps work
-    in place on one new array (0-d for a scalar u).
+    in place on `out`, which may be `u` itself, or on one new array (0-d
+    for a scalar u).
     """
-    t = np.subtract(1.0, u, out=np.empty(np.shape(u)))
+    t = np.subtract(1.0, u, out=np.empty(np.shape(u)) if out is None else out)
     np.log(t, out=t)
     t *= -tau
     t += t0

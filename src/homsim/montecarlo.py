@@ -23,6 +23,10 @@ part of the determinism contract:
    total for the chunk, then a uniform owner trigger and a uniform offset
    in the window per background click.
 
+Steps 2 and 3 come from one call for 2n uniforms, n the photon count,
+which gives the numbers the two calls would, in the same order. The
+emission times are made in place over the first n.
+
 No draw count depends on `xi` or on the outcome law, so `xi` changes
 which detector a photon reaches but no detection time. A lone photon
 goes to A on a route uniform below 1/2. In a pair the heralded photon
@@ -30,15 +34,23 @@ does so too, and the single-atom photon goes to the other detector on a
 coincidence and to the same one on bunching. The two-photon triggers
 are found by marking one source's triggers in a boolean array; where a
 source fires on every trigger its selector is a slice, so the gathers
-are views. A randomly mixed mask, such as the routing, is turned into
+are views. A randomly mixed mask, such as the gate's, is turned into
 indices once (`np.flatnonzero`), because numpy indexes with such a mask
 several times slower than with indices.
+
+The kernel returns one click list, not a list per detector: per click,
+its offset ticks, its owner (the trigger, as an index into the chunk)
+and its uint8 detector code. It holds the photons, f then s, then A's
+background and then B's. A photon's route becomes its code, so no click
+is copied to a detector's own array, and a detector offset is added by
+code, only where one is set.
 
 Times are offsets from the trigger. Each click's offset is quantised
 alone, and its tick is its trigger's tick plus that offset tick, so no
 click's tick depends on how far into the run its trigger lies. The
-trigger ticks are those of the trigger times, floored. The detector gate
-keeps a click whose offset tick lies inside the window's whole ticks.
+trigger ticks are those of the trigger times, floored; only the streamed
+path forms them. The detector gate keeps a click whose offset tick lies
+inside the window's whole ticks.
 
 Delay convention: positive delta_t starts the heralded (f) envelope
 delta_t ns after the single-atom (s) envelope. `ExperimentConfig.source_pair`,
@@ -62,14 +74,16 @@ the next trigger's. The chunk streams, in chunk order, therefore make
 up the globally sorted stream without a global sort: `simulate_chunks`
 yields them one by one for `write_events`, in memory bounded by a few
 chunks, and `simulate` concatenates them. Pairing is chunk-local too:
-`simulate_histograms` pairs each chunk's offsets as generated and bins
-them, and its histograms, sums of the chunks' integer counts, equal
-those of the whole stream for any number of workers.
+`simulate_histograms` pairs each chunk's click list as generated, given
+only the chunk's trigger count, and bins it; its histograms, sums of
+the chunks' integer counts, equal those of the whole stream for any
+number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -118,6 +132,13 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.type == "int":
+                try:
+                    count = operator.index(value)  # an int or a numpy integer
+                except TypeError:
+                    raise ConfigError(f"{f.name} must be an integer, got {value!r}") from None
+                # stored as an int, so the config hashes as the same run given ints
+                object.__setattr__(self, f.name, count)
         if self.n_triggers <= 0:
             raise ConfigError("n_triggers must be positive")
         if self.seed < 0:
@@ -213,31 +234,20 @@ def _shared(mine: np.ndarray, other: np.ndarray, count: int):
     return np.flatnonzero(marked[mine])
 
 
-def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx: int):
-    """Triggers `first` .. `first + count - 1` of a run, in ticks.
-
-    Returns (trigger ticks, A clicks, B clicks); the clicks of each
-    detector are (offset ticks, owner): owner indexes this chunk's
-    triggers, the one whose acquisition window the gate kept the click
-    in, and the click's tick is its owner's tick plus the offset.
-    """
-    rng = np.random.default_rng([config.seed, chunk_idx])
+def _photons(rng, config: ExperimentConfig, count: int):
+    """Steps 1 to 5 of the draw order for a chunk of `count` triggers:
+    per photon, f then s, its emission time as an offset in ns from its
+    trigger, its owner (the trigger's index in the chunk) and its detector
+    code."""
     pair = config.source_pair()
-    k = 1000.0 / config.timestamp_resolution
-    # quantize((first + i) * trigger_period), with its checks left to the
-    # config and its steps in place
-    trig = np.arange(first, first + count, dtype=float)
-    trig *= config.trigger_period
-    trig *= k
-    trig_ticks = trig.astype(np.int64)
-
-    # the fixed draw order of the module docstring
     on_f = _live(rng, count, config.eta_f)
     on_s = _live(rng, count, config.eta_s)
-    u_f = rng.random(on_f.size)
-    u_s = rng.random(on_s.size)
-    # one route uniform per photon, heralded photons first
-    to_a = rng.random(on_f.size + on_s.size) < 0.5
+    n_f, n = on_f.size, on_f.size + on_s.size
+    # One call draws the emission uniforms (f, then s) and then the route
+    # uniforms: the numbers of steps 2 and 3, in their order. The times
+    # are made in place in the first half.
+    u = rng.random(2 * n)
+    t_f, t_s, to_a = u[:n_f], u[n_f:n], u[n:] < 0.5
     t0_s = pair.env_s.t0
     if config.excitation_jitter_sigma > 0.0:
         t0_s = t0_s + rng.standard_normal(on_s.size) * config.excitation_jitter_sigma
@@ -245,47 +255,59 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
     both_f, both_s = _shared(on_f, on_s, count), _shared(on_s, on_f, count)
     r_outcome = rng.random(on_f[both_f].size)
 
-    # emission times as offsets from the trigger, in ns
-    t_f = _inverse_cdf(pair.env_f.t0, pair.env_f.tau, u_f)
-    t_s = _inverse_cdf(t0_s, pair.env_s.tau, u_s)
+    _inverse_cdf(pair.env_f.t0, pair.env_f.tau, t_f, out=t_f)
+    _inverse_cdf(t0_s, pair.env_s.tau, t_s, out=t_s)
 
     # Routing: a lone photon goes where its route uniform says. In a pair
     # the heralded photon does; the single-atom photon goes to the other
     # detector on a coincidence and to the same one on bunching.
-    to_a_f, to_a_s = to_a[: on_f.size], to_a[on_f.size :]
     if r_outcome.size:
         t0_both = t0_s if np.ndim(t0_s) == 0 else t0_s[both_s]
         p_c = _p_coincidence(pair, t_f[both_f], t_s[both_s], pair.env_f.t0, t0_both)
-        to_a_s[both_s] = to_a_f[both_f] ^ (r_outcome < p_c)
+        to_a[n_f:][both_s] = to_a[:n_f][both_f] ^ (r_outcome < p_c)
+    detector = np.subtract(DET_B, to_a, dtype=np.uint8)  # DET_A where to_a
+    return u[:n], np.concatenate((on_f, on_s)), detector
 
-    times = np.concatenate((t_f, t_s))
-    owners = np.concatenate((on_f, on_s))
-    # The gate keeps a click whose offset tick lies in the window's
-    # n_w ticks; `trigger_period` exceeds `window_length` by a tick, so
-    # every offset tick stays below the next trigger's tick.
+
+def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx: int):
+    """The clicks of triggers `first` .. `first + count - 1` of a run.
+
+    Returns the chunk's click list (offset ticks, owner, detector): per
+    click, its owner indexes this chunk's triggers, the one whose
+    acquisition window the gate kept the click in; its offset is its tick
+    less its owner's; and its detector is DET_A or DET_B (uint8). No
+    click depends on `first`, the chunk's place in the run.
+    """
+    rng = np.random.default_rng([config.seed, chunk_idx])
+    times, owner, detector = _photons(rng, config, count)
+    # Step 6, uniform Poisson background over each acquisition window: a
+    # Poisson total for the chunk, with uniform owners and offsets.
     w = config.window_length
-    n_w = math.floor(w * k + 1e-9)
-    sides = []
-    for mine, rate, offset in (
-        (to_a, config.bg_rate_a, config.detector_offset_a),
-        (~to_a, config.bg_rate_b, config.detector_offset_b),
-    ):
-        mine = np.flatnonzero(mine)
-        t, own = times[mine], owners[mine]
+    parts = [(times, owner, detector)]
+    for code, rate in ((DET_A, config.bg_rate_a), (DET_B, config.bg_rate_b)):
         if rate > 0.0:
-            # Uniform Poisson background over each acquisition window: a
-            # Poisson total for the chunk, with uniform owners and offsets.
             n_bg = rng.poisson(rate * w * count)
-            own = np.concatenate((own, rng.integers(count, size=n_bg)))
-            t = np.concatenate((t, rng.random(n_bg) * w))
-        t += offset
-        t *= k  # the offset from the trigger in ticks, before the floor
-        keep = (t >= 0.0) & (t < n_w)
-        if not keep.all():  # all are kept unless jitter or an offset moves them
-            t, own = t[keep], own[keep]
-        sides.append((t.astype(np.int64), own))
+            own = rng.integers(count, size=n_bg)
+            parts.append((rng.random(n_bg) * w, own, np.full(n_bg, code, np.uint8)))
+    if len(parts) > 1:
+        times, owner, detector = (np.concatenate(column) for column in zip(*parts))
+    del parts  # the photons' own arrays go before the gate
 
-    return trig_ticks, sides[0], sides[1]
+    if config.detector_offset_a or config.detector_offset_b:
+        by_code = np.zeros(DET_B + 1)
+        by_code[DET_A], by_code[DET_B] = config.detector_offset_a, config.detector_offset_b
+        times += by_code[detector]
+    k = 1000.0 / config.timestamp_resolution
+    times *= k  # the offset from the trigger in ticks, before the floor
+    # The gate keeps a click whose offset tick lies in the window's n_w
+    # ticks; `trigger_period` exceeds `window_length` by a tick, so every
+    # offset tick stays below the next trigger's tick.
+    n_w = math.floor(w * k + 1e-9)
+    keep = (times >= 0.0) & (times < n_w)
+    if not keep.all():  # all are kept unless jitter or an offset moves them
+        keep = np.flatnonzero(keep)
+        times, owner, detector = times[keep], owner[keep], detector[keep]
+    return times.astype(np.int64), owner, detector
 
 
 def expected_accidental_floor(
@@ -449,13 +471,26 @@ def _imap(fn, tasks, workers: int, ahead: int) -> Iterator:
             yield pending.popleft().result()
 
 
+def _trigger_ticks(config: ExperimentConfig, first: int, count: int) -> np.ndarray:
+    """quantize((first + i) * trigger_period) for i < count, with its
+    checks left to the config and its steps in place."""
+    trig = np.arange(first, first + count, dtype=float)
+    trig *= config.trigger_period
+    trig *= 1000.0 / config.timestamp_resolution
+    return trig.astype(np.int64)
+
+
 def _chunk_stream(config: ExperimentConfig, span) -> EventStream:
     """One chunk's events sorted by (timestamp, detector), triggers first on ties."""
-    trig_ticks, (a_off, a_own), (b_off, b_own) = _simulate_chunk(config, *span)
-    det = np.repeat(
-        np.array([DET_T, DET_A, DET_B], np.uint8), [trig_ticks.size, a_off.size, b_off.size]
-    )
-    ticks = np.concatenate((trig_ticks, trig_ticks[a_own] + a_off, trig_ticks[b_own] + b_off))
+    offsets, owner, detector = _simulate_chunk(config, *span)
+    trig_ticks = _trigger_ticks(config, *span[:2])
+    offsets += trig_ticks[owner]  # the click ticks
+    det = np.concatenate((np.full(trig_ticks.size, DET_T, np.uint8), detector))
+    ticks = np.concatenate((trig_ticks, offsets))
+    # The click list is not held through the sort. The trigger ticks are:
+    # freed here too, they leave the heap more fragmented (2 MB more peak
+    # RSS over a sparse run of 250,000 triggers).
+    del offsets, owner, detector
     order = np.lexsort((det, ticks))
     return EventStream(det[order], ticks[order], config.timestamp_resolution)
 
@@ -502,8 +537,8 @@ def simulate_histograms(
     def chunk_counts(task):
         k, span = task
         config = configs[k]
-        trig_ticks, a, b = _simulate_chunk(config, *span)
-        pairing = pair_clicks(trig_ticks, a, b, valid_window, config.timestamp_resolution)
+        clicks = _simulate_chunk(config, *span)
+        pairing = pair_clicks(span[1], clicks, valid_window, config.timestamp_resolution)
         return histogram(pairing.delta_ts, span[1], bin_width, half_range).counts
 
     tasks = [(k, span) for k, config in enumerate(configs) for span in _spans(config)]

@@ -94,10 +94,13 @@ class TestPairEvents:
     @pytest.mark.parametrize("valid_window", [1e306, 2**63 / 1000.0])
     def test_window_beyond_int64_ticks_keeps_every_click(self, valid_window):
         # at 1 ps ticks each window spans at least 2**63 ticks
-        trigger_ticks = np.array([0, 2**62], dtype=np.int64)
-        a = (np.array([2**63 - 2, 2**62 - 1]), np.array([0, 1]))
-        b = (np.array([5]), np.array([1]))
-        p = pair_clicks(trigger_ticks, a, b, valid_window, resolution=1.0)
+        # of two triggers, at ticks 0 and 2**62
+        clicks = (
+            np.array([2**63 - 2, 2**62 - 1, 5]),
+            np.array([0, 1, 1]),
+            np.array([DET_A, DET_A, DET_B], dtype=np.uint8),
+        )
+        p = pair_clicks(2, clicks, valid_window, resolution=1.0)
         assert p.valid.tolist() == [True, True]
         assert p.first_a.tolist() == [2**63 - 2, 2**62 - 1]
 
@@ -280,6 +283,7 @@ def click_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     case=click_sets(),
+    mix=st.one_of(st.none(), st.randoms(use_true_random=False)),
     valid_window=st.sampled_from([0.0, 0.125, 3.0, 85.0, 1e4]),
     resolution=st.sampled_from([125.0, 1.0, 1000.0]),
 )
@@ -288,16 +292,21 @@ def click_sets(draw):
         [MAX_TICK - 3000, MAX_TICK - 2000, MAX_TICK - 10],
         [[(0, MAX_TICK - 2990), (2, MAX_TICK), (0, MAX_TICK - 2995)], []],
     ),
-    valid_window=0.125, resolution=125.0,
+    mix=None, valid_window=0.125, resolution=125.0,
 )
-def test_pair_clicks_matches_per_trigger_loop(case, valid_window, resolution):
+def test_pair_clicks_matches_per_trigger_loop(case, mix, valid_window, resolution):
     trigger_ticks, sides = case
-    a, b = (
-        (np.array([tick - trigger_ticks[owner] for owner, tick in clicks], dtype=np.int64),
-         np.array([owner for owner, _ in clicks], dtype=np.int64))
-        for clicks in sides
-    )
-    p = pair_clicks(np.array(trigger_ticks, dtype=np.int64), a, b, valid_window, resolution)
+    # one click list: A's clicks then B's, or, given `mix`, shuffled with
+    # A and B interleaved
+    clicks = [
+        (owner, tick, code) for code, side in zip((DET_A, DET_B), sides) for owner, tick in side
+    ]
+    if mix is not None:
+        mix.shuffle(clicks)
+    offsets = np.array([tick - trigger_ticks[owner] for owner, tick, _ in clicks], dtype=np.int64)
+    owners = np.array([owner for owner, _, _ in clicks], dtype=np.int64)
+    detectors = np.array([code for _, _, code in clicks], dtype=np.uint8)
+    p = pair_clicks(len(trigger_ticks), (offsets, owners, detectors), valid_window, resolution)
     valid, first_a, first_b, delta_ts = reference_pair_clicks(
         trigger_ticks, sides, valid_window, resolution
     )

@@ -110,6 +110,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             ideal_config(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [("n_triggers", 1000.0), ("seed", 1.5)])
+    def test_non_integer_count_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
+            ideal_config(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = ideal_config(n_triggers=np.int64(1000), seed=np.uint32(7))
+        # kept as ints, so the run's config hash is that of the same run given ints
+        assert type(cfg.n_triggers) is int and type(cfg.seed) is int
+        assert simulate(cfg).timestamps.tobytes() == simulate(
+            ideal_config(n_triggers=1000, seed=7)
+        ).timestamps.tobytes()
+
     def test_period_exceeds_window_by_at_least_one_tick(self):
         # 125 ps ticks are 0.125 ns: 500.125 leaves exactly one tick
         # between consecutive acquisition windows
@@ -390,11 +403,11 @@ def test_stream_matches_reference_generator(config, workers):
 def test_offset_ticks_do_not_depend_on_the_trigger_index(config, shift):
     # the chunk's triggers moved `shift` triggers later in the run
     count = min(config.n_triggers, _CHUNK)
-    _, *sides = montecarlo._simulate_chunk(config, 0, count, 0)
-    _, *moved = montecarlo._simulate_chunk(config, shift, count, 0)
-    for (offsets, owners), (moved_offsets, moved_owners) in zip(sides, moved):
-        assert moved_offsets.tobytes() == offsets.tobytes()
-        assert moved_owners.tobytes() == owners.tobytes()
+    clicks = montecarlo._simulate_chunk(config, 0, count, 0)
+    moved = montecarlo._simulate_chunk(config, shift, count, 0)
+    # offsets, owners and detectors alike
+    for column, moved_column in zip(clicks, moved, strict=True):
+        assert moved_column.tobytes() == column.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -418,14 +431,15 @@ def test_offset_ticks_do_not_depend_on_the_trigger_index(config, shift):
 )
 def test_every_click_ticks_below_the_next_trigger(config, first):
     count = min(config.n_triggers, _CHUNK)
-    trig_ticks, *sides = montecarlo._simulate_chunk(config, first, count, 0)
+    offsets, owners, detectors = montecarlo._simulate_chunk(config, first, count, 0)
+    trig_ticks = montecarlo._trigger_ticks(config, first, count)
     following = quantize(
         (first + np.arange(1, count + 1, dtype=float)) * config.trigger_period,
         config.timestamp_resolution,
     )
-    for offsets, owners in sides:
-        assert np.all(offsets >= 0)
-        assert np.all(trig_ticks[owners] + offsets < following[owners])
+    assert np.all((detectors == DET_A) | (detectors == DET_B))
+    assert np.all(offsets >= 0)
+    assert np.all(trig_ticks[owners] + offsets < following[owners])
 
 
 def test_sampler_laws(monkeypatch):
@@ -516,6 +530,20 @@ def test_fused_histograms_memory_does_not_grow_with_run_length(workers, monkeypa
         finally:
             tracemalloc.stop()
     assert peaks[6] < 1.3 * peaks[2], peaks
+
+
+def test_fused_chunk_memory():
+    # `homsim dip` at unit efficiency holds one click list per chunk: one
+    # copy of each photon's time, no per-detector copies and no trigger
+    # ticks. The bound counts the bytes numpy allocates, not the RSS.
+    config = ideal_config(n_triggers=_CHUNK)
+    tracemalloc.start()
+    try:
+        simulate_histograms([config], 85.0, 10.0, 255.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 class TestEventContent:
