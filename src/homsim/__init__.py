@@ -35,7 +35,6 @@ from .montecarlo import (
     ExperimentConfig,
     expected_accidental_floor,
     expected_histogram,
-    quantize,
     simulate,
     simulate_histograms,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "expected_histogram",
     "histogram",
     "pair_events",
-    "quantize",
     "read_events",
     "sample_emission_time",
     "simulate",

@@ -19,7 +19,6 @@ such a mask several times slower than with indices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import chain
@@ -28,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataFormatError, InsufficientStatisticsError
-from .io import DET_A, DET_B, DET_T, EventStream
+from .io import DET_A, DET_B, DET_T, EventStream, _tick_ns, _whole_ticks
 
 _ALIGN_TOL = 1e-9
 
@@ -42,16 +41,13 @@ class PairingResult:
     marks sequences with at least one click within the validity window
     after the trigger. Coincidence time differences are formed only for
     valid sequences that have clicks on both detectors; `n_triggers`
-    counts every trigger regardless. `trigger_ticks` holds the triggers'
-    ticks where the pairing had them (:func:`pair_events`), and None
-    where it paired offsets alone.
+    counts every trigger regardless.
     """
 
     valid: np.ndarray
     first_a: np.ndarray
     first_b: np.ndarray
     resolution: float
-    trigger_ticks: np.ndarray | None = None
 
     @property
     def n_triggers(self) -> int:
@@ -67,7 +63,7 @@ class PairingResult:
         sel = np.flatnonzero(self.paired)
         diff = self.first_a[sel]
         diff -= self.first_b[sel]
-        return diff * (self.resolution / 1000.0)
+        return diff * _tick_ns(self.resolution)
 
 
 def pair_clicks(n_triggers: int, clicks, valid_window: float, resolution: float) -> PairingResult:
@@ -82,13 +78,10 @@ def pair_clicks(n_triggers: int, clicks, valid_window: float, resolution: float)
     ns after its trigger; raises ValueError unless `valid_window` is
     finite and non-negative.
     """
-    if not 0.0 <= valid_window < math.inf:
-        raise ValueError(f"valid_window must be finite and non-negative, got {valid_window}")
+    # a window beyond the largest tick difference keeps every click
+    window_ticks = _whole_ticks(valid_window, resolution, "valid_window")
     offsets, owner, detector = clicks
     n = n_triggers
-    # a window beyond the largest tick difference keeps every click
-    scaled = valid_window * 1000.0 / resolution + 1e-9
-    window_ticks = math.floor(scaled) if scaled < 2**63 else 2**63 - 1
     # A's first clicks, then B's: the click of trigger i at detector d
     # goes to slot i + n * (d - DET_A). Read as unsigned, -1 exceeds every
     # offset, so it is left only where no click came, and lies beyond
@@ -132,8 +125,7 @@ def pair_events(stream: EventStream, valid_window: float = 85.0) -> PairingResul
     offsets -= trigger_ticks[owner]
     clicks = (offsets, owner, det[sel[start:]])
     del sel  # not held through the pairing
-    pairing = pair_clicks(trigger_ticks.size, clicks, valid_window, stream.resolution)
-    return replace(pairing, trigger_ticks=trigger_ticks)
+    return pair_clicks(trigger_ticks.size, clicks, valid_window, stream.resolution)
 
 
 def histogram_blocks(

@@ -228,14 +228,12 @@ def cmd_simulate(args) -> int:
 
 
 def _check_analysis(cfg: dict, t_c_key: str, t_c: float) -> None:
-    """Run analysis's own checks of the validity window on no clicks, and
+    """Run the library's own checks of the validity window's length, and
     of the binning, the visibility window half-width `t_c` (from config key
     `t_c_key`) and the wings on an empty histogram, before any events are
     made or read."""
-    no_ticks = np.empty(0, dtype=np.int64)
-    no_clicks = (no_ticks, no_ticks, np.empty(0, dtype=np.uint8))
-    with _config_keys("valid_window"):
-        analysis.pair_clicks(0, no_clicks, cfg["valid_window"], 125.0)
+    with _config_keys("valid_window"):  # a check of the length alone, at any tick
+        io._whole_ticks(cfg["valid_window"], 1000.0, "valid_window")
     with _config_keys("bin_width", "hist_range"):
         empty = analysis.histogram([], 1, cfg["bin_width"], cfg["hist_range"])
     with _config_keys(t_c_key):

@@ -79,6 +79,33 @@ _WRITE_SLICE = 1 << 15
 _READ_BLOCK = 1 << 18  # bytes; larger blocks read no faster but raise the peak memory
 
 
+# The tick grid: every conversion between ns and ticks in the package.
+def _tick_ns(resolution: float) -> float:
+    """The length in ns of one tick of `resolution` ps."""
+    return resolution / 1000.0
+
+
+def _ns_to_ticks(times, resolution: float):
+    """`times` in ns as unfloored ticks of `resolution` ps, scaled in place
+    where `times` is an array; ``astype(np.int64)`` floors them where they
+    are not negative."""
+    times *= 1000.0 / resolution
+    return times
+
+
+def _whole_ticks(length: float, resolution: float, name: str = "length") -> int:
+    """The whole ticks of `resolution` ps in `length` ns, at most 2**63 - 1.
+
+    A length within 1e-9 tick below a whole number of ticks counts them
+    all, so 500 ns holds 4000 ticks of 125 ps. Raises ValueError, naming
+    the length `name`, unless it is finite and non-negative.
+    """
+    if not 0.0 <= length < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {length}")
+    scaled = _ns_to_ticks(length, resolution) + 1e-9
+    return math.floor(scaled) if scaled < 2**63 else 2**63 - 1
+
+
 @dataclass
 class EventStream:
     """Timestamped detection events from all three detectors.

@@ -95,7 +95,7 @@ import numpy as np
 from .analysis import CoincidenceHistogram, histogram, pair_clicks
 from .errors import ConfigError
 from .interference import Envelope, SourcePair, _inverse_cdf, _p_coincidence
-from .io import DET_A, DET_B, DET_T, EventStream
+from .io import DET_A, DET_B, DET_T, EventStream, _ns_to_ticks, _tick_ns, _whole_ticks
 
 _CHUNK = 1 << 16
 
@@ -160,7 +160,7 @@ class ExperimentConfig:
         # A gap of one tick keeps every click's tick below the next
         # trigger's, so pairing by tick gives each click to the trigger
         # whose window the gate kept it in.
-        if self.trigger_period - self.window_length < self.timestamp_resolution / 1000.0:
+        if self.trigger_period - self.window_length < _tick_ns(self.timestamp_resolution):
             raise ConfigError(
                 "trigger_period must exceed window_length by at least one "
                 "timestamp tick (timestamp_resolution / 1000 ns)"
@@ -171,7 +171,7 @@ class ExperimentConfig:
         # n_triggers * trigger_period: that many ticks must fit in int64.
         # A period is at least one tick, so the first test covers any
         # n_triggers too large for a float.
-        ticks_per_period = self.trigger_period * 1000.0 / self.timestamp_resolution
+        ticks_per_period = _ns_to_ticks(self.trigger_period, self.timestamp_resolution)
         if self.n_triggers >= 2**63 or self.n_triggers * ticks_per_period >= 2**63:
             raise ConfigError(
                 "the run's ticks, up to n_triggers * trigger_period * 1000 / "
@@ -186,28 +186,6 @@ class ExperimentConfig:
             self.tau_s, t0=max(-self.delta_t, 0.0), detuning=self.detuning
         )
         return SourcePair(env_f, env_s, self.xi)
-
-
-def quantize(t, resolution: float = 125.0):
-    """Floor a time in ns onto integer ticks of `resolution` ps.
-
-    Raises ValueError for a resolution that is not positive and finite,
-    for a negative or non-finite time and for one whose tick does not fit
-    in int64.
-    """
-    if not 0.0 < resolution < math.inf:
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise ValueError("cannot quantize negative times")
-    ticks = np.floor(t_arr * (1000.0 / resolution))
-    if not np.all(ticks < 2.0**63):  # false for nan as well
-        what = "non-finite times" if not np.isfinite(t_arr).all() else "times beyond int64 ticks"
-        raise ValueError(f"cannot quantize {what}")
-    ticks = ticks.astype(np.int64)
-    if np.ndim(t) == 0:
-        return int(ticks)
-    return ticks
 
 
 def _live(rng, count: int, eta: float) -> np.ndarray:
@@ -297,12 +275,11 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
         by_code = np.zeros(DET_B + 1)
         by_code[DET_A], by_code[DET_B] = config.detector_offset_a, config.detector_offset_b
         times += by_code[detector]
-    k = 1000.0 / config.timestamp_resolution
-    times *= k  # the offset from the trigger in ticks, before the floor
+    times = _ns_to_ticks(times, config.timestamp_resolution)  # the offset ticks, unfloored
     # The gate keeps a click whose offset tick lies in the window's n_w
     # ticks; `trigger_period` exceeds `window_length` by a tick, so every
     # offset tick stays below the next trigger's tick.
-    n_w = math.floor(w * k + 1e-9)
+    n_w = _whole_ticks(w, config.timestamp_resolution)
     keep = (times >= 0.0) & (times < n_w)
     if not keep.all():  # all are kept unless jitter or an offset moves them
         keep = np.flatnonzero(keep)
@@ -384,17 +361,15 @@ def expected_histogram(
             "expected_histogram needs independent photons (xi = 0 or one live "
             "source) and no excitation jitter"
         )
-    if not 0.0 <= valid_window < math.inf:
-        raise ValueError(f"valid_window must be finite and non-negative, got {valid_window}")
+    res, w = config.timestamp_resolution, config.window_length
+    valid_ticks = _whole_ticks(valid_window, res, "valid_window")
     edges = histogram([], 1, bin_width, half_range)  # checks the binning
-    k = 1000.0 / config.timestamp_resolution
-    w = config.window_length
-    n_w = math.floor(w * k + 1e-9)
+    n_w = _whole_ticks(w, res)  # as the gate
     if n_w == 0:  # a window shorter than a tick keeps no click
         return np.zeros(edges.counts.size)
-    scaled = valid_window * 1000.0 / config.timestamp_resolution + 1e-9  # as pair_clicks
-    last_valid = math.floor(scaled) if scaled < n_w else n_w - 1
-    lo = np.arange(n_w + 1) / k  # tick edges, as offsets from the trigger
+    last_valid = min(valid_ticks, n_w - 1)
+    # tick edges, as offsets from the trigger: j ticks over the ticks in a ns
+    lo = np.arange(n_w + 1) / _ns_to_ticks(1.0, res)
 
     def background(rate, offset):
         # P(no background click before tick j), j = 0 .. n_w: the ticks
@@ -440,7 +415,7 @@ def expected_histogram(
             # pairs with a - b = index - (n_w - 1), less those with neither
             # click inside the validity window
             corr += p_f * p_s * (np.convolve(a, b[::-1]) - np.convolve(a_late, b_late[::-1]))
-    d = np.arange(1 - n_w, n_w) * (config.timestamp_resolution / 1000.0)
+    d = np.arange(1 - n_w, n_w) * _tick_ns(res)
     pos = np.floor((d + half_range) / bin_width)
     inside = (pos >= 0) & (pos < edges.counts.size)
     return np.bincount(pos[inside].astype(np.int64), corr[inside], edges.counts.size)
@@ -472,12 +447,11 @@ def _imap(fn, tasks, workers: int, ahead: int) -> Iterator:
 
 
 def _trigger_ticks(config: ExperimentConfig, first: int, count: int) -> np.ndarray:
-    """quantize((first + i) * trigger_period) for i < count, with its
-    checks left to the config and its steps in place."""
+    """The ticks of the trigger times (first + i) * trigger_period, i <
+    count, floored; the config keeps them within int64."""
     trig = np.arange(first, first + count, dtype=float)
     trig *= config.trigger_period
-    trig *= 1000.0 / config.timestamp_resolution
-    return trig.astype(np.int64)
+    return _ns_to_ticks(trig, config.timestamp_resolution).astype(np.int64)
 
 
 def _chunk_stream(config: ExperimentConfig, span) -> EventStream:

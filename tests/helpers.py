@@ -1,6 +1,9 @@
 """Measurements the tests take of a simulated event stream, and the
-test-side forms of two library ideas: the two-photon outcome law as a
-triple, and an event stream built from labelled records."""
+test-side forms of three library ideas: the two-photon outcome law as a
+triple, an event stream built from labelled records, and the floor of
+times onto ticks, checked, for the reference generator."""
+
+import math
 
 import numpy as np
 
@@ -41,3 +44,25 @@ def stream_from_records(records, resolution=125.0):
     codes = np.array([DETECTOR_LABELS.index(label) for label, _ in records], dtype=np.uint8)
     ticks = np.array([tick for _, tick in records], dtype=np.int64)
     return EventStream(codes, ticks, resolution)
+
+
+def quantize(t, resolution=125.0):
+    """Floor a time in ns onto integer ticks of `resolution` ps.
+
+    Raises ValueError for a resolution that is not positive and finite,
+    for a negative or non-finite time and for one whose tick does not fit
+    in int64.
+    """
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0.0):
+        raise ValueError("cannot quantize negative times")
+    ticks = np.floor(t_arr * (1000.0 / resolution))
+    if not np.all(ticks < 2.0**63):  # false for nan as well
+        what = "non-finite times" if not np.isfinite(t_arr).all() else "times beyond int64 ticks"
+        raise ValueError(f"cannot quantize {what}")
+    ticks = ticks.astype(np.int64)
+    if np.ndim(t) == 0:
+        return int(ticks)
+    return ticks

@@ -633,6 +633,7 @@ def test_all_is_exactly_the_public_names():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert homsim.__all__ == sorted(set(homsim.__all__))
     assert set(homsim.__all__) == public
+    assert len(homsim.__all__) == 31
 
 
 def test_default_paths_do_not_import_scipy(tmp_path):

@@ -2,6 +2,7 @@ import math
 import threading
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,15 +20,15 @@ from homsim import (
     expected_histogram,
     histogram,
     pair_events,
-    quantize,
     simulate,
     simulate_histograms,
 )
 from homsim.interference import Envelope, _p_coincidence, amplitude
 from homsim import montecarlo
+from homsim.analysis import pair_clicks
 from homsim.io import DET_A, DET_B, DET_T
 from homsim.montecarlo import _CHUNK, simulate_chunks
-from helpers import coincidence_fraction
+from helpers import coincidence_fraction, quantize
 
 TAU_S, TAU_F = 26.18, 13.61
 
@@ -758,3 +759,110 @@ class TestExpectedHistogram:
     def test_bad_validity_window_rejected(self, window):
         with pytest.raises(ValueError, match="valid_window"):
             expected_histogram(ExperimentConfig(n_triggers=1, xi=0.0), window)
+
+
+# expected_histogram's cost grows as the square of the window's ticks
+MODEL_TICKS = 4000
+
+
+def near_ticks(j, form, resolution):
+    """A length in ns of about `j` ticks of `resolution` ps: the float j
+    ticks make ("on"), the float below or above it, or half a tick more."""
+    tick = resolution / 1000.0
+    on = j * tick
+    return float({
+        "on": on, "below": np.nextafter(on, 0.0), "above": np.nextafter(on, np.inf),
+        "half": (j + 0.5) * tick,
+    }[form])
+
+
+def ticks_around(length, resolution):
+    """Six consecutive ticks of `resolution` ps around `length` ns."""
+    first = max(round(length / (resolution / 1000.0)) - 3, 0)
+    return np.arange(first, first + 6)
+
+
+def gate_end(config):
+    """The whole ticks of `_simulate_chunk`'s gate, read from photons half
+    a tick into, and at the start of, each tick around the window's end."""
+    res = config.timestamp_resolution
+    ticks = ticks_around(config.window_length, res)
+    times = np.concatenate((ticks + 0.5, ticks)) * (res / 1000.0)
+    want = quantize(times, res)
+    clicks = (times, np.arange(times.size), np.full(times.size, DET_A, np.uint8))
+    with mock.patch.object(montecarlo, "_photons", lambda rng, config, count: clicks):
+        offsets, owner, _ = montecarlo._simulate_chunk(
+            replace(config, bg_rate_a=0.0, bg_rate_b=0.0), 0, times.size, 0
+        )
+    assert offsets.tolist() == want[owner].tolist()
+    # the mid-tick photons put the end inside the ticks, and the gate keeps
+    # every photon, whatever its place in its tick, whose tick lies before it
+    n_w = int(offsets.max()) + 1 if offsets.size else 0
+    assert ticks[0] <= n_w <= ticks[-1] and (n_w > ticks[0] or ticks[0] == 0)
+    assert owner.tolist() == np.flatnonzero(want < n_w).tolist()
+    return n_w
+
+
+def last_valid_tick(length, resolution):
+    """The last offset tick that `pair_clicks` counts inside a validity
+    window of `length` ns, read from one click in each tick around it."""
+    ticks = ticks_around(length, resolution)
+    clicks = (ticks.copy(), np.arange(ticks.size), np.full(ticks.size, DET_A, np.uint8))
+    valid = pair_clicks(ticks.size, clicks, length, resolution).valid
+    n_valid = int(valid.sum())
+    # a click on the last valid tick is valid, and one tick later it is not
+    assert valid[:n_valid].all() and 0 < n_valid < ticks.size
+    return int(ticks[n_valid - 1])
+
+
+FORMS = st.sampled_from(["on", "below", "above", "half"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    resolution=st.sampled_from([1.0, 3.0, 62.5, 125.0, 1000.0, 2500.0]),
+    window=st.tuples(st.integers(1, 2000), FORMS),
+    valid=st.tuples(st.integers(0, 2002), FORMS),
+)
+@example(resolution=125.0, window=(4000, "below"), valid=(680, "on"))  # nextafter(500, 0); 85 ns
+@example(resolution=125.0, window=(4000, "on"), valid=(4000, "below"))
+@example(resolution=1.0, window=(12_345_678, "on"), valid=(12_345_677, "above"))  # 1e7 ticks
+# 50383.215 ns: the first decimal length at 3 ps whose ticks v * 1000 / r and
+# v * (1000 / r) count differently (16,794,405 against 16,794,404)
+@example(resolution=3.0, window=(16_794_405, "below"), valid=(16_794_405, "on"))
+def test_tick_rules_agree_across_layers(resolution, window, valid):
+    """The generator's gate, the pairing's validity window and the exact
+    model count the ticks of a length alike, on lengths on and beside
+    whole numbers of ticks; each layer is read through its behaviour. The
+    model is read up to MODEL_TICKS."""
+    w, v = near_ticks(*window, resolution), near_ticks(*valid, resolution)
+    tick = resolution / 1000.0
+    config = ExperimentConfig(
+        n_triggers=1, eta_f=0.0, eta_s=0.0, xi=0.0, bg_rate_a=1.0 / w, bg_rate_b=1.0 / w,
+        window_length=w, trigger_period=2.0 * w + 1.0, timestamp_resolution=resolution,
+    )
+    n_w = gate_end(config)
+    # a validity window as long as the acquisition window counts the
+    # gate's whole ticks: it ends on tick n_w, the first the gate drops, as
+    # a click on the window's end tick is valid
+    assert last_valid_tick(w, resolution) == n_w
+    last_valid = last_valid_tick(v, resolution)
+    if n_w > MODEL_TICKS:
+        return
+    # With one bin per tick difference, the model reaches the gate's
+    # extreme differences, -(n_w - 1) and n_w - 1 ticks: background on
+    # both detectors gives them mass.
+    span = n_w + 2
+    binning = (tick, (span + 0.5) * tick)
+    differences = np.flatnonzero(expected_histogram(config, v, *binning)) - span
+    assert differences.min() == -differences.max() == 1 - n_w
+
+    def model_from(j):
+        # the model when each detector's clicks start a quarter tick into tick j
+        offset = (j + 0.25) * tick
+        moved = replace(config, detector_offset_a=offset, detector_offset_b=offset)
+        return expected_histogram(moved, v, *binning)
+
+    # the model's validity window ends on the pairing's last valid tick
+    if last_valid + 1 < n_w:
+        assert model_from(last_valid).any() and not model_from(last_valid + 1).any()
