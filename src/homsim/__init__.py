@@ -33,7 +33,6 @@ from .interference import (
 from .io import EventStream, read_events, write_events
 from .montecarlo import (
     ExperimentConfig,
-    expected_accidental_floor,
     expected_histogram,
     simulate,
     simulate_histograms,
@@ -62,7 +61,6 @@ __all__ = [
     "dip_curve",
     "dip_ratio",
     "estimate_accidentals",
-    "expected_accidental_floor",
     "expected_histogram",
     "histogram",
     "pair_events",

@@ -195,6 +195,9 @@ class CoincidenceHistogram:
     def values(self) -> np.ndarray:
         return self.counts / self.n_triggers
 
+    def _half_range(self) -> float:
+        return (self.bin_centers.size // 2 + 0.5) * self.bin_width
+
     def window_bins(self, t_c: float) -> np.ndarray:
         """Boolean mask of bins fully inside [-t_c, +t_c].
 
@@ -215,11 +218,9 @@ class CoincidenceHistogram:
             raise ValueError(
                 f"t_c={t_c} selects no bin: it must be at least half the bin width ({half:g})"
             )
-        n_side = self.bin_centers.size // 2  # bins on either side of the central one
-        if round(k) > n_side:
+        if round(k) > self.bin_centers.size // 2:  # the bins on either side of the central one
             raise ValueError(
-                f"t_c={t_c} is wider than the histogram's half range "
-                f"({(n_side + 0.5) * self.bin_width:g})"
+                f"t_c={t_c} is wider than the histogram's half range ({self._half_range():g})"
             )
         return np.abs(self.bin_centers) <= t_c - half + _ALIGN_TOL
 
@@ -280,7 +281,8 @@ def estimate_accidentals(
     summed wing counts. Given several histograms (a parallel and a
     perpendicular run share one floor), returns the mean of their
     estimates, with the standard errors added in quadrature and divided
-    by the number of histograms.
+    by the number of histograms. The wings must lie within each
+    histogram's half range, so that no part of them is cut off.
     """
     if not histograms:
         raise ValueError("need at least one histogram")
@@ -289,6 +291,10 @@ def estimate_accidentals(
         raise ValueError("wing region must have positive extent")
     levels, sigmas = [], []
     for h in histograms:
+        if hi > h._half_range() + _ALIGN_TOL:
+            raise ValueError(
+                f"wing ({lo:g}, {hi:g}) is wider than the histogram's half range ({h._half_range():g})"
+            )
         sel = (np.abs(h.bin_centers) >= lo - _ALIGN_TOL) & (
             np.abs(h.bin_centers) <= hi + _ALIGN_TOL
         )

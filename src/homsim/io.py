@@ -270,16 +270,19 @@ def write_table(path, comments: dict, header: Sequence[str], rows: Iterable[Sequ
 def read_sidecar(events_path) -> dict | None:
     """The sidecar's contents, or None when there is no sidecar.
 
-    Raises DataFormatError naming the sidecar if it is not a JSON object.
+    Raises DataFormatError naming the sidecar if it cannot be read (a
+    directory, say) or is not a JSON object.
     """
     p = sidecar_path(events_path)
     if not p.exists():
         return None
-    with open(p) as fh:
-        try:
+    try:
+        with open(p) as fh:
             meta = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataFormatError(f"{p}: sidecar is not valid JSON ({exc})") from None
+    except OSError as exc:
+        raise DataFormatError(f"{p}: cannot read the sidecar ({exc.strerror})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{p}: sidecar is not valid JSON ({exc})") from None
     if not isinstance(meta, dict):
         raise DataFormatError(f"{p}: sidecar is not a JSON object")
     return meta

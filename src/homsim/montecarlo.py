@@ -54,7 +54,7 @@ inside the window's whole ticks.
 
 Delay convention: positive delta_t starts the heralded (f) envelope
 delta_t ns after the single-atom (s) envelope. `ExperimentConfig.source_pair`,
-which the generator and `expected_accidental_floor` read, shifts the
+which the generator and `expected_histogram` read, shifts the
 later-starting envelope forward, mirroring the delay-line calibration of
 a real setup; only the relative offset is physical. Without excitation
 jitter every emission therefore begins at or after its trigger. Jitter
@@ -285,52 +285,6 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
         keep = np.flatnonzero(keep)
         times, owner, detector = times[keep], owner[keep], detector[keep]
     return times.astype(np.int64), owner, detector
-
-
-def expected_accidental_floor(
-    config: ExperimentConfig,
-    bin_centers,
-    bin_width: float = 10.0,
-    valid_window: float = 85.0,
-) -> np.ndarray:
-    """First-order analytic accidental spectrum of the background model.
-
-    Accidental A-B pairs in valid sequences come from two sources:
-    background-background pairs, whose rate is gated by the validity
-    window, and photon-background pairs, whose difference spectrum follows
-    the pooled photon survival function. The latter is NOT flat: it forms
-    a pedestal under the coincidence peak roughly twice the wing level,
-    with the same two-exponential shape as the non-interfering
-    coincidence distribution. Wing-based constant-floor estimates
-    therefore undercorrect the central region whenever photon-background
-    pairs dominate the accidental budget.
-
-    Everything is evaluated to first order in the per-window click
-    probabilities (omitted first-click and multi-photon corrections enter
-    at the few-percent level). Returns the expected per-trigger histogram
-    value for each bin.
-    """
-    x = np.asarray(bin_centers, dtype=float)
-    r_a, r_b = config.bg_rate_a, config.bg_rate_b
-    eta_f, eta_s = config.eta_f, config.eta_s
-    pair = config.source_pair()
-
-    def pooled_survival(t):
-        s_f, s_s = (
-            np.exp(-np.clip(t - env.t0, 0.0, None) / env.tau)
-            for env in (pair.env_f, pair.env_s)
-        )
-        return (eta_f * s_f + eta_s * s_s) / (eta_f + eta_s)
-
-    gate = np.clip(np.minimum(valid_window, config.window_length - np.abs(x)), 0.0, None)
-    floor = r_a * r_b * gate
-    if eta_f + eta_s > 0.0:
-        eta_bar = 0.5 * (eta_f + eta_s)
-        v_ph = 1.0 - float(pooled_survival(np.array([valid_window]))[0])
-        floor = floor + eta_bar * v_ph * (
-            r_b * pooled_survival(x) + r_a * pooled_survival(-x)
-        )
-    return bin_width * floor
 
 
 def expected_histogram(

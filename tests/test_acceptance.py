@@ -7,6 +7,7 @@ Monte Carlo checks use fixed seeds, so the suite is deterministic.
 
 import contextlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def test_criterion_6_raw_and_corrected_visibility():
         eta, n = 0.05, 3_000_000
         q2 = eta * eta
         base = dict(
-            n_triggers=1000, eta_f=eta, eta_s=eta, tau_f=TAU_F, tau_s=TAU_S
+            n_triggers=1000, eta_f=eta, eta_s=eta, tau_f=TAU_F, tau_s=TAU_S, xi=0.0
         )
 
         def windowed(pair, t_c):
@@ -148,18 +149,21 @@ def test_criterion_6_raw_and_corrected_visibility():
 
         s_perp_25 = windowed(ideal_pair(0.0), 25.0)
         s_par_25 = windowed(ideal_pair(1.0), 25.0)
-        centers_25 = np.arange(-20.0, 21.0, 10.0)
+        sel_25 = h.histogram([], 1).window_bins(25.0)  # the bins of expected_histogram(cfg)
 
-        # Analytic raw visibility as a function of the background rate,
-        # using the first-order accidental floor of the Poisson background
-        # model; bisected so the simulated raw V lands on the reported 62%.
+        # Analytic raw visibility as a function of the background rate;
+        # bisected so the simulated raw V lands on the reported 62%. The
+        # perpendicular +-25 ns window is the exact expected histogram's.
+        # The parallel one is that less eta^2 times the interference term,
+        # which leaves out the background clicks that pre-empt interfering
+        # pairs: O(rate * tau), about 0.3% of the interference term.
         def raw_visibility_model(rate):
             cfg = h.ExperimentConfig(bg_rate_a=rate, bg_rate_b=rate, **base)
-            floor = h.expected_accidental_floor(cfg, centers_25).sum()
-            return 1.0 - (q2 * s_par_25 + floor) / (q2 * s_perp_25 + floor)
+            perp = h.expected_histogram(cfg)[sel_25].sum()
+            return q2 * (s_perp_25 - s_par_25) / perp
 
         rate = brentq(lambda r: raw_visibility_model(r) - 0.62, 1e-9, 1e-2, xtol=1e-14)
-        notes.append(f"bisected bg rate {rate:.3e} /ns")
+        notes.append(f"bisected bg rate {rate:.5e} /ns")
 
         h_par, h_perp = run_histograms(
             n, seeds=(101, 102), eta_f=eta, eta_s=eta,
@@ -170,15 +174,18 @@ def test_criterion_6_raw_and_corrected_visibility():
         assert 0.62 - 0.04 <= raw.v <= 0.62 + 0.04
 
         # Accidental correction. The wing estimate pins the flat floor
-        # from the data; the analytic model supplies the photon-background
-        # pedestal shape that a constant cannot capture (the pedestal has
-        # the same two-exponential profile as the non-interfering
-        # coincidence distribution, so a wing constant undercorrects the
-        # window).
+        # from the data; the background part of the exact model (at xi =
+        # 0, the histogram less its zero-background self) supplies the
+        # photon-background pedestal shape that a constant cannot capture
+        # (the pedestal has the same two-exponential profile as the
+        # non-interfering coincidence distribution, so a wing constant
+        # undercorrects the window).
         g_const = h.estimate_accidentals(h_par, h_perp)
         wing_level = g_const.g_acc
         cfg = h.ExperimentConfig(bg_rate_a=rate, bg_rate_b=rate, **base)
-        model = h.expected_accidental_floor(cfg, h_par.bin_centers)
+        model = h.expected_histogram(cfg) - h.expected_histogram(
+            replace(cfg, bg_rate_a=0.0, bg_rate_b=0.0)
+        )
         wing_sel = np.abs(h_par.bin_centers) >= 100.0
         g_structured = wing_level + (model - model[wing_sel].mean())
         corrected = h.visibility(h_par, h_perp, 75.0, g_structured)

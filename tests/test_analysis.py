@@ -421,6 +421,12 @@ class TestEstimateAccidentals:
         with pytest.raises(ValueError, match="at least one histogram"):
             estimate_accidentals()
 
+    def test_wing_must_fit_the_histogram(self):
+        h = self.flat_hist(0.05)  # half range 205 ns
+        assert estimate_accidentals(h, wing=(100.0, 205.0)).g_acc == pytest.approx(0.05)
+        with pytest.raises(ValueError, match=r"wing \(100, 206\) is wider than the histogram's half range \(205\)"):
+            estimate_accidentals(h, wing=(100.0, 206.0))
+
     def test_zero_background_run_is_statistically_zero(self):
         cfg = ExperimentConfig(n_triggers=200_000, seed=14)  # paper-like 0.5%
         p = pair_events(simulate(cfg))

@@ -543,8 +543,8 @@ class TestDip:
 
 # Analysis parameters that analysis rejects: a window whose half-width
 # (t_c, or dip_t_c / 2) is off the 10 ns bin edges or reaches past the
-# histogram, an empty wing, and a validity window that is not finite or
-# is negative.
+# histogram, an empty wing or one that reaches past the histogram, and a
+# validity window that is not finite or is negative.
 BAD_ANALYSIS_PARAMETERS = [
     pytest.param({"t_c": 30, "dip_t_c": 60}, "does not align with bin edges",
                  id="window-off-bin-edges"),
@@ -564,6 +564,9 @@ BAD_ANALYSIS_PARAMETERS = [
                  id="window-wider-than-histogram"),
     pytest.param({"hist_range": 15}, "is wider than the histogram's half range",
                  id="histogram-narrower-than-window"),
+    pytest.param({"subtract_accidentals": "true", "wing_high": 300},
+                 "wing_low/wing_high: wing (100, 300) is wider than the histogram's half range (255)",
+                 id="wing-wider-than-histogram"),
 ]
 
 
@@ -633,7 +636,7 @@ def test_all_is_exactly_the_public_names():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert homsim.__all__ == sorted(set(homsim.__all__))
     assert set(homsim.__all__) == public
-    assert len(homsim.__all__) == 31
+    assert len(homsim.__all__) == 30
 
 
 def test_default_paths_do_not_import_scipy(tmp_path):
@@ -681,9 +684,8 @@ def test_default_paths_do_not_import_scipy(tmp_path):
         homsim.amplitude(pair.env_s, ts)
         homsim.sample_emission_time(pair.env_s, np.linspace(0.0, 0.9, 10))
         assert homsim.coincidence_density(pair, 3.0) > 0.0
-        homsim.expected_accidental_floor(
-            homsim.ExperimentConfig(n_triggers=10, detuning=2.0, bg_rate_a=1e-4),
-            np.arange(-200.0, 201.0, 10.0))
+        homsim.expected_histogram(
+            homsim.ExperimentConfig(n_triggers=10, xi=0.0, detuning=2.0, bg_rate_a=1e-4))
         assert "scipy" not in sys.modules
 
         numeric = homsim.coincidence_probability_numeric(pair)

@@ -515,6 +515,13 @@ class TestSidecarIntegrity:
         with pytest.raises(DataFormatError, match="sidecar"):
             read_events(path)
 
+    def test_directory_sidecar_rejected(self, tmp_path):
+        path = self.written(tmp_path)
+        sidecar_path(path).unlink()
+        sidecar_path(path).mkdir()
+        with pytest.raises(DataFormatError, match=re.escape(f"{sidecar_path(path)}: cannot read")):
+            read_events(path)
+
     @pytest.mark.parametrize("sidecar", [
         [1], "x", 5, None,  # not a JSON object
         {"n_records": 5}, {},  # no resolution_ps

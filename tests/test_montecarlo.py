@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.stats import chi2
 
 from homsim import (
@@ -16,7 +17,6 @@ from homsim import (
     SourcePair,
     coincidence_density,
     coincidence_probability,
-    expected_accidental_floor,
     expected_histogram,
     histogram,
     pair_events,
@@ -655,10 +655,10 @@ class TestPhysics:
         assert coincidence_fraction(noisy) > coincidence_fraction(quiet) + 0.05
 
 
-class TestAccidentalFloorModel:
+class TestBlockedArmSpectra:
     # blocked-arm style validation: with one or both sources off, every
     # A-B pair is accidental, so the simulated difference spectrum probes
-    # the analytic floor directly
+    # the exact model's background part directly
 
     def run_floor(self, eta_f, eta_s, seed, n=2_000_000, rate=2e-4):
         cfg = ExperimentConfig(
@@ -667,52 +667,28 @@ class TestAccidentalFloorModel:
         )
         p = pair_events(simulate(cfg))
         h = histogram(p.delta_ts, p.n_triggers)
-        model = expected_accidental_floor(cfg, h.bin_centers, h.bin_width)
-        return h, model, expected_histogram(cfg)
+        background = expected_histogram(cfg) - expected_histogram(
+            replace(cfg, bg_rate_a=0.0, bg_rate_b=0.0)
+        )
+        return h, background
 
     @pytest.mark.parametrize(
         "eta_f,eta_s,seed", [(0.0, 0.0, 201), (0.1, 0.0, 202), (0.0, 0.1, 203)]
     )
     def test_blocked_arm_spectra_match_model(self, eta_f, eta_s, seed):
-        h, model, exact = self.run_floor(eta_f, eta_s, seed)
+        h, model = self.run_floor(eta_f, eta_s, seed)
         observed = h.counts.astype(float)
-        predicted = model * h.n_triggers
-        expected = exact * h.n_triggers
+        expected = model * h.n_triggers
         # the exact histogram is the mean of the Monte Carlo's, in total
         # and bin by bin, to counting noise
         assert abs(observed.sum() - expected.sum()) < 4.0 * np.sqrt(expected.sum())
         assert np.mean(np.abs(observed - expected) < 4.0 * np.sqrt(expected + 1.0)) > 0.99
-        # the first-order model omits the first-click corrections, which
-        # are O(rate * window) ~ 5 percent
-        assert abs(predicted.sum() - expected.sum()) < 0.07 * predicted.sum()
-        # per-bin agreement within counting noise plus model tolerance
-        sigma = np.sqrt(predicted + 1.0)
-        pulls = (observed - predicted) / np.hypot(sigma, 0.07 * predicted)
-        assert np.mean(np.abs(pulls) < 4.0) > 0.99
-
-    def test_photon_background_term_follows_the_live_source(self):
-        # one live source and background on B only: the floor is that
-        # source's survival function from its own envelope start (the
-        # heralded one starts delta_t = 20 ns late), scaled by the chance
-        # that the photon fell inside the validity window
-        x = np.array([-30.0, 10.0, 25.0, 50.0])
-        for eta_f, eta_s, tau, t0 in ((0.1, 0.0, TAU_F, 20.0), (0.0, 0.1, TAU_S, 0.0)):
-            cfg = ExperimentConfig(
-                n_triggers=1, eta_f=eta_f, eta_s=eta_s, delta_t=20.0, bg_rate_b=1e-4
-            )
-            v_ph = 1.0 - math.exp(-(85.0 - t0) / tau)
-            survival = np.exp(-np.clip(x - t0, 0.0, None) / tau)
-            np.testing.assert_allclose(
-                expected_accidental_floor(cfg, x),
-                10.0 * 0.05 * v_ph * 1e-4 * survival,
-                rtol=1e-12,
-            )
 
     def test_pedestal_shape_present(self):
         # with one source blocked there is no two-photon signal, yet the
         # photon-background pedestal still lifts the floor at the center
         # well above the wing level
-        h, model, _ = self.run_floor(0.1, 0.0, seed=204)
+        h, model = self.run_floor(0.1, 0.0, seed=204)
         centers = h.bin_centers
         mid = np.abs(centers) <= 5.0  # central bin, before the tau_f decay
         wing = np.abs(centers) >= 100.0
@@ -740,6 +716,38 @@ class TestExpectedHistogram:
         sel = expected >= 5.0
         stat = np.sum((h.counts[sel] - expected[sel]) ** 2 / expected[sel])
         assert sel.sum() > 30 and chi2.sf(stat, sel.sum()) > 1e-4
+
+    def test_zero_background_limit(self):
+        # Without background the only pairs are the photon pairs, so each
+        # bin is eta_f eta_s times the bin integral of coincidence_density
+        # (at xi = 0 two photons reach different detectors half the time,
+        # and the density integrates to 1/2), up to two effects:
+        # - the tick grid: a pair's tick difference is floor(x) or
+        #   floor(x) + 1 ticks for a time difference of x ticks, so a bin
+        #   [lo, hi) holds every x in [lo, hi - 1], none outside (lo - 1,
+        #   hi), and some of the two ticks below its edges: it gains at
+        #   most the mass of the tick below lo and loses at most that of
+        #   the tick below hi;
+        # - the windows: the validity window drops the pairs whose photons
+        #   both come after it, and the gate those with a photon after the
+        #   acquisition window.
+        cfg = ExperimentConfig(n_triggers=1, eta_f=0.3, eta_s=0.5, xi=0.0, delta_t=12.0)
+        pair = cfg.source_pair()
+        model = expected_histogram(cfg, 85.0, 10.0, 205.0) / (cfg.eta_f * cfg.eta_s)
+
+        def mass(lo, hi):
+            return quad(lambda x: coincidence_density(pair, x), lo, hi, limit=200)[0]
+
+        def after(t):  # P(each photon comes at or after t)
+            return [math.exp(-max(t - env.t0, 0.0) / env.tau) for env in (pair.env_f, pair.env_s)]
+
+        late = math.prod(after(85.0)) + sum(after(cfg.window_length))
+        tick = cfg.timestamp_resolution / 1000.0
+        edges = np.arange(-205.0, 206.0, 10.0)
+        for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            exact = mass(lo, hi)
+            bound = max(mass(lo - tick, lo), mass(hi - tick, hi)) + late
+            assert abs(model[k] - exact) <= bound, (lo, model[k], exact, bound)
 
     def test_one_click_per_trigger_never_pairs(self):
         cfg = ExperimentConfig(n_triggers=1, eta_f=1.0, eta_s=0.0)
