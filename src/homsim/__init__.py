@@ -25,7 +25,6 @@ from .interference import (
     amplitude,
     coincidence_density,
     coincidence_probability,
-    coincidence_probability_numeric,
     dip_ratio,
     sample_emission_time,
     visibility_closed_form,
@@ -57,7 +56,6 @@ __all__ = [
     "amplitude",
     "coincidence_density",
     "coincidence_probability",
-    "coincidence_probability_numeric",
     "dip_curve",
     "dip_ratio",
     "estimate_accidentals",

@@ -256,15 +256,24 @@ def histogram(
     d = np.asarray(delta_ts, dtype=float)
     if not np.isfinite(d).all():
         raise ValueError("time differences must be finite")
+    counts = _bin(d, n_bins, bin_width, half_range)
+    centers = -half_range + (np.arange(n_bins) + 0.5) * bin_width
+    return CoincidenceHistogram(bin_width, centers, counts, n_triggers)
+
+
+def _bin(d: np.ndarray, n_bins: int, bin_width: float, half_range: float, weights=None):
+    """Per bin of :func:`histogram`'s `n_bins` bins, the count of the
+    finite differences `d` in ns that fall in it, or the sum of their
+    `weights`; the differences outside the range are dropped."""
     # compared as floats, so an index beyond int64 is dropped, not cast
     with np.errstate(over="ignore"):  # a far difference may scale past the float range
         pos = d + half_range
         pos /= bin_width
         np.floor(pos, out=pos)
-    idx = pos[(pos >= 0) & (pos < n_bins)].astype(np.int64)
-    counts = np.bincount(idx, minlength=n_bins)
-    centers = -half_range + (np.arange(n_bins) + 0.5) * bin_width
-    return CoincidenceHistogram(bin_width, centers, counts, n_triggers)
+    inside = (pos >= 0) & (pos < n_bins)
+    if weights is not None:
+        weights = weights[inside]
+    return np.bincount(pos[inside].astype(np.int64), weights, n_bins)
 
 
 class AccidentalEstimate(NamedTuple):

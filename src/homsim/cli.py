@@ -137,12 +137,7 @@ def _experiment_config(cfg: dict, seed=None, xi=None, delta_t=None):
         kwargs["xi"] = xi
     if delta_t is not None:
         kwargs["delta_t"] = delta_t
-    try:
-        return montecarlo.ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    return montecarlo.ExperimentConfig(**kwargs)
 
 
 def _parse_grid(text: str) -> np.ndarray:

@@ -8,9 +8,10 @@ coincidence distributions, their integrals, the visibility, the dip
 shape and the outcome law of one trial given both detection times, at
 any pair of carrier detunings. Each quantity has exactly one
 implementation here; the independent quadrature references live with
-the tests. scipy is imported only by
-:func:`coincidence_probability_numeric`, which integrates: loading it
-takes most of the time of ``import homsim``, and no default path needs it.
+the tests. scipy, which only the ``test`` extra installs, is imported only
+by :func:`coincidence_probability_numeric`, which integrates: loading it
+takes most of the time of ``import homsim``, and no default path needs
+it. The top-level ``homsim`` does not export that function.
 
 Delay convention: a delay is the envelopes' start times, ``env_f.t0 -
 env_s.t0``; a positive one means the heralded (f) photon's envelope
@@ -220,7 +221,7 @@ def coincidence_probability(pair: SourcePair) -> float:
 def coincidence_probability_numeric(pair: SourcePair) -> float:
     """Coincidence probability by integrating :func:`coincidence_density`
     over dt. Slower than :func:`coincidence_probability`; kept as a
-    cross-check of its closed form."""
+    cross-check of its closed form. Needs scipy, from the ``test`` extra."""
     from scipy.integrate import quad
 
     span = 40.0 * max(pair.env_f.tau, pair.env_s.tau)

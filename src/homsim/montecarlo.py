@@ -92,7 +92,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .analysis import CoincidenceHistogram, histogram, pair_clicks
+from .analysis import CoincidenceHistogram, _bin, histogram, pair_clicks
 from .errors import ConfigError
 from .interference import Envelope, SourcePair, _inverse_cdf, _p_coincidence
 from .io import DET_A, DET_B, DET_T, EventStream, _ns_to_ticks, _tick_ns, _whole_ticks
@@ -205,8 +205,6 @@ def _shared(mine: np.ndarray, other: np.ndarray, count: int):
     gathers at unit efficiency are views."""
     if other.size == count:
         return slice(None)
-    if mine.size == count:  # trigger i sits at position i of `mine`
-        return other
     marked = np.zeros(count, dtype=bool)
     marked[other] = True
     return np.flatnonzero(marked[mine])
@@ -370,9 +368,7 @@ def expected_histogram(
             # click inside the validity window
             corr += p_f * p_s * (np.convolve(a, b[::-1]) - np.convolve(a_late, b_late[::-1]))
     d = np.arange(1 - n_w, n_w) * _tick_ns(res)
-    pos = np.floor((d + half_range) / bin_width)
-    inside = (pos >= 0) & (pos < edges.counts.size)
-    return np.bincount(pos[inside].astype(np.int64), corr[inside], edges.counts.size)
+    return _bin(d, edges.counts.size, bin_width, half_range, corr)
 
 
 def _spans(config: ExperimentConfig):
@@ -385,9 +381,9 @@ def _spans(config: ExperimentConfig):
 
 
 def _imap(fn, tasks, workers: int, ahead: int) -> Iterator:
-    """fn(t) for t in tasks, in order, on `workers` threads when that can
-    help; at most `ahead` results are made ahead of the consumer."""
-    if workers <= 1 or len(tasks) <= 1:
+    """fn(t) for t in tasks, in order, on `workers` threads when there
+    are two or more; at most `ahead` results are made ahead of the consumer."""
+    if workers <= 1:
         yield from map(fn, tasks)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -71,9 +71,9 @@ def test_criterion_2_oracle_self_consistency():
         notes.append(f"P_par err {abs(p_par - P_PAR_SYNC):.1e}")
         worst = 0.0
         for delay in (-20.0, -10.0, 0.0, 10.0, 20.0):
-            ratio = h.coincidence_probability_numeric(
+            ratio = h.interference.coincidence_probability_numeric(
                 ideal_pair(1.0, delay)
-            ) / h.coincidence_probability_numeric(ideal_pair(0.0, delay))
+            ) / h.interference.coincidence_probability_numeric(ideal_pair(0.0, delay))
             worst = max(worst, abs(ratio - h.dip_ratio(delay, TAU_S, TAU_F)))
         notes.append(f"dip ratio err {worst:.1e}")
         assert worst < 1e-6

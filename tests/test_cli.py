@@ -1,6 +1,8 @@
 import ast
 import csv
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -408,20 +410,75 @@ def traced_peak(argv):
         tracemalloc.stop()
 
 
-def test_simulate_and_analyze_memory_does_not_grow_with_run_length(tmp_path, capsys):
+class OneAhead:
+    """The count of items a producer has made, for a consumer that takes
+    item k only once item k + 1 is made or the producer is done."""
+
+    def __init__(self):
+        self.made, self.changed = 0, threading.Condition()
+
+    def producing(self, items):
+        for item in items:
+            self.add(1)
+            yield item
+        self.add(math.inf)
+
+    def add(self, n):
+        with self.changed:
+            self.made += n
+            self.changed.notify_all()
+
+    def wait_past(self, k):
+        with self.changed:
+            assert self.changed.wait_for(lambda: self.made > k + 1, timeout=60)
+
+
+def one_ahead_io(monkeypatch):
+    """Run each CLI command's I/O thread in lock step with the caller:
+    the writer formats chunk k once chunk k + 1 is made, and the caller
+    pairs block k once block k + 1 is read, so the caller's work and the
+    thread's never run at once, and each holds the item after its own."""
+    simulate_chunks, write_chunk = montecarlo.simulate_chunks, homsim.io._write_chunk
+    read_blocks, read_event_blocks = homsim.io._read_blocks, homsim.io.read_event_blocks
+    chunks, taken = OneAhead(), itertools.count()  # a command writes one file
+    blocks = None  # each file read has its own count
+
+    def write_after_next(fh, digest, chunk):
+        chunks.wait_past(next(taken))
+        write_chunk(fh, digest, chunk)
+
+    def read_after_next(path):
+        nonlocal blocks
+        blocks = own = OneAhead()
+        for k, block in enumerate(read_event_blocks(path)):
+            own.wait_past(k)
+            yield block
+
+    monkeypatch.setattr(montecarlo, "simulate_chunks",
+                        lambda *a, **kw: chunks.producing(simulate_chunks(*a, **kw)))
+    monkeypatch.setattr(homsim.io, "_write_chunk", write_after_next)
+    monkeypatch.setattr(homsim.io, "_read_blocks", lambda path: blocks.producing(read_blocks(path)))
+    monkeypatch.setattr(homsim.io, "read_event_blocks", read_after_next)
+
+
+def test_simulate_and_analyze_memory_does_not_grow_with_run_length(tmp_path, capsys, monkeypatch):
     # sparse rates, as in the paper's eta = 0.05 runs: three times the
-    # chunks, and so three times the records, in about the same memory
+    # chunks, and so three times the records, in about the same memory.
+    # With the I/O threads in lock step (one_ahead_io), both runs overlap
+    # their I/O the same way however the host schedules the threads.
     start, peaks = time.perf_counter(), {}
     for n_chunks in (2, 6):
         cfg = write_cfg(tmp_path / f"{n_chunks}.cfg", n_triggers=n_chunks * montecarlo._CHUNK,
                         eta_f=0.05, eta_s=0.05, bg_rate_a=1e-4, bg_rate_b=1e-4)
         out = tmp_path / str(n_chunks)
         events = str(out / "events.csv")
-        peaks[n_chunks] = [
-            traced_peak(["simulate", "--config", str(cfg), "--out", str(out)]),
-            traced_peak(["analyze", "--par", events, "--perp", events,
-                         "--config", str(cfg), "--out", str(out / "a")]),
-        ]
+        peaks[n_chunks] = []
+        for argv in (["simulate", "--config", str(cfg), "--out", str(out)],
+                     ["analyze", "--par", events, "--perp", events,
+                      "--config", str(cfg), "--out", str(out / "a")]):
+            with monkeypatch.context() as patched:
+                one_ahead_io(patched)
+                peaks[n_chunks].append(traced_peak(argv))
     for short, long in zip(peaks[2], peaks[6]):
         assert long < 1.3 * short, peaks
     assert time.perf_counter() - start < 2.0
@@ -636,7 +693,22 @@ def test_all_is_exactly_the_public_names():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert homsim.__all__ == sorted(set(homsim.__all__))
     assert set(homsim.__all__) == public
-    assert len(homsim.__all__) == 30
+    assert len(homsim.__all__) == 29
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy serves the tests, the benchmark and
+    # interference.coincidence_probability_numeric alone. Python 3.10 has
+    # no tomllib; pytest depends on tomli there.
+    try:
+        import tomllib
+    except ModuleNotFoundError:
+        import tomli as tomllib
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.23"]
+    with_scipy = {extra: [r for r in reqs if r.startswith("scipy")]
+                  for extra, reqs in project["optional-dependencies"].items()}
+    assert {extra: reqs for extra, reqs in with_scipy.items() if reqs} == {"test": ["scipy>=1.8"]}
 
 
 def test_default_paths_do_not_import_scipy(tmp_path):
@@ -688,7 +760,7 @@ def test_default_paths_do_not_import_scipy(tmp_path):
             homsim.ExperimentConfig(n_triggers=10, xi=0.0, detuning=2.0, bg_rate_a=1e-4))
         assert "scipy" not in sys.modules
 
-        numeric = homsim.coincidence_probability_numeric(pair)
+        numeric = homsim.interference.coincidence_probability_numeric(pair)
         assert abs(numeric - homsim.coincidence_probability(pair)) < 1e-8
         assert "scipy" in sys.modules
     """)

@@ -9,8 +9,8 @@ from homsim import (
     amplitude,
     coincidence_density,
     coincidence_probability,
-    coincidence_probability_numeric,
     dip_ratio,
+    interference,
     visibility_closed_form,
 )
 import quadrature
@@ -123,7 +123,7 @@ class TestCoincidenceDensity:
             pair = SourcePair(
                 Envelope(TAU_F, t0=delay, detuning=det_f), Envelope(TAU_S, detuning=det_s), xi
             )
-            numeric = coincidence_probability_numeric(pair)
+            numeric = interference.coincidence_probability_numeric(pair)
             assert numeric == pytest.approx(coincidence_probability(pair), abs=1e-8)
 
 
