@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from homsim import (
+    AccidentalEstimate,
     ExperimentConfig,
     estimate_accidentals,
     expected_histogram,
@@ -49,8 +50,9 @@ raw = visibility(h_par, h_perp, 25.0)
 print(f"V_raw = {raw.v:.3f} +- {raw.sigma_v:.3f}")
 
 print("\n== accidental floor ==")
-wing = estimate_accidentals(h_par, h_perp).g_acc  # mean of the two wing levels
-print(f"wing estimate (|dt| in [100, 200] ns): {wing:.3e} per bin per trigger")
+wing = estimate_accidentals(h_par, h_perp)  # mean of the two wing levels
+print(f"wing estimate (|dt| in [100, 200] ns): {wing.g_acc:.3e} +- {wing.sigma:.1e} "
+      "per bin per trigger")
 
 # the background part of the exact expected histogram, at xi = 0: the
 # histogram less its zero-background self
@@ -68,7 +70,8 @@ flat_corrected = visibility(h_par, h_perp, 75.0, wing)
 print(f"constant floor:  V = {flat_corrected.v:.3f} +- {flat_corrected.sigma_v:.3f}"
       "   (undercorrects the pedestal)")
 
-structured = wing + (model - wing_model)  # data-pinned level, model shape
+# data-pinned level, with its error, and model shape
+structured = AccidentalEstimate(wing.g_acc + (model - wing_model), wing.sigma)
 corrected = visibility(h_par, h_perp, 75.0, structured)
 print(f"structured floor: V = {corrected.v:.3f} +- {corrected.sigma_v:.3f}")
 print(f"expected from coherence times: {visibility_closed_form(26.18, 13.61):.3f}")

@@ -277,7 +277,10 @@ def _bin(d: np.ndarray, n_bins: int, bin_width: float, half_range: float, weight
 
 
 class AccidentalEstimate(NamedTuple):
-    g_acc: float
+    """An accidental floor per bin and per trigger, one level or a per-bin
+    array matching the binning, and `sigma`, the standard error of its level."""
+
+    g_acc: float | np.ndarray
     sigma: float
 
 
@@ -335,15 +338,15 @@ def visibility(
     h_par: CoincidenceHistogram,
     h_perp: CoincidenceHistogram,
     t_c: float,
-    g_acc: float | AccidentalEstimate | np.ndarray = 0.0,
+    g_acc: AccidentalEstimate | None = None,
 ) -> VisibilityResult:
     """Visibility over the window dt in [-t_c, +t_c].
 
-    `g_acc` is the accidental floor to subtract from both histograms:
-    0 for an uncorrected estimate, a scalar constant per bin (the usual
-    wing estimate), an AccidentalEstimate (folds its uncertainty into
-    sigma_v), or a full per-bin array matching the histogram binning for
-    a structured floor.
+    `g_acc` is the accidental floor to subtract from both histograms, an
+    :class:`AccidentalEstimate`, or None for the uncorrected visibility.
+    The floor's window sum is its level times the window's bins, or the
+    sum of a per-bin level over them; its error, the window's bin count
+    times its sigma, enters sigma_v.
 
     Raises InsufficientStatisticsError if the corrected non-interfering
     window sum is not positive.
@@ -355,20 +358,18 @@ def visibility(
 
     sel = h_par.window_bins(t_c)
     n_win = int(sel.sum())
-    sigma_g = 0.0
-    if isinstance(g_acc, AccidentalEstimate):
-        g_window = n_win * g_acc.g_acc
-        sigma_g = g_acc.sigma
-        g_record = g_acc.g_acc
-    elif np.ndim(g_acc) == 0:
-        g_record = float(g_acc)
-        g_window = n_win * g_record
-    else:
-        g_arr = np.asarray(g_acc, dtype=float)
-        if g_arr.shape != h_par.bin_centers.shape:
-            raise ValueError("per-bin g_acc must match the histogram binning")
-        g_window = float(g_arr[sel].sum())
-        g_record = g_window / n_win
+    g_window = g_record = sigma_g = 0.0
+    if g_acc is not None:
+        level, sigma_g = g_acc.g_acc, g_acc.sigma
+        if np.ndim(level) == 0:
+            g_record = float(level)
+            g_window = n_win * g_record
+        else:
+            level = np.asarray(level, dtype=float)
+            if level.shape != h_par.bin_centers.shape:
+                raise ValueError("per-bin g_acc must match the histogram binning")
+            g_window = float(level[sel].sum())
+            g_record = g_window / n_win
 
     counts_par = float(h_par.counts[sel].sum())
     counts_perp = float(h_perp.counts[sel].sum())
@@ -396,19 +397,18 @@ class DipPoint(NamedTuple):
 def dip_curve(
     runs: Sequence[tuple[float, CoincidenceHistogram, CoincidenceHistogram]],
     t_c: float,
-    subtract_accidentals: bool = False,
-    wing: tuple[float, float] = (100.0, 200.0),
+    wing: tuple[float, float] | None = None,
 ) -> list[DipPoint]:
     """Suppression ratio P_par/P_perp = 1 - V per delay-scan point.
 
     As in :func:`visibility`, `t_c` is the window's half-width: each point
-    sums the bins in [-t_c, +t_c]. With `subtract_accidentals`, each point
-    subtracts the wing floor that :func:`estimate_accidentals` finds in its
-    pair of histograms.
+    sums the bins in [-t_c, +t_c]. Given a `wing` (|dt| in [lo, hi]), each
+    point subtracts the floor that :func:`estimate_accidentals` finds in
+    those wings of its pair of histograms; without one, no floor.
     """
     points = []
     for delta_t, h_par, h_perp in runs:
-        g = estimate_accidentals(h_par, h_perp, wing=wing) if subtract_accidentals else 0.0
+        g = None if wing is None else estimate_accidentals(h_par, h_perp, wing=wing)
         res = visibility(h_par, h_perp, t_c, g)
         points.append(DipPoint(delta_t, 1.0 - res.v, res.sigma_v))
     return points

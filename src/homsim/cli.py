@@ -27,7 +27,7 @@ def _parse_bool(text: str) -> bool:
     try:
         return _BOOL[text.strip().lower()]
     except KeyError:
-        raise ConfigError(f"expected a boolean, got {text!r}") from None
+        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -109,8 +109,6 @@ def parse_config_file(path) -> dict:
         parser, _ = CONFIG_KEYS[key]
         try:
             values[key] = parser(text.strip())
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     for key, (_, default) in CONFIG_KEYS.items():
@@ -222,25 +220,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _check_analysis(cfg: dict, t_c_key: str, t_c: float) -> None:
+def _check_analysis(cfg: dict, t_c_key: str, t_c: float):
     """Run the library's own checks of the validity window's length, and
     of the binning, the visibility window half-width `t_c` (from config key
     `t_c_key`) and the wings on an empty histogram, before any events are
-    made or read."""
+    made or read; returns the accidental correction's wing, or None."""
     with _config_keys("valid_window"):  # a check of the length alone, at any tick
         io._whole_ticks(cfg["valid_window"], 1000.0, "valid_window")
     with _config_keys("bin_width", "hist_range"):
         empty = analysis.histogram([], 1, cfg["bin_width"], cfg["hist_range"])
     with _config_keys(t_c_key):
         empty.window_bins(t_c)
-    if cfg["subtract_accidentals"]:
+    wing = (cfg["wing_low"], cfg["wing_high"]) if cfg["subtract_accidentals"] else None
+    if wing is not None:
         with _config_keys("wing_low", "wing_high"):
-            analysis.estimate_accidentals(empty, wing=(cfg["wing_low"], cfg["wing_high"]))
+            analysis.estimate_accidentals(empty, wing=wing)
+    return wing
 
 
 def cmd_analyze(args) -> int:
     cfg = parse_config_file(args.config)
-    _check_analysis(cfg, "t_c", cfg["t_c"])
+    wing = _check_analysis(cfg, "t_c", cfg["t_c"])
     for path in (args.par, args.perp):
         if not Path(path).is_file():
             raise ConfigError(f"event file not found: {path}")
@@ -250,11 +250,7 @@ def cmd_analyze(args) -> int:
         )
         for path in (args.par, args.perp)
     )
-    g_acc = 0.0
-    if cfg["subtract_accidentals"]:
-        g_acc = analysis.estimate_accidentals(
-            h_par, h_perp, wing=(cfg["wing_low"], cfg["wing_high"])
-        )
+    g_acc = None if wing is None else analysis.estimate_accidentals(h_par, h_perp, wing=wing)
     result = analysis.visibility(h_par, h_perp, cfg["t_c"], g_acc)
 
     out = Path(args.out)
@@ -286,7 +282,7 @@ def cmd_dip(args) -> int:
     if not deltas:
         raise ConfigError("delta_t_list is empty; nothing to scan")
     t_c = 0.5 * cfg["dip_t_c"]  # dip_t_c is the window's total length
-    _check_analysis(cfg, "dip_t_c", t_c)
+    wing = _check_analysis(cfg, "dip_t_c", t_c)
     base_seed = args.seed if args.seed is not None else cfg["seed"]
 
     # Per delay, a parallel (xi = 1) and a perpendicular (xi = 0) run.
@@ -299,12 +295,7 @@ def cmd_dip(args) -> int:
         configs, cfg["valid_window"], cfg["bin_width"], cfg["hist_range"],
         workers=args.workers,
     )
-    points = analysis.dip_curve(
-        list(zip(deltas, hists[0::2], hists[1::2])),
-        t_c,
-        subtract_accidentals=cfg["subtract_accidentals"],
-        wing=(cfg["wing_low"], cfg["wing_high"]),
-    )
+    points = analysis.dip_curve(list(zip(deltas, hists[0::2], hists[1::2])), t_c, wing)
     model = [interference.dip_ratio(p.delta_t, cfg["tau_s"], cfg["tau_f"]) for p in points]
 
     out = Path(args.out)
@@ -339,10 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("oracle", help="tabulate the analytic model")
-    p.add_argument("--tau-s", type=float, default=26.18)
-    p.add_argument("--tau-f", type=float, default=13.61)
-    p.add_argument("--xi", type=float, default=1.0)
-    p.add_argument("--detuning", type=float, default=0.0, help="MHz")
+    # the model's defaults are montecarlo.ExperimentConfig's, as in a config file
+    for key in ("tau_s", "tau_f", "xi", "detuning"):
+        p.add_argument("--" + key.replace("_", "-"), type=float, default=CONFIG_KEYS[key][1],
+                       help="MHz" if key == "detuning" else None)
     p.add_argument("--delta-t", default="-40:40:5", help="dip delay grid START:STOP:STEP (ns)")
     p.add_argument("--density-range", default="-100:100:2",
                    help="coincidence-density grid START:STOP:STEP (ns)")

@@ -155,6 +155,14 @@ class ExperimentConfig:
             raise ConfigError("excitation_jitter_sigma must be non-negative")
         if self.window_length <= 0.0:
             raise ConfigError("window_length must be positive")
+        # A chunk draws Poisson(rate * window_length * _CHUNK) background
+        # clicks per detector, and numpy refuses a mean above about 9.2e18;
+        # 1e6 clicks per window, with no signal left to see, keep it below 6.6e10.
+        for name in ("bg_rate_a", "bg_rate_b"):
+            per_window = getattr(self, name) * self.window_length
+            if per_window > 1e6:
+                raise ConfigError(f"{name} * window_length, the mean background clicks "
+                                  f"per window, must be at most 1e6, got {per_window:g}")
         if self.timestamp_resolution <= 0.0:
             raise ConfigError("timestamp_resolution must be positive")
         # A gap of one tick keeps every click's tick below the next

@@ -188,7 +188,9 @@ def test_criterion_6_raw_and_corrected_visibility():
         )
         wing_sel = np.abs(h_par.bin_centers) >= 100.0
         g_structured = wing_level + (model - model[wing_sel].mean())
-        corrected = h.visibility(h_par, h_perp, 75.0, g_structured)
+        # exact, as a floor of 0 sigma: whether it carries the wing level's
+        # error is for the sigma model to settle
+        corrected = h.visibility(h_par, h_perp, 75.0, h.AccidentalEstimate(g_structured, 0.0))
         notes.append(f"corrected V = {corrected.v:.3f} +- {corrected.sigma_v:.3f}")
 
         # the plain constant-floor correction, reported for comparison

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from homsim import (
+    AccidentalEstimate,
     DataFormatError,
     EventStream,
     ExperimentConfig,
@@ -498,7 +499,7 @@ class TestVisibility:
     def test_scalar_floor_subtraction(self):
         h_par = histogram([0.0] * 4, 10, 10.0, 205.0)
         h_perp = histogram([0.0] * 12, 10, 10.0, 205.0)
-        res = visibility(h_par, h_perp, 25.0, g_acc=0.02)
+        res = visibility(h_par, h_perp, 25.0, AccidentalEstimate(0.02, 0.0))
         # windows: (0.4 - 5*0.02) / (1.2 - 5*0.02) = 0.3/1.1
         assert res.v == pytest.approx(1.0 - 0.3 / 1.1, rel=1e-12)
         assert res.g_acc == 0.02
@@ -508,13 +509,34 @@ class TestVisibility:
         h_perp = histogram([0.0] * 12, 10, 10.0, 205.0)
         g = np.zeros(h_par.bin_centers.size)
         g[np.abs(h_par.bin_centers) <= 25.0] = 0.02  # only window bins matter
-        res = visibility(h_par, h_perp, 25.0, g_acc=g)
+        res = visibility(h_par, h_perp, 25.0, AccidentalEstimate(g, 0.0))
         assert res.v == pytest.approx(1.0 - 0.3 / 1.1, rel=1e-12)
         assert res.g_acc == pytest.approx(0.02)
-        with pytest.raises(ValueError):
-            visibility(h_par, h_perp, 25.0, g_acc=np.zeros(3))
+        with pytest.raises(ValueError, match="must match the histogram binning"):
+            visibility(h_par, h_perp, 25.0, AccidentalEstimate(np.zeros(3), 0.0))
         with pytest.raises(ValueError, match="selects no bin"):  # an empty window
-            visibility(h_par, h_perp, -5.0, g_acc=g)
+            visibility(h_par, h_perp, -5.0, AccidentalEstimate(g, 0.0))
+
+    def test_floor_sigma_enters_for_either_level(self):
+        # a floor's standard error enters both window sums as n_win * sigma,
+        # whether its level is one value or per bin
+        h_par = histogram([0.0] * 4, 10, 10.0, 205.0)
+        h_perp = histogram([0.0] * 12, 10, 10.0, 205.0)
+        per_bin = np.full(h_par.bin_centers.size, 0.02)
+        ratio = 0.3 / 1.1  # as above
+        floor_var = (5 * 0.01) ** 2  # 5 window bins
+        sigma_v = math.sqrt(4 / 10**2 + floor_var + ratio**2 * (12 / 10**2 + floor_var)) / 1.1
+        for level in (0.02, per_bin):
+            res = visibility(h_par, h_perp, 25.0, AccidentalEstimate(level, 0.01))
+            assert res.v == pytest.approx(1.0 - ratio, rel=1e-12)
+            assert res.sigma_v == pytest.approx(sigma_v, rel=1e-12)
+
+    @pytest.mark.parametrize("bare", [0.02, np.full(41, 0.02)], ids=["float", "per_bin"])
+    def test_bare_floor_rejected(self, bare):
+        # a floor without its standard error is not taken as exact
+        h = histogram([0.0] * 12, 10, 10.0, 205.0)
+        with pytest.raises(AttributeError):
+            visibility(h, h, 25.0, bare)
 
     def test_end_to_end_matches_closed_form(self):
         h_par, h_perp = self.make_pair_histograms(seed=51)
@@ -563,14 +585,16 @@ class TestDipCurve:
     def test_subtracted_point_uses_pair_wing_estimate(self):
         h_par, h_perp = self.histograms_for_delay(5.0)
         wing = (150.0, 250.0)
-        (point,) = dip_curve(
-            [(5.0, h_par, h_perp)], t_c=75.0, subtract_accidentals=True, wing=wing
-        )
+        (point,) = dip_curve([(5.0, h_par, h_perp)], t_c=75.0, wing=wing)
         g = estimate_accidentals(h_par, h_perp, wing=wing)
         res = visibility(h_par, h_perp, 75.0, g)
         assert point == (5.0, 1.0 - res.v, res.sigma_v)
-        (raw,) = dip_curve([(5.0, h_par, h_perp)], t_c=75.0)
-        assert raw.ratio == 1.0 - visibility(h_par, h_perp, 75.0).v
+        raw = visibility(h_par, h_perp, 75.0)
+        assert g.sigma > 0.0 and point.ratio < 1.0 - raw.v  # a floor came off
+        for no_wing in ({}, {"wing": None}):
+            assert dip_curve([(5.0, h_par, h_perp)], t_c=75.0, **no_wing) == [
+                (5.0, 1.0 - raw.v, raw.sigma_v)
+            ]
 
     def test_far_delay_recovers_full_coincidences(self):
         out = []

@@ -102,6 +102,16 @@ class TestConfigParsing:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_bad_boolean_names_file_line_and_key(self, tmp_path, capsys):
+        p = write_cfg(tmp_path / "c.cfg", subtract_accidentals="maybe")  # line 8
+        out = tmp_path / "out"
+        assert cli.main(["dip", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {p}:8: bad value for subtract_accidentals: "
+            "expected a boolean, got 'maybe'\n"
+        )
+        assert not out.exists()
+
     def test_comments_and_lists(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text(
@@ -674,6 +684,20 @@ def test_ticks_beyond_int64_exit_one(tmp_path, capsys, command):
     assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "2**63" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["1e19", "9223372036854775807", "1e308", "9" * 30])
+@pytest.mark.parametrize("key", ["bg_rate_a", "bg_rate_b"])
+@pytest.mark.parametrize("command", [["simulate"], ["dip"]], ids=["simulate", "dip"])
+def test_background_rate_beyond_bound_exits_one(tmp_path, capsys, command, key, rate):
+    # rates that ask numpy's Poisson sampler for more than it can draw
+    cfg = write_cfg(tmp_path / "c.cfg", n_triggers=100, delta_t_list=0, **{key: rate})
+    out = tmp_path / "out"
+    assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} * window_length, the mean background clicks")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

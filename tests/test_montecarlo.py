@@ -101,6 +101,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="below 2\\*\\*63"):
             ideal_config(n_triggers=10**400)  # beyond any float
 
+    @pytest.mark.parametrize("name", ["bg_rate_a", "bg_rate_b"])
+    def test_background_per_window_bounded(self, name):
+        # at most 1e6 clicks per window: 2000 /ns over the 500 ns window
+        # makes a run, and the next rate up is refused
+        config = ExperimentConfig(n_triggers=1, eta_f=0.0, eta_s=0.0, **{name: 2000.0})
+        clicks = simulate(config).detectors != DET_T
+        assert abs(clicks.sum() - 1e6) < 5.0 * math.sqrt(1e6)
+        with pytest.raises(ConfigError, match=f"{name} \\* window_length, .* at most 1e6"):
+            replace(config, **{name: np.nextafter(2000.0, math.inf)})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", [
         "trigger_period", "eta_f", "eta_s", "tau_f", "tau_s", "delta_t",
