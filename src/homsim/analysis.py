@@ -30,6 +30,10 @@ from .errors import DataFormatError, InsufficientStatisticsError
 from .io import DET_A, DET_B, DET_T, EventStream, _tick_ns, _whole_ticks
 
 _ALIGN_TOL = 1e-9
+# The most bins a histogram may have (1 ps bins over +-8 us): its counts
+# and centres then take 128 MiB each. A binning that asks for more is
+# refused before anything is allocated.
+_MAX_BINS = 2**24
 
 
 @dataclass
@@ -253,6 +257,11 @@ def histogram(
             "half_range must terminate on a bin edge of the zero-centered grid"
         )
     n_bins = 2 * int(round(k)) + 1
+    if n_bins > _MAX_BINS:
+        raise ValueError(
+            f"bin_width={bin_width} and half_range={half_range} give {n_bins} bins, "
+            f"more than the {_MAX_BINS} a histogram may hold"
+        )
     d = np.asarray(delta_ts, dtype=float)
     if not np.isfinite(d).all():
         raise ValueError("time differences must be finite")
@@ -299,6 +308,8 @@ def estimate_accidentals(
     if not histograms:
         raise ValueError("need at least one histogram")
     lo, hi = wing
+    if not lo >= 0.0:  # a wing from below |dt| = 0 would take in the central peak
+        raise ValueError(f"wing ({lo:g}, {hi:g}) must start at a non-negative |dt|")
     if hi <= lo:
         raise ValueError("wing region must have positive extent")
     levels, sigmas = [], []

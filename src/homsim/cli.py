@@ -164,16 +164,13 @@ def _config_keys(*keys):
 
 
 def cmd_oracle(args) -> int:
-    # the library's own checks, in the order tau_s/tau_f, xi, detuning
-    with _config_keys("tau_s", "tau_f"):
-        vis = interference.visibility_closed_form(args.tau_s, args.tau_f)
-    env_s = interference.Envelope(args.tau_s)
-    with _config_keys("xi"):
-        pair_par = interference.SourcePair(interference.Envelope(args.tau_f), env_s, args.xi)
-    with _config_keys("detuning"):
-        env_s = dataclasses.replace(env_s, detuning=args.detuning)
-    pair_par = dataclasses.replace(pair_par, env_s=env_s)
+    # the model parameters are checked as a run's are; the oracle draws
+    # nothing, so its one trigger is only a placeholder
+    pair_par = montecarlo.ExperimentConfig(
+        n_triggers=1, tau_s=args.tau_s, tau_f=args.tau_f, xi=args.xi, detuning=args.detuning,
+    ).source_pair()
     pair_perp = dataclasses.replace(pair_par, xi=0.0)
+    vis = interference.visibility_closed_form(args.tau_s, args.tau_f)
     dip_grid = _parse_grid(args.delta_t)
     dens_grid = _parse_grid(args.density_range)
 

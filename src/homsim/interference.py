@@ -8,8 +8,11 @@ coincidence distributions, their integrals, the visibility, the dip
 shape and the outcome law of one trial given both detection times, at
 any pair of carrier detunings. Each quantity has exactly one
 implementation here; the independent quadrature references live with
-the tests. scipy, which only the ``test`` extra installs, is imported only
-by :func:`coincidence_probability_numeric`, which integrates: loading it
+the tests. The visibility, the dip and the total coincidence probability
+are forms of one quantity, the squared overlap of the two envelopes,
+which only :func:`_overlap_sq` computes. scipy, which only the ``test``
+extra installs, is imported only by
+:func:`coincidence_probability_numeric`, which integrates: loading it
 takes most of the time of ``import homsim``, and no default path needs
 it. The top-level ``homsim`` does not export that function.
 
@@ -118,11 +121,6 @@ class SourcePair:
             raise ValueError(f"xi must lie in [0, 1], got {self.xi}")
 
 
-def _check_taus(tau_s: float, tau_f: float) -> None:
-    if not (0.0 < tau_s < math.inf and 0.0 < tau_f < math.inf):
-        raise ValueError("coherence times must be positive and finite")
-
-
 def _d_omega(env_f: Envelope, env_s: Envelope) -> float:
     """Relative carrier angular frequency in rad/ns."""
     return 2.0 * np.pi * (env_f.detuning - env_s.detuning) * _MHZ_NS
@@ -196,16 +194,19 @@ def coincidence_density(pair: SourcePair, dt: float) -> float:
     return 0.25 * (direct(dt) + direct(-dt) - 2.0 * pair.xi * pair.xi * cross)
 
 
-def _overlap_sq(env_f: Envelope, env_s: Envelope) -> float:
-    # |integral of psi_f psi_s*|^2; exact for exponential envelopes with a
-    # constant relative detuning (Lorentzian-squared factor).
-    a = 1.0 / env_f.tau
-    b = 1.0 / env_s.tau
-    gap = env_f.t0 - env_s.t0
+def _overlap_sq(env_f: Envelope, env_s: Envelope, gap):
+    """|integral of psi_f psi_s*|^2 of the two envelopes' coherence times
+    and detunings, with starts `gap` = t0_f - t0_s ns apart (a scalar or
+    an array): 4 tau_s tau_f / (tau_s + tau_f)^2, times the decay of the
+    earlier-starting envelope, over a Lorentzian in the relative detuning.
+    """
+    tau_f, tau_s = env_f.tau, env_s.tau
+    gap = np.asarray(gap, dtype=float)
     # The earlier-starting envelope has decayed by the time the later one
     # turns on, with its own time constant.
-    decay = math.exp(-b * gap) if gap >= 0.0 else math.exp(a * gap)
-    return a * b * decay / (0.25 * (a + b) ** 2 + _d_omega(env_f, env_s) ** 2)
+    decay = np.exp(np.where(gap >= 0.0, -gap / tau_s, gap / tau_f))
+    detuned = 2.0 * _d_omega(env_f, env_s) * tau_s * tau_f / (tau_s + tau_f)
+    return 4.0 * tau_s * tau_f / (tau_s + tau_f) ** 2 * decay / (1.0 + detuned**2)
 
 
 def coincidence_probability(pair: SourcePair) -> float:
@@ -215,7 +216,8 @@ def coincidence_probability(pair: SourcePair) -> float:
     (tau_s - tau_f)^2 / (2 (tau_s + tau_f)^2) at xi=1, zero detuning
     with synchronized starts.
     """
-    return 0.5 * (1.0 - pair.xi**2 * _overlap_sq(pair.env_f, pair.env_s))
+    gap = pair.env_f.t0 - pair.env_s.t0
+    return float(0.5 * (1.0 - pair.xi**2 * _overlap_sq(pair.env_f, pair.env_s, gap)))
 
 
 def coincidence_probability_numeric(pair: SourcePair) -> float:
@@ -234,31 +236,26 @@ def coincidence_probability_numeric(pair: SourcePair) -> float:
     knots = sorted({-span, -abs(gap), 0.0, abs(gap), span})
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
-        if hi <= lo:
-            continue
         val, _ = quad(g, lo, hi, limit=400, epsabs=1e-9)
         total += val
     return total
 
 
 def visibility_closed_form(tau_s: float, tau_f: float) -> float:
-    """Expected interference visibility 4 tau_s tau_f / (tau_s + tau_f)^2."""
-    _check_taus(tau_s, tau_f)
-    return 4.0 * tau_s * tau_f / (tau_s + tau_f) ** 2
+    """Expected interference visibility 4 tau_s tau_f / (tau_s + tau_f)^2:
+    the overlap of synchronized, compensated envelopes."""
+    return float(_overlap_sq(Envelope(tau_f), Envelope(tau_s), 0.0))
 
 
 def dip_ratio(delta_t, tau_s: float, tau_f: float):
-    """Coincidence suppression ratio P_par/P_perp as a function of delay.
+    """Coincidence suppression ratio P_par/P_perp as a function of delay:
+    1 less the overlap of compensated envelopes that start `delta_t` apart.
 
     `delta_t` is the start-time offset t_f - t_s in ns (scalar or array);
     positive values decay with tau_s, negative ones with tau_f, which makes
     the dip slightly asymmetric when the coherence times differ.
     """
-    _check_taus(tau_s, tau_f)
-    dt = np.asarray(delta_t, dtype=float)
-    v = visibility_closed_form(tau_s, tau_f)
-    out = 1.0 - v * np.where(dt >= 0.0, np.exp(-dt / tau_s), np.exp(dt / tau_f))
+    out = 1.0 - _overlap_sq(Envelope(tau_f), Envelope(tau_s), delta_t)
     if np.ndim(delta_t) == 0:
         return float(out)
     return out
-

@@ -130,8 +130,17 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.type == "float":
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:
+                    raise ConfigError(
+                        f"{f.name} must be finite, got an integer beyond the float range"
+                    ) from None
+                except TypeError:  # a string, None or a complex number, say
+                    raise ConfigError(f"{f.name} must be a real number, got {value!r}") from None
+                if not finite:
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
             if f.type == "int":
                 try:
                     count = operator.index(value)  # an int or a numpy integer
@@ -147,8 +156,9 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        if self.tau_f <= 0.0 or self.tau_s <= 0.0:
-            raise ConfigError("coherence times must be positive")
+        for name in ("tau_f", "tau_s"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.bg_rate_a < 0.0 or self.bg_rate_b < 0.0:
             raise ConfigError("background rates must be non-negative")
         if self.excitation_jitter_sigma < 0.0:

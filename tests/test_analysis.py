@@ -21,7 +21,7 @@ from homsim import (
     visibility_closed_form,
     write_events,
 )
-from homsim import io
+from homsim import analysis, io
 from homsim.analysis import (
     CoincidenceHistogram,
     histogram_blocks,
@@ -380,6 +380,20 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram([1.0], 0, 10.0, 205.0)
 
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            CoincidenceHistogram(10.0, np.array([-10.0, 0.0, 10.0]), np.array([1, -1, 0]), 5)
+
+    def test_bin_count_bounded(self, monkeypatch):
+        # 2**24 + 1 bins, one past the bound, refused before any is allocated
+        with pytest.raises(ValueError, match="give 16777217 bins, more than the 16777216"):
+            histogram([], 1, 10.0, 5.0 + 2**23 * 10.0)
+        # the bound itself is taken: 41 bins under a bound of 41
+        monkeypatch.setattr(analysis, "_MAX_BINS", 41)
+        assert histogram([], 1, 10.0, 205.0).counts.size == 41
+        with pytest.raises(ValueError, match="give 43 bins, more than the 41"):
+            histogram([], 1, 10.0, 215.0)
+
     def test_window_bins_alignment(self):
         h = histogram([0.0], 1, 10.0, 205.0)
         assert int(h.window_bins(25.0).sum()) == 5
@@ -427,6 +441,17 @@ class TestEstimateAccidentals:
         assert estimate_accidentals(h, wing=(100.0, 205.0)).g_acc == pytest.approx(0.05)
         with pytest.raises(ValueError, match=r"wing \(100, 206\) is wider than the histogram's half range \(205\)"):
             estimate_accidentals(h, wing=(100.0, 206.0))
+
+    @pytest.mark.parametrize("wing", [(-10.0, 200.0), (math.nan, 200.0)])
+    def test_wing_below_zero_rejected(self, wing):
+        # a wing from |dt| < 0 would take in the central peak
+        with pytest.raises(ValueError, match=r"wing \(.*\) must start at a non-negative \|dt\|"):
+            estimate_accidentals(self.flat_hist(0.05), wing=wing)
+
+    def test_wing_between_bin_centres_rejected(self):
+        # the centres lie on multiples of 10 ns, none within [101, 109]
+        with pytest.raises(ValueError, match="wing region contains no histogram bins"):
+            estimate_accidentals(self.flat_hist(0.05), wing=(101.0, 109.0))
 
     def test_zero_background_run_is_statistically_zero(self):
         cfg = ExperimentConfig(n_triggers=200_000, seed=14)  # paper-like 0.5%
@@ -495,6 +520,10 @@ class TestVisibility:
         h2 = histogram([0.0], 5, 10.0, 105.0)
         with pytest.raises(ValueError):
             visibility(h1, h2, 25.0)
+        # the same number and width of bins, on centres 1 ns apart
+        shifted = CoincidenceHistogram(10.0, h1.bin_centers + 1.0, h1.counts, 5)
+        with pytest.raises(ValueError, match="identical binning"):
+            visibility(h1, shifted, 25.0)
 
     def test_scalar_floor_subtraction(self):
         h_par = histogram([0.0] * 4, 10, 10.0, 205.0)

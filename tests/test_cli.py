@@ -87,12 +87,12 @@ class TestConfigParsing:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "analyze", "dip"])
-    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory", "missing"])
     def test_unreadable_config_exit_one(self, tmp_path, capsys, command, kind):
         p = tmp_path / "c.cfg"
         if kind == "directory":
             p.mkdir()
-        else:
+        elif kind == "not_utf8":
             p.write_bytes(b"\xffn_triggers = 1000\n")
         out = tmp_path / "out"
         events = ["--par", str(p), "--perp", str(p)] if command == "analyze" else []
@@ -110,6 +110,14 @@ class TestConfigParsing:
             f"config error: {p}:8: bad value for subtract_accidentals: "
             "expected a boolean, got 'maybe'\n"
         )
+        assert not out.exists()
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("n_triggers = 1000\nseed 3\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {p}:2: expected 'key = value'\n"
         assert not out.exists()
 
     def test_comments_and_lists(self, tmp_path):
@@ -182,13 +190,22 @@ class TestOracle:
         ]) == 1
 
     @pytest.mark.parametrize("args, message", [
-        (["--tau-s", "-4"], "tau_s/tau_f: coherence times must be positive and finite"),
-        (["--xi", "1.5"], "xi: xi must lie in [0, 1], got 1.5"),
-        (["--detuning", "inf"], "detuning: detuning must be finite, got inf"),
+        (["--tau-s", "-4"], "tau_s must be positive, got -4.0"),
+        (["--xi", "1.5"], "xi must lie in [0, 1], got 1.5"),
+        (["--detuning", "inf"], "detuning must be finite, got inf"),
     ], ids=["tau", "xi", "detuning"])
     def test_bad_parameter_names_its_option(self, tmp_path, capsys, args, message):
         assert cli.main(["oracle", *args, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", ["--delta-t", "--density-range"])
+    @pytest.mark.parametrize("grid", ["0:10", "0:10:1:2", "a:b:c"])
+    def test_grid_without_three_numbers_exit_one(self, tmp_path, capsys, option, grid):
+        assert cli.main(["oracle", option, grid, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: bad grid {grid!r}, expected START:STOP:STEP\n"
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("option", ["--delta-t", "--density-range"])
@@ -610,13 +627,17 @@ class TestDip:
 
 # Analysis parameters that analysis rejects: a window whose half-width
 # (t_c, or dip_t_c / 2) is off the 10 ns bin edges or reaches past the
-# histogram, an empty wing or one that reaches past the histogram, and a
-# validity window that is not finite or is negative.
+# histogram, a binning of more bins than a histogram may hold, an empty
+# wing, one from below |dt| = 0 or one that reaches past the histogram,
+# and a validity window that is not finite or is negative.
 BAD_ANALYSIS_PARAMETERS = [
     pytest.param({"t_c": 30, "dip_t_c": 60}, "does not align with bin edges",
                  id="window-off-bin-edges"),
     pytest.param({"subtract_accidentals": "true", "wing_low": 200, "wing_high": 100},
                  "wing region must have positive extent", id="inverted-wing"),
+    pytest.param({"subtract_accidentals": "true", "wing_low": -10},
+                 "wing_low/wing_high: wing (-10, 200) must start at a non-negative |dt|",
+                 id="negative-wing"),
     *(pytest.param({"valid_window": value}, "must be finite and non-negative",
                    id=f"valid-window-{value}")
       for value in ("inf", "nan", "-1")),
@@ -624,6 +645,11 @@ BAD_ANALYSIS_PARAMETERS = [
                  id="hist-range-inf"),
     pytest.param({"bin_width": "1e-300"}, "must be finite and give fewer than 2**63 bins",
                  id="bin-width-tiny"),
+    # 2e13 bins: refused before the counts or centres are allocated
+    pytest.param({"hist_range": 100000000000005},
+                 "bin_width/hist_range: bin_width=10.0 and half_range=100000000000005.0 give "
+                 "20000000000001 bins, more than the 16777216 a histogram may hold",
+                 id="too-many-bins"),
     pytest.param({"t_c": "inf", "dip_t_c": "inf"}, "must be finite and within 2**63 bins",
                  id="window-inf"),
     pytest.param({"t_c": -5, "dip_t_c": -10}, "selects no bin", id="window-empty"),

@@ -40,6 +40,15 @@ def test_from_records_and_labels():
     assert not EventStream([0, 1], [10, 5 - 2**63]).is_sorted()
 
 
+@pytest.mark.parametrize("detectors, timestamps, match", [
+    ([0, 1], [10], "must match in length"),
+    ([0, 3], [10, 20], "detector codes must be 0"),
+], ids=["length-mismatch", "bad-detector-code"])
+def test_bad_stream_arrays_rejected(detectors, timestamps, match):
+    with pytest.raises(ValueError, match=match):
+        EventStream(detectors, timestamps)
+
+
 def test_roundtrip_with_sidecar(tmp_path):
     s = sample_stream()
     path = tmp_path / "events.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -111,14 +112,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{name} \\* window_length, .* at most 1e6"):
             replace(config, **{name: np.nextafter(2000.0, math.inf)})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", [
+    @pytest.mark.parametrize("name, value, message", [
+        ("tau_f", 0.0, "tau_f must be positive, got 0.0"),
+        ("tau_s", -4.0, "tau_s must be positive, got -4.0"),
+        ("excitation_jitter_sigma", -0.5, "excitation_jitter_sigma must be non-negative"),
+        ("window_length", 0.0, "window_length must be positive"),
+        ("timestamp_resolution", -125.0, "timestamp_resolution must be positive"),
+        ("detector_offset_b", -1.0, "detector offsets must be non-negative"),
+    ], ids=["tau_f", "tau_s", "jitter", "window_length", "timestamp_resolution",
+            "detector_offset"])
+    def test_out_of_range_value_names_its_field(self, name, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ideal_config(**{name: value})
+
+    FLOAT_FIELDS = [
         "trigger_period", "eta_f", "eta_s", "tau_f", "tau_s", "delta_t",
         "excitation_jitter_sigma", "detuning", "xi", "bg_rate_a", "bg_rate_b",
         "window_length", "timestamp_resolution", "detector_offset_a", "detector_offset_b",
+    ]
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, pytest.param(10**400, id="int-beyond-float"),
     ])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
     def test_non_finite_float_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            ideal_config(**{name: value})
+
+    @pytest.mark.parametrize("value", ["0.5", None, 1j], ids=["str", "None", "complex"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_real_float_rejected(self, name, value):
+        message = f"{name} must be a real number, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ideal_config(**{name: value})
 
     @pytest.mark.parametrize("name, value", [("n_triggers", 1000.0), ("seed", 1.5)])
