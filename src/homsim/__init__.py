@@ -13,12 +13,7 @@ from .analysis import (
     pair_events,
     visibility,
 )
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    HomsimError,
-    InsufficientStatisticsError,
-)
+from .errors import ConfigError, DataFormatError, HomsimError, InsufficientStatisticsError
 from .interference import (
     Envelope,
     SourcePair,
@@ -26,16 +21,12 @@ from .interference import (
     coincidence_density,
     coincidence_probability,
     dip_ratio,
+    expected_histogram,
     sample_emission_time,
     visibility_closed_form,
 )
 from .io import EventStream, read_events, write_events
-from .montecarlo import (
-    ExperimentConfig,
-    expected_histogram,
-    simulate,
-    simulate_histograms,
-)
+from .montecarlo import ExperimentConfig, simulate, simulate_histograms
 
 __version__ = "0.2.0"
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import analysis, interference, io, montecarlo
 from .errors import ConfigError, DataFormatError, InsufficientStatisticsError
 
+_MAX_GRID = 10**6  # points of an oracle grid, each evaluated in Python
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -142,15 +143,14 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError:
-        raise ConfigError(
-            f"bad grid {text!r}, expected START:STOP:STEP"
-        ) from None
-    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
+        raise ConfigError(f"bad grid {text!r}, expected START:STOP:STEP") from None
+    stop = hi + 0.5 * step  # np.arange's bound, which keeps hi
+    if not all(map(math.isfinite, (lo, stop, step))) or step <= 0.0 or hi < lo:
         raise ConfigError(f"bad grid {text!r}: need finite STOP >= START and STEP > 0")
-    try:
-        return np.arange(lo, hi + 0.5 * step, step)
-    except ValueError as exc:  # more points than an array can hold
-        raise ConfigError(f"bad grid {text!r}: {exc}") from None
+    points = (hi - lo) / step + 1.0  # np.arange's count, to within one
+    if points > _MAX_GRID:
+        raise ConfigError(f"bad grid {text!r}: about {points:.3g} points, more than {_MAX_GRID}")
+    return np.arange(lo, stop, step)
 
 
 @contextlib.contextmanager

@@ -6,15 +6,15 @@ amplitude). A pair of them, one per input port of a 50:50 beam
 splitter, has closed forms for the interfering and non-interfering
 coincidence distributions, their integrals, the visibility, the dip
 shape and the outcome law of one trial given both detection times, at
-any pair of carrier detunings. Each quantity has exactly one
-implementation here; the independent quadrature references live with
-the tests. The visibility, the dip and the total coincidence probability
-are forms of one quantity, the squared overlap of the two envelopes,
-which only :func:`_overlap_sq` computes. scipy, which only the ``test``
-extra installs, is imported only by
-:func:`coincidence_probability_numeric`, which integrates: loading it
-takes most of the time of ``import homsim``, and no default path needs
-it. The top-level ``homsim`` does not export that function.
+any pair of carrier detunings; :func:`expected_histogram` models a whole
+run on the simulator's tick grid, accidentals included. Each quantity
+has exactly one implementation here; the independent quadrature
+references live with the tests. The visibility, the dip and the total
+coincidence probability are forms of one quantity, the squared overlap
+of the two envelopes, which only :func:`_overlap_sq` computes. scipy,
+from the ``test`` extra, is imported only by
+:func:`coincidence_probability_numeric`, which ``homsim`` does not
+export: loading it takes most of the time of ``import homsim``.
 
 Delay convention: a delay is the envelopes' start times, ``env_f.t0 -
 env_s.t0``; a positive one means the heralded (f) photon's envelope
@@ -26,11 +26,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .analysis import _bin, histogram
+from .io import _ns_to_ticks, _tick_ns, _whole_ticks
+
+if TYPE_CHECKING:
+    from .montecarlo import ExperimentConfig
+
 # 1 MHz * 1 ns = 1e-3 cycles
 _MHZ_NS = 1e-3
+# The coherence times (ns) the model takes: within them 1/tau, a b / (a + b)
+# for two rates, tau_s tau_f and (tau_s + tau_f)**2 are finite and non-zero.
+_TAU_RANGE = (1e-150, 1e150)
 
 
 @dataclass(frozen=True)
@@ -38,7 +48,7 @@ class Envelope:
     """Decaying-exponential temporal amplitude of a single photon.
 
     Attributes:
-        tau: coherence (decay) time in ns, must be positive and finite.
+        tau: coherence (decay) time in ns, in [1e-150, 1e150] (`_TAU_RANGE`).
         t0: emission start time in ns; the amplitude vanishes for t < t0.
         detuning: carrier frequency offset in MHz (0 = compensated carrier),
             must be finite.
@@ -49,8 +59,9 @@ class Envelope:
     detuning: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not _TAU_RANGE[0] <= self.tau <= _TAU_RANGE[1]:
+            raise ValueError(f"tau must lie in [{_TAU_RANGE[0]:g}, {_TAU_RANGE[1]:g}] ns, "
+                             f"got {self.tau}")
         if not math.isfinite(self.detuning):
             raise ValueError(f"detuning must be finite, got {self.detuning}")
 
@@ -259,3 +270,89 @@ def dip_ratio(delta_t, tau_s: float, tau_f: float):
     if np.ndim(delta_t) == 0:
         return float(out)
     return out
+
+
+def expected_histogram(
+    config: ExperimentConfig,
+    valid_window: float = 85.0,
+    bin_width: float = 10.0,
+    half_range: float = 205.0,
+) -> np.ndarray:
+    """Expected per-trigger value of each bin of the coincidence histogram.
+
+    The bins are those of ``histogram(pair_events(simulate(config),
+    valid_window).delta_ts, n, bin_width, half_range)``, and the model is
+    exact on the simulator's tick grid: signal and accidentals to all
+    orders in efficiency and background, with the gate, the detector
+    offsets, the first click of each detector and the validity window.
+
+    Given the photons of a trigger, each detector's first click is the
+    earliest of its photons and of its Poisson background, independently
+    of the other detector's. This holds for every trigger only while the
+    two photons of a pair are routed independently, so the model covers
+    configs with `xi` = 0 or at most one live source, and no excitation
+    jitter; it raises NotImplementedError otherwise.
+    """
+    if (config.xi > 0.0 and config.eta_f > 0.0 and config.eta_s > 0.0) or (
+        config.excitation_jitter_sigma > 0.0
+    ):
+        raise NotImplementedError(
+            "expected_histogram needs independent photons (xi = 0 or one live "
+            "source) and no excitation jitter"
+        )
+    res, w = config.timestamp_resolution, config.window_length
+    valid_ticks = _whole_ticks(valid_window, res, "valid_window")
+    edges = histogram([], 1, bin_width, half_range)  # checks the binning
+    n_w = _whole_ticks(w, res)  # as the gate
+    if n_w == 0:  # a window shorter than a tick keeps no click
+        return np.zeros(edges.counts.size)
+    last_valid = min(valid_ticks, n_w - 1)
+    # tick edges, as offsets from the trigger: j ticks over the ticks in a ns
+    lo = np.arange(n_w + 1) / _ns_to_ticks(1.0, res)
+
+    def background(rate, offset):
+        # P(no background click before tick j), j = 0 .. n_w: the ticks
+        # take independent Poisson counts, each the rate times the part of
+        # the window that the offset maps onto the tick
+        covered = np.clip(lo - offset, 0.0, w)
+        return np.exp(-rate * covered)
+
+    def photon(env, offset):
+        # P(the photon makes no click before tick j), j = 0 .. n_w; a
+        # photon the gate drops makes none
+        return np.exp(-np.clip(lo - offset - env.t0, 0.0, None) / env.tau)
+
+    pair = config.source_pair()
+    sides = (
+        (config.bg_rate_a, config.detector_offset_a),
+        (config.bg_rate_b, config.detector_offset_b),
+    )
+    bg = [background(rate, off) for rate, off in sides]
+    # each source is off, or live and routed to A or to B
+    states = []
+    for env, eta in ((pair.env_f, config.eta_f), (pair.env_s, config.eta_s)):
+        states.append(
+            [(1.0 - eta, None)]
+            + [(0.5 * eta, (d, photon(env, sides[d][1]))) for d in (0, 1) if eta > 0.0]
+        )
+    corr = np.zeros(2 * n_w - 1)
+    for p_f, ph_f in states[0]:
+        for p_s, ph_s in states[1]:
+            if p_f * p_s == 0.0:
+                continue
+            first = []
+            for d in (0, 1):
+                survival = bg[d].copy()
+                for ph in (ph_f, ph_s):
+                    if ph is not None and ph[0] == d:
+                        survival *= ph[1]
+                p = survival[:-1] - survival[1:]  # first click at each tick
+                late = p.copy()
+                late[: last_valid + 1] = 0.0
+                first.append((p, late))
+            (a, a_late), (b, b_late) = first
+            # pairs with a - b = index - (n_w - 1), less those with neither
+            # click inside the validity window
+            corr += p_f * p_s * (np.convolve(a, b[::-1]) - np.convolve(a_late, b_late[::-1]))
+    d = np.arange(1 - n_w, n_w) * _tick_ns(res)
+    return _bin(d, edges.counts.size, bin_width, half_range, corr)

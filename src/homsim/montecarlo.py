@@ -23,10 +23,6 @@ part of the determinism contract:
    total for the chunk, then a uniform owner trigger and a uniform offset
    in the window per background click.
 
-Steps 2 and 3 come from one call for 2n uniforms, n the photon count,
-which gives the numbers the two calls would, in the same order. The
-emission times are made in place over the first n.
-
 No draw count depends on `xi` or on the outcome law, so `xi` changes
 which detector a photon reaches but no detection time. A lone photon
 goes to A on a route uniform below 1/2. In a pair the heralded photon
@@ -52,15 +48,11 @@ trigger ticks are those of the trigger times, floored; only the streamed
 path forms them. The detector gate keeps a click whose offset tick lies
 inside the window's whole ticks.
 
-Delay convention: positive delta_t starts the heralded (f) envelope
-delta_t ns after the single-atom (s) envelope. `ExperimentConfig.source_pair`,
-which the generator and `expected_histogram` read, shifts the
-later-starting envelope forward, mirroring the delay-line calibration of
-a real setup; only the relative offset is physical. Without excitation
-jitter every emission therefore begins at or after its trigger. Jitter
-moves the single-atom envelope start by a Gaussian offset, and an
-emission that then falls before its trigger is removed by the detector
-gate like any click outside the acquisition window, uncounted.
+Delay convention: that of `homsim.interference`.
+`ExperimentConfig.source_pair` delays the later-starting envelope by
+|delta_t|, as a real setup's delay line does, so without excitation
+jitter every emission begins at or after its trigger; a jittered one
+before it is dropped, uncounted, by the gate.
 
 Determinism: trials are generated in fixed-size chunks, each seeded from
 (seed, chunk_index), and each chunk's stream is sorted by (timestamp,
@@ -92,9 +84,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .analysis import CoincidenceHistogram, _bin, histogram, pair_clicks
+from .analysis import CoincidenceHistogram, histogram, pair_clicks
 from .errors import ConfigError
-from .interference import Envelope, SourcePair, _inverse_cdf, _p_coincidence
+from .interference import _TAU_RANGE, Envelope, SourcePair, _inverse_cdf, _p_coincidence
 from .io import DET_A, DET_B, DET_T, EventStream, _ns_to_ticks, _tick_ns, _whole_ticks
 
 _CHUNK = 1 << 16
@@ -157,8 +149,12 @@ class ExperimentConfig:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
         for name in ("tau_f", "tau_s"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            tau = getattr(self, name)
+            if tau <= 0.0:
+                raise ConfigError(f"{name} must be positive, got {tau}")
+            if not _TAU_RANGE[0] <= tau <= _TAU_RANGE[1]:
+                raise ConfigError(f"{name} must lie in [{_TAU_RANGE[0]:g}, "
+                                  f"{_TAU_RANGE[1]:g}] ns, got {tau}")
         if self.bg_rate_a < 0.0 or self.bg_rate_b < 0.0:
             raise ConfigError("background rates must be non-negative")
         if self.excitation_jitter_sigma < 0.0:
@@ -301,92 +297,6 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
         keep = np.flatnonzero(keep)
         times, owner, detector = times[keep], owner[keep], detector[keep]
     return times.astype(np.int64), owner, detector
-
-
-def expected_histogram(
-    config: ExperimentConfig,
-    valid_window: float = 85.0,
-    bin_width: float = 10.0,
-    half_range: float = 205.0,
-) -> np.ndarray:
-    """Expected per-trigger value of each bin of the coincidence histogram.
-
-    The bins are those of ``histogram(pair_events(simulate(config),
-    valid_window).delta_ts, n, bin_width, half_range)``, and the model is
-    exact on the simulator's tick grid: signal and accidentals to all
-    orders in efficiency and background, with the gate, the detector
-    offsets, the first click of each detector and the validity window.
-
-    Given the photons of a trigger, each detector's first click is the
-    earliest of its photons and of its Poisson background, independently
-    of the other detector's. This holds for every trigger only while the
-    two photons of a pair are routed independently, so the model covers
-    configs with `xi` = 0 or at most one live source, and no excitation
-    jitter; it raises NotImplementedError otherwise.
-    """
-    if (config.xi > 0.0 and config.eta_f > 0.0 and config.eta_s > 0.0) or (
-        config.excitation_jitter_sigma > 0.0
-    ):
-        raise NotImplementedError(
-            "expected_histogram needs independent photons (xi = 0 or one live "
-            "source) and no excitation jitter"
-        )
-    res, w = config.timestamp_resolution, config.window_length
-    valid_ticks = _whole_ticks(valid_window, res, "valid_window")
-    edges = histogram([], 1, bin_width, half_range)  # checks the binning
-    n_w = _whole_ticks(w, res)  # as the gate
-    if n_w == 0:  # a window shorter than a tick keeps no click
-        return np.zeros(edges.counts.size)
-    last_valid = min(valid_ticks, n_w - 1)
-    # tick edges, as offsets from the trigger: j ticks over the ticks in a ns
-    lo = np.arange(n_w + 1) / _ns_to_ticks(1.0, res)
-
-    def background(rate, offset):
-        # P(no background click before tick j), j = 0 .. n_w: the ticks
-        # take independent Poisson counts, each the rate times the part of
-        # the window that the offset maps onto the tick
-        covered = np.clip(lo - offset, 0.0, w)
-        return np.exp(-rate * covered)
-
-    def photon(env, offset):
-        # P(the photon makes no click before tick j), j = 0 .. n_w; a
-        # photon the gate drops makes none
-        return np.exp(-np.clip(lo - offset - env.t0, 0.0, None) / env.tau)
-
-    pair = config.source_pair()
-    sides = (
-        (config.bg_rate_a, config.detector_offset_a),
-        (config.bg_rate_b, config.detector_offset_b),
-    )
-    bg = [background(rate, off) for rate, off in sides]
-    # each source is off, or live and routed to A or to B
-    states = []
-    for env, eta in ((pair.env_f, config.eta_f), (pair.env_s, config.eta_s)):
-        states.append(
-            [(1.0 - eta, None)]
-            + [(0.5 * eta, (d, photon(env, sides[d][1]))) for d in (0, 1) if eta > 0.0]
-        )
-    corr = np.zeros(2 * n_w - 1)
-    for p_f, ph_f in states[0]:
-        for p_s, ph_s in states[1]:
-            if p_f * p_s == 0.0:
-                continue
-            first = []
-            for d in (0, 1):
-                survival = bg[d].copy()
-                for ph in (ph_f, ph_s):
-                    if ph is not None and ph[0] == d:
-                        survival *= ph[1]
-                p = survival[:-1] - survival[1:]  # first click at each tick
-                late = p.copy()
-                late[: last_valid + 1] = 0.0
-                first.append((p, late))
-            (a, a_late), (b, b_late) = first
-            # pairs with a - b = index - (n_w - 1), less those with neither
-            # click inside the validity window
-            corr += p_f * p_s * (np.convolve(a, b[::-1]) - np.convolve(a_late, b_late[::-1]))
-    d = np.arange(1 - n_w, n_w) * _tick_ns(res)
-    return _bin(d, edges.counts.size, bin_width, half_range, corr)
 
 
 def _spans(config: ExperimentConfig):

@@ -1,13 +1,13 @@
 """Quadrature references for the analytic model, independent of its closed forms.
 
-Each function integrates products of `homsim.amplitude` numerically with
-scipy, so a test that compares a closed form with it checks that form
-against the envelope definition itself.
+Each function but `window` integrates products of `homsim.amplitude`
+numerically with scipy, so a test that compares a closed form with it
+checks that form against the envelope definition itself.
 """
 
 from scipy.integrate import quad
 
-from homsim import amplitude
+from homsim import amplitude, coincidence_density
 
 
 def norm(env, upper=None):
@@ -57,3 +57,14 @@ def probability(pair):
             val, _ = quad(lambda dt: density(pair, dt), lo, hi, limit=400, epsabs=1e-9)
             total += val
     return total
+
+
+def window(pair, lo, hi):
+    """Coincidence probability with dt = t_a - t_b in [lo, hi].
+
+    Unlike the functions above, this integrates the library's closed-form
+    `coincidence_density`, not the amplitudes; `density` checks that form
+    against the amplitudes (tests/test_interference.py).
+    """
+    val, _ = quad(lambda dt: coincidence_density(pair, dt), lo, hi, limit=200)
+    return val

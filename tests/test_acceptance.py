@@ -11,7 +11,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import chisquare
 
@@ -141,14 +140,8 @@ def test_criterion_6_raw_and_corrected_visibility():
             n_triggers=1000, eta_f=eta, eta_s=eta, tau_f=TAU_F, tau_s=TAU_S, xi=0.0
         )
 
-        def windowed(pair, t_c):
-            val, _ = quad(
-                lambda dt: h.coincidence_density(pair, dt), -t_c, t_c, limit=200
-            )
-            return val
-
-        s_perp_25 = windowed(ideal_pair(0.0), 25.0)
-        s_par_25 = windowed(ideal_pair(1.0), 25.0)
+        s_perp_25 = quadrature.window(ideal_pair(0.0), -25.0, 25.0)
+        s_par_25 = quadrature.window(ideal_pair(1.0), -25.0, 25.0)
         sel_25 = h.histogram([], 1).window_bins(25.0)  # the bins of expected_histogram(cfg)
 
         # Analytic raw visibility as a function of the background rate;
@@ -200,7 +193,10 @@ def test_criterion_6_raw_and_corrected_visibility():
         # The corrected V is a ratio of window sums over +-75 ns, so its
         # model is the ratio of the window integrals (0.9224), not the
         # t_c -> infinity closed form (0.900).
-        v_model_75 = 1.0 - windowed(ideal_pair(1.0), 75.0) / windowed(ideal_pair(0.0), 75.0)
+        v_model_75 = 1.0 - (
+            quadrature.window(ideal_pair(1.0), -75.0, 75.0)
+            / quadrature.window(ideal_pair(0.0), -75.0, 75.0)
+        )
         notes.append(f"windowed model V = {v_model_75:.4f}")
         assert 0.93 - 0.06 <= corrected.v <= 0.93 + 0.06
         assert abs(corrected.v - v_model_75) <= 3.0 * corrected.sigma_v

@@ -644,9 +644,8 @@ class TestModelFitToSimulatedHistogram:
         # offset + scale * model fitted to a simulated non-interfering
         # histogram with background: the fitted curve should sit within
         # 3 sigma of at least 90 percent of the per-bin values
-        from scipy.integrate import quad
-
-        from homsim import Envelope, SourcePair, coincidence_density
+        from homsim import Envelope, SourcePair
+        from quadrature import window
 
         cfg = ExperimentConfig(
             n_triggers=300_000, eta_f=1.0, eta_s=1.0, xi=0.0,
@@ -655,12 +654,7 @@ class TestModelFitToSimulatedHistogram:
         p = pair_events(simulate(cfg))
         h = histogram(p.delta_ts, p.n_triggers)
         pair = SourcePair(Envelope(TAU_F), Envelope(TAU_S), 0.0)
-        model = np.array(
-            [
-                quad(lambda dt: coincidence_density(pair, dt), c - 5.0, c + 5.0)[0]
-                for c in h.bin_centers
-            ]
-        )
+        model = np.array([window(pair, c - 5.0, c + 5.0) for c in h.bin_centers])
         design = np.column_stack([model, np.ones_like(model)])
         (scale, offset), *_ = np.linalg.lstsq(design, h.values, rcond=None)
         assert scale == pytest.approx(1.0, abs=0.05)

@@ -193,7 +193,15 @@ class TestOracle:
         (["--tau-s", "-4"], "tau_s must be positive, got -4.0"),
         (["--xi", "1.5"], "xi must lie in [0, 1], got 1.5"),
         (["--detuning", "inf"], "detuning must be finite, got inf"),
-    ], ids=["tau", "xi", "detuning"])
+        # coherence times whose model overflows or underflows
+        (["--tau-s", "1e-320"], "tau_s must lie in [1e-150, 1e+150] ns, got 1e-320"),
+        (["--tau-s", "1e-160", "--tau-f", "1e-160"],
+         "tau_f must lie in [1e-150, 1e+150] ns, got 1e-160"),
+        (["--tau-s", "1e-200", "--tau-f", "1e-200"],
+         "tau_f must lie in [1e-150, 1e+150] ns, got 1e-200"),
+        (["--tau-s", "1e200", "--tau-f", "1e200"],
+         "tau_f must lie in [1e-150, 1e+150] ns, got 1e+200"),
+    ], ids=["tau", "xi", "detuning", "tau-1e-320", "taus-1e-160", "taus-1e-200", "taus-1e200"])
     def test_bad_parameter_names_its_option(self, tmp_path, capsys, args, message):
         assert cli.main(["oracle", *args, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -210,14 +218,34 @@ class TestOracle:
 
     @pytest.mark.parametrize("option", ["--delta-t", "--density-range"])
     def test_grid_too_large_to_build_exit_one(self, tmp_path, capsys, option):
-        # np.arange refuses this many points before it allocates anything
         assert cli.main(["oracle", option, "0:1e300:1", "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("config error: bad grid '0:1e300:1': ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", ["--delta-t", "--density-range"])
+    def test_grid_beyond_bound_exit_one(self, tmp_path, capsys, option):
+        # 1e15 points (7.1 PiB) fit no address space: without the bound,
+        # numpy's allocation would fail here, allocating nothing
+        assert cli.main(["oracle", option, "0:1e15:1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: bad grid '0:1e15:1': about 1e+15 points, more than 1000000\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_bound_counts_points(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID", 5)
+        assert cli.main(["oracle", "--delta-t", "0:4:1", "--density-range", "0:4:1",
+                         "--out", str(tmp_path / "ok")]) == 0
+        assert cli.main(["oracle", "--delta-t", "0:5:1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: bad grid '0:5:1': about 6 points, more than 5\n"
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args", [
         ["--tau-s", "nan"], ["--tau-f", "inf"], ["--detuning", "inf"], ["--detuning", "nan"],
         ["--delta-t", "0:10:nan"], ["--delta-t", "0:inf:1"], ["--density-range", "nan:1:1"],
+        ["--delta-t", "1.7976931348623157e308:1.7976931348623157e308:1e300"],  # STOP + STEP/2
     ], ids=" ".join)
     def test_non_finite_arguments_exit_one(self, tmp_path, capsys, args):
         assert cli.main(["oracle", *args, "--out", str(tmp_path)]) == 1

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.stats import chi2
 
 from homsim import (
@@ -30,6 +29,7 @@ from homsim.analysis import pair_clicks
 from homsim.io import DET_A, DET_B, DET_T
 from homsim.montecarlo import _CHUNK, simulate_chunks
 from helpers import coincidence_fraction, quantize
+from quadrature import window
 
 TAU_S, TAU_F = 26.18, 13.61
 
@@ -115,12 +115,16 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name, value, message", [
         ("tau_f", 0.0, "tau_f must be positive, got 0.0"),
         ("tau_s", -4.0, "tau_s must be positive, got -4.0"),
+        ("tau_s", 1e-320, "tau_s must lie in [1e-150, 1e+150] ns, got 1e-320"),
+        ("tau_f", 1e-160, "tau_f must lie in [1e-150, 1e+150] ns, got 1e-160"),
+        ("tau_f", 1e-200, "tau_f must lie in [1e-150, 1e+150] ns, got 1e-200"),
+        ("tau_s", 1e200, "tau_s must lie in [1e-150, 1e+150] ns, got 1e+200"),
         ("excitation_jitter_sigma", -0.5, "excitation_jitter_sigma must be non-negative"),
         ("window_length", 0.0, "window_length must be positive"),
         ("timestamp_resolution", -125.0, "timestamp_resolution must be positive"),
         ("detector_offset_b", -1.0, "detector offsets must be non-negative"),
-    ], ids=["tau_f", "tau_s", "jitter", "window_length", "timestamp_resolution",
-            "detector_offset"])
+    ], ids=["tau_f", "tau_s", "tau_s-1e-320", "tau_f-1e-160", "tau_f-1e-200", "tau_s-1e200",
+            "jitter", "window_length", "timestamp_resolution", "detector_offset"])
     def test_out_of_range_value_names_its_field(self, name, value, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ideal_config(**{name: value})
@@ -770,9 +774,6 @@ class TestExpectedHistogram:
         pair = cfg.source_pair()
         model = expected_histogram(cfg, 85.0, 10.0, 205.0) / (cfg.eta_f * cfg.eta_s)
 
-        def mass(lo, hi):
-            return quad(lambda x: coincidence_density(pair, x), lo, hi, limit=200)[0]
-
         def after(t):  # P(each photon comes at or after t)
             return [math.exp(-max(t - env.t0, 0.0) / env.tau) for env in (pair.env_f, pair.env_s)]
 
@@ -780,8 +781,8 @@ class TestExpectedHistogram:
         tick = cfg.timestamp_resolution / 1000.0
         edges = np.arange(-205.0, 206.0, 10.0)
         for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            exact = mass(lo, hi)
-            bound = max(mass(lo - tick, lo), mass(hi - tick, hi)) + late
+            exact = window(pair, lo, hi)
+            bound = max(window(pair, lo - tick, lo), window(pair, hi - tick, hi)) + late
             assert abs(model[k] - exact) <= bound, (lo, model[k], exact, bound)
 
     def test_one_click_per_trigger_never_pairs(self):

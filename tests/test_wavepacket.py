@@ -16,9 +16,12 @@ def test_invalid_tau_rejected():
         Envelope(0.0)
     with pytest.raises(ValueError):
         Envelope(-3.0)
-    for tau in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="tau must be positive and finite"):
+    # the model's closed forms overflow or underflow beyond [1e-150, 1e150] ns
+    for tau in (math.inf, math.nan, 1e-320, 1e-160, 1e-200, 1e200, 1.1e150):
+        with pytest.raises(ValueError, match=r"tau must lie in \[1e-150, 1e\+150\] ns"):
             Envelope(tau)
+    for tau in (1e-150, 1e150):
+        assert Envelope(tau).tau == tau
     with pytest.raises(ValueError, match="detuning must be finite"):
         Envelope(26.18, detuning=math.nan)
 
