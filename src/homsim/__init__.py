@@ -28,7 +28,7 @@ from .interference import (
 from .io import EventStream, read_events, write_events
 from .montecarlo import ExperimentConfig, simulate, simulate_histograms
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AccidentalEstimate",

@@ -41,6 +41,16 @@ _MHZ_NS = 1e-3
 # The coherence times (ns) the model takes: within them 1/tau, a b / (a + b)
 # for two rates, tau_s tau_f and (tau_s + tau_f)**2 are finite and non-zero.
 _TAU_RANGE = (1e-150, 1e150)
+# The carrier detunings (MHz) the model takes, of either sign. Within them
+# and _TAU_RANGE, _overlap_sq's 2 d_omega tau_s tau_f / (tau_s + tau_f) is
+# at most 2 * 4 pi * 1e3 rad/ns * 5e149 ns = 1.3e154, whose square stays
+# below the float maximum, 1.8e308. coincidence_density forms its cross
+# term only where that term, at most exp(-(a + b) |dt| / 2), does not
+# underflow: there |dt| < 1492 / (a + b) <= 7.5e152 ns, and its exponent's
+# terms and its phase d_omega dt, below 1e157, stay finite. At any larger
+# finite dt the oracle's grid reaches, the term is 0 and the direct terms'
+# exponents, each a sum of terms <= 0, are at worst -inf.
+_DETUNING_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,7 @@ class Envelope:
         tau: coherence (decay) time in ns, in [1e-150, 1e150] (`_TAU_RANGE`).
         t0: emission start time in ns; the amplitude vanishes for t < t0.
         detuning: carrier frequency offset in MHz (0 = compensated carrier),
-            must be finite.
+            in [-1e6, 1e6] (`_DETUNING_MAX`).
     """
 
     tau: float
@@ -62,8 +72,9 @@ class Envelope:
         if not _TAU_RANGE[0] <= self.tau <= _TAU_RANGE[1]:
             raise ValueError(f"tau must lie in [{_TAU_RANGE[0]:g}, {_TAU_RANGE[1]:g}] ns, "
                              f"got {self.tau}")
-        if not math.isfinite(self.detuning):
-            raise ValueError(f"detuning must be finite, got {self.detuning}")
+        if not abs(self.detuning) <= _DETUNING_MAX:
+            raise ValueError(f"detuning must lie in [-{_DETUNING_MAX:g}, {_DETUNING_MAX:g}] "
+                             f"MHz, got {self.detuning}")
 
 
 def amplitude(env: Envelope, t):
@@ -187,6 +198,7 @@ def coincidence_density(pair: SourcePair, dt: float) -> float:
     # a1 a2* with the phase (omega_f - omega_s) dt, which does not depend on
     # t, so a relative detuning only scales the cross term by cos(d_omega dt)
     # and the direct terms not at all.
+    dt = float(dt)  # a float overflows to inf where a numpy scalar also warns
     env_f, env_s = pair.env_f, pair.env_s
     a = 1.0 / env_f.tau
     b = 1.0 / env_s.tau
@@ -197,11 +209,13 @@ def coincidence_density(pair: SourcePair, dt: float) -> float:
         lo = max(tf, ts - d)
         return pref * math.exp(-a * (lo - tf) - b * (lo + d - ts))
 
-    cross_lo = max(tf, ts) + max(0.0, -dt)
-    cross = pref * math.exp(
-        -0.5 * (a + b) * dt - a * (cross_lo - tf) - b * (cross_lo - ts)
-    )
-    cross *= math.cos(_d_omega(env_f, env_s) * dt)
+    cross = 0.0
+    if abs(dt) < 1492.0 / (a + b):  # else it underflows to 0 (_DETUNING_MAX)
+        cross_lo = max(tf, ts) + max(0.0, -dt)
+        cross = pref * math.exp(
+            -0.5 * (a + b) * dt - a * (cross_lo - tf) - b * (cross_lo - ts)
+        )
+        cross *= math.cos(_d_omega(env_f, env_s) * dt)
     return 0.25 * (direct(dt) + direct(-dt) - 2.0 * pair.xi * pair.xi * cross)
 
 

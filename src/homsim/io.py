@@ -1,46 +1,42 @@
 """Event-stream container plus the event-file / JSON-sidecar format.
 
-An event file is ASCII text in one strict line grammar::
+An event file is binary: a 16-byte header, then frames of records::
 
-    detector,timestamp<LF>
-    (T|A|B),(0|[1-9][0-9]*)<LF>      zero or more records
+    header    the magic bytes 89 'HOMSIM' 0A, then the format version, 1
+    frame     n, then n ticks, then n detector codes
 
-The timestamp counts resolution ticks since the start of the run. It
-must fit in int64 and must not decrease from one record to the next.
-This is exactly the text ``write_events`` writes. A JSON sidecar (same
-path with a .json suffix) echoes the resolution, the full run
-configuration and its hash, the record count ``n_records`` and the
-``sha256`` of the event file's bytes.
+Each count, version and tick is an int64 and each code a uint8, all
+little-endian; a frame holds 1 to ``_FRAME`` (2**15) records. A code is
+0 (T), 1 (A) or 2 (B). A tick counts resolution ticks since the start
+of the run; the ticks never decrease, within a frame or across frames,
+from a non-negative first one. Ticks come before codes, so that they
+stay 8-byte aligned in the file. ``write_events`` writes frames of
+``_FRAME`` records, the last one shorter, so a file's bytes depend on
+its records alone, not on how they were chunked; the reader takes any
+frame of 1 to ``_FRAME`` records. A JSON sidecar (same path with a
+.json suffix) echoes the resolution, the full run configuration and its
+hash, the record count ``n_records`` and the ``sha256`` of the event
+file's bytes. The header does not repeat the resolution: it comes from
+the sidecar, or is 125 ps when there is no sidecar.
 
 ``read_events`` (and ``read_event_blocks``, as it reaches the fault)
-raises ``DataFormatError`` naming the file and physical line for a line
-outside the grammar (a last line without its line break included), a
-timestamp beyond int64 or a record out of timestamp order; naming the
-file when the sidecar's record count or digest disagrees with the file;
-and naming the sidecar when it is not a JSON object or its resolution
-is missing or not a positive number.
-
-Sorted ticks have non-decreasing digit counts, so any stretch of
-records falls into at most ``_MAX_DIGITS`` runs of fixed-width rows
-(``_width_runs``). ``write_events`` takes the records as a sequence of
-chunk streams, so a run need never be held whole: it checks each chunk's
-order and its seam with the chunk before, formats each run of a slice
-of ``_WRITE_SLICE`` records as one uint8 array, a row per line, with the
-digit columns filled from the right, and counts and hashes the records
-as it writes them. ``read_event_blocks`` makes one pass over the file in
-blocks of ``_READ_BLOCK`` bytes: it hashes each block, parses the
-block's whole lines run by run, column by column, carries a partial
-last line into the next block and yields the block's records; after
-the last block it checks the sidecar. ``read_events`` concatenates the
-blocks.
+raises ``DataFormatError`` naming the file, and the index of the record
+(from 0) at fault, for a frame whose count is 0 or above ``_FRAME``, a
+frame cut short (in its count or its records, checked against the bytes
+left before any buffer is made), a code above 2, and a tick below the
+one before it or a negative first one; naming the file for a header
+other than format 1's, and when the sidecar's record count or digest
+disagrees with the file; and naming the sidecar when it is not a JSON
+object or its resolution is missing or not a positive number.
 
 Each open event file has one I/O thread, so that its bytes overlap the
 caller's work: while the caller makes the next chunk, the writer thread
-formats, hashes and writes the chunk before it; while the caller works
-on a block, the reader thread reads, hashes and parses the next one. So
-one chunk or one block is in flight beside the caller's, and no more.
-The checks of ``write_events`` and every error's text and order stay
-as on one thread, and the thread ends with the call or the iterator.
+hashes and writes the frames of the chunk before it; while the caller
+works on a frame, the reader thread reads, hashes and checks the next
+one. So one chunk or one frame is in flight beside the caller's, and no
+more. The checks of ``write_events`` and every error's text and order
+stay as on one thread, and the thread ends with the call or the
+iterator.
 
 The other output files are written here too: every CSV table by
 ``write_table`` and every JSON file by ``write_json``.
@@ -51,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,20 +60,12 @@ from .errors import DataFormatError
 DET_T, DET_A, DET_B = 0, 1, 2
 DETECTOR_LABELS = ("T", "A", "B")
 
-EVENT_HEADER = ("detector", "timestamp")
-_HEADER = (",".join(EVENT_HEADER) + "\n").encode()
-_INT64_MAX = np.iinfo(np.int64).max
-_MAX_DIGITS = len(str(_INT64_MAX))
-# Detector code of each byte value; every byte but a label maps past DET_B.
-_LABEL_BYTE = np.frombuffer("".join(DETECTOR_LABELS).encode(), np.uint8)  # of each code
-_CODE_OF_BYTE = np.full(256, DET_B + 1, dtype=np.uint8)
-_CODE_OF_BYTE[_LABEL_BYTE] = np.arange(_LABEL_BYTE.size)
-_POWERS_OF_TEN = 10 ** np.arange(1, _MAX_DIGITS, dtype=np.int64)  # 10 .. 10**18
-# Records formatted per slice: big enough to amortise the per-run numpy
-# calls and the write call, small enough that a slice's rows (at most 22
-# bytes a record) and its int64 digit arithmetic stay below 1 MB.
-_WRITE_SLICE = 1 << 15
-_READ_BLOCK = 1 << 18  # bytes; larger blocks read no faster but raise the peak memory
+# A non-ASCII first byte and a line feed, as in PNG's signature, so that a
+# 7-bit or text-mode copy of a file breaks its header.
+_HEADER = b"\x89HOMSIM\n" + (1).to_bytes(8, "little")  # the magic, then format version 1
+# Records per frame: the writer's frames hold this many, the last fewer,
+# and the reader refuses more. A frame is then at most 288 KiB.
+_FRAME = 1 << 15
 
 
 # The tick grid: every conversion between ns and ticks in the package.
@@ -155,41 +144,15 @@ def sidecar_path(events_path) -> Path:
     return Path(events_path).with_suffix(".json")
 
 
-def _width_runs(widths: np.ndarray) -> list[tuple[int, int, int]]:
-    """(lo, hi, k) of each run ``widths[lo:hi] == k`` of the positive
-    digit counts `widths`, in order."""
-    firsts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
-    return [(lo, hi, int(widths[lo])) for lo, hi in zip(firsts, firsts[1:] + [widths.size])]
-
-
-def _file_bytes(stream: EventStream) -> Iterator[bytes]:
-    """The records of `stream` as event-file lines, one run of fixed-width
-    rows at a time. The ticks must be non-negative; sorted, they make at
-    most _MAX_DIGITS runs a slice."""
-    for start in range(0, len(stream), _WRITE_SLICE):
-        codes = stream.detectors[start : start + _WRITE_SLICE]
-        ticks = stream.timestamps[start : start + _WRITE_SLICE]
-        widths = np.searchsorted(_POWERS_OF_TEN, ticks, side="right") + 1
-        for lo, hi, k in _width_runs(widths):
-            rows = np.empty((hi - lo, k + 3), np.uint8)  # label , k digits LF
-            rows[:, 0] = _LABEL_BYTE[codes[lo:hi]]
-            rows[:, 1] = ord(",")
-            rows[:, -1] = ord("\n")
-            value = ticks[lo:hi]
-            for j in range(k + 1, 1, -1):  # the digit columns, from the right
-                tens = value // 10  # with the subtraction, faster than np.divmod
-                rows[:, j] = value - 10 * tens + ord("0")
-                value = tens
-            yield rows.tobytes()
-
-
 def write_events(
     chunks: EventStream | Iterable[EventStream], path, metadata: dict | None = None
 ) -> Path:
-    """Write the CSV event file and its JSON sidecar; returns the CSV path.
+    """Write the event file and its JSON sidecar; returns the event file's path.
 
     `chunks` is one stream or the consecutive chunks of one, written as
-    they come; the sidecar's record count and digest cover them all.
+    they come in frames of ``_FRAME`` records, the last one shorter,
+    whatever the chunks' sizes; the sidecar's record count and digest
+    cover them all.
     Raises ValueError, and leaves neither file, for a chunk whose ticks
     ``read_events`` would reject (a negative or a decreasing one, within
     a chunk or across the seam with the chunk before), for chunks of
@@ -205,23 +168,33 @@ def write_events(
         chunks = (chunks,)
     path = Path(path)
     digest, n_records, resolution, previous = hashlib.sha256(_HEADER), 0, None, 0
+    codes, ticks = np.empty(0, np.uint8), np.empty(0, np.int64)  # not yet in a frame
     fh = open(path, "wb")
     try:
         with fh, ThreadPoolExecutor(max_workers=1) as writer:
             written = writer.submit(fh.write, _HEADER)
             try:
                 for chunk in chunks:
-                    ticks = chunk.timestamps
-                    if not chunk.is_sorted() or (ticks.size and ticks[0] < previous):
+                    new = chunk.timestamps
+                    if not chunk.is_sorted() or (new.size and new[0] < previous):
                         raise ValueError("timestamps must be non-negative and must not decrease")
                     if resolution not in (None, chunk.resolution):
                         raise ValueError("the chunks of an event file must share one resolution")
+                    n_records += new.size
+                    previous, resolution = new[-1] if new.size else previous, chunk.resolution
+                    if ticks.size:  # the records left over from the chunks before
+                        codes = np.concatenate((codes, chunk.detectors))
+                        ticks = np.concatenate((ticks, new))
+                    else:
+                        codes, ticks = chunk.detectors, new
+                    whole = ticks.size - ticks.size % _FRAME
                     written.result()  # one chunk in flight: the one before is written
-                    written = writer.submit(_write_chunk, fh, digest, chunk)
-                    n_records += ticks.size
-                    previous, resolution = ticks[-1] if ticks.size else previous, chunk.resolution
+                    written = writer.submit(_write_frames, fh, digest, codes[:whole], ticks[:whole])
+                    codes, ticks = codes[whole:], ticks[whole:]
+                written.result()
+                written = writer.submit(_write_frames, fh, digest, codes, ticks)
             finally:
-                # the last chunk is written before the sidecar, and a write
+                # the last frame is written before the sidecar, and a write
                 # that failed raises before a later chunk's error does
                 written.result()
             if resolution is None:
@@ -239,11 +212,15 @@ def write_events(
     return path
 
 
-def _write_chunk(fh, digest, chunk: EventStream) -> None:
-    """Format, hash and write the records of `chunk` (on the writer thread)."""
-    for data in _file_bytes(chunk):
-        digest.update(data)
-        fh.write(data)
+def _write_frames(fh, digest, codes: np.ndarray, ticks: np.ndarray) -> None:
+    """Hash and write the records `codes` and `ticks` as frames of _FRAME
+    records, the last one shorter (on the writer thread)."""
+    codes, ticks = np.ascontiguousarray(codes), np.ascontiguousarray(ticks, "<i8")
+    for start in range(0, ticks.size, _FRAME):
+        frame = ticks[start : start + _FRAME]
+        for data in (frame.size.to_bytes(8, "little"), frame, codes[start : start + _FRAME]):
+            digest.update(data)
+            fh.write(data)
 
 
 def write_json(payload: dict, path) -> Path:
@@ -302,25 +279,26 @@ def _sidecar_resolution(events_path, meta: dict) -> float:
 def read_events(path) -> EventStream:
     """Read an event file; resolution comes from the sidecar if present.
 
-    The blocks of ``read_event_blocks``, concatenated; it raises what
+    The streams of ``read_event_blocks``, concatenated; it raises what
     that raises.
     """
     return EventStream.concatenate(list(read_event_blocks(path)))
 
 
 def read_event_blocks(path) -> Iterator[EventStream]:
-    """The records of an event file, one stream per block read, in file
-    order; the last block, read at the end of the file, is empty.
+    """The records of an event file, one stream per frame, in file order,
+    and then an empty stream at the end of the file.
 
     The resolution comes from the sidecar, or is 125 ps when there is no
-    sidecar. Raises DataFormatError naming the file, and the offending
-    line where there is one, on input outside the event-file grammar or
-    unsorted, and, after the last block, when the sidecar's
-    ``n_records`` or ``sha256`` (each checked if present) does not match
-    the file. Raises it naming the sidecar, before the first block, when
-    that is not a JSON object or lacks a positive ``resolution_ps``.
+    sidecar. Raises DataFormatError naming the file on a header other
+    than format 1's; naming the file and the record index on a frame or
+    record outside the format or out of order; and, after the empty last
+    stream, naming the file when the sidecar's ``n_records`` or
+    ``sha256`` (each checked if present) does not match the file. Raises
+    it naming the sidecar, before the first frame, when that is not a
+    JSON object or lacks a positive ``resolution_ps``.
 
-    One I/O thread reads, hashes and parses the block after the one
+    One I/O thread reads, hashes and checks the frame after the one
     handed out, while the caller works on that one.
     """
     blocks = _read_blocks(path)
@@ -331,42 +309,48 @@ def read_event_blocks(path) -> Iterator[EventStream]:
                 ahead = reader.submit(next, blocks, None)
                 yield block
     finally:
-        # Closed early, the block read ahead is dropped once read (the
+        # Closed early, the frame read ahead is dropped once read (the
         # executor waits for it), and the file is closed here.
         blocks.close()
 
 
 def _read_blocks(path) -> Iterator[EventStream]:
-    """The blocks of ``read_event_blocks``, read on the thread that asks."""
+    """The streams of ``read_event_blocks``, read on the thread that asks."""
     path = Path(path)
     meta = read_sidecar(path)
     resolution = 125.0 if meta is None else _sidecar_resolution(path, meta)
     meta = meta or {}
     with open(path, "rb") as fh:
-        head = fh.readline(len(_HEADER))  # stops after the first LF
-        if head == _HEADER[:-1]:  # and the file ends there
-            raise DataFormatError(f"{path}: no line break at the end of line 1")
+        head = fh.read(len(_HEADER))
         if head != _HEADER:
             raise DataFormatError(
-                f"{path}: bad header {head!r} on line 1, expected 'detector,timestamp'"
+                f"{path}: not a homsim event file of format 1: its first bytes are "
+                f"{head!r}, expected {_HEADER!r}"
             )
-        digest, carry, lineno, previous = hashlib.sha256(head), b"", 2, 0
-        while True:
-            block = fh.read(_READ_BLOCK)
-            digest.update(block)
-            data = carry + block
-            end = data.rfind(b"\n") + 1
-            codes, ticks = _parse_block(path, np.frombuffer(data, np.uint8, end), lineno, previous)
-            lineno, previous = lineno + ticks.size, int(ticks[-1]) if ticks.size else previous
-            carry = data[end:]
-            if len(carry) > _MAX_DIGITS + 2:  # longer than any record line
-                raise _bad_line(path, carry, lineno, previous)
-            if carry and not block:
-                raise DataFormatError(f"{path}: no line break at the end of line {lineno}")
+        digest, n_records, previous = hashlib.sha256(head), 0, 0
+        left = os.fstat(fh.fileno()).st_size - len(head)  # the bytes after the header
+        while left:
+            where = f"{path}: the frame at record {n_records}"
+            count = fh.read(8)
+            n, left = int.from_bytes(count, "little", signed=True), left - 8
+            if len(count) < 8:
+                raise DataFormatError(f"{where} is cut short in its record count")
+            if not 0 < n <= _FRAME:
+                raise DataFormatError(f"{where} has a record count of {n}, not 1 to {_FRAME}")
+            # the count is checked against the bytes left before a buffer is made
+            if 9 * n > left or fh.readinto(frame := bytearray(9 * n)) < 9 * n:
+                raise DataFormatError(
+                    f"{where} is cut short: its {n} records take {9 * n} bytes, {left} are left"
+                )
+            left -= 9 * n
+            digest.update(count)
+            digest.update(frame)
+            ticks = np.frombuffer(frame, "<i8", n)
+            codes = np.frombuffer(frame, np.uint8, n, 8 * n)
+            _check_frame(path, n_records, codes, ticks, previous)
+            n_records, previous = n_records + n, int(ticks[-1])
             yield EventStream(codes, ticks, resolution)
-            if not block:
-                break
-    n_records = lineno - 2
+    yield EventStream(np.empty(0, np.uint8), np.empty(0, np.int64), resolution)
     if "n_records" in meta and meta["n_records"] != n_records:
         raise DataFormatError(
             f"{path}: {n_records} records but the sidecar says {meta['n_records']}"
@@ -375,54 +359,24 @@ def _read_blocks(path) -> Iterator[EventStream]:
         raise DataFormatError(f"{path}: contents do not match the sidecar's sha256")
 
 
-def _parse_block(path: Path, lines: np.ndarray, lineno: int, previous: int) -> tuple:
-    """Codes and ticks of `lines`, the uint8 bytes of whole lines from line
-    `lineno` on, after tick `previous`; DataFormatError at the first bad line."""
-    ends = np.flatnonzero(lines == ord("\n"))
-    lengths = np.diff(ends, prepend=-1) - 1
-    widths = lengths - 2  # the digits of a record
-    # Sorted records have non-decreasing digit counts, so they fall into at
-    # most _MAX_DIGITS runs of fixed-width rows. The parse stops at the
-    # first line that breaks this: it is not a record or is out of order.
-    broken = (widths < 1) | (widths > _MAX_DIGITS)
-    broken[1:] |= widths[1:] < widths[:-1]
-    n = int(broken.argmax()) if broken.any() else widths.size
-    codes, ticks, good = np.empty(n, np.uint8), np.empty(n, np.uint64), np.empty(n, bool)
-    for lo, hi, k in _width_runs(widths[:n]):
-        rows = lines[ends[lo] - lengths[lo] : ends[hi - 1] + 1].reshape(hi - lo, k + 3)
-        codes[lo:hi] = _CODE_OF_BYTE[rows[:, 0]]
-        first = rows[:, 2] - ord("0")  # a byte below '0' wraps past 9
-        value = ticks[lo:hi]  # 19 digits stay below 2**64: exact in uint64
-        value[:] = first
-        largest = first.copy()  # the largest digit of each row so far
-        for j in range(3, k + 2):
-            digit = rows[:, j] - ord("0")
-            np.maximum(largest, digit, out=largest)
-            value *= 10
-            value += digit
-        ok = (codes[lo:hi] <= DET_B) & (rows[:, 1] == ord(",")) & (largest <= 9)
-        good[lo:hi] = ok & ((first > 0) | (k == 1)) & (value <= np.uint64(_INT64_MAX))
-    ticks = ticks.view(np.int64)
-    # a bad line's tick can only misjudge the order of the line after it
-    good &= np.diff(ticks, prepend=previous) >= 0
-    n = n if good.all() else int(good.argmin())
-    if n < widths.size:
-        line = lines[ends[n] - lengths[n] : ends[n]].tobytes()
-        raise _bad_line(path, line, lineno + n, int(ticks[n - 1]) if n else previous)
-    return codes, ticks
-
-
-def _bad_line(path: Path, line: bytes, lineno: int, previous: int) -> DataFormatError:
-    """The error for line `lineno` (or its start), found bad by the block parse."""
-    label, comma, digits = line.partition(b",")
-    decimal = digits.isdigit() and (digits == b"0" or not digits.startswith(b"0"))
-    if not (label.decode("latin-1") in DETECTOR_LABELS and comma and decimal):
-        return DataFormatError(
-            f"{path}: {line[:40]!r} on line {lineno} is not a record 'T|A|B,<ticks>'"
+def _check_frame(path: Path, first: int, codes, ticks, previous: int) -> None:
+    """DataFormatError at the first record of a frame, record `first` of the
+    file on, with a code above DET_B or a tick below the one before it
+    (`previous` before the frame's first, 0 before the file's)."""
+    bad = codes > DET_B
+    bad[0] |= ticks[0] < previous
+    bad[1:] |= ticks[1:] < ticks[:-1]  # a comparison: np.diff wraps
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    tick, index = int(ticks[i]), first + i
+    if codes[i] > DET_B:
+        raise DataFormatError(
+            f"{path}: detector code {codes[i]} at record {index}, expected 0 (T), 1 (A) or 2 (B)"
         )
-    if len(digits) > _MAX_DIGITS or int(digits) > _INT64_MAX:
-        return DataFormatError(f"{path}: timestamp exceeds int64 on line {lineno}")
-    return DataFormatError(
-        f"{path}: timestamp {int(digits)} on line {lineno} is earlier than the "
-        f"record before it ({previous}); records must be sorted by timestamp"
+    if index == 0:
+        raise DataFormatError(f"{path}: tick {tick} at record 0 is negative")
+    raise DataFormatError(
+        f"{path}: tick {tick} at record {index} is earlier than the record before it "
+        f"({int(ticks[i - 1]) if i else previous}); records must be sorted by tick"
     )

@@ -86,7 +86,9 @@ import numpy as np
 
 from .analysis import CoincidenceHistogram, histogram, pair_clicks
 from .errors import ConfigError
-from .interference import _TAU_RANGE, Envelope, SourcePair, _inverse_cdf, _p_coincidence
+from .interference import (
+    _DETUNING_MAX, _TAU_RANGE, Envelope, SourcePair, _inverse_cdf, _p_coincidence,
+)
 from .io import DET_A, DET_B, DET_T, EventStream, _ns_to_ticks, _tick_ns, _whole_ticks
 
 _CHUNK = 1 << 16
@@ -155,6 +157,9 @@ class ExperimentConfig:
             if not _TAU_RANGE[0] <= tau <= _TAU_RANGE[1]:
                 raise ConfigError(f"{name} must lie in [{_TAU_RANGE[0]:g}, "
                                   f"{_TAU_RANGE[1]:g}] ns, got {tau}")
+        if not abs(self.detuning) <= _DETUNING_MAX:
+            raise ConfigError(f"detuning must lie in [-{_DETUNING_MAX:g}, {_DETUNING_MAX:g}] "
+                              f"MHz, got {self.detuning}")
         if self.bg_rate_a < 0.0 or self.bg_rate_b < 0.0:
             raise ConfigError("background rates must be non-negative")
         if self.excitation_jitter_sigma < 0.0:

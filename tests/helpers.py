@@ -1,7 +1,8 @@
 """Measurements the tests take of a simulated event stream, and the
-test-side forms of three library ideas: the two-photon outcome law as a
-triple, an event stream built from labelled records, and the floor of
-times onto ticks, checked, for the reference generator."""
+test-side forms of four library ideas: the two-photon outcome law as a
+triple, an event stream built from labelled records, an event-file frame
+built from them, and the floor of times onto ticks, checked, for the
+reference generator."""
 
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from homsim import EventStream, pair_events
 from homsim.interference import _p_coincidence
-from homsim.io import DETECTOR_LABELS
+from homsim.io import _HEADER, DETECTOR_LABELS
 
 
 def coincidence_fraction(stream):
@@ -44,6 +45,23 @@ def stream_from_records(records, resolution=125.0):
     codes = np.array([DETECTOR_LABELS.index(label) for label, _ in records], dtype=np.uint8)
     ticks = np.array([tick for _, tick in records], dtype=np.int64)
     return EventStream(codes, ticks, resolution)
+
+
+def frame(records, count=None):
+    """The bytes of one event-file frame of (label or code, tick) records,
+    e.g. [("T", 0), (3, 400)]: the record count (`count`, if given), the
+    ticks as int64 and the codes as uint8, little-endian. A tick is
+    written modulo 2**64, so 2**63 reads back as -2**63."""
+    codes = [DETECTOR_LABELS.index(c) if isinstance(c, str) else c for c, _ in records]
+    ticks = np.array([tick % 2**64 for _, tick in records], dtype="<u8")
+    count = len(records) if count is None else count
+    return count.to_bytes(8, "little", signed=True) + ticks.tobytes() + bytes(codes)
+
+
+def event_file(path, *frames, header=_HEADER):
+    """Write `header` and then the `frames` (bytes) to `path`; returns `path`."""
+    path.write_bytes(header + b"".join(frames))
+    return path
 
 
 def quantize(t, resolution=125.0):

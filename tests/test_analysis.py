@@ -322,9 +322,9 @@ def test_pair_clicks_matches_per_trigger_loop(case, mix, valid_window, resolutio
 )
 def test_histogram_blocks_matches_whole_stream(tmp_path, monkeypatch, stream, valid_window,
                                                block):
-    # `homsim analyze` bins the blocks of an event file as they are read;
-    # blocks of a few bytes cut the stream at every kind of record
-    monkeypatch.setattr(io, "_READ_BLOCK", block)
+    # `homsim analyze` bins the frames of an event file as they are read;
+    # frames of a few records cut the stream at every kind of record
+    monkeypatch.setattr(io, "_FRAME", block)
     path = write_events(stream, tmp_path / "events.csv")
     blocks = io.read_event_blocks(path)
     pairing = pair_events(stream, valid_window)

@@ -24,9 +24,11 @@ from homsim import (
     cli,
     dip_ratio,
     montecarlo,
+    read_events,
     visibility_closed_form,
 )
 import quadrature
+from helpers import event_file, frame
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -201,7 +203,12 @@ class TestOracle:
          "tau_f must lie in [1e-150, 1e+150] ns, got 1e-200"),
         (["--tau-s", "1e200", "--tau-f", "1e200"],
          "tau_f must lie in [1e-150, 1e+150] ns, got 1e+200"),
-    ], ids=["tau", "xi", "detuning", "tau-1e-320", "taus-1e-160", "taus-1e-200", "taus-1e200"])
+        # detunings whose model overflows
+        (["--detuning", "1e308", "--density-range=-1000:1000:1000"],
+         "detuning must lie in [-1e+06, 1e+06] MHz, got 1e+308"),
+        (["--detuning=-1e200"], "detuning must lie in [-1e+06, 1e+06] MHz, got -1e+200"),
+    ], ids=["tau", "xi", "detuning", "tau-1e-320", "taus-1e-160", "taus-1e-200", "taus-1e200",
+            "detuning-1e308", "detuning-minus-1e200"])
     def test_bad_parameter_names_its_option(self, tmp_path, capsys, args, message):
         assert cli.main(["oracle", *args, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -280,10 +287,9 @@ class TestSimulate:
         assert cli.main([
             "simulate", "--config", str(cfg), "--out", str(tmp_path)
         ]) == 0
-        with open(tmp_path / "events.csv") as fh:
-            rows = list(csv.reader(fh))[1:]
-        assert len(rows) == 1000
-        assert all(r[0] == "T" for r in rows)
+        codes = read_events(tmp_path / "events.csv").detectors
+        assert len(codes) == 1000
+        assert (codes == homsim.io.DET_T).all()
 
     def test_background_counts_near_poisson_mean(self, tmp_path):
         rate, n = 2e-4, 20_000
@@ -294,11 +300,10 @@ class TestSimulate:
         assert cli.main([
             "simulate", "--config", str(cfg), "--out", str(tmp_path)
         ]) == 0
-        with open(tmp_path / "events.csv") as fh:
-            rows = list(csv.reader(fh))[1:]
+        codes = read_events(tmp_path / "events.csv").detectors
         mean = rate * 500.0 * n
-        for det in ("A", "B"):
-            count = sum(1 for r in rows if r[0] == det)
+        for det in (homsim.io.DET_A, homsim.io.DET_B):
+            count = np.count_nonzero(codes == det)
             assert abs(count - mean) < 3.0 * np.sqrt(mean)
 
     def test_sidecar_metadata(self, tmp_path):
@@ -384,35 +389,46 @@ class TestAnalyze:
 
     def test_malformed_events_exit_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg")
-        bad = tmp_path / "bad.csv"
-        bad.write_text("detector,timestamp\nT,0\nX,50\n")
+        bad = event_file(tmp_path / "bad.csv", frame([("T", 0), (3, 50)]))
         assert cli.main([
             "analyze", "--par", str(bad), "--perp", str(bad),
             "--config", str(cfg), "--out", str(tmp_path),
         ]) == 2
-        assert "line 3" in capsys.readouterr().err
+        assert "record 1" in capsys.readouterr().err
 
+    # records as label,tick lines; 2**63 is written as its uint64 bits
     @pytest.mark.parametrize("body", ["T,0\nA,9223372036854775808\n", "T,50\nA,40\n"])
     def test_out_of_range_or_unsorted_events_exit_two(self, tmp_path, capsys, body):
         cfg = write_cfg(tmp_path / "c.cfg")
-        bad = tmp_path / "bad.csv"
-        bad.write_text("detector,timestamp\n" + body)
+        records = [(label, int(tick)) for label, tick in (r.split(",") for r in body.split())]
+        bad = event_file(tmp_path / "bad.csv", frame(records))
         assert cli.main([
             "analyze", "--par", str(bad), "--perp", str(bad),
             "--config", str(cfg), "--out", str(tmp_path),
         ]) == 2
         err = capsys.readouterr().err
-        assert str(bad) in err and "line 3" in err
+        assert str(bad) in err and "record 1" in err
+
+    def test_text_event_file_of_0_2_0_exit_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg")
+        old = tmp_path / "old.csv"
+        old.write_text("detector,timestamp\nT,0\n")
+        assert cli.main([
+            "analyze", "--par", str(old), "--perp", str(old),
+            "--config", str(cfg), "--out", str(tmp_path / "o"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data format error: {old}: not a homsim event file of format 1")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("events, sidecar", [
-        (b"detector,timestamp\nT,0\nA,5\xff\n", None),
-        (b"detector,timestamp\nT,0\nA," + b"1" * 200_000 + b"\n", None),
-        (b"detector,timestamp\nT,0\n", '{"n_records": 1}'),
-        (b"detector,timestamp\nT,0\n", "[1]"),
+        (frame([("T", 0), (255, 5)]), None),
+        (frame([("T", 0)], count=2**15 + 1), None),
+        (frame([("T", 0)]), '{"n_records": 1}'),
+        (frame([("T", 0)]), "[1]"),
     ], ids=["undecodable-byte", "oversized-field", "no-resolution", "not-an-object"])
     def test_unreadable_events_or_sidecar_exit_two(self, tmp_path, capsys, events, sidecar):
-        bad = tmp_path / "bad.csv"
-        bad.write_bytes(events)
+        bad = event_file(tmp_path / "bad.csv", events)
         if sidecar is not None:
             (tmp_path / "bad.json").write_text(sidecar)
         cfg = write_cfg(tmp_path / "c.cfg")
@@ -427,8 +443,7 @@ class TestAnalyze:
     ], ids=["missing-par", "missing-perp", "par-is-a-directory"])
     def test_missing_event_file_exit_one(self, tmp_path, capsys, option, gone):
         cfg = write_cfg(tmp_path / "c.cfg")
-        events = tmp_path / "events.csv"
-        events.write_text("detector,timestamp\nT,0\n")
+        events = event_file(tmp_path / "events.csv", frame([("T", 0)]))
         files = {"--par": str(events), "--perp": str(events), option: str(tmp_path / gone)}
         out = tmp_path / "out"
         argv = ["analyze", *(x for item in files.items() for x in item), "--config", str(cfg)]
@@ -447,8 +462,7 @@ class TestAnalyze:
 
     def test_no_triggers_exit_three(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg")
-        empty = tmp_path / "empty.csv"
-        empty.write_text("detector,timestamp\nA,100\n")
+        empty = event_file(tmp_path / "empty.csv", frame([("A", 100)]))
         assert cli.main([
             "analyze", "--par", str(empty), "--perp", str(empty),
             "--config", str(cfg), "--out", str(tmp_path),
@@ -490,17 +504,17 @@ class OneAhead:
 
 def one_ahead_io(monkeypatch):
     """Run each CLI command's I/O thread in lock step with the caller:
-    the writer formats chunk k once chunk k + 1 is made, and the caller
-    pairs block k once block k + 1 is read, so the caller's work and the
+    the writer writes chunk k once chunk k + 1 is made, and the caller
+    pairs frame k once frame k + 1 is read, so the caller's work and the
     thread's never run at once, and each holds the item after its own."""
-    simulate_chunks, write_chunk = montecarlo.simulate_chunks, homsim.io._write_chunk
+    simulate_chunks, write_frames = montecarlo.simulate_chunks, homsim.io._write_frames
     read_blocks, read_event_blocks = homsim.io._read_blocks, homsim.io.read_event_blocks
     chunks, taken = OneAhead(), itertools.count()  # a command writes one file
     blocks = None  # each file read has its own count
 
-    def write_after_next(fh, digest, chunk):
+    def write_after_next(*args):
         chunks.wait_past(next(taken))
-        write_chunk(fh, digest, chunk)
+        write_frames(*args)
 
     def read_after_next(path):
         nonlocal blocks
@@ -511,7 +525,7 @@ def one_ahead_io(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "simulate_chunks",
                         lambda *a, **kw: chunks.producing(simulate_chunks(*a, **kw)))
-    monkeypatch.setattr(homsim.io, "_write_chunk", write_after_next)
+    monkeypatch.setattr(homsim.io, "_write_frames", write_after_next)
     monkeypatch.setattr(homsim.io, "_read_blocks", lambda path: blocks.producing(read_blocks(path)))
     monkeypatch.setattr(homsim.io, "read_event_blocks", read_after_next)
 
@@ -554,7 +568,7 @@ def test_layer_functions_run_on_the_main_thread(tmp_path, capsys, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, on_thread)
-    monkeypatch.setattr(homsim.io, "_READ_BLOCK", 1 << 14)  # many blocks read ahead
+    monkeypatch.setattr(homsim.io, "_FRAME", 1 << 10)  # many frames read ahead
     cfg = write_cfg(tmp_path / "c.cfg", n_triggers=3 * montecarlo._CHUNK, eta_f=0.05,
                     eta_s=0.05, bg_rate_a=1e-4, bg_rate_b=1e-4, subtract_accidentals="true")
     argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path), "--workers", "2"]

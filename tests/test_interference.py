@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +126,19 @@ class TestCoincidenceDensity:
             )
             numeric = interference.coincidence_probability_numeric(pair)
             assert numeric == pytest.approx(coincidence_probability(pair), abs=1e-8)
+
+
+@pytest.mark.parametrize("taus", [(1e-150, 1e-150), (1e150, 1e150), (1e150, 1e-150), (26.18, 13.61)])
+@pytest.mark.parametrize("detunings", [(1e6, -1e6), (0.0, 1e6), (0.0, -1e6), (0.0, 0.0)])
+def test_closed_forms_finite_at_the_bounds(taus, detunings):
+    # coherence times and detunings at their bounds, at every |dt| the
+    # oracle's grid reaches: up to the largest finite float
+    pair = SourcePair(Envelope(taus[0], detuning=detunings[0]),
+                      Envelope(taus[1], detuning=detunings[1]))
+    assert math.isfinite(coincidence_probability(pair))
+    for dt in (0.0, 1e-300, 7e152, 8e152, 1e300, np.float64(8e307), sys.float_info.max):
+        for x in (dt, -dt):
+            assert math.isfinite(coincidence_density(pair, x)), x
 
 
 class TestCoincidenceProbability:

@@ -119,12 +119,14 @@ class TestConfigValidation:
         ("tau_f", 1e-160, "tau_f must lie in [1e-150, 1e+150] ns, got 1e-160"),
         ("tau_f", 1e-200, "tau_f must lie in [1e-150, 1e+150] ns, got 1e-200"),
         ("tau_s", 1e200, "tau_s must lie in [1e-150, 1e+150] ns, got 1e+200"),
+        ("detuning", 1e200, "detuning must lie in [-1e+06, 1e+06] MHz, got 1e+200"),
+        ("detuning", -2e6, "detuning must lie in [-1e+06, 1e+06] MHz, got -2000000.0"),
         ("excitation_jitter_sigma", -0.5, "excitation_jitter_sigma must be non-negative"),
         ("window_length", 0.0, "window_length must be positive"),
         ("timestamp_resolution", -125.0, "timestamp_resolution must be positive"),
         ("detector_offset_b", -1.0, "detector offsets must be non-negative"),
     ], ids=["tau_f", "tau_s", "tau_s-1e-320", "tau_f-1e-160", "tau_f-1e-200", "tau_s-1e200",
-            "jitter", "window_length", "timestamp_resolution", "detector_offset"])
+            "detuning-1e200", "detuning-2e6", "jitter", "window_length", "timestamp_resolution", "detector_offset"])
     def test_out_of_range_value_names_its_field(self, name, value, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ideal_config(**{name: value})

@@ -22,8 +22,15 @@ def test_invalid_tau_rejected():
             Envelope(tau)
     for tau in (1e-150, 1e150):
         assert Envelope(tau).tau == tau
-    with pytest.raises(ValueError, match="detuning must be finite"):
-        Envelope(26.18, detuning=math.nan)
+
+
+def test_invalid_detuning_rejected():
+    # beyond [-1e6, 1e6] MHz the overlap's Lorentzian overflows (_DETUNING_MAX)
+    for detuning in (math.nan, math.inf, -math.inf, 1e308, 1e200, -1.0000001e6, 2e6):
+        with pytest.raises(ValueError, match=r"detuning must lie in \[-1e\+06, 1e\+06\] MHz"):
+            Envelope(26.18, detuning=detuning)
+    for detuning in (-1e6, 1e6):
+        assert Envelope(26.18, detuning=detuning).detuning == detuning
 
 
 def test_amplitude_zero_before_start():
