@@ -10,11 +10,13 @@ integer counts as the whole stream. The pairing kernel works on one
 click list, per click its offset in ticks from its trigger, its owner
 and its detector code, so the fused `homsim dip` path pairs the
 generator's list as it comes, and `pair_events` builds the same list
-from a stream with one `np.searchsorted` for the A and B records
-together. One `np.minimum.at` finds the first click of every trigger
-and detector. It takes the indices of a randomly mixed mask once
-(`np.flatnonzero`) and gathers at those, because numpy indexes with
-such a mask several times slower than with indices.
+from a sorted stream by position: the triggers before a click's record
+end with its owner, so only a click that a trigger on its own tick
+follows is placed by `np.searchsorted`. One `np.minimum.at` finds the
+first click of every trigger and detector. It takes the indices of a
+randomly mixed mask once (`np.flatnonzero`) and gathers at those,
+because numpy indexes with such a mask several times slower than with
+indices.
 """
 
 from __future__ import annotations
@@ -118,18 +120,29 @@ def pair_events(stream: EventStream, valid_window: float = 85.0) -> PairingResul
         raise DataFormatError("event stream must be sorted by timestamp")
     det = stream.detectors
     ts = stream.timestamps
-    trigger_ticks = ts[det == DET_T]
+    triggers = np.flatnonzero(det == DET_T)  # the trigger records' positions
     sel = np.flatnonzero(det != DET_T)
     click_ticks = ts[sel]
-    owner = np.searchsorted(trigger_ticks, click_ticks, side="right") - 1
-    # the stream is sorted, so the clicks before the first trigger lead
+    # The j-th click's record, sel[j], follows sel[j] - j triggers: the
+    # last of them is its owner. A trigger after it has a later tick,
+    # unless it is on the click's own tick and so claims the click. Where
+    # the first trigger after a click is on its tick, the owner is the
+    # last trigger before the first record past that tick.
+    owner = sel - np.arange(1, sel.size + 1)
+    if triggers.size:
+        following = triggers[np.minimum(owner + 1, triggers.size - 1)]
+        late = np.flatnonzero(ts[following] == click_ticks)
+        if late.size:
+            past = np.searchsorted(ts, click_ticks[late], side="right")
+            owner[late] = np.searchsorted(triggers, past) - 1
+    # owners never decrease, so the clicks before the first trigger lead
     start = int(np.searchsorted(owner, 0))
     owner = owner[start:]
     offsets = click_ticks[start:]
-    offsets -= trigger_ticks[owner]
+    offsets -= ts[triggers[owner]]
     clicks = (offsets, owner, det[sel[start:]])
-    del sel  # not held through the pairing
-    return pair_clicks(trigger_ticks.size, clicks, valid_window, stream.resolution)
+    del sel, triggers  # not held through the pairing
+    return pair_clicks(det.size - click_ticks.size, clicks, valid_window, stream.resolution)
 
 
 def histogram_blocks(
@@ -142,10 +155,11 @@ def histogram_blocks(
     holding one block at a time. A click belongs to the last trigger at or
     before its tick, so only the records from the last trigger's tick on
     (from the last tick, before any trigger) can still be joined by a
-    trigger of a later block. Those are carried into the next block; the
-    rest is paired with :func:`pair_events` and binned, and the integer
-    counts are summed, as :func:`~homsim.montecarlo.simulate_histograms`
-    does.
+    trigger of a later block. Those are carried into the next block (the
+    last trigger record is found from the codes, with no gather of the
+    trigger ticks); the rest is paired with :func:`pair_events` and
+    binned, and the integer counts are summed, as
+    :func:`~homsim.montecarlo.simulate_histograms` does.
 
     Raises InsufficientStatisticsError if the stream has no trigger record.
     """
@@ -156,12 +170,14 @@ def histogram_blocks(
         if block is None:  # the end of the stream: nothing is carried
             cut = ticks.size
         else:
+            resolution = block.resolution
+            if not len(block):  # an empty block changes nothing
+                continue
             det = np.concatenate((det, block.detectors))
             ticks = np.concatenate((ticks, block.timestamps))
-            resolution = block.resolution
-            triggers = ticks[det == DET_T]
-            last = triggers[-1] if triggers.size else ticks[-1] if ticks.size else 0
-            cut = int(np.searchsorted(ticks, last))
+            # the last trigger record, or the last record where there is none
+            last = det.size - 1 - int(np.argmax(det[::-1] == DET_T))
+            cut = int(np.searchsorted(ticks, ticks[last]))
         if cut:
             pairing = pair_events(EventStream(det[:cut], ticks[:cut], resolution), valid_window)
             if pairing.n_triggers:

@@ -51,6 +51,13 @@ _TAU_RANGE = (1e-150, 1e150)
 # finite dt the oracle's grid reaches, the term is 0 and the direct terms'
 # exponents, each a sum of terms <= 0, are at worst -inf.
 _DETUNING_MAX = 1e6
+# The delays t_f - t_s (ns) a run takes, of either sign. The generator's
+# two detection times then lie within |delta_t| + 37 tau of each other
+# (its -ln(1 - u) is below 37), at most 3.8e151 ns within _TAU_RANGE, so
+# the outcome law's phase d_omega dt stays below 4 pi * 1e3 rad/ns times
+# that, 4.8e155 rad, and _overlap_sq's gap / tau below 1e300: both far
+# inside the float range, where a delay of 1e305 ns overflows the phase.
+_DELTA_T_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -83,9 +90,14 @@ def amplitude(env: Envelope, t):
     out = np.zeros(rel.shape, dtype=complex)
     mask = rel >= 0.0
     r = rel[mask]
-    vals = math.sqrt(1.0 / env.tau) * np.exp(-r / (2.0 * env.tau))
+    with np.errstate(over="ignore"):  # far out, the exponent passes the float range: 0
+        vals = math.sqrt(1.0 / env.tau) * np.exp(-r / (2.0 * env.tau))
     if env.detuning != 0.0:
-        vals = vals * np.exp(-2j * np.pi * env.detuning * _MHZ_NS * r)
+        # The carrier phase only where the decay leaves a value, as in
+        # coincidence_density: there r < 1490 tau, and the phase is finite.
+        live = vals > 0.0
+        vals = vals.astype(complex)
+        vals[live] *= np.exp(-2j * np.pi * env.detuning * _MHZ_NS * r[live])
     out[mask] = vals
     if np.ndim(t) == 0:
         return complex(out)

@@ -13,11 +13,15 @@ from a non-negative first one. Ticks come before codes, so that they
 stay 8-byte aligned in the file. ``write_events`` writes frames of
 ``_FRAME`` records, the last one shorter, so a file's bytes depend on
 its records alone, not on how they were chunked; the reader takes any
-frame of 1 to ``_FRAME`` records. A JSON sidecar (same path with a
-.json suffix) echoes the resolution, the full run configuration and its
-hash, the record count ``n_records`` and the ``sha256`` of the event
-file's bytes. The header does not repeat the resolution: it comes from
-the sidecar, or is 125 ps when there is no sidecar.
+frame of 1 to ``_FRAME`` records. The writer copies at most one frame
+per chunk: the records carried from the chunks before, completed with
+the chunk's first ones. The rest of the chunk goes to the writer thread
+as views, and what is left past its last whole frame is carried on. A
+JSON sidecar (same path with a .json suffix) echoes the resolution, the
+full run configuration and its hash, the record count ``n_records`` and
+the ``sha256`` of the event file's bytes. The header does not repeat
+the resolution: it comes from the sidecar, or is 125 ps when there is
+no sidecar.
 
 ``read_events`` (and ``read_event_blocks``, as it reaches the fault)
 raises ``DataFormatError`` naming the file, and the index of the record
@@ -152,7 +156,8 @@ def write_events(
     `chunks` is one stream or the consecutive chunks of one, written as
     they come in frames of ``_FRAME`` records, the last one shorter,
     whatever the chunks' sizes; the sidecar's record count and digest
-    cover them all.
+    cover them all. Of each chunk, at most one frame is copied, the one
+    that completes the records carried from the chunks before.
     Raises ValueError, and leaves neither file, for a chunk whose ticks
     ``read_events`` would reject (a negative or a decreasing one, within
     a chunk or across the seam with the chunk before), for chunks of
@@ -182,17 +187,23 @@ def write_events(
                         raise ValueError("the chunks of an event file must share one resolution")
                     n_records += new.size
                     previous, resolution = new[-1] if new.size else previous, chunk.resolution
+                    head, rest = (codes[:0], ticks[:0]), (chunk.detectors, new)
                     if ticks.size:  # the records left over from the chunks before
-                        codes = np.concatenate((codes, chunk.detectors))
-                        ticks = np.concatenate((ticks, new))
-                    else:
-                        codes, ticks = chunk.detectors, new
-                    whole = ticks.size - ticks.size % _FRAME
+                        # complete their frame with the chunk's first records: the
+                        # one copy made of a chunk; the rest goes out as views
+                        fill = _FRAME - ticks.size
+                        head = (np.concatenate((codes, chunk.detectors[:fill])),
+                                np.concatenate((ticks, new[:fill])))
+                        rest = chunk.detectors[fill:], new[fill:]
+                        if head[1].size < _FRAME:  # the chunk was too short: all is carried
+                            head, rest = rest, head  # the rest is empty
+                    whole = rest[1].size - rest[1].size % _FRAME
                     written.result()  # one chunk in flight: the one before is written
-                    written = writer.submit(_write_frames, fh, digest, codes[:whole], ticks[:whole])
-                    codes, ticks = codes[whole:], ticks[whole:]
+                    written = writer.submit(_write_frames, fh, digest, (head[0], rest[0][:whole]),
+                                            (head[1], rest[1][:whole]))
+                    codes, ticks = rest[0][whole:], rest[1][whole:]
                 written.result()
-                written = writer.submit(_write_frames, fh, digest, codes, ticks)
+                written = writer.submit(_write_frames, fh, digest, (codes,), (ticks,))
             finally:
                 # the last frame is written before the sidecar, and a write
                 # that failed raises before a later chunk's error does
@@ -212,15 +223,20 @@ def write_events(
     return path
 
 
-def _write_frames(fh, digest, codes: np.ndarray, ticks: np.ndarray) -> None:
-    """Hash and write the records `codes` and `ticks` as frames of _FRAME
-    records, the last one shorter (on the writer thread)."""
-    codes, ticks = np.ascontiguousarray(codes), np.ascontiguousarray(ticks, "<i8")
-    for start in range(0, ticks.size, _FRAME):
-        frame = ticks[start : start + _FRAME]
-        for data in (frame.size.to_bytes(8, "little"), frame, codes[start : start + _FRAME]):
-            digest.update(data)
-            fh.write(data)
+def _write_frames(fh, digest, codes: Sequence[np.ndarray], ticks: Sequence[np.ndarray]) -> None:
+    """Hash and write records given in consecutive pieces, `codes` and
+    `ticks` each a sequence of arrays, as frames of _FRAME records, the
+    last one shorter; every piece but the last holds whole frames (on the
+    writer thread)."""
+    for part_codes, part_ticks in zip(codes, ticks):
+        part_codes = np.ascontiguousarray(part_codes)
+        part_ticks = np.ascontiguousarray(part_ticks, "<i8")
+        for start in range(0, part_ticks.size, _FRAME):
+            end = start + _FRAME
+            frame = part_ticks[start:end]
+            for data in (frame.size.to_bytes(8, "little"), frame, part_codes[start:end]):
+                digest.update(data)
+                fh.write(data)
 
 
 def write_json(payload: dict, path) -> Path:

@@ -59,6 +59,12 @@ Determinism: trials are generated in fixed-size chunks, each seeded from
 detector). The output is therefore bit-identical for a given config
 regardless of how many workers generate the chunks.
 
+A chunk's stream is laid out by trigger, with no sort of the trigger
+records: only the click list is sorted, by owner, offset tick and
+detector in one uint64 key, and each trigger's tick is repeated once for
+itself and once for each click it owns, the clicks' offsets added in
+their slots after it (`_chunk_stream`).
+
 Chunks start and end on trigger boundaries, the gate keeps every click
 inside its own trigger's window, and `trigger_period` exceeds
 `window_length` by at least one tick, so every click's tick lies below
@@ -87,7 +93,8 @@ import numpy as np
 from .analysis import CoincidenceHistogram, histogram, pair_clicks
 from .errors import ConfigError
 from .interference import (
-    _DETUNING_MAX, _TAU_RANGE, Envelope, SourcePair, _inverse_cdf, _p_coincidence,
+    _DELTA_T_MAX, _DETUNING_MAX, _TAU_RANGE, Envelope, SourcePair, _inverse_cdf,
+    _p_coincidence,
 )
 from .io import DET_A, DET_B, DET_T, EventStream, _ns_to_ticks, _tick_ns, _whole_ticks
 
@@ -160,6 +167,9 @@ class ExperimentConfig:
         if not abs(self.detuning) <= _DETUNING_MAX:
             raise ConfigError(f"detuning must lie in [-{_DETUNING_MAX:g}, {_DETUNING_MAX:g}] "
                               f"MHz, got {self.detuning}")
+        if not abs(self.delta_t) <= _DELTA_T_MAX:
+            raise ConfigError(f"delta_t must lie in [-{_DELTA_T_MAX:g}, {_DELTA_T_MAX:g}] ns, "
+                              f"got {self.delta_t}")
         if self.bg_rate_a < 0.0 or self.bg_rate_b < 0.0:
             raise ConfigError("background rates must be non-negative")
         if self.excitation_jitter_sigma < 0.0:
@@ -338,18 +348,44 @@ def _trigger_ticks(config: ExperimentConfig, first: int, count: int) -> np.ndarr
 
 
 def _chunk_stream(config: ExperimentConfig, span) -> EventStream:
-    """One chunk's events sorted by (timestamp, detector), triggers first on ties."""
+    """One chunk's events sorted by (timestamp, detector), triggers first on ties.
+
+    Only the clicks are sorted, by (owner, offset tick, detector) packed
+    in one uint64 key: (owner * n_w + offset) * 2 + (detector - DET_A).
+    An offset is below the window's n_w ticks, so the key keeps that
+    order, and owner * n_w + offset stays below n_triggers *
+    trigger_period in ticks, which the config keeps below 2**63, so the
+    key fits. A click's tick lies from its trigger's on and below the
+    next one's, so in this order the clicks are sorted by (tick,
+    detector) too, each trigger's right after it. The chunk is then each
+    trigger tick repeated once for itself and once per click it owns; the
+    j-th click in key order lies j + 1 + owner records in, where its
+    offset is added to its owner's repeated tick.
+    """
     offsets, owner, detector = _simulate_chunk(config, *span)
     trig_ticks = _trigger_ticks(config, *span[:2])
-    offsets += trig_ticks[owner]  # the click ticks
-    det = np.concatenate((np.full(trig_ticks.size, DET_T, np.uint8), detector))
-    ticks = np.concatenate((trig_ticks, offsets))
-    # The click list is not held through the sort. The trigger ticks are:
-    # freed here too, they leave the heap more fragmented (2 MB more peak
-    # RSS over a sparse run of 250,000 triggers).
-    del offsets, owner, detector
-    order = np.lexsort((det, ticks))
-    return EventStream(det[order], ticks[order], config.timestamp_resolution)
+    # at least 1, so that a window shorter than a tick, which keeps no click, divides
+    n_w = np.uint64(max(_whole_ticks(config.window_length, config.timestamp_resolution), 1))
+    key = owner.astype(np.uint64)
+    key *= n_w
+    key += offsets.view(np.uint64)
+    key <<= np.uint64(1)
+    key += detector - np.uint8(DET_A)
+    del offsets, owner, detector  # the click list is not held through the sort
+    key.sort()
+    detector = (key & np.uint64(1)).astype(np.uint8)
+    detector += np.uint8(DET_A)
+    key >>= np.uint64(1)
+    owner = key // n_w
+    key -= owner * n_w  # the offset ticks
+    owner = owner.view(np.int64)
+    ticks = np.repeat(trig_ticks, np.bincount(owner, minlength=trig_ticks.size) + 1)
+    slot = np.arange(1, owner.size + 1)
+    slot += owner
+    ticks[slot] += key.view(np.int64)
+    det = np.zeros(ticks.size, np.uint8)  # DET_T
+    det[slot] = detector
+    return EventStream(det, ticks, config.timestamp_resolution)
 
 
 def simulate_chunks(config: ExperimentConfig, workers: int = 1) -> Iterator[EventStream]:

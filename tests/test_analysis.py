@@ -208,6 +208,23 @@ def sorted_streams(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(stream=sorted_streams(), valid_window=st.sampled_from([0.0, 0.125, 3.0, 85.0, 1e4]))
+# a click followed by a trigger on its own tick: the trigger claims it
+@example(
+    stream=stream_from_records([("T", 0), ("A", 100), ("T", 100), ("B", 150)]), valid_window=0.0
+)
+# by two triggers on its tick: the second claims both clicks before it
+@example(
+    stream=stream_from_records(
+        [("T", 0), ("B", 100), ("A", 100), ("T", 100), ("T", 100), ("A", 120)]
+    ),
+    valid_window=0.0,
+)
+# clicks before the first trigger, the last of them on its tick
+@example(
+    stream=stream_from_records([("A", 3), ("B", 5), ("A", 10), ("T", 10), ("B", 12)]),
+    valid_window=0.125,
+)
+@example(stream=stream_from_records([("A", 3), ("B", 5), ("B", 5)]), valid_window=85.0)
 def test_pair_events_matches_reference(stream, valid_window):
     valid, first_a, first_b = reference_pair_events(stream, valid_window)
     p = pair_events(stream, valid_window)

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -331,6 +332,57 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("config error: bg_rate_a must be finite")
         assert not (tmp_path / "events.csv").exists()
+
+
+GOLDEN_RUNS = {
+    # two chunks at the paper's efficiency, with background
+    "sparse": dict(n_triggers=montecarlo._CHUNK + 4464, eta_f=0.05, eta_s=0.05,
+                   bg_rate_a=1e-4, bg_rate_b=1e-4, seed=29),
+    # 1 ps ticks and back-to-back windows, a detector offset pushing clicks
+    # across each window's end
+    "ps": dict(n_triggers=20_000, eta_f=0.5, eta_s=0.5, bg_rate_a=1e-3, bg_rate_b=1e-3,
+               detector_offset_a=20, trigger_period=500.002, timestamp_resolution=1, seed=30),
+}
+# The sha256 of every file that `simulate` par and perp and then `analyze`
+# write for GOLDEN_RUNS, as homsim 0.3.0 wrote them. A change that moves
+# a byte of the stream, of the event file or of an analysis output
+# updates them together with its version.
+GOLDEN_DIGESTS = {
+    "ps": {
+        "ana/histogram_par.csv": "7521b30784cf59b28483c1f7cdd3fd2455212b685e91fd84191304c6e8c6f662",
+        "ana/histogram_perp.csv": "122545f3ef28dc2385f04f0e47f7533b2cc47aaa0ba93aa54723f89cf0a2db18",
+        "ana/visibility.json": "b7532c09f89e427190704cfdf137f66997a7beb57309911fd17197a67a48520b",
+        "par/events.csv": "1bc019edc0b6eb8fcd9c105bd5267c12c117c9cec2f47f5672bfe709502a53c1",
+        "par/events.json": "b1a46af9c5a032235e0a46d07d0af292ea92f0ff543db6eb24c68db217294244",
+        "perp/events.csv": "6520a5615ad6402fee467c5f5a463077228d78545474d26982176feaa2fce3ae",
+        "perp/events.json": "bc44b5af40200ad670b5c79ffbb2cf0811a9325f44363d441a2ebd7bd3bb82e3",
+    },
+    "sparse": {
+        "ana/histogram_par.csv": "767b704d2a25d5c395dce4ba557b6beb64a395c10be92206382b145f288d7b43",
+        "ana/histogram_perp.csv": "331e02afe9d59745f06f3ff0fdbc2dc4d86d1e52bd1a6c82de55fc7c93304d50",
+        "ana/visibility.json": "0b01104567ab4f72bb740030ddb58c0aac4decc8e75d59c0f0a943de7829dfd1",
+        "par/events.csv": "3480026a818359b2696ecd86d7505502e724b6542e66ac1ecd946c714b3f321e",
+        "par/events.json": "f867091e1d4c1d09da8ab88cc486858cb38afef2d5790e43a7ba3582588a40b1",
+        "perp/events.csv": "e5a3f28ca0083a3fd43e423f43c0eebbdd2d7e8bf9b4e2554090eaf82254f8c7",
+        "perp/events.json": "006ea3391a86cd0635d14393f9121dc3cb490e541163f9e5b485a608e93795d4",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_outputs_match_recorded_digests(tmp_path, capsys, run):
+    for side, xi in (("par", 1.0), ("perp", 0.0)):
+        cfg = write_cfg(tmp_path / f"{side}.cfg", xi=xi, subtract_accidentals="true",
+                        **GOLDEN_RUNS[run])
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / side)]) == 0
+    assert cli.main(["analyze", "--par", str(tmp_path / "par" / "events.csv"),
+                     "--perp", str(tmp_path / "perp" / "events.csv"),
+                     "--config", str(tmp_path / "par.cfg"), "--out", str(tmp_path / "ana")]) == 0
+    digests = {
+        f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.glob("*/*"))
+    }
+    assert digests == GOLDEN_DIGESTS[run]
 
 
 class TestAnalyze:
@@ -766,6 +818,17 @@ def test_background_rate_beyond_bound_exits_one(tmp_path, capsys, command, key, 
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key} * window_length, the mean background clicks")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_delay_beyond_bound_exits_one(tmp_path, capsys):
+    # a scan point whose delay would overflow the outcome law's phase
+    cfg = write_cfg(tmp_path / "c.cfg", n_triggers=100, detuning=1e6, delta_t_list="0, 1e305")
+    out = tmp_path / "out"
+    assert cli.main(["dip", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: delta_t must lie in [-1e+150, 1e+150] ns, got 1e+305\n"
+    )
     assert not out.exists()
 
 

@@ -337,10 +337,15 @@ def test_writer_refuses_what_the_reader_rejects(tmp_path, ticks):
 
 
 def test_chunked_write_equals_one_stream(tmp_path):
-    n = 2 * _FRAME + 7
+    n = 6 * _FRAME + 7
     rng = np.random.default_rng(6)
     stream = EventStream(rng.integers(0, 3, n), np.sort(rng.integers(0, 10**12, n)), 62.5)
-    cuts = [0, 0, 1, 5000, 5000, _FRAME + 3, n]  # empty chunks too
+    # Empty chunks; a chunk of 1 record, then one of 4999, too short to
+    # complete the frame carried into it; one that completes it and leaves
+    # 3; one that completes it exactly; two whole frames with nothing
+    # carried; and one that completes the frame carried into it, spans a
+    # whole frame more and leaves 7 for the last.
+    cuts = [0, 0, 1, 5000, 5000, _FRAME + 3, 2 * _FRAME, 4 * _FRAME, 4 * _FRAME + 10, n]
     chunks = (
         EventStream(stream.detectors[lo:hi], stream.timestamps[lo:hi], stream.resolution)
         for lo, hi in zip(cuts, cuts[1:])

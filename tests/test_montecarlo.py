@@ -121,15 +121,26 @@ class TestConfigValidation:
         ("tau_s", 1e200, "tau_s must lie in [1e-150, 1e+150] ns, got 1e+200"),
         ("detuning", 1e200, "detuning must lie in [-1e+06, 1e+06] MHz, got 1e+200"),
         ("detuning", -2e6, "detuning must lie in [-1e+06, 1e+06] MHz, got -2000000.0"),
+        ("delta_t", 1e305, "delta_t must lie in [-1e+150, 1e+150] ns, got 1e+305"),
+        ("delta_t", -2e150, "delta_t must lie in [-1e+150, 1e+150] ns, got -2e+150"),
         ("excitation_jitter_sigma", -0.5, "excitation_jitter_sigma must be non-negative"),
         ("window_length", 0.0, "window_length must be positive"),
         ("timestamp_resolution", -125.0, "timestamp_resolution must be positive"),
         ("detector_offset_b", -1.0, "detector offsets must be non-negative"),
     ], ids=["tau_f", "tau_s", "tau_s-1e-320", "tau_f-1e-160", "tau_f-1e-200", "tau_s-1e200",
-            "detuning-1e200", "detuning-2e6", "jitter", "window_length", "timestamp_resolution", "detector_offset"])
+            "detuning-1e200", "detuning-2e6", "delta_t-1e305", "delta_t-minus-2e150", "jitter",
+            "window_length", "timestamp_resolution", "detector_offset"])
     def test_out_of_range_value_names_its_field(self, name, value, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ideal_config(**{name: value})
+
+    @pytest.mark.parametrize("delta_t", [1e150, -1e150])
+    def test_delay_at_its_bound_runs(self, delta_t):
+        # at the detuning bound too, every two-photon trial's phase stays
+        # finite (warnings are errors); the delayed photon starts far past
+        # the window, so one click per trigger is left
+        stream = simulate(ideal_config(n_triggers=100, detuning=1e6, delta_t=delta_t))
+        assert np.count_nonzero(stream.detectors != DET_T) == 100
 
     FLOAT_FIELDS = [
         "trigger_period", "eta_f", "eta_s", "tau_f", "tau_s", "delta_t",
@@ -432,6 +443,17 @@ def generator_configs(draw):
 @example(
     config=ExperimentConfig(n_triggers=_CHUNK + 1234, eta_f=1.0, eta_s=1.0, xi=1.0, seed=8),
     workers=2,
+)
+# 1 ps ticks over two chunks, the run's 6.6e18 ticks within a factor 2 of
+# 2**63: windows of 9.9e13 ticks put the chunk's click keys, (owner * n_w
+# + offset) * 2 + detector, up to 1.3e19, near 2**64, and a background
+# click about every window reaches across it
+@example(
+    config=ExperimentConfig(
+        n_triggers=_CHUNK + 3, trigger_period=1e11, window_length=9.9e10, eta_f=0.05,
+        eta_s=0.05, bg_rate_a=1e-11, bg_rate_b=1e-11, timestamp_resolution=1.0, seed=9,
+    ),
+    workers=1,
 )
 def test_stream_matches_reference_generator(config, workers):
     det, ticks = reference_simulate(config)

@@ -71,6 +71,21 @@ def test_detuning_changes_phase_not_magnitude():
     assert np.max(np.abs(a1.imag)) > 0.01
 
 
+@pytest.mark.parametrize("tau", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("detuning", [-1e6, 1e6])
+def test_amplitude_far_out_is_zero_at_the_bounds(tau, detuning):
+    # far past the start the decay is 0, where the carrier phase would
+    # overflow; warnings are errors, so neither the phase nor the decay's
+    # exponent may overflow on the way
+    env = Envelope(tau, detuning=detuning)
+    ts = np.array([1e306, 1.7e308, math.inf])
+    assert amplitude(env, ts).tolist() == [0j, 0j, 0j]
+    assert amplitude(env, 1e306) == 0j
+    # where the decay leaves a value, the phase turns it without changing its size
+    t = 100.0 * tau
+    assert abs(amplitude(env, t)) == pytest.approx(math.sqrt(1.0 / tau) * math.exp(-50.0))
+
+
 def test_sample_emission_time_inverse_cdf():
     env = Envelope(26.18, t0=4.0)
     assert sample_emission_time(env, 0.0) == 4.0
