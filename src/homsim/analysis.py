@@ -36,6 +36,11 @@ _ALIGN_TOL = 1e-9
 # and centres then take 128 MiB each. A binning that asks for more is
 # refused before anything is allocated.
 _MAX_BINS = 2**24
+# The analysis defaults (ns), which homsim's config keys share
+_VALID_WINDOW = 85.0
+_BIN_WIDTH = 10.0
+_HALF_RANGE = 205.0
+_WING = (100.0, 200.0)
 
 
 @dataclass
@@ -107,7 +112,7 @@ def pair_clicks(n_triggers: int, clicks, valid_window: float, resolution: float)
     return PairingResult(valid, firsts[:n], firsts[n:], resolution)
 
 
-def pair_events(stream: EventStream, valid_window: float = 85.0) -> PairingResult:
+def pair_events(stream: EventStream, valid_window: float = _VALID_WINDOW) -> PairingResult:
     """Group A/B clicks by trigger and mark valid sequences.
 
     Every click is attributed to the most recent trigger at or before it
@@ -248,8 +253,8 @@ class CoincidenceHistogram:
 def histogram(
     delta_ts: Sequence[float],
     n_triggers: int,
-    bin_width: float = 10.0,
-    half_range: float = 205.0,
+    bin_width: float = _BIN_WIDTH,
+    half_range: float = _HALF_RANGE,
 ) -> CoincidenceHistogram:
     """Bin signed time differences into zero-centered bins.
 
@@ -310,7 +315,7 @@ class AccidentalEstimate(NamedTuple):
 
 
 def estimate_accidentals(
-    *histograms: CoincidenceHistogram, wing: tuple[float, float] = (100.0, 200.0)
+    *histograms: CoincidenceHistogram, wing: tuple[float, float] = _WING
 ) -> AccidentalEstimate:
     """Mean per-bin value over the flat wings |dt| in [wing_lo, wing_hi].
 

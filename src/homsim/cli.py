@@ -49,13 +49,13 @@ CONFIG_KEYS = {
         )
         for f in _SIM_FIELDS
     },
-    # analysis
-    "bin_width": (float, 10.0),
-    "valid_window": (float, 85.0),
-    "hist_range": (float, 205.0),
+    # analysis: the library's defaults
+    "bin_width": (float, analysis._BIN_WIDTH),
+    "valid_window": (float, analysis._VALID_WINDOW),
+    "hist_range": (float, analysis._HALF_RANGE),
     "t_c": (float, 25.0),  # half-width of the visibility window
-    "wing_low": (float, 100.0),
-    "wing_high": (float, 200.0),
+    "wing_low": (float, analysis._WING[0]),
+    "wing_high": (float, analysis._WING[1]),
     "subtract_accidentals": (_parse_bool, False),
     # dip scan
     "delta_t_list": (_parse_float_list, []),
@@ -164,14 +164,15 @@ def _config_keys(*keys):
 
 
 def cmd_oracle(args) -> int:
-    # the model parameters are checked as a run's are; the oracle draws
-    # nothing, so its one trigger is only a placeholder
+    # the model parameters are checked as a run's are, with a placeholder trigger
     pair_par = montecarlo.ExperimentConfig(
         n_triggers=1, tau_s=args.tau_s, tau_f=args.tau_f, xi=args.xi, detuning=args.detuning,
     ).source_pair()
     pair_perp = dataclasses.replace(pair_par, xi=0.0)
     vis = interference.visibility_closed_form(args.tau_s, args.tau_f)
     dip_grid = _parse_grid(args.delta_t)
+    for end in (dip_grid.min(initial=0.0), dip_grid.max(initial=0.0)):  # 0 if empty
+        interference._check_bound("delta_t", float(end), "delay", ConfigError)
     dens_grid = _parse_grid(args.density_range)
 
     out = Path(args.out)
@@ -208,7 +209,6 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"config": dataclasses.asdict(config)}
-    meta["config_hash"] = io.config_hash(meta["config"])
     # the chunks are generated as write_events asks for them
     chunks = montecarlo.simulate_chunks(config, workers=args.workers)
     path = io.write_events(chunks, out / "events.csv", metadata=meta)

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import _bin, histogram
+from .analysis import _BIN_WIDTH, _HALF_RANGE, _VALID_WINDOW, _bin, histogram
 from .io import _ns_to_ticks, _tick_ns, _whole_ticks
 
 if TYPE_CHECKING:
@@ -38,26 +38,39 @@ if TYPE_CHECKING:
 
 # 1 MHz * 1 ns = 1e-3 cycles
 _MHZ_NS = 1e-3
-# The coherence times (ns) the model takes: within them 1/tau, a b / (a + b)
-# for two rates, tau_s tau_f and (tau_s + tau_f)**2 are finite and non-zero.
-_TAU_RANGE = (1e-150, 1e150)
-# The carrier detunings (MHz) the model takes, of either sign. Within them
-# and _TAU_RANGE, _overlap_sq's 2 d_omega tau_s tau_f / (tau_s + tau_f) is
-# at most 2 * 4 pi * 1e3 rad/ns * 5e149 ns = 1.3e154, whose square stays
-# below the float maximum, 1.8e308. coincidence_density forms its cross
-# term only where that term, at most exp(-(a + b) |dt| / 2), does not
-# underflow: there |dt| < 1492 / (a + b) <= 7.5e152 ns, and its exponent's
-# terms and its phase d_omega dt, below 1e157, stay finite. At any larger
-# finite dt the oracle's grid reaches, the term is 0 and the direct terms'
-# exponents, each a sum of terms <= 0, are at worst -inf.
-_DETUNING_MAX = 1e6
-# The delays t_f - t_s (ns) a run takes, of either sign. The generator's
-# two detection times then lie within |delta_t| + 37 tau of each other
-# (its -ln(1 - u) is below 37), at most 3.8e151 ns within _TAU_RANGE, so
-# the outcome law's phase d_omega dt stays below 4 pi * 1e3 rad/ns times
-# that, 4.8e155 rad, and _overlap_sq's gap / tau below 1e300: both far
-# inside the float range, where a delay of 1e305 ns overflows the phase.
-_DELTA_T_MAX = 1e150
+# The closed range (lo, hi, " unit") of each kind of model and run parameter
+_BOUNDS = {
+    "probability": (0.0, 1.0, ""),
+    # 1/tau, a b / (a + b) for two rates, tau_s tau_f and (tau_s + tau_f)**2
+    # stay finite and non-zero.
+    "tau": (1e-150, 1e150, " ns"),
+    # With the tau range, _overlap_sq's 2 d_omega tau_s tau_f / (tau_s + tau_f)
+    # is at most 2 * 4 pi * 1e3 rad/ns * 5e149 ns = 1.3e154, whose square is
+    # below the float maximum, 1.8e308. coincidence_density forms its cross
+    # term, at most exp(-(a + b) |dt| / 2), only where it does not underflow,
+    # |dt| < 1492 / (a + b) <= 7.5e152 ns, so its exponent and its phase
+    # d_omega dt, below 1e157, stay finite; further out the term is 0 and the
+    # direct terms' exponents, sums of terms <= 0, are at worst -inf.
+    "detuning": (-1e6, 1e6, " MHz"),
+    # Delays t_f - t_s. The generator's two detection times then lie within
+    # |delta_t| + 37 tau of each other (its -ln(1 - u) is below 37), at most
+    # 3.8e151 ns, so the outcome law's phase d_omega dt stays below 4.8e155
+    # rad and _overlap_sq's gap / tau below 1e300, where a delay of 1e305 ns
+    # at the detuning bound overflows the phase.
+    "delay": (-1e150, 1e150, " ns"),
+    # The delay's bound: the jitter shifts the single-atom start time as a
+    # delay does, by sigma times a standard normal that numpy keeps below 14.
+    "jitter": (0.0, 1e150, " ns"),
+    "rate": (0.0, math.inf, " /ns"),
+    "offset": (0.0, math.inf, " ns"),
+}
+
+
+def _check_bound(name: str, value: float, kind: str, error: type[Exception] = ValueError):
+    """Raise `error` naming `name` unless `value` lies in `_BOUNDS[kind]`."""
+    lo, hi, unit = _BOUNDS[kind]
+    if not lo <= value <= hi:
+        raise error(f"{name} must lie in [{lo:g}, {hi:g}]{unit}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +78,10 @@ class Envelope:
     """Decaying-exponential temporal amplitude of a single photon.
 
     Attributes:
-        tau: coherence (decay) time in ns, in [1e-150, 1e150] (`_TAU_RANGE`).
+        tau: coherence (decay) time in ns, in [1e-150, 1e150] (`_BOUNDS`).
         t0: emission start time in ns; the amplitude vanishes for t < t0.
         detuning: carrier frequency offset in MHz (0 = compensated carrier),
-            in [-1e6, 1e6] (`_DETUNING_MAX`).
+            in [-1e6, 1e6] (`_BOUNDS`).
     """
 
     tau: float
@@ -76,12 +89,8 @@ class Envelope:
     detuning: float = 0.0
 
     def __post_init__(self):
-        if not _TAU_RANGE[0] <= self.tau <= _TAU_RANGE[1]:
-            raise ValueError(f"tau must lie in [{_TAU_RANGE[0]:g}, {_TAU_RANGE[1]:g}] ns, "
-                             f"got {self.tau}")
-        if not abs(self.detuning) <= _DETUNING_MAX:
-            raise ValueError(f"detuning must lie in [-{_DETUNING_MAX:g}, {_DETUNING_MAX:g}] "
-                             f"MHz, got {self.detuning}")
+        _check_bound("tau", self.tau, "tau")
+        _check_bound("detuning", self.detuning, "detuning")
 
 
 def amplitude(env: Envelope, t):
@@ -151,8 +160,7 @@ class SourcePair:
     xi: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.xi <= 1.0:
-            raise ValueError(f"xi must lie in [0, 1], got {self.xi}")
+        _check_bound("xi", self.xi, "probability")
 
 
 def _d_omega(env_f: Envelope, env_s: Envelope) -> float:
@@ -222,7 +230,7 @@ def coincidence_density(pair: SourcePair, dt: float) -> float:
         return pref * math.exp(-a * (lo - tf) - b * (lo + d - ts))
 
     cross = 0.0
-    if abs(dt) < 1492.0 / (a + b):  # else it underflows to 0 (_DETUNING_MAX)
+    if abs(dt) < 1492.0 / (a + b):  # else it underflows to 0 (_BOUNDS)
         cross_lo = max(tf, ts) + max(0.0, -dt)
         cross = pref * math.exp(
             -0.5 * (a + b) * dt - a * (cross_lo - tf) - b * (cross_lo - ts)
@@ -290,19 +298,23 @@ def dip_ratio(delta_t, tau_s: float, tau_f: float):
 
     `delta_t` is the start-time offset t_f - t_s in ns (scalar or array);
     positive values decay with tau_s, negative ones with tau_f, which makes
-    the dip slightly asymmetric when the coherence times differ.
+    the dip slightly asymmetric when the coherence times differ. Raises
+    ValueError for a delay outside the delay's bound (`_BOUNDS`).
     """
+    delta_t = np.asarray(delta_t, dtype=float)
+    for end in (delta_t.min(initial=0.0), delta_t.max(initial=0.0)):  # 0 if empty
+        _check_bound("delta_t", float(end), "delay")
     out = 1.0 - _overlap_sq(Envelope(tau_f), Envelope(tau_s), delta_t)
-    if np.ndim(delta_t) == 0:
+    if delta_t.ndim == 0:
         return float(out)
     return out
 
 
 def expected_histogram(
     config: ExperimentConfig,
-    valid_window: float = 85.0,
-    bin_width: float = 10.0,
-    half_range: float = 205.0,
+    valid_window: float = _VALID_WINDOW,
+    bin_width: float = _BIN_WIDTH,
+    half_range: float = _HALF_RANGE,
 ) -> np.ndarray:
     """Expected per-trigger value of each bin of the coincidence histogram.
 

@@ -163,8 +163,8 @@ def write_events(
     a chunk or across the seam with the chunk before), for chunks of
     different resolutions, for no chunk at all and for `metadata` that
     would overwrite a field the sidecar takes from the records
-    (``resolution_ps``, ``n_records``, ``sha256``); ``config_hash`` may be
-    supplied.
+    (``resolution_ps``, ``n_records``, ``sha256``). ``config_hash`` may be
+    supplied; by default it hashes `metadata`'s ``config``, or the sidecar without one.
     """
     clash = sorted({"resolution_ps", "n_records", "sha256"}.intersection(metadata or {}))
     if clash:
@@ -210,10 +210,8 @@ def write_events(
                 written.result()
             if resolution is None:
                 raise ValueError("no chunk to write: a stream needs at least one")
-        sidecar = {"resolution_ps": resolution, "n_records": n_records}
-        if metadata:
-            sidecar.update(metadata)
-        sidecar.setdefault("config_hash", config_hash(sidecar))
+        sidecar = {"resolution_ps": resolution, "n_records": n_records, **(metadata or {})}
+        sidecar.setdefault("config_hash", config_hash(sidecar.get("config", sidecar)))
         sidecar["sha256"] = digest.hexdigest()
         write_json(sidecar, sidecar_path(path))
     except BaseException:

@@ -92,13 +92,16 @@ import numpy as np
 
 from .analysis import CoincidenceHistogram, histogram, pair_clicks
 from .errors import ConfigError
-from .interference import (
-    _DELTA_T_MAX, _DETUNING_MAX, _TAU_RANGE, Envelope, SourcePair, _inverse_cdf,
-    _p_coincidence,
-)
+from .interference import Envelope, SourcePair, _check_bound, _inverse_cdf, _p_coincidence
 from .io import DET_A, DET_B, DET_T, EventStream, _ns_to_ticks, _tick_ns, _whole_ticks
 
 _CHUNK = 1 << 16
+_BOUNDED = {  # the kind of bound, in interference._BOUNDS, of each bounded field
+    "eta_f": "probability", "eta_s": "probability", "xi": "probability",
+    "tau_f": "tau", "tau_s": "tau", "detuning": "detuning", "delta_t": "delay",
+    "excitation_jitter_sigma": "jitter", "bg_rate_a": "rate", "bg_rate_b": "rate",
+    "detector_offset_a": "offset", "detector_offset_b": "offset",
+}
 
 
 @dataclass(frozen=True)
@@ -150,32 +153,15 @@ class ExperimentConfig:
                 # stored as an int, so the config hashes as the same run given ints
                 object.__setattr__(self, f.name, count)
         if self.n_triggers <= 0:
-            raise ConfigError("n_triggers must be positive")
+            raise ConfigError(f"n_triggers must be positive, got {self.n_triggers}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        for name in ("eta_f", "eta_s", "xi"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("tau_f", "tau_s"):
-            tau = getattr(self, name)
-            if tau <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {tau}")
-            if not _TAU_RANGE[0] <= tau <= _TAU_RANGE[1]:
-                raise ConfigError(f"{name} must lie in [{_TAU_RANGE[0]:g}, "
-                                  f"{_TAU_RANGE[1]:g}] ns, got {tau}")
-        if not abs(self.detuning) <= _DETUNING_MAX:
-            raise ConfigError(f"detuning must lie in [-{_DETUNING_MAX:g}, {_DETUNING_MAX:g}] "
-                              f"MHz, got {self.detuning}")
-        if not abs(self.delta_t) <= _DELTA_T_MAX:
-            raise ConfigError(f"delta_t must lie in [-{_DELTA_T_MAX:g}, {_DELTA_T_MAX:g}] ns, "
-                              f"got {self.delta_t}")
-        if self.bg_rate_a < 0.0 or self.bg_rate_b < 0.0:
-            raise ConfigError("background rates must be non-negative")
-        if self.excitation_jitter_sigma < 0.0:
-            raise ConfigError("excitation_jitter_sigma must be non-negative")
-        if self.window_length <= 0.0:
-            raise ConfigError("window_length must be positive")
+        for name, kind in _BOUNDED.items():
+            _check_bound(name, getattr(self, name), kind, ConfigError)
+        for name in ("window_length", "timestamp_resolution"):
+            value = getattr(self, name)
+            if value <= 0.0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         # A chunk draws Poisson(rate * window_length * _CHUNK) background
         # clicks per detector, and numpy refuses a mean above about 9.2e18;
         # 1e6 clicks per window, with no signal left to see, keep it below 6.6e10.
@@ -184,18 +170,15 @@ class ExperimentConfig:
             if per_window > 1e6:
                 raise ConfigError(f"{name} * window_length, the mean background clicks "
                                   f"per window, must be at most 1e6, got {per_window:g}")
-        if self.timestamp_resolution <= 0.0:
-            raise ConfigError("timestamp_resolution must be positive")
         # A gap of one tick keeps every click's tick below the next
         # trigger's, so pairing by tick gives each click to the trigger
         # whose window the gate kept it in.
         if self.trigger_period - self.window_length < _tick_ns(self.timestamp_resolution):
             raise ConfigError(
-                "trigger_period must exceed window_length by at least one "
-                "timestamp tick (timestamp_resolution / 1000 ns)"
+                "trigger_period must exceed window_length by at least one timestamp tick "
+                f"(timestamp_resolution / 1000 ns), got {self.trigger_period} and "
+                f"{self.window_length}"
             )
-        if self.detector_offset_a < 0.0 or self.detector_offset_b < 0.0:
-            raise ConfigError("detector offsets must be non-negative")
         # Every click lies inside its trigger's window, so before
         # n_triggers * trigger_period: that many ticks must fit in int64.
         # A period is at least one tick, so the first test covers any
@@ -204,7 +187,8 @@ class ExperimentConfig:
         if self.n_triggers >= 2**63 or self.n_triggers * ticks_per_period >= 2**63:
             raise ConfigError(
                 "the run's ticks, up to n_triggers * trigger_period * 1000 / "
-                "timestamp_resolution, must stay below 2**63 (int64)"
+                f"timestamp_resolution, must stay below 2**63 (int64), got "
+                f"{self.n_triggers} triggers of {ticks_per_period:g} ticks"
             )
 
     def source_pair(self) -> SourcePair:

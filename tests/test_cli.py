@@ -1,5 +1,7 @@
 import ast
 import csv
+import dataclasses
+import inspect
 import hashlib
 import itertools
 import json
@@ -66,6 +68,21 @@ class TestConfigParsing:
         assert cfg["tau_s"] == 26.18
         assert cfg["bin_width"] == 10.0
         assert cfg["subtract_accidentals"] is False
+
+    def test_analysis_defaults_are_the_librarys(self):
+        # a config file's analysis defaults are those of the library calls
+        # that take them
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+
+        keys = {key: default for key, (_, default) in cli.CONFIG_KEYS.items()}
+        assert keys["valid_window"] == default(homsim.pair_events, "valid_window") == 85.0
+        for func in (homsim.histogram, homsim.expected_histogram):
+            assert keys["bin_width"] == default(func, "bin_width") == 10.0
+            assert keys["hist_range"] == default(func, "half_range") == 205.0
+        assert default(homsim.expected_histogram, "valid_window") == keys["valid_window"]
+        wing = default(homsim.estimate_accidentals, "wing")
+        assert (keys["wing_low"], keys["wing_high"]) == wing == (100.0, 200.0)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -193,7 +210,7 @@ class TestOracle:
         ]) == 1
 
     @pytest.mark.parametrize("args, message", [
-        (["--tau-s", "-4"], "tau_s must be positive, got -4.0"),
+        (["--tau-s", "-4"], "tau_s must lie in [1e-150, 1e+150] ns, got -4.0"),
         (["--xi", "1.5"], "xi must lie in [0, 1], got 1.5"),
         (["--detuning", "inf"], "detuning must be finite, got inf"),
         # coherence times whose model overflows or underflows
@@ -208,12 +225,25 @@ class TestOracle:
         (["--detuning", "1e308", "--density-range=-1000:1000:1000"],
          "detuning must lie in [-1e+06, 1e+06] MHz, got 1e+308"),
         (["--detuning=-1e200"], "detuning must lie in [-1e+06, 1e+06] MHz, got -1e+200"),
+        # delay grids whose overlap would overflow at the smallest coherence
+        # time, held to a run's delay bound
+        *((["--tau-s", "1e-150", f"--delta-t={grid}"],
+           f"delta_t must lie in [-1e+150, 1e+150] ns, got {value}")
+          for grid, value in (("0:1e300:1e299", "1e+300"), ("-1e300:0:1e299", "-1e+300"),
+                              ("0:2e150:2e150", "2e+150"))),
     ], ids=["tau", "xi", "detuning", "tau-1e-320", "taus-1e-160", "taus-1e-200", "taus-1e200",
-            "detuning-1e308", "detuning-minus-1e200"])
+            "detuning-1e308", "detuning-minus-1e200", "delta-t-1e300", "delta-t-minus-1e300",
+            "delta-t-2e150"])
     def test_bad_parameter_names_its_option(self, tmp_path, capsys, args, message):
         assert cli.main(["oracle", *args, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_delay_grid_at_bound_runs(self, tmp_path):
+        assert cli.main(["oracle", "--tau-s", "1e-150", "--delta-t=-1e150:1e150:1e150",
+                         "--out", str(tmp_path)]) == 0
+        dip = read_oracle_rows(tmp_path / "oracle.csv")["dip_ratio"]
+        assert [x for x, _ in dip] == ["-1e+150", "0", "1e+150"]
 
     @pytest.mark.parametrize("option", ["--delta-t", "--density-range"])
     @pytest.mark.parametrize("grid", ["0:10", "0:10:1:2", "a:b:c"])
@@ -316,6 +346,23 @@ class TestSimulate:
         assert meta["resolution_ps"] == 125.0
         assert meta["config"]["n_triggers"] == 500
         assert len(meta["config_hash"]) == 16
+
+    def test_sidecar_matches_library_write(self, tmp_path):
+        # one provenance rule: the sidecar's config_hash is the config's,
+        # whether the CLI or the library writes the file
+        cfg = write_cfg(tmp_path / "c.cfg", n_triggers=1000, seed=7)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 0
+        config = montecarlo.ExperimentConfig(**{
+            k: v for k, v in cli.parse_config_file(cfg).items()
+            if k in {f.name for f in dataclasses.fields(montecarlo.ExperimentConfig)}
+        })
+        (tmp_path / "api").mkdir()
+        homsim.write_events(homsim.simulate(config), tmp_path / "api" / "events.csv",
+                            metadata={"config": dataclasses.asdict(config)})
+        for name in ("events.csv", "events.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+        meta = json.loads((tmp_path / "api" / "events.json").read_text())
+        assert meta["config_hash"] == homsim.io.config_hash(dataclasses.asdict(config))
 
     def test_missing_required_key_exit_one(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"

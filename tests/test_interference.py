@@ -224,6 +224,21 @@ class TestDipRatio:
         assert out.shape == (3,)
         assert out[1] == pytest.approx(dip_ratio(0.0, TAU_S, TAU_F))
 
+    @pytest.mark.parametrize("delta_t", [
+        2e150, -2e150, 1e305, math.nan, np.array([0.0, 1e300]), np.array([-1e300, 0.0]),
+    ], ids=["2e150", "minus-2e150", "1e305", "nan", "array-high", "array-low"])
+    def test_delay_past_its_bound_rejected(self, delta_t):
+        # the delay's bound, as a run's: beyond it the overlap's gap / tau
+        # overflows at the smallest coherence time
+        message = r"^delta_t must lie in \[-1e\+150, 1e\+150\] ns, got "
+        with pytest.raises(ValueError, match=message):
+            dip_ratio(delta_t, 1e-150, 1e-150)
+
+    def test_delay_at_its_bound_accepted(self):
+        assert dip_ratio(1e150, TAU_S, TAU_F) == 1.0
+        assert dip_ratio(np.array([-1e150, 1e150]), TAU_S, TAU_F).tolist() == [1.0, 1.0]
+        assert dip_ratio(np.array([]), TAU_S, TAU_F).size == 0
+
     def test_matches_integrated_closed_forms(self):
         # integrating the coincidence distributions reproduces the dip
         # shape, branch structure included

@@ -65,6 +65,22 @@ def test_roundtrip_with_sidecar(tmp_path):
         assert block.detectors.flags.writeable and block.timestamps.flags.writeable
 
 
+def test_default_config_hash_is_the_configs(tmp_path):
+    # a config's hash does not depend on the records: the same config gives
+    # the same provenance for streams of any length
+    config, s = {"seed": 3, "n_triggers": 10}, sample_stream()
+    for n in (3, 5):
+        part = EventStream(s.detectors[:n], s.timestamps[:n], s.resolution)
+        path = write_events(part, tmp_path / f"{n}.csv", metadata={"config": config})
+        assert read_sidecar(path)["config_hash"] == config_hash(config)
+    # without a config, the hash is the sidecar's own
+    path = write_events(sample_stream(), tmp_path / "bare.csv")
+    meta = read_sidecar(path)
+    assert meta["config_hash"] == config_hash(
+        {"resolution_ps": meta["resolution_ps"], "n_records": meta["n_records"]}
+    )
+
+
 @pytest.mark.parametrize("field, value", [
     ("resolution_ps", 250.0), ("n_records", 99), ("sha256", "0" * 64),
 ])

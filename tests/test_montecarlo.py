@@ -23,7 +23,7 @@ from homsim import (
     simulate,
     simulate_histograms,
 )
-from homsim.interference import Envelope, _p_coincidence, amplitude
+from homsim.interference import _BOUNDS, Envelope, _p_coincidence, amplitude
 from homsim import montecarlo
 from homsim.analysis import pair_clicks
 from homsim.io import DET_A, DET_B, DET_T
@@ -113,8 +113,8 @@ class TestConfigValidation:
             replace(config, **{name: np.nextafter(2000.0, math.inf)})
 
     @pytest.mark.parametrize("name, value, message", [
-        ("tau_f", 0.0, "tau_f must be positive, got 0.0"),
-        ("tau_s", -4.0, "tau_s must be positive, got -4.0"),
+        ("tau_f", 0.0, "tau_f must lie in [1e-150, 1e+150] ns, got 0.0"),
+        ("tau_s", -4.0, "tau_s must lie in [1e-150, 1e+150] ns, got -4.0"),
         ("tau_s", 1e-320, "tau_s must lie in [1e-150, 1e+150] ns, got 1e-320"),
         ("tau_f", 1e-160, "tau_f must lie in [1e-150, 1e+150] ns, got 1e-160"),
         ("tau_f", 1e-200, "tau_f must lie in [1e-150, 1e+150] ns, got 1e-200"),
@@ -123,13 +123,19 @@ class TestConfigValidation:
         ("detuning", -2e6, "detuning must lie in [-1e+06, 1e+06] MHz, got -2000000.0"),
         ("delta_t", 1e305, "delta_t must lie in [-1e+150, 1e+150] ns, got 1e+305"),
         ("delta_t", -2e150, "delta_t must lie in [-1e+150, 1e+150] ns, got -2e+150"),
-        ("excitation_jitter_sigma", -0.5, "excitation_jitter_sigma must be non-negative"),
-        ("window_length", 0.0, "window_length must be positive"),
-        ("timestamp_resolution", -125.0, "timestamp_resolution must be positive"),
-        ("detector_offset_b", -1.0, "detector offsets must be non-negative"),
+        ("excitation_jitter_sigma", -0.5,
+         "excitation_jitter_sigma must lie in [0, 1e+150] ns, got -0.5"),
+        ("excitation_jitter_sigma", 1e305,
+         "excitation_jitter_sigma must lie in [0, 1e+150] ns, got 1e+305"),
+        ("window_length", 0.0, "window_length must be positive, got 0.0"),
+        ("timestamp_resolution", -125.0, "timestamp_resolution must be positive, got -125.0"),
+        ("detector_offset_b", -1.0, "detector_offset_b must lie in [0, inf] ns, got -1.0"),
+        ("bg_rate_a", -1e-3, "bg_rate_a must lie in [0, inf] /ns, got -0.001"),
+        ("n_triggers", 0, "n_triggers must be positive, got 0"),
     ], ids=["tau_f", "tau_s", "tau_s-1e-320", "tau_f-1e-160", "tau_f-1e-200", "tau_s-1e200",
             "detuning-1e200", "detuning-2e6", "delta_t-1e305", "delta_t-minus-2e150", "jitter",
-            "window_length", "timestamp_resolution", "detector_offset"])
+            "jitter-1e305", "window_length", "timestamp_resolution", "detector_offset",
+            "bg_rate", "n_triggers"])
     def test_out_of_range_value_names_its_field(self, name, value, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ideal_config(**{name: value})
@@ -141,6 +147,34 @@ class TestConfigValidation:
         # the window, so one click per trigger is left
         stream = simulate(ideal_config(n_triggers=100, detuning=1e6, delta_t=delta_t))
         assert np.count_nonzero(stream.detectors != DET_T) == 100
+
+    @pytest.mark.parametrize("detuning", [1e6, -1e6])
+    def test_jitter_at_its_bound_runs(self, detuning):
+        # the jitter's bound is the delay's: every two-photon trial's phase
+        # stays finite (warnings are errors); each single-atom photon starts
+        # before its trigger or far past the window, so the gate keeps the
+        # heralded photon's click alone
+        config = ideal_config(n_triggers=100, detuning=detuning, excitation_jitter_sigma=1e150)
+        assert np.count_nonzero(simulate(config).detectors != DET_T) == 100
+
+    # each end of each field's bound: the finite ones, and the bound's kind
+    BOUND_ENDS = [
+        pytest.param(name, end, id=f"{name}-{'lo' if i == 0 else 'hi'}")
+        for name, kind in montecarlo._BOUNDED.items()
+        for i, end in enumerate(_BOUNDS[kind][:2])
+        if math.isfinite(end)
+    ]
+
+    @pytest.mark.parametrize("name, end", BOUND_ENDS)
+    def test_bound_ends_accepted_and_values_past_them_rejected(self, name, end):
+        assert getattr(ideal_config(**{name: end}), name) == end
+        lo, hi, _ = _BOUNDS[montecarlo._BOUNDED[name]]
+        past = np.nextafter(end, -math.inf if end == lo else math.inf)
+        with pytest.raises(ConfigError) as info:
+            ideal_config(**{name: past})
+        message = str(info.value)
+        assert message.startswith(f"{name} must lie in [{lo:g}, {hi:g}]")
+        assert message.endswith(f", got {past}")
 
     FLOAT_FIELDS = [
         "trigger_period", "eta_f", "eta_s", "tau_f", "tau_s", "delta_t",

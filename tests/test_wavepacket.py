@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import expon, kstest
 
-from homsim import Envelope, amplitude, sample_emission_time
+from homsim import ConfigError, Envelope, ExperimentConfig, amplitude, sample_emission_time
 from homsim.interference import _inverse_cdf
 from quadrature import norm
 
@@ -25,12 +25,26 @@ def test_invalid_tau_rejected():
 
 
 def test_invalid_detuning_rejected():
-    # beyond [-1e6, 1e6] MHz the overlap's Lorentzian overflows (_DETUNING_MAX)
+    # beyond [-1e6, 1e6] MHz the overlap's Lorentzian overflows (_BOUNDS)
     for detuning in (math.nan, math.inf, -math.inf, 1e308, 1e200, -1.0000001e6, 2e6):
         with pytest.raises(ValueError, match=r"detuning must lie in \[-1e\+06, 1e\+06\] MHz"):
             Envelope(26.18, detuning=detuning)
     for detuning in (-1e6, 1e6):
         assert Envelope(26.18, detuning=detuning).detuning == detuning
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau_f", 0.0), ("tau_s", -4.0), ("tau_f", 1e-320), ("tau_s", 1e200),
+    ("detuning", 2e6), ("detuning", -1e200),
+])
+def test_envelope_and_config_give_the_same_text(field, value):
+    # one check, in the envelope's words and in the config field's
+    with pytest.raises(ValueError) as env_error:
+        Envelope(value) if field.startswith("tau") else Envelope(26.18, detuning=value)
+    with pytest.raises(ConfigError) as config_error:
+        ExperimentConfig(n_triggers=1, **{field: value})
+    assert str(config_error.value) == str(env_error.value).replace("tau", field, 1)
+    assert str(config_error.value).endswith(f", got {value}")
 
 
 def test_amplitude_zero_before_start():
