@@ -17,6 +17,7 @@ from homsim import (
     pair_events,
     read_events,
     simulate,
+    simulate_frames,
     write_events,
 )
 from homsim.io import DETECTOR_LABELS
@@ -53,13 +54,18 @@ print(f"same seed, 4 workers -> identical stream: {same}")
 
 print("\n== event file round trip ==")
 with tempfile.TemporaryDirectory() as tmp:
+    # the file holds the generator's click lists, chunk by chunk
     path = write_events(
-        stream, Path(tmp) / "events.csv",
+        simulate_frames(config), Path(tmp) / "events.csv",
         metadata={"config": asdict(config)},
     )
     print(f"wrote {path.stat().st_size} bytes + JSON sidecar")
     back = read_events(path)
-    print(f"read back {len(back)} records at {back.resolution} ps resolution")
+    same = np.array_equal(back.timestamps, stream.timestamps) and np.array_equal(
+        back.detectors, stream.detectors
+    )
+    print(f"read back {len(back)} records at {back.resolution} ps resolution, "
+          f"the simulated stream: {same}")
 
 print("\n== a realistic low-efficiency run ==")
 lossy = ExperimentConfig(n_triggers=200_000, seed=8)  # defaults: 0.5% each arm

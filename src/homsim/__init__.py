@@ -26,9 +26,9 @@ from .interference import (
     visibility_closed_form,
 )
 from .io import EventStream, read_events, write_events
-from .montecarlo import ExperimentConfig, simulate, simulate_histograms
+from .montecarlo import ExperimentConfig, simulate, simulate_frames, simulate_histograms
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AccidentalEstimate",
@@ -56,6 +56,7 @@ __all__ = [
     "read_events",
     "sample_emission_time",
     "simulate",
+    "simulate_frames",
     "simulate_histograms",
     "visibility",
     "visibility_closed_form",

@@ -4,32 +4,30 @@ Mirrors a standard time-tag post-processing chain: group clicks by
 trigger, keep sequences with a click near the trigger, histogram the
 signed time difference between the earliest A and B clicks normalized per
 trigger, estimate the accidental floor from the histogram wings, and form
-visibilities and dip curves from windowed sums. A stream too long to
-hold is histogrammed block by block (`histogram_blocks`), with the same
-integer counts as the whole stream. The pairing kernel works on one
-click list, per click its offset in ticks from its trigger, its owner
-and its detector code, so the fused `homsim dip` path pairs the
-generator's list as it comes, and `pair_events` builds the same list
-from a sorted stream by position: the triggers before a click's record
-end with its owner, so only a click that a trigger on its own tick
-follows is placed by `np.searchsorted`. One `np.minimum.at` finds the
-first click of every trigger and detector. It takes the indices of a
-randomly mixed mask once (`np.flatnonzero`) and gathers at those,
-because numpy indexes with such a mask several times slower than with
-indices.
+visibilities and dip curves from windowed sums. The pairing kernel,
+`pair_clicks`, works on one click list, per click its offset in ticks
+from its trigger, its owner and its detector code: the generator's list,
+as `homsim dip` makes it and an event file holds it. `histogram_frames`
+pairs and bins a run frame by frame with it, for `homsim analyze` and
+`homsim dip` alike, and `pair_events` builds the same list from a sorted
+in-memory stream by position: the triggers before a click's record end
+with its owner, so only a click that a trigger on its own tick follows
+is placed by `np.searchsorted`. One `np.minimum.at` finds the first
+click of every trigger and detector. It takes the indices of a randomly
+mixed mask once (`np.flatnonzero`) and gathers at those, because numpy
+indexes with such a mask several times slower than with indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataFormatError, InsufficientStatisticsError
-from .io import DET_A, DET_B, DET_T, EventStream, _tick_ns, _whole_ticks
+from .io import DET_A, DET_T, EventStream, Frame, _tick_ns, _whole_ticks
 
 _ALIGN_TOL = 1e-9
 # The most bins a histogram may have (1 ps bins over +-8 us): its counts
@@ -150,49 +148,25 @@ def pair_events(stream: EventStream, valid_window: float = _VALID_WINDOW) -> Pai
     return pair_clicks(det.size - click_ticks.size, clicks, valid_window, stream.resolution)
 
 
-def histogram_blocks(
-    blocks: Iterable[EventStream], valid_window: float, bin_width: float, half_range: float
+def histogram_frames(
+    frames: Iterable[Frame], valid_window: float, bin_width: float, half_range: float
 ) -> CoincidenceHistogram:
-    """Coincidence histogram of a sorted stream given as consecutive blocks.
+    """Coincidence histogram of a run given as its frames (at least one).
 
-    Equals ``histogram(pair_events(stream, valid_window).delta_ts,
-    n_triggers, bin_width, half_range)`` of the whole stream bit for bit,
-    holding one block at a time. A click belongs to the last trigger at or
-    before its tick, so only the records from the last trigger's tick on
-    (from the last tick, before any trigger) can still be joined by a
-    trigger of a later block. Those are carried into the next block (the
-    last trigger record is found from the codes, with no gather of the
-    trigger ticks); the rest is paired with :func:`pair_events` and
-    binned, and the integer counts are summed, as
-    :func:`~homsim.montecarlo.simulate_histograms` does.
-
-    Raises InsufficientStatisticsError if the stream has no trigger record.
+    Each frame's click list is paired with :func:`pair_clicks` and binned,
+    holding one frame at a time, and the integer counts are summed. The
+    result equals ``histogram(pair_events(stream, valid_window).delta_ts,
+    n_triggers, bin_width, half_range)`` of the run's whole stream bit for
+    bit: the gate keeps every click inside its own trigger's window, so
+    no frame's pairing depends on another's.
     """
     empty = histogram([], 1, bin_width, half_range)  # checks the binning first
-    counts, n_triggers, resolution = empty.counts, 0, None
-    det, ticks = np.empty(0, np.uint8), np.empty(0, np.int64)
-    for block in chain(blocks, [None]):
-        if block is None:  # the end of the stream: nothing is carried
-            cut = ticks.size
-        else:
-            resolution = block.resolution
-            if not len(block):  # an empty block changes nothing
-                continue
-            det = np.concatenate((det, block.detectors))
-            ticks = np.concatenate((ticks, block.timestamps))
-            # the last trigger record, or the last record where there is none
-            last = det.size - 1 - int(np.argmax(det[::-1] == DET_T))
-            cut = int(np.searchsorted(ticks, ticks[last]))
-        if cut:
-            pairing = pair_events(EventStream(det[:cut], ticks[:cut], resolution), valid_window)
-            if pairing.n_triggers:
-                n_triggers += pairing.n_triggers
-                counts = counts + histogram(
-                    pairing.delta_ts, pairing.n_triggers, bin_width, half_range
-                ).counts
-        det, ticks = det[cut:], ticks[cut:]
-    if n_triggers == 0:
-        raise InsufficientStatisticsError("event stream contains no trigger records")
+    counts, n_triggers = empty.counts, 0
+    for frame in frames:
+        n = frame.n_triggers
+        pairing = pair_clicks(n, frame.clicks, valid_window, frame.grid.resolution)
+        counts = counts + histogram(pairing.delta_ts, n, bin_width, half_range).counts
+        n_triggers += n
     return replace(empty, counts=counts, n_triggers=n_triggers)
 
 

@@ -150,7 +150,12 @@ def _parse_grid(text: str) -> np.ndarray:
     points = (hi - lo) / step + 1.0  # np.arange's count, to within one
     if points > _MAX_GRID:
         raise ConfigError(f"bad grid {text!r}: about {points:.3g} points, more than {_MAX_GRID}")
-    return np.arange(lo, stop, step)
+    grid = np.arange(lo, stop, step)
+    # a STEP below the float spacing of STOP leaves np.arange no point, or too few
+    if abs(grid.size - points) >= 1.0:
+        raise ConfigError(f"bad grid {text!r}: STEP is below the float spacing: "
+                          f"{grid.size} points, not {points:.6g}")
+    return grid
 
 
 @contextlib.contextmanager
@@ -209,9 +214,9 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"config": dataclasses.asdict(config)}
-    # the chunks are generated as write_events asks for them
-    chunks = montecarlo.simulate_chunks(config, workers=args.workers)
-    path = io.write_events(chunks, out / "events.csv", metadata=meta)
+    # the frames are generated as write_events asks for them
+    frames = montecarlo.simulate_frames(config, workers=args.workers)
+    path = io.write_events(frames, out / "events.csv", metadata=meta)
     n_records = io.read_sidecar(path)["n_records"]
     print(f"wrote {path} ({n_records} records) and {io.sidecar_path(path)}")
     return 0
@@ -242,8 +247,8 @@ def cmd_analyze(args) -> int:
         if not Path(path).is_file():
             raise ConfigError(f"event file not found: {path}")
     h_par, h_perp = (
-        analysis.histogram_blocks(
-            io.read_event_blocks(path), cfg["valid_window"], cfg["bin_width"], cfg["hist_range"]
+        analysis.histogram_frames(
+            io.read_frames(path), cfg["valid_window"], cfg["bin_width"], cfg["hist_range"]
         )
         for path in (args.par, args.perp)
     )

@@ -1,46 +1,45 @@
-"""Event-stream container plus the event-file / JSON-sidecar format.
+"""Event streams, event files and the package's other output files.
 
-An event file is binary: a 16-byte header, then frames of records::
+An event file holds a run's click lists, frame by frame as the generator
+makes them. It is binary and little-endian::
 
-    header    the magic bytes 89 'HOMSIM' 0A, then the format version, 1
-    frame     n, then n ticks, then n detector codes
+    header    the magic bytes 89 'HOMSIM' 0A and the format version, 2;
+              the trigger period in ns and the tick length (resolution) in
+              ps as float64; the acquisition window's whole ticks n_w
+    frame     its first trigger, its trigger count n and its click count
+              m; then the m clicks' offset ticks (int64), their owners
+              (uint32) and their detector codes (uint8)
 
-Each count, version and tick is an int64 and each code a uint8, all
-little-endian; a frame holds 1 to ``_FRAME`` (2**15) records. A code is
-0 (T), 1 (A) or 2 (B). A tick counts resolution ticks since the start
-of the run; the ticks never decrease, within a frame or across frames,
-from a non-negative first one. Ticks come before codes, so that they
-stay 8-byte aligned in the file. ``write_events`` writes frames of
-``_FRAME`` records, the last one shorter, so a file's bytes depend on
-its records alone, not on how they were chunked; the reader takes any
-frame of 1 to ``_FRAME`` records. The writer copies at most one frame
-per chunk: the records carried from the chunks before, completed with
-the chunk's first ones. The rest of the chunk goes to the writer thread
-as views, and what is left past its last whole frame is carried on. A
-JSON sidecar (same path with a .json suffix) echoes the resolution, the
-full run configuration and its hash, the record count ``n_records`` and
-the ``sha256`` of the event file's bytes. The header does not repeat
-the resolution: it comes from the sidecar, or is 125 ps when there is
-no sidecar.
+Every count and version is an int64. A frame is one generator chunk,
+triggers first .. first + n - 1 of the run, with 1 <= n <= ``_FRAME``;
+the first frame starts at trigger 0 and each later one where the frame
+before it ends. A click's owner indexes its frame's triggers, its offset
+counts the ticks from its owner's tick and is below n_w, and its code is
+1 (A) or 2 (B). Trigger i's tick is that of i * period, floored
+(``_trigger_ticks``), so the header gives every trigger's tick, and a
+click's tick is its owner's plus its offset: no tick is stored whole.
+The clicks come in the generator's order.
 
-``read_events`` (and ``read_event_blocks``, as it reaches the fault)
-raises ``DataFormatError`` naming the file, and the index of the record
-(from 0) at fault, for a frame whose count is 0 or above ``_FRAME``, a
-frame cut short (in its count or its records, checked against the bytes
-left before any buffer is made), a code above 2, and a tick below the
-one before it or a negative first one; naming the file for a header
-other than format 1's, and when the sidecar's record count or digest
-disagrees with the file; and naming the sidecar when it is not a JSON
-object or its resolution is missing or not a positive number.
+A JSON sidecar (same path with a .json suffix) echoes the run
+configuration and its hash, the record count ``n_records`` (triggers
+plus clicks) and the ``sha256`` of the event file's bytes.
 
-Each open event file has one I/O thread, so that its bytes overlap the
-caller's work: while the caller makes the next chunk, the writer thread
-hashes and writes the frames of the chunk before it; while the caller
-works on a frame, the reader thread reads, hashes and checks the next
-one. So one chunk or one frame is in flight beside the caller's, and no
-more. The checks of ``write_events`` and every error's text and order
-stay as on one thread, and the thread ends with the call or the
-iterator.
+``read_frames`` raises ``DataFormatError`` naming the file for a header
+other than format 2's or with a grid that no run has; naming the file
+and the frame (from 0), and the click (from 0 in its frame) where one is
+at fault, for a frame cut short in its counts or its clicks (checked
+against the bytes left before any buffer is made), a trigger count
+outside 1 .. ``_FRAME``, a negative click count, a first trigger that
+does not continue from the frame before, triggers whose ticks pass
+int64, an owner at or past the frame's trigger count, an offset at or
+past n_w and a code other than A or B; naming the file for a file of no
+frame, and when the sidecar's record count or digest disagrees with the
+file; and naming the sidecar when it is not a JSON object.
+``write_events`` refuses with ValueError the frames that the reader
+would refuse.
+
+``_frame_stream`` lays a frame out as events sorted by tick: ``simulate``
+and ``read_events`` both build their streams with it.
 
 The other output files are written here too: every CSV table by
 ``write_table`` and every JSON file by ``write_json``.
@@ -52,10 +51,10 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,10 +65,12 @@ DETECTOR_LABELS = ("T", "A", "B")
 
 # A non-ASCII first byte and a line feed, as in PNG's signature, so that a
 # 7-bit or text-mode copy of a file breaks its header.
-_HEADER = b"\x89HOMSIM\n" + (1).to_bytes(8, "little")  # the magic, then format version 1
-# Records per frame: the writer's frames hold this many, the last fewer,
-# and the reader refuses more. A frame is then at most 288 KiB.
-_FRAME = 1 << 15
+_MAGIC = b"\x89HOMSIM\n" + (2).to_bytes(8, "little")  # the magic, then format version 2
+_GRID = struct.Struct("<ddq")  # the header's period, resolution and n_w, after the magic
+_COUNTS = struct.Struct("<3q")  # a frame's first trigger, trigger count and click count
+_CLICK_BYTES = 8 + 4 + 1  # offset, owner and code
+# The most triggers a frame holds: a generator chunk's
+_FRAME = 1 << 16
 
 
 # The tick grid: every conversion between ns and ticks in the package.
@@ -97,6 +98,36 @@ def _whole_ticks(length: float, resolution: float, name: str = "length") -> int:
         raise ValueError(f"{name} must be finite and non-negative, got {length}")
     scaled = _ns_to_ticks(length, resolution) + 1e-9
     return math.floor(scaled) if scaled < 2**63 else 2**63 - 1
+
+
+class Grid(NamedTuple):
+    """A run's tick grid, as an event file's header holds it: the trigger
+    period in ns, the tick length (resolution) in ps and the acquisition
+    window's whole ticks."""
+
+    period: float
+    resolution: float
+    n_w: int
+
+
+class Frame(NamedTuple):
+    """Triggers `first` .. `first` + `n_triggers` - 1 of a run on `grid`
+    and their click list (offset ticks, owner, detector code): per click,
+    the owner indexes these triggers, the offset counts the ticks from
+    the owner's, and the code is DET_A or DET_B."""
+
+    grid: Grid
+    first: int
+    n_triggers: int
+    clicks: tuple
+
+
+def _trigger_ticks(grid: Grid, first: int, count: int) -> np.ndarray:
+    """The ticks of the trigger times (first + i) * period, i < count,
+    floored; a run's grid keeps them within int64."""
+    trig = np.arange(first, first + count, dtype=float)
+    trig *= grid.period
+    return _ns_to_ticks(trig, grid.resolution).astype(np.int64)
 
 
 @dataclass
@@ -138,6 +169,83 @@ class EventStream:
         )
 
 
+def _frame_stream(frame: Frame) -> EventStream:
+    """The events of `frame` sorted by (timestamp, detector), triggers
+    first on ties; a run's frames, in order, make up its sorted stream.
+
+    Only the clicks are sorted, by (owner, offset tick, detector) packed
+    in one uint64 key: (owner * n_w + offset) * 2 + (detector - DET_A).
+    An offset is below the window's n_w ticks, so the key keeps that
+    order, and owner * n_w + offset stays below the frame's trigger count
+    times the period's ticks, which a run's grid keeps below 2**63, so
+    the key fits. A click's tick lies from its trigger's on and below the
+    next one's, so in this order the clicks are sorted by (tick,
+    detector) too, each trigger's right after it. The frame is then each
+    trigger tick repeated once for itself and once per click it owns; the
+    j-th click in key order lies j + 1 + owner records in, where its
+    offset is added to its owner's repeated tick.
+    """
+    offsets, owner, detector = frame.clicks
+    trig_ticks = _trigger_ticks(frame.grid, frame.first, frame.n_triggers)
+    # at least 1, so that a window shorter than a tick, which keeps no click, divides
+    n_w = np.uint64(max(frame.grid.n_w, 1))
+    key = owner.astype(np.uint64)
+    key *= n_w
+    key += offsets.view(np.uint64)
+    key <<= np.uint64(1)
+    key += detector - np.uint8(DET_A)
+    key.sort()
+    detector = (key & np.uint64(1)).astype(np.uint8)
+    detector += np.uint8(DET_A)
+    key >>= np.uint64(1)
+    owner = key // n_w
+    key -= owner * n_w  # the offset ticks
+    owner = owner.view(np.int64)
+    ticks = np.repeat(trig_ticks, np.bincount(owner, minlength=trig_ticks.size) + 1)
+    slot = np.arange(1, owner.size + 1)
+    slot += owner
+    ticks[slot] += key.view(np.int64)
+    det = np.zeros(ticks.size, np.uint8)  # DET_T
+    det[slot] = detector
+    return EventStream(det, ticks, frame.grid.resolution)
+
+
+def _grid_fault(grid: Grid) -> str | None:
+    """Why no run has `grid`, or None: a run's period and tick length are
+    positive and finite, and its window's ticks fit in its period."""
+    period, resolution, n_w = grid
+    if 0.0 < period < math.inf and 0.0 < resolution < math.inf:
+        if 0 <= n_w <= _ns_to_ticks(period, resolution):
+            return None
+    return (f"a trigger period of {period} ns, ticks of {resolution} ps and a window of "
+            f"{n_w} ticks are no run's grid")
+
+
+def _frame_fault(frame: Frame, first: int) -> str | None:
+    """What keeps `frame` from following the frames whose triggers end
+    before trigger `first`, or None; the text follows "frame <k>"."""
+    grid, n = frame.grid, frame.n_triggers
+    if not 0 < n <= _FRAME:
+        return f" has a trigger count of {n}, not 1 to {_FRAME}"
+    if frame.first != first:
+        return f" starts at trigger {frame.first}, not at {first}, where the frame before ends"
+    # as the run's config checks its last trigger
+    if (first + n) * _ns_to_ticks(grid.period, grid.resolution) >= 2**63:
+        return f" ends at trigger {first + n}, whose tick is past int64"
+    offsets, owner, codes = frame.clicks
+    bad = (owner < 0) | (owner >= n)
+    bad |= (offsets < 0) | (offsets >= grid.n_w)
+    bad |= (codes != DET_A) & (codes != DET_B)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if not 0 <= owner[i] < n:
+        return f", click {i}: owner {owner[i]} is at or past the frame's {n} triggers"
+    if not 0 <= offsets[i] < grid.n_w:
+        return f", click {i}: offset {offsets[i]} is not within the window's {grid.n_w} ticks"
+    return f", click {i}: detector code {codes[i]}, expected 1 (A) or 2 (B)"
+
+
 def config_hash(mapping: dict) -> str:
     """Short stable hash of a configuration mapping, for file provenance."""
     canon = json.dumps(mapping, sort_keys=True, default=str)
@@ -148,69 +256,50 @@ def sidecar_path(events_path) -> Path:
     return Path(events_path).with_suffix(".json")
 
 
-def write_events(
-    chunks: EventStream | Iterable[EventStream], path, metadata: dict | None = None
-) -> Path:
-    """Write the event file and its JSON sidecar; returns the event file's path.
+def write_events(frames: Iterable[Frame], path, metadata: dict | None = None) -> Path:
+    """Write the event file of a run's frames and its JSON sidecar; returns
+    the event file's path.
 
-    `chunks` is one stream or the consecutive chunks of one, written as
-    they come in frames of ``_FRAME`` records, the last one shorter,
-    whatever the chunks' sizes; the sidecar's record count and digest
-    cover them all. Of each chunk, at most one frame is copied, the one
-    that completes the records carried from the chunks before.
-    Raises ValueError, and leaves neither file, for a chunk whose ticks
-    ``read_events`` would reject (a negative or a decreasing one, within
-    a chunk or across the seam with the chunk before), for chunks of
-    different resolutions, for no chunk at all and for `metadata` that
-    would overwrite a field the sidecar takes from the records
-    (``resolution_ps``, ``n_records``, ``sha256``). ``config_hash`` may be
-    supplied; by default it hashes `metadata`'s ``config``, or the sidecar without one.
+    The frames are written as they come, and the sidecar's record count
+    and digest cover them all. Raises ValueError, and leaves neither file,
+    for frames that ``read_frames`` would refuse or on different grids,
+    for no frame at all and for `metadata` that would overwrite a field
+    the sidecar takes from the frames (``n_records``, ``sha256``).
+    ``config_hash`` may be supplied; by default it hashes `metadata`'s
+    ``config``, or the sidecar without one.
     """
-    clash = sorted({"resolution_ps", "n_records", "sha256"}.intersection(metadata or {}))
+    clash = sorted({"n_records", "sha256"}.intersection(metadata or {}))
     if clash:
         raise ValueError(f"metadata must not set the sidecar's own fields: {', '.join(clash)}")
-    if isinstance(chunks, EventStream):
-        chunks = (chunks,)
     path = Path(path)
-    digest, n_records, resolution, previous = hashlib.sha256(_HEADER), 0, None, 0
-    codes, ticks = np.empty(0, np.uint8), np.empty(0, np.int64)  # not yet in a frame
-    fh = open(path, "wb")
+    digest, n_records, grid, end = hashlib.sha256(), 0, None, 0
     try:
-        with fh, ThreadPoolExecutor(max_workers=1) as writer:
-            written = writer.submit(fh.write, _HEADER)
-            try:
-                for chunk in chunks:
-                    new = chunk.timestamps
-                    if not chunk.is_sorted() or (new.size and new[0] < previous):
-                        raise ValueError("timestamps must be non-negative and must not decrease")
-                    if resolution not in (None, chunk.resolution):
-                        raise ValueError("the chunks of an event file must share one resolution")
-                    n_records += new.size
-                    previous, resolution = new[-1] if new.size else previous, chunk.resolution
-                    head, rest = (codes[:0], ticks[:0]), (chunk.detectors, new)
-                    if ticks.size:  # the records left over from the chunks before
-                        # complete their frame with the chunk's first records: the
-                        # one copy made of a chunk; the rest goes out as views
-                        fill = _FRAME - ticks.size
-                        head = (np.concatenate((codes, chunk.detectors[:fill])),
-                                np.concatenate((ticks, new[:fill])))
-                        rest = chunk.detectors[fill:], new[fill:]
-                        if head[1].size < _FRAME:  # the chunk was too short: all is carried
-                            head, rest = rest, head  # the rest is empty
-                    whole = rest[1].size - rest[1].size % _FRAME
-                    written.result()  # one chunk in flight: the one before is written
-                    written = writer.submit(_write_frames, fh, digest, (head[0], rest[0][:whole]),
-                                            (head[1], rest[1][:whole]))
-                    codes, ticks = rest[0][whole:], rest[1][whole:]
-                written.result()
-                written = writer.submit(_write_frames, fh, digest, (codes,), (ticks,))
-            finally:
-                # the last frame is written before the sidecar, and a write
-                # that failed raises before a later chunk's error does
-                written.result()
-            if resolution is None:
-                raise ValueError("no chunk to write: a stream needs at least one")
-        sidecar = {"resolution_ps": resolution, "n_records": n_records, **(metadata or {})}
+        with open(path, "wb") as fh:
+            def put(data):
+                digest.update(data)
+                fh.write(data)
+
+            for k, frame in enumerate(frames):
+                if grid is None:
+                    grid, fault = frame.grid, _grid_fault(frame.grid)
+                    if fault:
+                        raise ValueError(fault)
+                    put(_MAGIC + _GRID.pack(*grid))
+                elif frame.grid != grid:
+                    raise ValueError("the frames of an event file must share one grid")
+                fault = _frame_fault(frame, end)
+                if fault:
+                    raise ValueError(f"frame {k}{fault}")
+                offsets, owner, codes = frame.clicks
+                put(_COUNTS.pack(frame.first, frame.n_triggers, codes.size))
+                put(np.ascontiguousarray(offsets, "<i8"))
+                put(np.ascontiguousarray(owner, "<u4"))
+                put(np.ascontiguousarray(codes, np.uint8))
+                end += frame.n_triggers
+                n_records += frame.n_triggers + codes.size
+        if grid is None:
+            raise ValueError("no frame to write: a run has at least one")
+        sidecar = {"n_records": n_records, **(metadata or {})}
         sidecar.setdefault("config_hash", config_hash(sidecar.get("config", sidecar)))
         sidecar["sha256"] = digest.hexdigest()
         write_json(sidecar, sidecar_path(path))
@@ -219,22 +308,6 @@ def write_events(
         sidecar_path(path).unlink(missing_ok=True)
         raise
     return path
-
-
-def _write_frames(fh, digest, codes: Sequence[np.ndarray], ticks: Sequence[np.ndarray]) -> None:
-    """Hash and write records given in consecutive pieces, `codes` and
-    `ticks` each a sequence of arrays, as frames of _FRAME records, the
-    last one shorter; every piece but the last holds whole frames (on the
-    writer thread)."""
-    for part_codes, part_ticks in zip(codes, ticks):
-        part_codes = np.ascontiguousarray(part_codes)
-        part_ticks = np.ascontiguousarray(part_ticks, "<i8")
-        for start in range(0, part_ticks.size, _FRAME):
-            end = start + _FRAME
-            frame = part_ticks[start:end]
-            for data in (frame.size.to_bytes(8, "little"), frame, part_codes[start:end]):
-                digest.update(data)
-                fh.write(data)
 
 
 def write_json(payload: dict, path) -> Path:
@@ -279,118 +352,69 @@ def read_sidecar(events_path) -> dict | None:
     return meta
 
 
-def _sidecar_resolution(events_path, meta: dict) -> float:
-    p = sidecar_path(events_path)
-    if "resolution_ps" not in meta:
-        raise DataFormatError(f"{p}: sidecar has no resolution_ps")
-    value = meta["resolution_ps"]
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (is_number and 0 < value < math.inf):
-        raise DataFormatError(f"{p}: resolution_ps must be a positive number, got {value!r}")
-    return float(value)
-
-
 def read_events(path) -> EventStream:
-    """Read an event file; resolution comes from the sidecar if present.
+    """The event stream of an event file, laid out frame by frame as
+    ``simulate`` lays out the run; raises what ``read_frames`` raises."""
+    return EventStream.concatenate([_frame_stream(frame) for frame in read_frames(path)])
 
-    The streams of ``read_event_blocks``, concatenated; it raises what
-    that raises.
+
+def read_frames(path) -> Iterator[Frame]:
+    """The frames of an event file, in file order, each read into a buffer
+    of its own.
+
+    Raises DataFormatError as the module's docstring lists: naming the
+    sidecar, before the first frame, when it is not a JSON object; naming
+    the file, after the last frame, when it holds none or the sidecar's
+    ``n_records`` or ``sha256`` (each checked if present) does not match.
     """
-    return EventStream.concatenate(list(read_event_blocks(path)))
-
-
-def read_event_blocks(path) -> Iterator[EventStream]:
-    """The records of an event file, one stream per frame, in file order,
-    and then an empty stream at the end of the file.
-
-    The resolution comes from the sidecar, or is 125 ps when there is no
-    sidecar. Raises DataFormatError naming the file on a header other
-    than format 1's; naming the file and the record index on a frame or
-    record outside the format or out of order; and, after the empty last
-    stream, naming the file when the sidecar's ``n_records`` or
-    ``sha256`` (each checked if present) does not match the file. Raises
-    it naming the sidecar, before the first frame, when that is not a
-    JSON object or lacks a positive ``resolution_ps``.
-
-    One I/O thread reads, hashes and checks the frame after the one
-    handed out, while the caller works on that one.
-    """
-    blocks = _read_blocks(path)
-    try:
-        with ThreadPoolExecutor(max_workers=1) as reader:
-            ahead = reader.submit(next, blocks, None)
-            while (block := ahead.result()) is not None:
-                ahead = reader.submit(next, blocks, None)
-                yield block
-    finally:
-        # Closed early, the frame read ahead is dropped once read (the
-        # executor waits for it), and the file is closed here.
-        blocks.close()
-
-
-def _read_blocks(path) -> Iterator[EventStream]:
-    """The streams of ``read_event_blocks``, read on the thread that asks."""
     path = Path(path)
-    meta = read_sidecar(path)
-    resolution = 125.0 if meta is None else _sidecar_resolution(path, meta)
-    meta = meta or {}
+    meta = read_sidecar(path) or {}
     with open(path, "rb") as fh:
-        head = fh.read(len(_HEADER))
-        if head != _HEADER:
+        head = fh.read(len(_MAGIC) + _GRID.size)
+        if head[: len(_MAGIC)] != _MAGIC:
             raise DataFormatError(
-                f"{path}: not a homsim event file of format 1: its first bytes are "
-                f"{head!r}, expected {_HEADER!r}"
+                f"{path}: not a homsim event file of format 2: its first bytes are "
+                f"{head[:len(_MAGIC)]!r}, expected {_MAGIC!r}"
             )
-        digest, n_records, previous = hashlib.sha256(head), 0, 0
+        if len(head) < len(_MAGIC) + _GRID.size:
+            raise DataFormatError(f"{path}: the header is cut short in its grid")
+        grid = Grid(*_GRID.unpack_from(head, len(_MAGIC)))
+        fault = _grid_fault(grid)
+        if fault:
+            raise DataFormatError(f"{path}: {fault}")
+        digest, n_records, end, k = hashlib.sha256(head), 0, 0, 0
         left = os.fstat(fh.fileno()).st_size - len(head)  # the bytes after the header
         while left:
-            where = f"{path}: the frame at record {n_records}"
-            count = fh.read(8)
-            n, left = int.from_bytes(count, "little", signed=True), left - 8
-            if len(count) < 8:
-                raise DataFormatError(f"{where} is cut short in its record count")
-            if not 0 < n <= _FRAME:
-                raise DataFormatError(f"{where} has a record count of {n}, not 1 to {_FRAME}")
+            counts = fh.read(_COUNTS.size)
+            if len(counts) < _COUNTS.size:
+                raise DataFormatError(f"{path}: frame {k} is cut short in its counts")
+            first, n, m = _COUNTS.unpack(counts)
+            left -= _COUNTS.size
+            if m < 0:
+                raise DataFormatError(f"{path}: frame {k} has a click count of {m}")
             # the count is checked against the bytes left before a buffer is made
-            if 9 * n > left or fh.readinto(frame := bytearray(9 * n)) < 9 * n:
+            size = _CLICK_BYTES * m
+            if size > left or fh.readinto(buf := bytearray(size)) < size:
                 raise DataFormatError(
-                    f"{where} is cut short: its {n} records take {9 * n} bytes, {left} are left"
+                    f"{path}: frame {k} is cut short: its {m} clicks take {size} bytes, "
+                    f"{left} are left"
                 )
-            left -= 9 * n
-            digest.update(count)
-            digest.update(frame)
-            ticks = np.frombuffer(frame, "<i8", n)
-            codes = np.frombuffer(frame, np.uint8, n, 8 * n)
-            _check_frame(path, n_records, codes, ticks, previous)
-            n_records, previous = n_records + n, int(ticks[-1])
-            yield EventStream(codes, ticks, resolution)
-    yield EventStream(np.empty(0, np.uint8), np.empty(0, np.int64), resolution)
+            left -= size
+            digest.update(counts)
+            digest.update(buf)
+            clicks = (np.frombuffer(buf, "<i8", m), np.frombuffer(buf, "<u4", m, 8 * m),
+                      np.frombuffer(buf, np.uint8, m, 12 * m))
+            frame = Frame(grid, first, n, clicks)
+            fault = _frame_fault(frame, end)
+            if fault:
+                raise DataFormatError(f"{path}: frame {k}{fault}")
+            yield frame
+            n_records, end, k = n_records + n + m, end + n, k + 1
+    if k == 0:
+        raise DataFormatError(f"{path}: no frame follows the header: a run has at least one")
     if "n_records" in meta and meta["n_records"] != n_records:
         raise DataFormatError(
             f"{path}: {n_records} records but the sidecar says {meta['n_records']}"
         )
     if "sha256" in meta and meta["sha256"] != digest.hexdigest():
         raise DataFormatError(f"{path}: contents do not match the sidecar's sha256")
-
-
-def _check_frame(path: Path, first: int, codes, ticks, previous: int) -> None:
-    """DataFormatError at the first record of a frame, record `first` of the
-    file on, with a code above DET_B or a tick below the one before it
-    (`previous` before the frame's first, 0 before the file's)."""
-    bad = codes > DET_B
-    bad[0] |= ticks[0] < previous
-    bad[1:] |= ticks[1:] < ticks[:-1]  # a comparison: np.diff wraps
-    if not bad.any():
-        return
-    i = int(bad.argmax())
-    tick, index = int(ticks[i]), first + i
-    if codes[i] > DET_B:
-        raise DataFormatError(
-            f"{path}: detector code {codes[i]} at record {index}, expected 0 (T), 1 (A) or 2 (B)"
-        )
-    if index == 0:
-        raise DataFormatError(f"{path}: tick {tick} at record 0 is negative")
-    raise DataFormatError(
-        f"{path}: tick {tick} at record {index} is earlier than the record before it "
-        f"({int(ticks[i - 1]) if i else previous}); records must be sorted by tick"
-    )

@@ -42,11 +42,10 @@ is copied to a detector's own array, and a detector offset is added by
 code, only where one is set.
 
 Times are offsets from the trigger. Each click's offset is quantised
-alone, and its tick is its trigger's tick plus that offset tick, so no
-click's tick depends on how far into the run its trigger lies. The
-trigger ticks are those of the trigger times, floored; only the streamed
-path forms them. The detector gate keeps a click whose offset tick lies
-inside the window's whole ticks.
+alone, so no click's offset depends on how far into the run its trigger
+lies; its tick, when a stream is laid out (`homsim.io._frame_stream`), is
+its trigger's tick plus its offset tick. The detector gate keeps a click
+whose offset tick lies inside the window's whole ticks.
 
 Delay convention: that of `homsim.interference`.
 `ExperimentConfig.source_pair` delays the later-starting envelope by
@@ -55,27 +54,20 @@ jitter every emission begins at or after its trigger; a jittered one
 before it is dropped, uncounted, by the gate.
 
 Determinism: trials are generated in fixed-size chunks, each seeded from
-(seed, chunk_index), and each chunk's stream is sorted by (timestamp,
-detector). The output is therefore bit-identical for a given config
+(seed, chunk_index), so the clicks are bit-identical for a given config
 regardless of how many workers generate the chunks.
 
-A chunk's stream is laid out by trigger, with no sort of the trigger
-records: only the click list is sorted, by owner, offset tick and
-detector in one uint64 key, and each trigger's tick is repeated once for
-itself and once for each click it owns, the clicks' offsets added in
-their slots after it (`_chunk_stream`).
-
-Chunks start and end on trigger boundaries, the gate keeps every click
-inside its own trigger's window, and `trigger_period` exceeds
-`window_length` by at least one tick, so every click's tick lies below
-the next trigger's. The chunk streams, in chunk order, therefore make
-up the globally sorted stream without a global sort: `simulate_chunks`
-yields them one by one for `write_events`, in memory bounded by a few
-chunks, and `simulate` concatenates them. Pairing is chunk-local too:
-`simulate_histograms` pairs each chunk's click list as generated, given
-only the chunk's trigger count, and bins it; its histograms, sums of
-the chunks' integer counts, equal those of the whole stream for any
-number of workers.
+A chunk is one event-file frame (`homsim.io.Frame`): its triggers and
+their click list as generated. Chunks start and end on trigger
+boundaries, the gate keeps every click inside its own trigger's window,
+and `trigger_period` exceeds `window_length` by at least one tick, so
+every click's tick lies below the next trigger's, and every stage works
+chunk by chunk: `simulate_frames` yields the frames one by one for
+`write_events`, in memory bounded by a few chunks; `simulate` lays them
+out as one sorted stream; and `simulate_histograms` bins each with
+`histogram_frames` where it is made, as `homsim analyze` bins a file's,
+and sums the integer counts, so its histograms equal those of the whole
+stream for any number of workers.
 """
 
 from __future__ import annotations
@@ -86,16 +78,18 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .analysis import CoincidenceHistogram, histogram, pair_clicks
+from .analysis import CoincidenceHistogram, histogram, histogram_frames
 from .errors import ConfigError
 from .interference import Envelope, SourcePair, _check_bound, _inverse_cdf, _p_coincidence
-from .io import DET_A, DET_B, DET_T, EventStream, _ns_to_ticks, _tick_ns, _whole_ticks
+from .io import (DET_A, DET_B, EventStream, Frame, Grid, _FRAME, _frame_stream, _ns_to_ticks,
+                 _tick_ns, _whole_ticks)
 
-_CHUNK = 1 << 16
+_CHUNK = _FRAME  # triggers per chunk: a chunk is an event-file frame
 _BOUNDED = {  # the kind of bound, in interference._BOUNDS, of each bounded field
     "eta_f": "probability", "eta_s": "probability", "xi": "probability",
     "tau_f": "tau", "tau_s": "tau", "detuning": "detuning", "delta_t": "delay",
@@ -323,61 +317,21 @@ def _imap(fn, tasks, workers: int, ahead: int) -> Iterator:
             yield pending.popleft().result()
 
 
-def _trigger_ticks(config: ExperimentConfig, first: int, count: int) -> np.ndarray:
-    """The ticks of the trigger times (first + i) * trigger_period, i <
-    count, floored; the config keeps them within int64."""
-    trig = np.arange(first, first + count, dtype=float)
-    trig *= config.trigger_period
-    return _ns_to_ticks(trig, config.timestamp_resolution).astype(np.int64)
+def _frame(config: ExperimentConfig, span) -> Frame:
+    """The frame of chunk `span`, (first trigger, trigger count, chunk index)."""
+    grid = Grid(config.trigger_period, config.timestamp_resolution,
+                _whole_ticks(config.window_length, config.timestamp_resolution))
+    return Frame(grid, span[0], span[1], _simulate_chunk(config, *span))
 
 
-def _chunk_stream(config: ExperimentConfig, span) -> EventStream:
-    """One chunk's events sorted by (timestamp, detector), triggers first on ties.
+def simulate_frames(config: ExperimentConfig, workers: int = 1) -> Iterator[Frame]:
+    """The frames of `config`'s run, chunk by chunk in trigger order.
 
-    Only the clicks are sorted, by (owner, offset tick, detector) packed
-    in one uint64 key: (owner * n_w + offset) * 2 + (detector - DET_A).
-    An offset is below the window's n_w ticks, so the key keeps that
-    order, and owner * n_w + offset stays below n_triggers *
-    trigger_period in ticks, which the config keeps below 2**63, so the
-    key fits. A click's tick lies from its trigger's on and below the
-    next one's, so in this order the clicks are sorted by (tick,
-    detector) too, each trigger's right after it. The chunk is then each
-    trigger tick repeated once for itself and once per click it owns; the
-    j-th click in key order lies j + 1 + owner records in, where its
-    offset is added to its owner's repeated tick.
+    Nothing is generated before the first frame is asked for, and at most
+    `workers` frames ahead of the one asked for; the frames are the same
+    for any number of workers.
     """
-    offsets, owner, detector = _simulate_chunk(config, *span)
-    trig_ticks = _trigger_ticks(config, *span[:2])
-    # at least 1, so that a window shorter than a tick, which keeps no click, divides
-    n_w = np.uint64(max(_whole_ticks(config.window_length, config.timestamp_resolution), 1))
-    key = owner.astype(np.uint64)
-    key *= n_w
-    key += offsets.view(np.uint64)
-    key <<= np.uint64(1)
-    key += detector - np.uint8(DET_A)
-    del offsets, owner, detector  # the click list is not held through the sort
-    key.sort()
-    detector = (key & np.uint64(1)).astype(np.uint8)
-    detector += np.uint8(DET_A)
-    key >>= np.uint64(1)
-    owner = key // n_w
-    key -= owner * n_w  # the offset ticks
-    owner = owner.view(np.int64)
-    ticks = np.repeat(trig_ticks, np.bincount(owner, minlength=trig_ticks.size) + 1)
-    slot = np.arange(1, owner.size + 1)
-    slot += owner
-    ticks[slot] += key.view(np.int64)
-    det = np.zeros(ticks.size, np.uint8)  # DET_T
-    det[slot] = detector
-    return EventStream(det, ticks, config.timestamp_resolution)
-
-
-def simulate_chunks(config: ExperimentConfig, workers: int = 1) -> Iterator[EventStream]:
-    """The event stream of `config`, chunk by chunk in chunk order; their
-    concatenation is ``simulate(config)``. Nothing is generated before
-    the first chunk is asked for, and at most `workers` chunks ahead of
-    the one asked for."""
-    yield from _imap(partial(_chunk_stream, config), _spans(config), workers, workers)
+    yield from _imap(partial(_frame, config), _spans(config), workers, workers)
 
 
 def simulate(config: ExperimentConfig, workers: int = 1) -> EventStream:
@@ -389,9 +343,13 @@ def simulate(config: ExperimentConfig, workers: int = 1) -> EventStream:
             identical for any value.
 
     Returns:
-        EventStream sorted by (timestamp, detector), triggers first on ties.
+        EventStream sorted by (timestamp, detector), triggers first on ties:
+        the frames of ``simulate_frames(config)``, each laid out on the
+        thread that makes it, as ``read_events`` lays out a file's.
     """
-    return EventStream.concatenate(list(simulate_chunks(config, workers)))
+    streams = _imap(lambda span: _frame_stream(_frame(config, span)), _spans(config), workers,
+                    workers)
+    return EventStream.concatenate(list(streams))
 
 
 def simulate_histograms(
@@ -403,8 +361,9 @@ def simulate_histograms(
 ) -> list[CoincidenceHistogram]:
     """Coincidence histogram of each config's run, without its event stream.
 
-    Each chunk is paired and binned where it is generated, and the integer
-    counts are summed, so every histogram equals
+    Each chunk is binned by ``histogram_frames`` where it is generated, as
+    ``homsim analyze`` bins an event file's frames, and the integer counts
+    are summed, so every histogram equals
     ``histogram(pair_events(simulate(config), valid_window).delta_ts,
     config.n_triggers, bin_width, half_range)`` bit for bit. The chunks
     of all configs share one pool of `workers` threads.
@@ -412,19 +371,15 @@ def simulate_histograms(
     empty = histogram([], 1, bin_width, half_range)  # checks the binning first
 
     def chunk_counts(task):
-        k, span = task
-        config = configs[k]
-        clicks = _simulate_chunk(config, *span)
-        pairing = pair_clicks(span[1], clicks, valid_window, config.timestamp_resolution)
-        return histogram(pairing.delta_ts, span[1], bin_width, half_range).counts
+        config, span = task
+        frames = [_frame(config, span)]
+        return histogram_frames(frames, valid_window, bin_width, half_range).counts
 
-    tasks = [(k, span) for k, config in enumerate(configs) for span in _spans(config)]
-    totals = [0] * len(configs)
+    spans = [_spans(config) for config in configs]
+    tasks = [(config, span) for config, own in zip(configs, spans) for span in own]
     # the counts are small: every chunk is queued at once, so no thread
     # waits on a longer chunk ahead of it
-    for (k, _), counts in zip(tasks, _imap(chunk_counts, tasks, workers, len(tasks))):
-        totals[k] = totals[k] + counts
-    return [
-        replace(empty, counts=total, n_triggers=config.n_triggers)
-        for config, total in zip(configs, totals)
-    ]
+    counts = _imap(chunk_counts, tasks, workers, len(tasks))
+    return [replace(empty, counts=sum(islice(counts, len(own)), empty.counts),
+                    n_triggers=config.n_triggers)
+            for config, own in zip(configs, spans)]

@@ -1,16 +1,18 @@
 """Measurements the tests take of a simulated event stream, and the
-test-side forms of four library ideas: the two-photon outcome law as a
-triple, an event stream built from labelled records, an event-file frame
-built from them, and the floor of times onto ticks, checked, for the
+test-side forms of five library ideas: the two-photon outcome law as a
+triple, an event stream built from labelled records, an event file's
+header and frames built from their fields, the shortest trigger period
+a config accepts, and the floor of times onto ticks, checked, for the
 reference generator."""
 
 import math
+import struct
 
 import numpy as np
 
 from homsim import EventStream, pair_events
 from homsim.interference import _p_coincidence
-from homsim.io import _HEADER, DETECTOR_LABELS
+from homsim.io import _MAGIC, DETECTOR_LABELS
 
 
 def coincidence_fraction(stream):
@@ -47,21 +49,41 @@ def stream_from_records(records, resolution=125.0):
     return EventStream(codes, ticks, resolution)
 
 
-def frame(records, count=None):
-    """The bytes of one event-file frame of (label or code, tick) records,
-    e.g. [("T", 0), (3, 400)]: the record count (`count`, if given), the
-    ticks as int64 and the codes as uint8, little-endian. A tick is
-    written modulo 2**64, so 2**63 reads back as -2**63."""
-    codes = [DETECTOR_LABELS.index(c) if isinstance(c, str) else c for c, _ in records]
-    ticks = np.array([tick % 2**64 for _, tick in records], dtype="<u8")
-    count = len(records) if count is None else count
-    return count.to_bytes(8, "little", signed=True) + ticks.tobytes() + bytes(codes)
+def header(period=1000.0, resolution=125.0, n_w=4000):
+    """The bytes of an event file's header: the magic and version, then
+    the grid, by default that of the default config."""
+    return _MAGIC + struct.pack("<ddq", period, resolution, n_w)
 
 
-def event_file(path, *frames, header=_HEADER):
-    """Write `header` and then the `frames` (bytes) to `path`; returns `path`."""
-    path.write_bytes(header + b"".join(frames))
+def frame(first, n_triggers, clicks=(), counts=None):
+    """The bytes of one event-file frame of triggers `first` .. `first` +
+    `n_triggers` - 1 and `clicks`, (label or code, owner, offset) triples,
+    e.g. [("A", 0, 400), (3, 1, 5)]: the counts (`counts`, a triple of
+    first trigger, trigger count and click count, if given), then the
+    offsets as int64, the owners as uint32 and the codes as uint8,
+    little-endian. An offset is written modulo 2**64, so 2**63 reads back
+    as -2**63, and an owner modulo 2**32."""
+    codes = [DETECTOR_LABELS.index(c) if isinstance(c, str) else c for c, _, _ in clicks]
+    owners = np.array([owner % 2**32 for _, owner, _ in clicks], dtype="<u4")
+    offsets = np.array([offset % 2**64 for _, _, offset in clicks], dtype="<u8")
+    counts = (first, n_triggers, len(clicks)) if counts is None else counts
+    return struct.pack("<3q", *counts) + offsets.tobytes() + owners.tobytes() + bytes(codes)
+
+
+def event_file(path, *frames, head=None):
+    """Write `head` (by default ``header()``) and then the `frames` (bytes)
+    to `path`; returns `path`."""
+    path.write_bytes((header() if head is None else head) + b"".join(frames))
     return path
+
+
+def smallest_period(window_length, resolution):
+    """The shortest trigger period a config accepts for this window."""
+    tick = resolution / 1000.0
+    period = window_length + tick
+    while period - window_length < tick:
+        period = float(np.nextafter(period, np.inf))
+    return period
 
 
 def quantize(t, resolution=125.0):

@@ -210,8 +210,8 @@ def test_criterion_7_determinism(tmp_path):
         )
         payloads = []
         for name, workers in (("a", 1), ("b", 1), ("c", 4)):
-            stream = h.simulate(cfg, workers=workers)
-            path = h.write_events(stream, tmp_path / f"{name}.csv")
+            frames = h.simulate_frames(cfg, workers=workers)
+            path = h.write_events(frames, tmp_path / f"{name}.csv")
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1] == payloads[2]
         notes.append(f"{len(payloads[0])} bytes, workers 1 and 4")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homsim import (
@@ -16,19 +16,23 @@ from homsim import (
     estimate_accidentals,
     histogram,
     pair_events,
+    read_events,
     simulate,
+    simulate_frames,
+    simulate_histograms,
     visibility,
     visibility_closed_form,
     write_events,
 )
-from homsim import analysis, io
+from homsim import analysis
 from homsim.analysis import (
     CoincidenceHistogram,
-    histogram_blocks,
+    histogram_frames,
     pair_clicks,
 )
-from homsim.io import DET_A, DET_B, DET_T
-from helpers import stream_from_records
+from homsim.io import DET_A, DET_B, DET_T, read_frames
+from homsim.montecarlo import _CHUNK
+from helpers import smallest_period, stream_from_records
 
 TAU_S, TAU_F = 26.18, 13.61
 
@@ -330,30 +334,50 @@ def test_pair_clicks_matches_per_trigger_loop(case, mix, valid_window, resolutio
     assert p.delta_ts.tobytes() == np.array(delta_ts, dtype=float).tobytes()
 
 
-@settings(max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    stream=sorted_streams(),
-    valid_window=st.sampled_from([0.0, 3.0, 85.0, 1e4]),
-    block=st.integers(1, 40),
-)
-def test_histogram_blocks_matches_whole_stream(tmp_path, monkeypatch, stream, valid_window,
-                                               block):
-    # `homsim analyze` bins the frames of an event file as they are read;
-    # frames of a few records cut the stream at every kind of record
-    monkeypatch.setattr(io, "_FRAME", block)
-    path = write_events(stream, tmp_path / "events.csv")
-    blocks = io.read_event_blocks(path)
-    pairing = pair_events(stream, valid_window)
-    if pairing.n_triggers == 0:
-        with pytest.raises(InsufficientStatisticsError, match="no trigger records"):
-            histogram_blocks(blocks, valid_window, 10.0, 1005.0)
-        return
-    want = histogram(pairing.delta_ts, pairing.n_triggers, 10.0, 1005.0)
-    got = histogram_blocks(blocks, valid_window, 10.0, 1005.0)
-    assert got.n_triggers == want.n_triggers
-    assert got.counts.tobytes() == want.counts.tobytes()
-    assert got.bin_centers.tobytes() == want.bin_centers.tobytes()
+# Runs whose event files must read back as the run: chunk edges one
+# trigger either side of a whole chunk and a few past two; one and two
+# generator threads; back-to-back windows, one tick apart; eta 0 and 1,
+# with background, both detector offsets and jitter; and a 5e6 ns window
+# at 1 ps, whose 5e9 ticks pass 2**32
+ROUND_TRIPS = [
+    (dict(n_triggers=_CHUNK - 1, eta_f=0.0, eta_s=0.0, bg_rate_a=2e-3, bg_rate_b=1e-3,
+          detector_offset_a=20.0, detector_offset_b=7.5), 1, 85.0),
+    (dict(n_triggers=_CHUNK, eta_f=1.0, eta_s=1.0, excitation_jitter_sigma=1.5, delta_t=-7.0,
+          detuning=2.0, bg_rate_a=1e-3, bg_rate_b=1e-3), 2, 85.0),
+    (dict(n_triggers=_CHUNK + 1, trigger_period=smallest_period(500.0, 125.0), eta_f=0.5,
+          eta_s=0.5, bg_rate_a=2e-3, bg_rate_b=2e-3, detector_offset_a=60.0,
+          detector_offset_b=3.3), 2, 1e4),
+    (dict(n_triggers=2 * _CHUNK + 7, trigger_period=smallest_period(500.0, 1.0), eta_f=1.0,
+          eta_s=0.0, bg_rate_a=1e-3, bg_rate_b=2e-3, detector_offset_b=12.0,
+          excitation_jitter_sigma=2.5, timestamp_resolution=1.0), 1, 85.0),
+    (dict(n_triggers=3000, window_length=5e6, trigger_period=smallest_period(5e6, 1.0),
+          eta_f=0.5, eta_s=0.5, bg_rate_a=1e-6, bg_rate_b=1e-6, detector_offset_a=20.0,
+          timestamp_resolution=1.0), 2, 1e7),
+]
+
+
+@pytest.mark.parametrize("fields, workers, valid_window", ROUND_TRIPS,
+                         ids=["chunk-1-dark", "chunk-eta-1-jitter", "chunk+1-back-to-back",
+                              "two-chunks-1ps", "window-past-2**32-ticks"])
+def test_event_file_reads_back_as_the_run(tmp_path, fields, workers, valid_window):
+    config = ExperimentConfig(seed=21, **fields)
+    path = write_events(simulate_frames(config, workers), tmp_path / "events.csv")
+    # record for record the stream of `simulate`
+    stream, want = read_events(path), simulate(config, workers)
+    assert stream.resolution == want.resolution
+    assert stream.detectors.tobytes() == want.detectors.tobytes()
+    assert stream.timestamps.tobytes() == want.timestamps.tobytes()
+    # and `homsim analyze`'s histogram is `homsim dip`'s and the stream's
+    binning = (valid_window, 10.0, 1005.0)
+    got = histogram_frames(read_frames(path), *binning)
+    (fused,) = simulate_histograms([config], *binning, workers=workers)
+    pairing = pair_events(want, valid_window)
+    ref = histogram(pairing.delta_ts, pairing.n_triggers, 10.0, 1005.0)
+    assert got.n_triggers == fused.n_triggers == ref.n_triggers == config.n_triggers
+    assert got.counts.tobytes() == fused.counts.tobytes() == ref.counts.tobytes()
+    assert got.bin_centers.tobytes() == ref.bin_centers.tobytes()
+    if fields.get("window_length") == 5e6:
+        assert read_frames(path).__next__().clicks[0].max() >= 2**32
 
 
 class TestHistogram:

@@ -3,9 +3,7 @@ import csv
 import dataclasses
 import inspect
 import hashlib
-import itertools
 import json
-import math
 import os
 import re
 import subprocess
@@ -270,6 +268,24 @@ class TestOracle:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option, quantity", [("--delta-t", "dip_ratio"),
+                                                  ("--density-range", "g_perp")])
+    def test_grid_step_below_float_spacing_exit_one(self, tmp_path, capsys, option, quantity):
+        # np.arange makes no point of 5:5:1e-300, where 5 + 1e-300 is 5:
+        # the table would leave out every `quantity` row
+        assert cli.main(["oracle", option, "5:5:1e-300", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: bad grid '5:5:1e-300': STEP is below the float spacing: "
+            "0 points, not 1\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid, points", [("0:0.3:0.1", 4), ("0:1.5:1", 2), ("5:5:1", 1)])
+    def test_grid_count_within_float_error_runs(self, tmp_path, grid, points):
+        # 0.3 / 0.1 is 2.9999999999999996, and 1.5 lies half a step past 1
+        assert cli.main(["oracle", "--delta-t", grid, "--out", str(tmp_path)]) == 0
+        assert len(read_oracle_rows(tmp_path / "oracle.csv")["dip_ratio"]) == points
+
     def test_grid_bound_counts_points(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_GRID", 5)
         assert cli.main(["oracle", "--delta-t", "0:4:1", "--density-range", "0:4:1",
@@ -343,8 +359,9 @@ class TestSimulate:
             "simulate", "--config", str(cfg), "--out", str(tmp_path)
         ]) == 0
         meta = json.loads((tmp_path / "events.json").read_text())
-        assert meta["resolution_ps"] == 125.0
+        assert meta["config"]["timestamp_resolution"] == 125.0
         assert meta["config"]["n_triggers"] == 500
+        assert meta["n_records"] == len(read_events(tmp_path / "events.csv"))
         assert len(meta["config_hash"]) == 16
 
     def test_sidecar_matches_library_write(self, tmp_path):
@@ -357,7 +374,7 @@ class TestSimulate:
             if k in {f.name for f in dataclasses.fields(montecarlo.ExperimentConfig)}
         })
         (tmp_path / "api").mkdir()
-        homsim.write_events(homsim.simulate(config), tmp_path / "api" / "events.csv",
+        homsim.write_events(homsim.simulate_frames(config), tmp_path / "api" / "events.csv",
                             metadata={"config": dataclasses.asdict(config)})
         for name in ("events.csv", "events.json"):
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
@@ -391,27 +408,29 @@ GOLDEN_RUNS = {
                detector_offset_a=20, trigger_period=500.002, timestamp_resolution=1, seed=30),
 }
 # The sha256 of every file that `simulate` par and perp and then `analyze`
-# write for GOLDEN_RUNS, as homsim 0.3.0 wrote them. A change that moves
+# write for GOLDEN_RUNS, as homsim 0.4.0 writes them. A change that moves
 # a byte of the stream, of the event file or of an analysis output
-# updates them together with its version.
+# updates them together with its version. 0.4.0's event files of format
+# 2 moved every events.csv and events.json (which holds the file's
+# digest and no resolution_ps); the analysis outputs kept their bytes.
 GOLDEN_DIGESTS = {
     "ps": {
         "ana/histogram_par.csv": "7521b30784cf59b28483c1f7cdd3fd2455212b685e91fd84191304c6e8c6f662",
         "ana/histogram_perp.csv": "122545f3ef28dc2385f04f0e47f7533b2cc47aaa0ba93aa54723f89cf0a2db18",
         "ana/visibility.json": "b7532c09f89e427190704cfdf137f66997a7beb57309911fd17197a67a48520b",
-        "par/events.csv": "1bc019edc0b6eb8fcd9c105bd5267c12c117c9cec2f47f5672bfe709502a53c1",
-        "par/events.json": "b1a46af9c5a032235e0a46d07d0af292ea92f0ff543db6eb24c68db217294244",
-        "perp/events.csv": "6520a5615ad6402fee467c5f5a463077228d78545474d26982176feaa2fce3ae",
-        "perp/events.json": "bc44b5af40200ad670b5c79ffbb2cf0811a9325f44363d441a2ebd7bd3bb82e3",
+        "par/events.csv": "9fafb9ed4889e816a6adc6af4232f41be3d2d37ab0113717b10588c7527bf030",
+        "par/events.json": "6ad9360a8d34ac6e34ce0c7fe43d56f8a58d77f046e55e31b8aedc1064a6de73",
+        "perp/events.csv": "f32a898193cf5368b95cb2769fb79d66d2f85fe9002fe13126f9b78a27be42ba",
+        "perp/events.json": "5d60437db9eea0ca19bcc93419846a220a8d305f76a18cd63d19d6640d1383b7",
     },
     "sparse": {
         "ana/histogram_par.csv": "767b704d2a25d5c395dce4ba557b6beb64a395c10be92206382b145f288d7b43",
         "ana/histogram_perp.csv": "331e02afe9d59745f06f3ff0fdbc2dc4d86d1e52bd1a6c82de55fc7c93304d50",
         "ana/visibility.json": "0b01104567ab4f72bb740030ddb58c0aac4decc8e75d59c0f0a943de7829dfd1",
-        "par/events.csv": "3480026a818359b2696ecd86d7505502e724b6542e66ac1ecd946c714b3f321e",
-        "par/events.json": "f867091e1d4c1d09da8ab88cc486858cb38afef2d5790e43a7ba3582588a40b1",
-        "perp/events.csv": "e5a3f28ca0083a3fd43e423f43c0eebbdd2d7e8bf9b4e2554090eaf82254f8c7",
-        "perp/events.json": "006ea3391a86cd0635d14393f9121dc3cb490e541163f9e5b485a608e93795d4",
+        "par/events.csv": "e8279ce4980f85be64cf4b36cb254c68e1dae3f7c377ab69f47ce2c16ca35390",
+        "par/events.json": "784b4e5659a3f2f091d92bcc0394800291bb90477e7669a61a7820a67d401e98",
+        "perp/events.csv": "15028be2218e24ef30314c7cf60b4fedd839508685e04e82dd4e04447aaa40cc",
+        "perp/events.json": "7a203b1e0818269e9986942faae5172f702eab080fce657042448536ca74a917",
     },
 }
 
@@ -488,44 +507,52 @@ class TestAnalyze:
 
     def test_malformed_events_exit_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg")
-        bad = event_file(tmp_path / "bad.csv", frame([("T", 0), (3, 50)]))
+        bad = event_file(tmp_path / "bad.csv", frame(0, 2, [("A", 0, 50), (3, 1, 50)]))
         assert cli.main([
             "analyze", "--par", str(bad), "--perp", str(bad),
             "--config", str(cfg), "--out", str(tmp_path),
         ]) == 2
-        assert "record 1" in capsys.readouterr().err
+        assert f"{bad}: frame 0, click 1: detector code 3" in capsys.readouterr().err
 
-    # records as label,tick lines; 2**63 is written as its uint64 bits
-    @pytest.mark.parametrize("body", ["T,0\nA,9223372036854775808\n", "T,50\nA,40\n"])
-    def test_out_of_range_or_unsorted_events_exit_two(self, tmp_path, capsys, body):
+    # an offset of 2**63, read back as -2**63; one past the window; an
+    # owner past the frame's triggers; a frame that skips a trigger
+    @pytest.mark.parametrize("frames, fault", [
+        ([frame(0, 1, [("A", 0, 2**63)])], "frame 0, click 0: offset"),
+        ([frame(0, 2, [("A", 0, 5), ("B", 1, 4000)])], "frame 0, click 1: offset 4000"),
+        ([frame(0, 2, [("A", 2, 5)])], "frame 0, click 0: owner 2"),
+        ([frame(0, 2), frame(3, 1)], "frame 1 starts at trigger 3, not at 2"),
+    ], ids=["offset-2**63", "offset-past-window", "owner-past-triggers", "trigger-skipped"])
+    def test_out_of_range_events_exit_two(self, tmp_path, capsys, frames, fault):
         cfg = write_cfg(tmp_path / "c.cfg")
-        records = [(label, int(tick)) for label, tick in (r.split(",") for r in body.split())]
-        bad = event_file(tmp_path / "bad.csv", frame(records))
+        bad = event_file(tmp_path / "bad.csv", *frames)
         assert cli.main([
             "analyze", "--par", str(bad), "--perp", str(bad),
             "--config", str(cfg), "--out", str(tmp_path),
         ]) == 2
-        err = capsys.readouterr().err
-        assert str(bad) in err and "record 1" in err
+        assert f"data format error: {bad}: {fault}" in capsys.readouterr().err
 
-    def test_text_event_file_of_0_2_0_exit_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("head", [
+        b"detector,timestamp\nT,0\n",  # 0.2.0's text
+        b"\x89HOMSIM\n" + (1).to_bytes(8, "little") + frame(0, 1)[:8],  # 0.3.0's format 1
+    ], ids=["text-0.2.0", "format-1"])
+    def test_event_file_of_an_older_format_exit_two(self, tmp_path, capsys, head):
         cfg = write_cfg(tmp_path / "c.cfg")
         old = tmp_path / "old.csv"
-        old.write_text("detector,timestamp\nT,0\n")
+        old.write_bytes(head)
         assert cli.main([
             "analyze", "--par", str(old), "--perp", str(old),
             "--config", str(cfg), "--out", str(tmp_path / "o"),
         ]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"data format error: {old}: not a homsim event file of format 1")
+        assert err.startswith(f"data format error: {old}: not a homsim event file of format 2")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("events, sidecar", [
-        (frame([("T", 0), (255, 5)]), None),
-        (frame([("T", 0)], count=2**15 + 1), None),
-        (frame([("T", 0)]), '{"n_records": 1}'),
-        (frame([("T", 0)]), "[1]"),
-    ], ids=["undecodable-byte", "oversized-field", "no-resolution", "not-an-object"])
+        (frame(0, 1, [(255, 0, 5)]), None),
+        (frame(0, 2**16 + 1), None),
+        (frame(0, 1), '{"n_records": 2}'),
+        (frame(0, 1), "[1]"),
+    ], ids=["undecodable-byte", "oversized-field", "record-count", "not-an-object"])
     def test_unreadable_events_or_sidecar_exit_two(self, tmp_path, capsys, events, sidecar):
         bad = event_file(tmp_path / "bad.csv", events)
         if sidecar is not None:
@@ -534,7 +561,7 @@ class TestAnalyze:
         rc = cli.main(["analyze", "--par", str(bad), "--perp", str(bad),
                        "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
-        named = bad if sidecar is None else tmp_path / "bad.json"
+        named = tmp_path / "bad.json" if sidecar == "[1]" else bad
         assert f"data format error: {named}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("option, gone", [
@@ -542,7 +569,7 @@ class TestAnalyze:
     ], ids=["missing-par", "missing-perp", "par-is-a-directory"])
     def test_missing_event_file_exit_one(self, tmp_path, capsys, option, gone):
         cfg = write_cfg(tmp_path / "c.cfg")
-        events = event_file(tmp_path / "events.csv", frame([("T", 0)]))
+        events = event_file(tmp_path / "events.csv", frame(0, 1))
         files = {"--par": str(events), "--perp": str(events), option: str(tmp_path / gone)}
         out = tmp_path / "out"
         argv = ["analyze", *(x for item in files.items() for x in item), "--config", str(cfg)]
@@ -559,13 +586,15 @@ class TestAnalyze:
             "--config", str(cfg), "--out", str(tmp_path),
         ]) == 3
 
-    def test_no_triggers_exit_three(self, tmp_path):
+    def test_file_of_no_frame_exit_two(self, tmp_path, capsys):
+        # a run has at least one trigger, so a file of a header alone is cut
         cfg = write_cfg(tmp_path / "c.cfg")
-        empty = event_file(tmp_path / "empty.csv", frame([("A", 100)]))
+        empty = event_file(tmp_path / "empty.csv")
         assert cli.main([
             "analyze", "--par", str(empty), "--perp", str(empty),
             "--config", str(cfg), "--out", str(tmp_path),
-        ]) == 3
+        ]) == 2
+        assert f"{empty}: no frame follows the header" in capsys.readouterr().err
 
 
 def traced_peak(argv):
@@ -578,75 +607,21 @@ def traced_peak(argv):
         tracemalloc.stop()
 
 
-class OneAhead:
-    """The count of items a producer has made, for a consumer that takes
-    item k only once item k + 1 is made or the producer is done."""
-
-    def __init__(self):
-        self.made, self.changed = 0, threading.Condition()
-
-    def producing(self, items):
-        for item in items:
-            self.add(1)
-            yield item
-        self.add(math.inf)
-
-    def add(self, n):
-        with self.changed:
-            self.made += n
-            self.changed.notify_all()
-
-    def wait_past(self, k):
-        with self.changed:
-            assert self.changed.wait_for(lambda: self.made > k + 1, timeout=60)
-
-
-def one_ahead_io(monkeypatch):
-    """Run each CLI command's I/O thread in lock step with the caller:
-    the writer writes chunk k once chunk k + 1 is made, and the caller
-    pairs frame k once frame k + 1 is read, so the caller's work and the
-    thread's never run at once, and each holds the item after its own."""
-    simulate_chunks, write_frames = montecarlo.simulate_chunks, homsim.io._write_frames
-    read_blocks, read_event_blocks = homsim.io._read_blocks, homsim.io.read_event_blocks
-    chunks, taken = OneAhead(), itertools.count()  # a command writes one file
-    blocks = None  # each file read has its own count
-
-    def write_after_next(*args):
-        chunks.wait_past(next(taken))
-        write_frames(*args)
-
-    def read_after_next(path):
-        nonlocal blocks
-        blocks = own = OneAhead()
-        for k, block in enumerate(read_event_blocks(path)):
-            own.wait_past(k)
-            yield block
-
-    monkeypatch.setattr(montecarlo, "simulate_chunks",
-                        lambda *a, **kw: chunks.producing(simulate_chunks(*a, **kw)))
-    monkeypatch.setattr(homsim.io, "_write_frames", write_after_next)
-    monkeypatch.setattr(homsim.io, "_read_blocks", lambda path: blocks.producing(read_blocks(path)))
-    monkeypatch.setattr(homsim.io, "read_event_blocks", read_after_next)
-
-
-def test_simulate_and_analyze_memory_does_not_grow_with_run_length(tmp_path, capsys, monkeypatch):
+def test_simulate_and_analyze_memory_does_not_grow_with_run_length(tmp_path, capsys):
     # sparse rates, as in the paper's eta = 0.05 runs: three times the
-    # chunks, and so three times the records, in about the same memory.
-    # With the I/O threads in lock step (one_ahead_io), both runs overlap
-    # their I/O the same way however the host schedules the threads.
+    # chunks, and so three times the records, in about the same memory
     start, peaks = time.perf_counter(), {}
     for n_chunks in (2, 6):
         cfg = write_cfg(tmp_path / f"{n_chunks}.cfg", n_triggers=n_chunks * montecarlo._CHUNK,
                         eta_f=0.05, eta_s=0.05, bg_rate_a=1e-4, bg_rate_b=1e-4)
         out = tmp_path / str(n_chunks)
         events = str(out / "events.csv")
-        peaks[n_chunks] = []
-        for argv in (["simulate", "--config", str(cfg), "--out", str(out)],
-                     ["analyze", "--par", events, "--perp", events,
-                      "--config", str(cfg), "--out", str(out / "a")]):
-            with monkeypatch.context() as patched:
-                one_ahead_io(patched)
-                peaks[n_chunks].append(traced_peak(argv))
+        peaks[n_chunks] = [
+            traced_peak(argv)
+            for argv in (["simulate", "--config", str(cfg), "--out", str(out)],
+                         ["analyze", "--par", events, "--perp", events,
+                          "--config", str(cfg), "--out", str(out / "a")])
+        ]
     for short, long in zip(peaks[2], peaks[6]):
         assert long < 1.3 * short, peaks
     assert time.perf_counter() - start < 2.0
@@ -655,7 +630,7 @@ def test_simulate_and_analyze_memory_does_not_grow_with_run_length(tmp_path, cap
 def test_layer_functions_run_on_the_main_thread(tmp_path, capsys, monkeypatch):
     # bench/tracing.py's Tracer keeps a single span stack: the layer
     # functions it wraps must run on the thread that called the command,
-    # whatever threads generate chunks or read and write event files
+    # whatever threads generate chunks
     calls = []
     for module, name in [
         (homsim.io, "write_events"), (homsim.io, "read_events"), (montecarlo, "simulate"),
@@ -667,7 +642,6 @@ def test_layer_functions_run_on_the_main_thread(tmp_path, capsys, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, on_thread)
-    monkeypatch.setattr(homsim.io, "_FRAME", 1 << 10)  # many frames read ahead
     cfg = write_cfg(tmp_path / "c.cfg", n_triggers=3 * montecarlo._CHUNK, eta_f=0.05,
                     eta_s=0.05, bg_rate_a=1e-4, bg_rate_b=1e-4, subtract_accidentals="true")
     argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path), "--workers", "2"]
@@ -675,8 +649,9 @@ def test_layer_functions_run_on_the_main_thread(tmp_path, capsys, monkeypatch):
     events = str(tmp_path / "events.csv")
     assert cli.main(["analyze", "--par", events, "--perp", events, "--config", str(cfg),
                      "--out", str(tmp_path / "a")]) == 0
-    assert {"write_events", "pair_events", "histogram", "estimate_accidentals",
-            "visibility"} <= {name for name, _ in calls}
+    # analyze bins the files' click lists: it calls neither read_events nor pair_events
+    assert {name for name, _ in calls} == {"write_events", "histogram", "estimate_accidentals",
+                                           "visibility"}
     assert [call for call in calls if not call[1]] == []
 
 
@@ -815,7 +790,7 @@ class TestAnalysisParameterErrors:
         cfg = write_cfg(tmp_path / "c.cfg", n_triggers=2000, **overrides)
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(cli.io, "read_event_blocks", _must_not_run)
+        monkeypatch.setattr(cli.io, "read_frames", _must_not_run)
         events = str(tmp_path / "events.csv")
         assert cli.main(["analyze", "--par", events, "--perp", events,
                          "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
@@ -895,7 +870,8 @@ def test_all_is_exactly_the_public_names():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert homsim.__all__ == sorted(set(homsim.__all__))
     assert set(homsim.__all__) == public
-    assert len(homsim.__all__) == 29
+    # 0.4.0 added simulate_frames, the frames that write_events takes
+    assert len(homsim.__all__) == 30
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -26,9 +26,9 @@ from homsim import (
 from homsim.interference import _BOUNDS, Envelope, _p_coincidence, amplitude
 from homsim import montecarlo
 from homsim.analysis import pair_clicks
-from homsim.io import DET_A, DET_B, DET_T
-from homsim.montecarlo import _CHUNK, simulate_chunks
-from helpers import coincidence_fraction, quantize
+from homsim.io import DET_A, DET_B, DET_T, _frame_stream, _trigger_ticks
+from homsim.montecarlo import _CHUNK, simulate_frames
+from helpers import coincidence_fraction, quantize, smallest_period
 from quadrature import window
 
 TAU_S, TAU_F = 26.18, 13.61
@@ -235,15 +235,19 @@ class TestDeterminism:
             assert np.array_equal(ref.detectors, alt.detectors)
             assert np.array_equal(ref.timestamps, alt.timestamps)
 
-    def test_chunks_are_trigger_aligned_pieces_of_the_stream(self):
+    def test_frames_are_trigger_aligned_pieces_of_the_stream(self):
         cfg = ideal_config(n_triggers=2 * _CHUNK + 5, trigger_period=500.125,
                            bg_rate_a=2e-3, bg_rate_b=2e-3)
-        chunks = list(simulate_chunks(cfg, workers=2))
-        assert [int(np.sum(c.detectors == DET_T)) for c in chunks] == [_CHUNK, _CHUNK, 5]
-        assert all(c.detectors[0] == DET_T and c.is_sorted() for c in chunks)
+        frames = list(simulate_frames(cfg, workers=2))
+        assert [(f.first, f.n_triggers) for f in frames] == [(0, _CHUNK), (_CHUNK, _CHUNK),
+                                                            (2 * _CHUNK, 5)]
+        assert all(f.grid == (500.125, 125.0, 4000) for f in frames)
         whole = simulate(cfg)
-        assert np.concatenate([c.detectors for c in chunks]).tobytes() == whole.detectors.tobytes()
-        assert np.concatenate([c.timestamps for c in chunks]).tobytes() == whole.timestamps.tobytes()
+        pieces = [_frame_stream(f) for f in frames]
+        assert all(p.detectors[0] == DET_T and p.is_sorted() for p in pieces)
+        for column in ("detectors", "timestamps"):
+            joined = np.concatenate([getattr(p, column) for p in pieces])
+            assert joined.tobytes() == getattr(whole, column).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_chunks_made_as_they_are_asked_for(self, monkeypatch, workers):
@@ -252,9 +256,9 @@ class TestDeterminism:
         monkeypatch.setattr(montecarlo, "_CHUNK", 100)
         monkeypatch.setattr(montecarlo, "_simulate_chunk",
                             lambda config, *span: made.append(span) or chunk(config, *span))
-        chunks = simulate_chunks(ideal_config(n_triggers=1000), workers=workers)
+        frames = simulate_frames(ideal_config(n_triggers=1000), workers=workers)
         assert made == []
-        for k, _ in enumerate(chunks):
+        for k, _ in enumerate(frames):
             assert len(made) <= k + 1 + workers * (workers > 1)
         assert sorted(made) == [(first, 100, first // 100) for first in range(0, 1000, 100)]
 
@@ -392,15 +396,6 @@ def maybe(strategy, off=0.0):
     return st.one_of(st.just(off), strategy)
 
 
-def smallest_period(window_length, resolution):
-    """The shortest trigger period a config accepts for this window."""
-    tick = resolution / 1000.0
-    period = window_length + tick
-    while period - window_length < tick:
-        period = float(np.nextafter(period, np.inf))
-    return period
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     taus=st.tuples(st.floats(0.5, 80.0), st.floats(0.5, 80.0)),
@@ -529,8 +524,9 @@ def test_offset_ticks_do_not_depend_on_the_trigger_index(config, shift):
 )
 def test_every_click_ticks_below_the_next_trigger(config, first):
     count = min(config.n_triggers, _CHUNK)
-    offsets, owners, detectors = montecarlo._simulate_chunk(config, first, count, 0)
-    trig_ticks = montecarlo._trigger_ticks(config, first, count)
+    frame = montecarlo._frame(config, (first, count, 0))
+    offsets, owners, detectors = frame.clicks
+    trig_ticks = _trigger_ticks(frame.grid, first, count)
     following = quantize(
         (first + np.arange(1, count + 1, dtype=float)) * config.trigger_period,
         config.timestamp_resolution,
@@ -555,7 +551,7 @@ def test_sampler_laws(monkeypatch):
         return on
 
     monkeypatch.setattr(montecarlo, "_live", counted)
-    clicks = sum(int(np.sum(c.detectors != DET_T)) for c in simulate_chunks(cfg))
+    clicks = sum(f.clicks[2].size for f in simulate_frames(cfg))
     n_f, n_s = sum(photons[0::2]), sum(photons[1::2])
     for count in (n_f, n_s):
         assert abs(count - n * eta) < 4.0 * math.sqrt(n * eta * (1.0 - eta))
