@@ -10,12 +10,11 @@ from its trigger, its owner and its detector code: the generator's list,
 as `homsim dip` makes it and an event file holds it. `histogram_frames`
 pairs and bins a run frame by frame with it, for `homsim analyze` and
 `homsim dip` alike, and `pair_events` builds the same list from a sorted
-in-memory stream by position: the triggers before a click's record end
-with its owner, so only a click that a trigger on its own tick follows
-is placed by `np.searchsorted`. One `np.minimum.at` finds the first
-click of every trigger and detector. It takes the indices of a randomly
-mixed mask once (`np.flatnonzero`) and gathers at those, because numpy
-indexes with such a mask several times slower than with indices.
+in-memory stream, finding each click's owner with `np.searchsorted`. One
+`np.minimum.at` finds the first click of every trigger and detector. It
+takes the indices of a randomly mixed mask once (`np.flatnonzero`) and
+gathers at those, because numpy indexes with such a mask several times
+slower than with indices.
 """
 
 from __future__ import annotations
@@ -123,29 +122,18 @@ def pair_events(stream: EventStream, valid_window: float = _VALID_WINDOW) -> Pai
         raise DataFormatError("event stream must be sorted by timestamp")
     det = stream.detectors
     ts = stream.timestamps
-    triggers = np.flatnonzero(det == DET_T)  # the trigger records' positions
+    trigger_ticks = ts[det == DET_T]
     sel = np.flatnonzero(det != DET_T)
     click_ticks = ts[sel]
-    # The j-th click's record, sel[j], follows sel[j] - j triggers: the
-    # last of them is its owner. A trigger after it has a later tick,
-    # unless it is on the click's own tick and so claims the click. Where
-    # the first trigger after a click is on its tick, the owner is the
-    # last trigger before the first record past that tick.
-    owner = sel - np.arange(1, sel.size + 1)
-    if triggers.size:
-        following = triggers[np.minimum(owner + 1, triggers.size - 1)]
-        late = np.flatnonzero(ts[following] == click_ticks)
-        if late.size:
-            past = np.searchsorted(ts, click_ticks[late], side="right")
-            owner[late] = np.searchsorted(triggers, past) - 1
+    owner = np.searchsorted(trigger_ticks, click_ticks, side="right") - 1
     # owners never decrease, so the clicks before the first trigger lead
     start = int(np.searchsorted(owner, 0))
     owner = owner[start:]
     offsets = click_ticks[start:]
-    offsets -= ts[triggers[owner]]
+    offsets -= trigger_ticks[owner]
     clicks = (offsets, owner, det[sel[start:]])
-    del sel, triggers  # not held through the pairing
-    return pair_clicks(det.size - click_ticks.size, clicks, valid_window, stream.resolution)
+    del sel  # not held through the pairing
+    return pair_clicks(trigger_ticks.size, clicks, valid_window, stream.resolution)
 
 
 def histogram_frames(

@@ -5,7 +5,8 @@ makes them. It is binary and little-endian::
 
     header    the magic bytes 89 'HOMSIM' 0A and the format version, 2;
               the trigger period in ns and the tick length (resolution) in
-              ps as float64; the acquisition window's whole ticks n_w
+              ps as float64; the acquisition window's whole ticks n_w,
+              fewer than the period's unfloored ticks
     frame     its first trigger, its trigger count n and its click count
               m; then the m clicks' offset ticks (int64), their owners
               (uint32) and their detector codes (uint8)
@@ -36,9 +37,9 @@ past n_w and a code other than A or B; naming the file for a file of no
 frame, and when the sidecar's record count or digest disagrees with the
 file; and naming the sidecar when it is not a JSON object.
 ``write_events`` refuses with ValueError the frames that the reader
-would refuse.
+would refuse, and a sidecar config whose grid is not the frames'.
 
-``_frame_stream`` lays a frame out as events sorted by tick: ``simulate``
+``_stream`` lays frames out as one stream sorted by tick: ``simulate``
 and ``read_events`` both build their streams with it.
 
 The other output files are written here too: every CSV table by
@@ -159,63 +160,33 @@ class EventStream:
         # a comparison, not np.diff, which wraps for ticks 2**63 apart
         return not (self.timestamps[1:] < self.timestamps[:-1]).any()
 
-    @classmethod
-    def concatenate(cls, streams: Sequence["EventStream"]) -> "EventStream":
-        """One stream of `streams` (at least one), in order, at the first's resolution."""
-        return cls(
-            np.concatenate([s.detectors for s in streams]),
-            np.concatenate([s.timestamps for s in streams]),
-            streams[0].resolution,
-        )
 
-
-def _frame_stream(frame: Frame) -> EventStream:
-    """The events of `frame` sorted by (timestamp, detector), triggers
-    first on ties; a run's frames, in order, make up its sorted stream.
-
-    Only the clicks are sorted, by (owner, offset tick, detector) packed
-    in one uint64 key: (owner * n_w + offset) * 2 + (detector - DET_A).
-    An offset is below the window's n_w ticks, so the key keeps that
-    order, and owner * n_w + offset stays below the frame's trigger count
-    times the period's ticks, which a run's grid keeps below 2**63, so
-    the key fits. A click's tick lies from its trigger's on and below the
-    next one's, so in this order the clicks are sorted by (tick,
-    detector) too, each trigger's right after it. The frame is then each
-    trigger tick repeated once for itself and once per click it owns; the
-    j-th click in key order lies j + 1 + owner records in, where its
-    offset is added to its owner's repeated tick.
-    """
-    offsets, owner, detector = frame.clicks
-    trig_ticks = _trigger_ticks(frame.grid, frame.first, frame.n_triggers)
-    # at least 1, so that a window shorter than a tick, which keeps no click, divides
-    n_w = np.uint64(max(frame.grid.n_w, 1))
-    key = owner.astype(np.uint64)
-    key *= n_w
-    key += offsets.view(np.uint64)
-    key <<= np.uint64(1)
-    key += detector - np.uint8(DET_A)
-    key.sort()
-    detector = (key & np.uint64(1)).astype(np.uint8)
-    detector += np.uint8(DET_A)
-    key >>= np.uint64(1)
-    owner = key // n_w
-    key -= owner * n_w  # the offset ticks
-    owner = owner.view(np.int64)
-    ticks = np.repeat(trig_ticks, np.bincount(owner, minlength=trig_ticks.size) + 1)
-    slot = np.arange(1, owner.size + 1)
-    slot += owner
-    ticks[slot] += key.view(np.int64)
-    det = np.zeros(ticks.size, np.uint8)  # DET_T
-    det[slot] = detector
-    return EventStream(det, ticks, frame.grid.resolution)
+def _stream(frames: Iterable[Frame]) -> EventStream:
+    """The event stream of a run's frames (at least one), in order, each
+    sorted by (tick, detector), so triggers first on ties: a click's tick
+    is its owner's plus its offset. Every click's tick lies from its
+    trigger's on and below the next one's, so the frames, in order, make
+    up the run's sorted stream."""
+    detectors, ticks = [], []
+    for frame in frames:
+        offsets, owner, codes = frame.clicks
+        trig = _trigger_ticks(frame.grid, frame.first, frame.n_triggers)
+        tick = np.concatenate((trig, trig[owner] + offsets))
+        det = np.concatenate((np.zeros(trig.size, np.uint8), codes))
+        order = np.lexsort((det, tick))
+        ticks.append(tick[order])
+        detectors.append(det[order])
+    return EventStream(np.concatenate(detectors), np.concatenate(ticks), frame.grid.resolution)
 
 
 def _grid_fault(grid: Grid) -> str | None:
     """Why no run has `grid`, or None: a run's period and tick length are
-    positive and finite, and its window's ticks fit in its period."""
+    positive and finite, and its window's whole ticks are fewer than its
+    period's unfloored ticks, so that no click reaches the next trigger's
+    tick."""
     period, resolution, n_w = grid
     if 0.0 < period < math.inf and 0.0 < resolution < math.inf:
-        if 0 <= n_w <= _ns_to_ticks(period, resolution):
+        if 0 <= n_w < _ns_to_ticks(period, resolution):
             return None
     return (f"a trigger period of {period} ns, ticks of {resolution} ps and a window of "
             f"{n_w} ticks are no run's grid")
@@ -246,6 +217,20 @@ def _frame_fault(frame: Frame, first: int) -> str | None:
     return f", click {i}: detector code {codes[i]}, expected 1 (A) or 2 (B)"
 
 
+def _echo_fault(config: dict, grid: Grid) -> str | None:
+    """How a sidecar's config echo disagrees with the frames' `grid`, or
+    None: its trigger period, timestamp resolution and window's whole
+    ticks, each checked where the echo has its key."""
+    resolution = config.get("timestamp_resolution", grid.resolution)
+    window = config.get("window_length")
+    echo = Grid(config.get("trigger_period", grid.period), resolution,
+                grid.n_w if window is None else _whole_ticks(window, resolution, "window_length"))
+    if echo == grid:
+        return None
+    return (f"the config's grid (period ns, tick ps, window ticks) is {tuple(echo)}, not the "
+            f"frames' {tuple(grid)}")
+
+
 def config_hash(mapping: dict) -> str:
     """Short stable hash of a configuration mapping, for file provenance."""
     canon = json.dumps(mapping, sort_keys=True, default=str)
@@ -263,12 +248,14 @@ def write_events(frames: Iterable[Frame], path, metadata: dict | None = None) ->
     The frames are written as they come, and the sidecar's record count
     and digest cover them all. Raises ValueError, and leaves neither file,
     for frames that ``read_frames`` would refuse or on different grids,
-    for no frame at all and for `metadata` that would overwrite a field
-    the sidecar takes from the frames (``n_records``, ``sha256``).
+    for no frame at all, for `metadata` that would overwrite a field the
+    sidecar takes from the frames (``n_records``, ``sha256``) and for a
+    `metadata` ``config`` whose grid (``_echo_fault``) is not the frames'.
     ``config_hash`` may be supplied; by default it hashes `metadata`'s
     ``config``, or the sidecar without one.
     """
-    clash = sorted({"n_records", "sha256"}.intersection(metadata or {}))
+    metadata = metadata or {}
+    clash = sorted({"n_records", "sha256"}.intersection(metadata))
     if clash:
         raise ValueError(f"metadata must not set the sidecar's own fields: {', '.join(clash)}")
     path = Path(path)
@@ -281,7 +268,8 @@ def write_events(frames: Iterable[Frame], path, metadata: dict | None = None) ->
 
             for k, frame in enumerate(frames):
                 if grid is None:
-                    grid, fault = frame.grid, _grid_fault(frame.grid)
+                    grid = frame.grid
+                    fault = _grid_fault(grid) or _echo_fault(metadata.get("config", {}), grid)
                     if fault:
                         raise ValueError(fault)
                     put(_MAGIC + _GRID.pack(*grid))
@@ -299,7 +287,7 @@ def write_events(frames: Iterable[Frame], path, metadata: dict | None = None) ->
                 n_records += frame.n_triggers + codes.size
         if grid is None:
             raise ValueError("no frame to write: a run has at least one")
-        sidecar = {"n_records": n_records, **(metadata or {})}
+        sidecar = {"n_records": n_records, **metadata}
         sidecar.setdefault("config_hash", config_hash(sidecar.get("config", sidecar)))
         sidecar["sha256"] = digest.hexdigest()
         write_json(sidecar, sidecar_path(path))
@@ -355,7 +343,7 @@ def read_sidecar(events_path) -> dict | None:
 def read_events(path) -> EventStream:
     """The event stream of an event file, laid out frame by frame as
     ``simulate`` lays out the run; raises what ``read_frames`` raises."""
-    return EventStream.concatenate([_frame_stream(frame) for frame in read_frames(path)])
+    return _stream(read_frames(path))
 
 
 def read_frames(path) -> Iterator[Frame]:

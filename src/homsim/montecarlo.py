@@ -43,7 +43,7 @@ code, only where one is set.
 
 Times are offsets from the trigger. Each click's offset is quantised
 alone, so no click's offset depends on how far into the run its trigger
-lies; its tick, when a stream is laid out (`homsim.io._frame_stream`), is
+lies; its tick, when a stream is laid out (`homsim.io._stream`), is
 its trigger's tick plus its offset tick. The detector gate keeps a click
 whose offset tick lies inside the window's whole ticks.
 
@@ -86,8 +86,8 @@ import numpy as np
 from .analysis import CoincidenceHistogram, histogram, histogram_frames
 from .errors import ConfigError
 from .interference import Envelope, SourcePair, _check_bound, _inverse_cdf, _p_coincidence
-from .io import (DET_A, DET_B, EventStream, Frame, Grid, _FRAME, _frame_stream, _ns_to_ticks,
-                 _tick_ns, _whole_ticks)
+from .io import (DET_A, DET_B, EventStream, Frame, Grid, _FRAME, _grid_fault, _ns_to_ticks,
+                 _stream, _tick_ns, _whole_ticks)
 
 _CHUNK = _FRAME  # triggers per chunk: a chunk is an event-file frame
 _BOUNDED = {  # the kind of bound, in interference._BOUNDS, of each bounded field
@@ -166,8 +166,11 @@ class ExperimentConfig:
                                   f"per window, must be at most 1e6, got {per_window:g}")
         # A gap of one tick keeps every click's tick below the next
         # trigger's, so pairing by tick gives each click to the trigger
-        # whose window the gate kept it in.
-        if self.trigger_period - self.window_length < _tick_ns(self.timestamp_resolution):
+        # whose window the gate kept it in. Past 2**53 ticks a float loses
+        # whole ticks, so the gap is checked in ticks too, as an event
+        # file's grid is.
+        if (self.trigger_period - self.window_length < _tick_ns(self.timestamp_resolution)
+                or _grid_fault(self.grid())):
             raise ConfigError(
                 "trigger_period must exceed window_length by at least one timestamp tick "
                 f"(timestamp_resolution / 1000 ns), got {self.trigger_period} and "
@@ -193,6 +196,11 @@ class ExperimentConfig:
             self.tau_s, t0=max(-self.delta_t, 0.0), detuning=self.detuning
         )
         return SourcePair(env_f, env_s, self.xi)
+
+    def grid(self) -> Grid:
+        """The run's tick grid, as its event file's header holds it."""
+        res = self.timestamp_resolution
+        return Grid(self.trigger_period, res, _whole_ticks(self.window_length, res))
 
 
 def _live(rng, count: int, eta: float) -> np.ndarray:
@@ -319,9 +327,7 @@ def _imap(fn, tasks, workers: int, ahead: int) -> Iterator:
 
 def _frame(config: ExperimentConfig, span) -> Frame:
     """The frame of chunk `span`, (first trigger, trigger count, chunk index)."""
-    grid = Grid(config.trigger_period, config.timestamp_resolution,
-                _whole_ticks(config.window_length, config.timestamp_resolution))
-    return Frame(grid, span[0], span[1], _simulate_chunk(config, *span))
+    return Frame(config.grid(), span[0], span[1], _simulate_chunk(config, *span))
 
 
 def simulate_frames(config: ExperimentConfig, workers: int = 1) -> Iterator[Frame]:
@@ -344,12 +350,10 @@ def simulate(config: ExperimentConfig, workers: int = 1) -> EventStream:
 
     Returns:
         EventStream sorted by (timestamp, detector), triggers first on ties:
-        the frames of ``simulate_frames(config)``, each laid out on the
-        thread that makes it, as ``read_events`` lays out a file's.
+        the frames of ``simulate_frames(config)`` laid out as
+        ``read_events`` lays out a file's.
     """
-    streams = _imap(lambda span: _frame_stream(_frame(config, span)), _spans(config), workers,
-                    workers)
-    return EventStream.concatenate(list(streams))
+    return _stream(simulate_frames(config, workers))
 
 
 def simulate_histograms(

@@ -29,7 +29,7 @@ from homsim import (
     visibility_closed_form,
 )
 import quadrature
-from helpers import event_file, frame
+from helpers import event_file, frame, header
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -530,6 +530,19 @@ class TestAnalyze:
             "--config", str(cfg), "--out", str(tmp_path),
         ]) == 2
         assert f"data format error: {bad}: {fault}" in capsys.readouterr().err
+
+    def test_window_reaching_the_next_trigger_exit_two(self, tmp_path, capsys):
+        # 1,000,001 ticks of 1 ps in the period and the window: trigger 2's
+        # click at offset 1,000,000 falls on trigger 3's floored tick
+        cfg = write_cfg(tmp_path / "c.cfg")
+        bad = event_file(tmp_path / "bad.csv", frame(0, 4, [("A", 2, 1_000_000)]),
+                         head=header(1000.001, 1.0, 1_000_001))
+        assert cli.main([
+            "analyze", "--par", str(bad), "--perp", str(bad),
+            "--config", str(cfg), "--out", str(tmp_path / "o"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data format error: {bad}: ") and "no run's grid" in err
 
     @pytest.mark.parametrize("head", [
         b"detector,timestamp\nT,0\n",  # 0.2.0's text

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,11 +7,12 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import event_file, frame, header, stream_from_records
-from hypothesis import HealthCheck, given, settings
+from helpers import event_file, frame, header, smallest_period, stream_from_records
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from homsim import DataFormatError, EventStream, ExperimentConfig, io, read_events, write_events
+from homsim import (ConfigError, DataFormatError, EventStream, ExperimentConfig, io, read_events,
+                    write_events)
 from homsim.io import (
     _FRAME,
     _MAGIC,
@@ -186,11 +188,11 @@ def reference_write(grid, frames, path):
 def reference_read(path):
     """The event-file format, spelled out field by field with struct: the
     header of format 2 and a grid of positive, finite period and tick
-    whose window fits in its period; then frames of a count n in 1 ..
-    2**16 of triggers, from where the frame before ends (0 first) and
-    with ticks within int64, and a count m >= 0 of clicks, each with an
-    owner below n, an offset in 0 .. n_w - 1 and a code of 1 or 2; at
-    least one frame.
+    whose window's ticks are fewer than its period's; then frames of a
+    count n in 1 .. 2**16 of triggers, from where the frame before ends
+    (0 first) and with ticks within int64, and a count m >= 0 of clicks,
+    each with an owner below n, an offset in 0 .. n_w - 1 and a code of 1
+    or 2; at least one frame.
 
     Returns ("ok", frames) with frames as ``reference_write`` takes them,
     ("error", None) for a bad header, ("error", k) for frame k at fault
@@ -203,7 +205,7 @@ def reference_read(path):
     if not (0 < period < math.inf and 0 < resolution < math.inf):
         return ("error", None)
     period_ticks = period * (1000.0 / resolution)
-    if not 0 <= n_w <= period_ticks:
+    if not 0 <= n_w < period_ticks:
         return ("error", None)
     frames, pos, end = [], 40, 0
     while pos < len(data):
@@ -412,16 +414,80 @@ def test_frames_past_int64_ticks_rejected(tmp_path, grid):
     (header()[:-1], "the header is cut short in its grid"),
     (header(1000.0, 125.0, 8001), "a trigger period of 1000.0 ns, ticks of 125.0 ps and a window "
                                   "of 8001 ticks are no run's grid"),
+    (header(1000.0, 125.0, 8000), "no run's grid"),
     (header(1000.0, 125.0, -1), "no run's grid"),
     (header(-1000.0, 125.0, 0), "no run's grid"),
     (header(math.inf, 125.0, 0), "no run's grid"),
     (header(1000.0, math.nan, 0), "no run's grid"),
 ], ids=["text-0.2.0", "format-1", "magic-cut", "empty", "grid-cut", "window-past-period",
-        "negative-window", "negative-period", "infinite-period", "nan-tick"])
+        "window-of-the-period", "negative-window", "negative-period", "infinite-period",
+        "nan-tick"])
 def test_header_faults_rejected(tmp_path, head, message):
     path = event_file(tmp_path / "e.csv", head=head)
     with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: .*{re.escape(message)}"):
         read_events(path)
+
+
+# 1,000,001 ticks of 1 ps in both the period and the window: trigger 3's
+# tick, 3000002.99... floored, is that of trigger 2's click at offset
+# 1,000,000, so pairing by tick and by owner would disagree
+REACHING = Grid(1000.001, 1.0, 1_000_001)
+
+
+def test_window_reaching_the_next_trigger_rejected(tmp_path):
+    path = event_file(tmp_path / "e.csv", frame(0, 4, [("A", 2, 1_000_000)]),
+                      head=header(*REACHING))
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: .*no run's grid"):
+        list(read_frames(path))
+    out = tmp_path / "w.csv"
+    with pytest.raises(ValueError, match="no run's grid"):
+        write_events([Frame(REACHING, 0, 4, clicks(("A", 2, 1_000_000)))], out)
+    assert not out.exists() and not sidecar_path(out).exists()
+
+
+@st.composite
+def config_grids(draw):
+    """A config's tick length, window and trigger period: the shortest
+    period it accepts or one some ticks longer."""
+    resolution = draw(st.sampled_from([0.5, 1.0, 62.5, 125.0, 1000.0]) | st.floats(0.01, 1e4))
+    window = draw(st.floats(1e-3, 1e11))
+    period = smallest_period(window, resolution)
+    return resolution, window, period + draw(st.sampled_from([0.0, 1.0, 1e3])) * resolution / 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=config_grids())
+@example(case=(1.0, 9.9e10, smallest_period(9.9e10, 1.0)))
+@example(case=(0.5, 500.0, smallest_period(500.0, 0.5)))
+# a window 1e-10 tick short of 500,000 ticks counts them all, and the
+# shortest period then floors to that count too
+@example(case=(1.0, 499.9999999999, smallest_period(499.9999999999, 1.0)))
+def test_every_config_grid_is_a_run_grid(case):
+    resolution, window, period = case
+    try:
+        config = ExperimentConfig(n_triggers=1, trigger_period=period, window_length=window,
+                                  timestamp_resolution=resolution)
+    except ConfigError:
+        assume(False)
+    grid = next(simulate_frames(config)).grid
+    assert io._grid_fault(grid) is None
+
+
+@pytest.mark.parametrize("field, value", [
+    ("timestamp_resolution", 1.0), ("trigger_period", 1000.125), ("window_length", 400.0),
+])
+def test_sidecar_config_of_another_grid_rejected(tmp_path, field, value):
+    config = ExperimentConfig(n_triggers=10, seed=3)
+    other = {**dataclasses.asdict(config), field: value}
+    out = tmp_path / "events.csv"
+    match = r"the config's grid .* is \(.*\), not the frames' \(1000.0, 125.0, 4000\)"
+    with pytest.raises(ValueError, match=match):
+        write_events(simulate_frames(config), out, metadata={"config": other})
+    assert list(tmp_path.iterdir()) == []
+    # its own config, and one whose window is 0.4 tick longer, are the frames' grid
+    for echo in (dataclasses.asdict(config), {"window_length": 500.05}):
+        write_events(simulate_frames(config), out, metadata={"config": echo})
+        assert read_sidecar(out)["config"] == echo
 
 
 def test_format_1_file_of_0_3_0_rejected_at_its_header(tmp_path):
@@ -485,10 +551,12 @@ class TestWriterChecks:
         (sample_frames()[:1] + sample_frames(Grid(1000.0, 62.5, 8000))[1:], ValueError,
          "share one grid"),
         (sample_frames(Grid(1000.0, 125.0, 9000)), ValueError, "no run's grid"),
+        (sample_frames(Grid(1000.0, 125.0, 8000)), ValueError, "no run's grid"),
         ([], ValueError, "no frame"),
         (frames_then_failure(), RuntimeError, "chunk source"),
     ], ids=["owner", "negative-offset", "offset", "code", "negative-owner", "owner-past-uint32",
-            "out-of-order", "trigger-count", "mixed-grids", "window-past-period", "no-frame",
+            "out-of-order", "trigger-count", "mixed-grids", "window-past-period",
+            "window-of-the-period", "no-frame",
             "failing-source"])
     def test_writer_refuses_and_leaves_no_file(self, tmp_path, frames, error, match):
         path = tmp_path / "events.csv"

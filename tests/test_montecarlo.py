@@ -26,7 +26,7 @@ from homsim import (
 from homsim.interference import _BOUNDS, Envelope, _p_coincidence, amplitude
 from homsim import montecarlo
 from homsim.analysis import pair_clicks
-from homsim.io import DET_A, DET_B, DET_T, _frame_stream, _trigger_ticks
+from homsim.io import DET_A, DET_B, DET_T, _stream, _trigger_ticks
 from homsim.montecarlo import _CHUNK, simulate_frames
 from helpers import coincidence_fraction, quantize, smallest_period
 from quadrature import window
@@ -217,6 +217,11 @@ class TestConfigValidation:
         for period in (np.nextafter(500.125, 0.0), 500.05):
             with pytest.raises(ConfigError, match="one timestamp tick"):
                 ideal_config(trigger_period=period, window_length=500.0)
+        # 1.5 ticks apart in ns, but past 2**53 ticks both floats round to
+        # the same whole tick, so no tick is left between the windows
+        with pytest.raises(ConfigError, match="one timestamp tick"):
+            ideal_config(n_triggers=1, trigger_period=90071992548.25783,
+                         window_length=90071992548.25781, timestamp_resolution=0.01)
 
 
 class TestDeterminism:
@@ -243,7 +248,7 @@ class TestDeterminism:
                                                             (2 * _CHUNK, 5)]
         assert all(f.grid == (500.125, 125.0, 4000) for f in frames)
         whole = simulate(cfg)
-        pieces = [_frame_stream(f) for f in frames]
+        pieces = [_stream([f]) for f in frames]
         assert all(p.detectors[0] == DET_T and p.is_sorted() for p in pieces)
         for column in ("detectors", "timestamps"):
             joined = np.concatenate([getattr(p, column) for p in pieces])
@@ -474,9 +479,8 @@ def generator_configs(draw):
     workers=2,
 )
 # 1 ps ticks over two chunks, the run's 6.6e18 ticks within a factor 2 of
-# 2**63: windows of 9.9e13 ticks put the chunk's click keys, (owner * n_w
-# + offset) * 2 + detector, up to 1.3e19, near 2**64, and a background
-# click about every window reaches across it
+# 2**63: trigger plus offset ticks near the top of int64, in windows of
+# 9.9e13 ticks, with a background click about every window
 @example(
     config=ExperimentConfig(
         n_triggers=_CHUNK + 3, trigger_period=1e11, window_length=9.9e10, eta_f=0.05,
