@@ -8,8 +8,9 @@ visibilities and dip curves from windowed sums. The pairing kernel,
 `pair_clicks`, works on one click list, per click its offset in ticks
 from its trigger, its owner and its detector code: the generator's list,
 as `homsim dip` makes it and an event file holds it. `histogram_frames`
-pairs and bins a run frame by frame with it, for `homsim analyze` and
-`homsim dip` alike, and `pair_events` builds the same list from a sorted
+pairs and bins a run frame by frame with the same kernel, for `homsim
+analyze` and `homsim dip` alike, pairing every frame into its thread's
+one first-click buffer; `pair_events` builds the same list from a sorted
 in-memory stream, finding each click's owner with `np.searchsorted`. One
 `np.minimum.at` finds the first click of every trigger and detector. It
 takes the indices of a randomly mixed mask once (`np.flatnonzero`) and
@@ -19,6 +20,7 @@ slower than with indices.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
@@ -26,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataFormatError, InsufficientStatisticsError
-from .io import DET_A, DET_T, EventStream, Frame, _tick_ns, _whole_ticks
+from .io import DET_A, DET_T, EventStream, Frame, _FRAME, _tick_ns, _whole_ticks
 
 _ALIGN_TOL = 1e-9
 # The most bins a histogram may have (1 ps bins over +-8 us): its counts
@@ -38,6 +40,11 @@ _VALID_WINDOW = 85.0
 _BIN_WIDTH = 10.0
 _HALF_RANGE = 205.0
 _WING = (100.0, 200.0)
+# A first click read unsigned where a trigger has none on a detector: -1
+# as int64, beyond every offset and every window
+_NONE = np.uint64(2**64 - 1)
+# Per thread, the first-click buffer that every frame it bins is paired into
+_scratch = threading.local()
 
 
 @dataclass
@@ -63,15 +70,51 @@ class PairingResult:
 
     @property
     def paired(self) -> np.ndarray:
-        return self.valid & (self.first_a >= 0) & (self.first_b >= 0)
+        return self.valid & _both(self.first_a, self.first_b)
 
     @property
     def delta_ts(self) -> np.ndarray:
         """Signed t_a - t_b in ns for every paired sequence."""
-        sel = np.flatnonzero(self.paired)
-        diff = self.first_a[sel]
-        diff -= self.first_b[sel]
-        return diff * _tick_ns(self.resolution)
+        return _delta_ts(self.first_a, self.first_b, self.valid, self.resolution)
+
+
+def _both(first_a, first_b) -> np.ndarray:
+    """Where a trigger has a first click on both detectors: neither is -1,
+    so the sign bit of their OR is clear."""
+    return np.bitwise_or(first_a, first_b) >= 0
+
+
+def _delta_ts(first_a, first_b, valid, resolution: float) -> np.ndarray:
+    """Signed t_a - t_b in ns of every valid trigger with a click on both
+    detectors, from its first clicks (-1 where none came)."""
+    sel = np.flatnonzero(valid & _both(first_a, first_b))
+    diff = first_a[sel]
+    diff -= first_b[sel]
+    return diff * _tick_ns(resolution)
+
+
+def _first_clicks(n_triggers: int, clicks, window_ticks: int, firsts: np.ndarray) -> np.ndarray:
+    """Fill `firsts`, 2 `n_triggers` int64 entries, with each trigger's
+    first click on A, then on B, as its offset ticks, or -1 where none
+    came; returns where a trigger has a click within `window_ticks`."""
+    offsets, owner, detector = clicks
+    n = n_triggers
+    # The click of trigger i at detector d goes to slot i + n * (d - DET_A).
+    # Read as unsigned, -1 exceeds every offset, so it is left only where
+    # no click came, and lies beyond every window.
+    unsigned = firsts.view(np.uint64)
+    unsigned.fill(_NONE)
+    slot = np.multiply(detector, n, dtype=np.intp)
+    slot += owner
+    slot -= DET_A * n
+    np.minimum.at(unsigned, slot, offsets.view(np.uint64))
+    del slot  # not held through the validity test
+    # A trigger has a click within the window if its first click on A or
+    # on B is; two comparisons need no uint64 temporary of n entries.
+    window_ticks = np.uint64(window_ticks)
+    valid = unsigned[:n] <= window_ticks
+    valid |= unsigned[n:] <= window_ticks
+    return valid
 
 
 def pair_clicks(n_triggers: int, clicks, valid_window: float, resolution: float) -> PairingResult:
@@ -84,28 +127,13 @@ def pair_clicks(n_triggers: int, clicks, valid_window: float, resolution: float)
     detector is found with `np.minimum.at`, so clicks may come in any
     order. A sequence is valid if any click falls within `valid_window`
     ns after its trigger; raises ValueError unless `valid_window` is
-    finite and non-negative.
+    finite and non-negative. The result's arrays are the caller's own.
     """
     # a window beyond the largest tick difference keeps every click
     window_ticks = _whole_ticks(valid_window, resolution, "valid_window")
-    offsets, owner, detector = clicks
     n = n_triggers
-    # A's first clicks, then B's: the click of trigger i at detector d
-    # goes to slot i + n * (d - DET_A). Read as unsigned, -1 exceeds every
-    # offset, so it is left only where no click came, and lies beyond
-    # every window.
-    firsts = np.full(2 * n, -1, dtype=np.int64)
-    unsigned = firsts.view(np.uint64)
-    slot = np.multiply(detector, n, dtype=np.int64)
-    slot += owner
-    slot -= DET_A * n
-    np.minimum.at(unsigned, slot, offsets.view(np.uint64))
-    del slot  # not held through the validity test
-    # A trigger has a click within the window if its first click on A or
-    # on B is; two comparisons need no uint64 temporary of n entries.
-    window_ticks = np.uint64(window_ticks)
-    valid = unsigned[:n] <= window_ticks
-    valid |= unsigned[n:] <= window_ticks
+    firsts = np.empty(2 * n, dtype=np.int64)
+    valid = _first_clicks(n, clicks, window_ticks, firsts)
     return PairingResult(valid, firsts[:n], firsts[n:], resolution)
 
 
@@ -151,11 +179,27 @@ def histogram_frames(
     empty = histogram([], 1, bin_width, half_range)  # checks the binning first
     counts, n_triggers = empty.counts, 0
     for frame in frames:
-        n = frame.n_triggers
-        pairing = pair_clicks(n, frame.clicks, valid_window, frame.grid.resolution)
-        counts = counts + histogram(pairing.delta_ts, n, bin_width, half_range).counts
-        n_triggers += n
+        counts += _frame_counts(frame, valid_window, counts.size, bin_width, half_range)
+        n_triggers += frame.n_triggers
     return replace(empty, counts=counts, n_triggers=n_triggers)
+
+
+def _frame_counts(
+    frame: Frame, valid_window: float, n_bins: int, bin_width: float, half_range: float
+) -> np.ndarray:
+    """One frame's counts in the `n_bins` bins of a binning that
+    :func:`histogram` has checked: the frame is paired as
+    :func:`pair_clicks` pairs it, into this thread's first-click buffer,
+    and its differences, whole ticks in ns, are binned unchecked."""
+    n, resolution = frame.n_triggers, frame.grid.resolution
+    window_ticks = _whole_ticks(valid_window, resolution, "valid_window")
+    firsts = getattr(_scratch, "firsts", None)
+    if firsts is None or firsts.size < 2 * n:  # once per thread for a run's frames
+        firsts = _scratch.firsts = np.empty(2 * max(n, _FRAME), dtype=np.int64)
+    firsts = firsts[: 2 * n]
+    valid = _first_clicks(n, frame.clicks, window_ticks, firsts)
+    d = _delta_ts(firsts[:n], firsts[n:], valid, resolution)
+    return _bin(d, n_bins, bin_width, half_range)
 
 
 @dataclass

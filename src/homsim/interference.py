@@ -176,27 +176,39 @@ def _p_coincidence(pair: SourcePair, t1, t2, t0_f, t0_s):
     take their coherence times and carrier detunings from `pair`. Exact
     wherever a = psi_f(t1) psi_s(t2) or b = psi_f(t2) psi_s(t1) is
     supported; the generator draws t1 >= t0_f and t2 >= t0_s, so a always is.
+    At xi = 0 the law is 1/2 for any finite times, and no term of it is
+    computed: the cross term below, a finite number or a signed zero,
+    times -xi**2 = -0 is a signed zero.
     """
+    if pair.xi == 0.0:
+        return np.full(np.broadcast_shapes(np.shape(t1), np.shape(t2)), 0.5)
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    support = (t1 >= t0_f) & (t2 >= t0_s) & (t2 >= t0_f) & (t1 >= t0_s)
+    # b is supported where both times are at or after both starts
+    t0 = np.maximum(t0_f, t0_s)
+    support = (t1 >= t0) & (t2 >= t0)
     # With both supported, |b|^2 / |a|^2 = exp(kappa dt) and a b* has the
     # phase d_omega dt, so xi^2 Re(a b*) / (|a|^2 + |b|^2) is
     # xi^2 cos(d_omega dt) / (2 cosh(kappa dt / 2)). 1 / (2 cosh x) is
     # written as e^-|x| / (1 + e^-2|x|), which stays finite where cosh x
     # overflows. The steps work in place on two arrays (0-d for scalar
-    # times), and the cosine, the costliest step, is skipped where it is 1.
-    dt = t1 - t2
+    # times), dt and e, and a third where the carriers differ: the
+    # cosine, the costliest step, is skipped where it is 1, and dt then
+    # takes 1 + e^2.
+    dt = np.subtract(t1, t2, out=np.empty(np.broadcast_shapes(t1.shape, t2.shape)))
     kappa = 1.0 / pair.env_f.tau - 1.0 / pair.env_s.tau
-    e = np.abs(dt, out=np.empty(np.shape(dt)))
+    e = np.abs(dt, out=np.empty_like(dt))
     e *= -0.5 * abs(kappa)
     np.exp(e, out=e)
-    cross = np.square(e, out=np.empty_like(e))
-    cross += 1.0
-    np.divide(e, cross, out=cross)
     d_omega = _d_omega(pair.env_f, pair.env_s)
     if d_omega:
-        cross *= np.cos(d_omega * dt)
+        dt *= d_omega
+        np.cos(dt, out=dt)
+    den = np.square(e, out=np.empty_like(e) if d_omega else dt)
+    den += 1.0
+    cross = np.divide(e, den, out=e)
+    if d_omega:
+        cross *= dt
     # cross is finite, so the product with the support mask is cross or a
     # signed zero: np.where would branch on a mask that is random when the
     # envelopes start apart

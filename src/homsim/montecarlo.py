@@ -35,8 +35,9 @@ indices once (`np.flatnonzero`), because numpy indexes with such a mask
 several times slower than with indices.
 
 The kernel returns one click list, not a list per detector: per click,
-its offset ticks, its owner (the trigger, as an index into the chunk)
-and its uint8 detector code. It holds the photons, f then s, then A's
+its int64 offset ticks, its uint32 owner (the trigger, as an index into
+the chunk) and its uint8 detector code, the event file's types, so the
+writer converts none of them. It holds the photons, f then s, then A's
 background and then B's. A photon's route becomes its code, so no click
 is copied to a detector's own array, and a detector offset is added by
 code, only where one is set.
@@ -64,10 +65,10 @@ and `trigger_period` exceeds `window_length` by at least one tick, so
 every click's tick lies below the next trigger's, and every stage works
 chunk by chunk: `simulate_frames` yields the frames one by one for
 `write_events`, in memory bounded by a few chunks; `simulate` lays them
-out as one sorted stream; and `simulate_histograms` bins each with
-`histogram_frames` where it is made, as `homsim analyze` bins a file's,
-and sums the integer counts, so its histograms equal those of the whole
-stream for any number of workers.
+out as one sorted stream; and `simulate_histograms` bins each where it
+is made, with the per-frame step of `histogram_frames`, as `homsim
+analyze` bins a file's, and sums the integer counts, so its histograms
+equal those of the whole stream for any number of workers.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .analysis import CoincidenceHistogram, histogram, histogram_frames
+from .analysis import CoincidenceHistogram, _frame_counts, histogram
 from .errors import ConfigError
 from .interference import Envelope, SourcePair, _check_bound, _inverse_cdf, _p_coincidence
 from .io import (DET_A, DET_B, EventStream, Frame, Grid, _FRAME, _grid_fault, _ns_to_ticks,
@@ -204,14 +205,17 @@ class ExperimentConfig:
 
 
 def _live(rng, count: int, eta: float) -> np.ndarray:
-    """Sorted indices of the triggers at which a source of efficiency `eta`
-    emits: a binomial count of them, placed by a uniform sample. No draw
-    at eta 0 or 1."""
+    """Sorted indices (uint32, an owner's type) of the triggers at which a
+    source of efficiency `eta` emits: a binomial count of them, placed by
+    a uniform sample. No draw at eta 0 or 1."""
     if eta >= 1.0:
-        return np.arange(count)
+        return np.arange(count, dtype=np.uint32)
     if eta <= 0.0:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(rng.choice(count, rng.binomial(count, eta), replace=False, shuffle=False))
+        return np.empty(0, dtype=np.uint32)
+    live = rng.choice(count, rng.binomial(count, eta), replace=False, shuffle=False)
+    live = live.astype(np.uint32)
+    live.sort()
+    return live
 
 
 def _shared(mine: np.ndarray, other: np.ndarray, count: int):
@@ -234,11 +238,12 @@ def _photons(rng, config: ExperimentConfig, count: int):
     on_f = _live(rng, count, config.eta_f)
     on_s = _live(rng, count, config.eta_s)
     n_f, n = on_f.size, on_f.size + on_s.size
-    # One call draws the emission uniforms (f, then s) and then the route
-    # uniforms: the numbers of steps 2 and 3, in their order. The times
-    # are made in place in the first half.
-    u = rng.random(2 * n)
-    t_f, t_s, to_a = u[:n_f], u[n_f:n], u[n:] < 0.5
+    # The emission uniforms (f, then s), then the route uniforms: steps 2
+    # and 3. A uniform is one draw of the generator, so two calls draw
+    # what one call for both would. The times are made in place, and the
+    # route uniforms go once they are routes.
+    times = rng.random(n)
+    t_f, t_s, to_a = times[:n_f], times[n_f:], rng.random(n) < 0.5
     t0_s = pair.env_s.t0
     if config.excitation_jitter_sigma > 0.0:
         t0_s = t0_s + rng.standard_normal(on_s.size) * config.excitation_jitter_sigma
@@ -257,16 +262,16 @@ def _photons(rng, config: ExperimentConfig, count: int):
         p_c = _p_coincidence(pair, t_f[both_f], t_s[both_s], pair.env_f.t0, t0_both)
         to_a[n_f:][both_s] = to_a[:n_f][both_f] ^ (r_outcome < p_c)
     detector = np.subtract(DET_B, to_a, dtype=np.uint8)  # DET_A where to_a
-    return u[:n], np.concatenate((on_f, on_s)), detector
+    return times, np.concatenate((on_f, on_s)), detector
 
 
 def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx: int):
     """The clicks of triggers `first` .. `first + count - 1` of a run.
 
     Returns the chunk's click list (offset ticks, owner, detector): per
-    click, its owner indexes this chunk's triggers, the one whose
-    acquisition window the gate kept the click in; its offset is its tick
-    less its owner's; and its detector is DET_A or DET_B (uint8). No
+    click, its owner (uint32) indexes this chunk's triggers, the one whose
+    acquisition window the gate kept the click in; its offset (int64) is
+    its tick less its owner's; and its detector is DET_A or DET_B (uint8). No
     click depends on `first`, the chunk's place in the run.
     """
     rng = np.random.default_rng([config.seed, chunk_idx])
@@ -278,7 +283,7 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
     for code, rate in ((DET_A, config.bg_rate_a), (DET_B, config.bg_rate_b)):
         if rate > 0.0:
             n_bg = rng.poisson(rate * w * count)
-            own = rng.integers(count, size=n_bg)
+            own = rng.integers(count, size=n_bg).astype(np.uint32)
             parts.append((rng.random(n_bg) * w, own, np.full(n_bg, code, np.uint8)))
     if len(parts) > 1:
         times, owner, detector = (np.concatenate(column) for column in zip(*parts))
@@ -291,13 +296,18 @@ def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx:
     times = _ns_to_ticks(times, config.timestamp_resolution)  # the offset ticks, unfloored
     # The gate keeps a click whose offset tick lies in the window's n_w
     # ticks; `trigger_period` exceeds `window_length` by a tick, so every
-    # offset tick stays below the next trigger's tick.
+    # offset tick stays below the next trigger's tick. Two reductions find
+    # whether any click falls outside (jitter, an offset or a far tail);
+    # only then is a mask built.
     n_w = _whole_ticks(w, config.timestamp_resolution)
-    keep = (times >= 0.0) & (times < n_w)
-    if not keep.all():  # all are kept unless jitter or an offset moves them
-        keep = np.flatnonzero(keep)
+    if times.size and (times.min() < 0.0 or times.max() >= n_w):
+        keep = np.flatnonzero((times >= 0.0) & (times < n_w))
         times, owner, detector = times[keep], owner[keep], detector[keep]
-    return times.astype(np.int64), owner, detector
+    # The offset ticks, floored in the times' own buffer: each is cast where
+    # its time is read, and every kept time is non-negative.
+    offsets = times.view(np.int64)
+    np.copyto(offsets, times, casting="unsafe")
+    return offsets, owner, detector
 
 
 def _spans(config: ExperimentConfig):
@@ -311,11 +321,17 @@ def _spans(config: ExperimentConfig):
 
 def _imap(fn, tasks, workers: int, ahead: int) -> Iterator:
     """fn(t) for t in tasks, in order, on `workers` threads when there
-    are two or more; at most `ahead` results are made ahead of the consumer."""
+    are two or more; at most `ahead` results are made ahead of the consumer.
+
+    When the consumer stops early (a call raised, the consumer was
+    interrupted or dropped the iterator), the calls not yet started are
+    cancelled, and only those running are waited for.
+    """
     if workers <= 1:
         yield from map(fn, tasks)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
         pending = deque(pool.submit(fn, t) for t in tasks[:ahead])
         for task in tasks[ahead:]:
             done = pending.popleft().result()
@@ -323,6 +339,8 @@ def _imap(fn, tasks, workers: int, ahead: int) -> Iterator:
             yield done
         while pending:
             yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _frame(config: ExperimentConfig, span) -> Frame:
@@ -365,9 +383,10 @@ def simulate_histograms(
 ) -> list[CoincidenceHistogram]:
     """Coincidence histogram of each config's run, without its event stream.
 
-    Each chunk is binned by ``histogram_frames`` where it is generated, as
-    ``homsim analyze`` bins an event file's frames, and the integer counts
-    are summed, so every histogram equals
+    Each chunk is paired and binned on the thread that generates it, by
+    the per-frame step of ``histogram_frames``, as ``homsim analyze`` bins
+    an event file's frames, and the integer counts are summed, so every
+    histogram equals
     ``histogram(pair_events(simulate(config), valid_window).delta_ts,
     config.n_triggers, bin_width, half_range)`` bit for bit. The chunks
     of all configs share one pool of `workers` threads.
@@ -376,13 +395,14 @@ def simulate_histograms(
 
     def chunk_counts(task):
         config, span = task
-        frames = [_frame(config, span)]
-        return histogram_frames(frames, valid_window, bin_width, half_range).counts
+        return _frame_counts(_frame(config, span), valid_window, empty.counts.size,
+                             bin_width, half_range)
 
     spans = [_spans(config) for config in configs]
     tasks = [(config, span) for config, own in zip(configs, spans) for span in own]
     # the counts are small: every chunk is queued at once, so no thread
-    # waits on a longer chunk ahead of it
+    # waits on a longer chunk ahead of it; those not started are
+    # cancelled if a chunk fails or the scan is interrupted
     counts = _imap(chunk_counts, tasks, workers, len(tasks))
     return [replace(empty, counts=sum(islice(counts, len(own)), empty.counts),
                     n_triggers=config.n_triggers)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from homsim import (
     visibility_closed_form,
     write_events,
 )
-from homsim import analysis
+from homsim import analysis, montecarlo
 from homsim.analysis import (
     CoincidenceHistogram,
     histogram_frames,
@@ -378,6 +380,72 @@ def test_event_file_reads_back_as_the_run(tmp_path, fields, workers, valid_windo
     assert got.bin_centers.tobytes() == ref.bin_centers.tobytes()
     if fields.get("window_length") == 5e6:
         assert read_frames(path).__next__().clicks[0].max() >= 2**32
+
+
+def chunk_frames(config, counts):
+    """Frames of `config`'s chunks 0, 1, ..., one after another, of the
+    given trigger counts."""
+    frames, first = [], 0
+    for idx, n in enumerate(counts):
+        frames.append(montecarlo._frame(config, (first, n, idx)))
+        first += n
+    return frames
+
+
+def per_frame_counts(frames, valid_window, bin_width, half_range):
+    """The summed counts of `frames`, each paired by pair_clicks into
+    arrays of its own and binned by histogram."""
+    return sum(
+        histogram(pair_clicks(f.n_triggers, f.clicks, valid_window, f.grid.resolution).delta_ts,
+                  f.n_triggers, bin_width, half_range).counts
+        for f in frames
+    )
+
+
+# A long frame, a short one and a long one again: through one first-click
+# buffer, a first click left from the frame before would pair again
+LONG_SHORT_LONG = (_CHUNK, 7, _CHUNK)
+
+
+def test_first_click_buffer_keeps_nothing_of_the_frame_before():
+    config = ExperimentConfig(n_triggers=3 * _CHUNK, eta_f=0.5, eta_s=0.7, bg_rate_a=1e-3,
+                              bg_rate_b=1e-3, seed=5)
+    frames = chunk_frames(config, LONG_SHORT_LONG)
+    binning = (85.0, 10.0, 255.0)
+    h = histogram_frames(frames, *binning)
+    assert h.n_triggers == sum(LONG_SHORT_LONG)
+    assert h.counts.tobytes() == per_frame_counts(frames, *binning).tobytes()
+
+
+def test_threads_bin_their_own_runs_at_once():
+    # Each thread pairs into a buffer of its own: three threads, more than
+    # the cores of a small host, switching often, each binning its own run.
+    binning = (85.0, 10.0, 255.0)
+    runs = [chunk_frames(ExperimentConfig(n_triggers=3 * _CHUNK, eta_f=1.0, eta_s=eta,
+                                          xi=xi, seed=seed), LONG_SHORT_LONG)
+            for eta, xi, seed in ((1.0, 1.0, 6), (0.6, 0.0, 7), (0.3, 0.5, 8))]
+    want = [per_frame_counts(frames, *binning).tobytes() for frames in runs]
+    barrier = threading.Barrier(len(runs), timeout=60)
+    got = [[] for _ in runs]
+
+    def bin_run(k):
+        barrier.wait()
+        for _ in range(4):
+            got[k].append(histogram_frames(runs[k], *binning).counts.tobytes())
+
+    threads = [threading.Thread(target=bin_run, args=(k,)) for k in range(len(runs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(set(want)) == len(runs)
+    assert got == [[w] * 4 for w in want]
 
 
 class TestHistogram:

@@ -407,12 +407,24 @@ GOLDEN_RUNS = {
     "ps": dict(n_triggers=20_000, eta_f=0.5, eta_s=0.5, bg_rate_a=1e-3, bg_rate_b=1e-3,
                detector_offset_a=20, trigger_period=500.002, timestamp_resolution=1, seed=30),
 }
+GOLDEN_DIP_RUNS = {
+    # a scan at unit efficiency, two chunks per run, each paired and binned
+    # where it is made
+    "dip_dense": dict(n_triggers=montecarlo._CHUNK + 4464, delta_t_list="-40, 0, 10", seed=31),
+    # background, excitation jitter, a detuned outcome law, both detector
+    # offsets and the wing floor
+    "dip_mixed": dict(n_triggers=montecarlo._CHUNK + 4464, eta_f=0.5, eta_s=0.5,
+                      bg_rate_a=1e-3, bg_rate_b=1e-3, excitation_jitter_sigma=1.5, detuning=2,
+                      detector_offset_a=20, detector_offset_b=5, subtract_accidentals="true",
+                      delta_t_list="-10, 0, 10", seed=32),
+}
 # The sha256 of every file that `simulate` par and perp and then `analyze`
-# write for GOLDEN_RUNS, as homsim 0.4.0 writes them. A change that moves
-# a byte of the stream, of the event file or of an analysis output
-# updates them together with its version. 0.4.0's event files of format
-# 2 moved every events.csv and events.json (which holds the file's
-# digest and no resolution_ps); the analysis outputs kept their bytes.
+# write for GOLDEN_RUNS, and that `dip` writes for GOLDEN_DIP_RUNS, as
+# homsim 0.4.0 writes them. A change that moves a byte of the stream, of
+# the event file or of an analysis output updates them together with its
+# version. 0.4.0's event files of format 2 moved every events.csv and
+# events.json (which holds the file's digest and no resolution_ps); the
+# analysis outputs kept their bytes.
 GOLDEN_DIGESTS = {
     "ps": {
         "ana/histogram_par.csv": "7521b30784cf59b28483c1f7cdd3fd2455212b685e91fd84191304c6e8c6f662",
@@ -432,6 +444,14 @@ GOLDEN_DIGESTS = {
         "perp/events.csv": "15028be2218e24ef30314c7cf60b4fedd839508685e04e82dd4e04447aaa40cc",
         "perp/events.json": "7a203b1e0818269e9986942faae5172f702eab080fce657042448536ca74a917",
     },
+    "dip_dense": {
+        "dip/dip.csv": "aa5e913f7ab4e5ddfb4bb922d8a1a14fb436b94166ee266ec6e7732f15e6afb4",
+        "dip/dip.json": "9d43e32497cc8d03eddbdc661043f19f84baf95ea615b4ff90779eb6d2e74f7d",
+    },
+    "dip_mixed": {
+        "dip/dip.csv": "cb350fddc0f95d81c765f8eed2c4669277accfaa572e801952328adc02c9ef6e",
+        "dip/dip.json": "2456ee61d88a18cec2c227ed25b9b4831981c54b18dc842618253ff9672aed56",
+    },
 }
 
 
@@ -448,6 +468,16 @@ def test_outputs_match_recorded_digests(tmp_path, capsys, run):
         f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.glob("*/*"))
     }
+    assert digests == GOLDEN_DIGESTS[run]
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_DIP_RUNS))
+def test_dip_outputs_match_recorded_digests(tmp_path, capsys, run):
+    cfg = write_cfg(tmp_path / "c.cfg", **GOLDEN_DIP_RUNS[run])
+    out = tmp_path / "dip"
+    assert cli.main(["dip", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 0
+    digests = {f"dip/{name}": hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("dip.csv", "dip.json")}
     assert digests == GOLDEN_DIGESTS[run]
 
 

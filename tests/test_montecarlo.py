@@ -2,6 +2,7 @@ import math
 import re
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -26,7 +27,7 @@ from homsim import (
 from homsim.interference import _BOUNDS, Envelope, _p_coincidence, amplitude
 from homsim import montecarlo
 from homsim.analysis import pair_clicks
-from homsim.io import DET_A, DET_B, DET_T, _stream, _trigger_ticks
+from homsim.io import DET_A, DET_B, DET_T, _stream, _trigger_ticks, read_frames, write_events
 from homsim.montecarlo import _CHUNK, simulate_frames
 from helpers import coincidence_fraction, quantize, smallest_period
 from quadrature import window
@@ -267,6 +268,53 @@ class TestDeterminism:
             assert len(made) <= k + 1 + workers * (workers > 1)
         assert sorted(made) == [(first, 100, first // 100) for first in range(0, 1000, 100)]
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failing_chunk_cancels_the_chunks_not_started(self, monkeypatch, workers):
+        # `homsim dip` queues every chunk of its scan at once. When the k-th
+        # chunk raises, the chunks not yet started are cancelled: each
+        # later chunk that did start holds its thread until the pool shuts
+        # down, so at most one per thread starts after the k-th.
+        k, started, release = 3, [], threading.Event()
+        generate = montecarlo._simulate_chunk
+
+        def chunk(config, first, count, idx):
+            started.append(idx)
+            if idx == k - 1:
+                raise RuntimeError("chunk failed")
+            if idx >= k:
+                release.wait(timeout=60)
+            return generate(config, first, count, idx)
+
+        class Pool(ThreadPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                release.set()
+                super().shutdown(wait=wait)
+
+        monkeypatch.setattr(montecarlo, "_CHUNK", 100)
+        monkeypatch.setattr(montecarlo, "_simulate_chunk", chunk)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+        configs = [ideal_config(n_triggers=1000), ideal_config(n_triggers=1000, xi=0.0)]
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            simulate_histograms(configs, 85.0, 10.0, 255.0, workers=workers)
+        assert release.is_set()
+        assert len(started) <= k + workers, started
+
+    @pytest.mark.parametrize("fields", [
+        dict(eta_f=1.0, eta_s=1.0),
+        dict(eta_f=0.3, eta_s=0.6, bg_rate_a=1e-3, bg_rate_b=1e-3, excitation_jitter_sigma=1.5,
+             detector_offset_a=20.0),
+        dict(eta_f=0.0, eta_s=0.0),
+    ], ids=["eta-1", "gated-background", "dark"])
+    def test_frames_carry_the_event_file_dtypes(self, tmp_path, fields):
+        # int64 offsets, uint32 owners and uint8 codes, as read_frames gives
+        # them, so that the writer converts none of them
+        config = ExperimentConfig(n_triggers=_CHUNK + 7, seed=9, **fields)
+        path = write_events(simulate_frames(config), tmp_path / "events.csv")
+        want = [np.dtype(np.int64), np.dtype(np.uint32), np.dtype(np.uint8)]
+        for made, read in zip(simulate_frames(config), read_frames(path), strict=True):
+            assert [c.dtype for c in made.clicks] == [c.dtype for c in read.clicks] == want
+
     def test_stream_sorted_with_triggers_first(self):
         cfg = ideal_config(n_triggers=20_000)
         s = simulate(cfg)
@@ -438,6 +486,46 @@ def test_outcome_law_matches_complex_amplitudes(taus, gap, sigma, detunings, xi,
     )
     np.testing.assert_allclose(p_c, want_c, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(0.5 * (1.0 - p_c), want_same, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("detuning", [0.0, 2.5])
+def test_outcome_law_is_one_half_at_xi_zero(detuning):
+    # bit for bit, for scalars and arrays, inside and outside the support
+    pair = SourcePair(Envelope(TAU_F), Envelope(TAU_S, detuning=detuning), 0.0)
+    rng = np.random.default_rng(3)
+    t1, t2 = rng.uniform(-20.0, 200.0, 500), rng.uniform(-20.0, 200.0, 500)
+    t0_f = rng.uniform(0.0, 10.0, 500)
+    support = (t1 >= t0_f) & (t2 >= 4.0) & (t2 >= t0_f) & (t1 >= 4.0)
+    assert 0 < support.sum() < support.size
+    p = _p_coincidence(pair, t1, t2, t0_f, 4.0)
+    assert p.shape == (500,) and p.tobytes() == np.full(500, 0.5).tobytes()
+    # inside; the heralded time before the single-atom start; both after
+    # the heralded start but the single-atom time before it
+    for args in ((1.0, 2.0, 0.0, 0.0), (3.0, 9.0, 0.0, 5.0), (30.0, 2.0, 5.0, 0.0)):
+        p = _p_coincidence(pair, *args)
+        assert np.shape(p) == () and np.asarray(p).tobytes() == np.float64(0.5).tobytes()
+
+
+@given(
+    starts=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+    sigma=st.floats(0.0, 5.0),
+    detuning=maybe(st.floats(-40.0, 40.0)),
+    xi=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_support_from_the_later_start_matches_four_comparisons(starts, sigma, detuning, xi, seed):
+    # The law tests both times against max(t0_f, t0_s). Over jittered
+    # per-sample starts, with times below either start, it must equal the
+    # unmasked law where all four comparisons hold, and 1/2 elsewhere.
+    rng = np.random.default_rng(seed)
+    n = 256
+    t0_f = starts[0] + sigma * rng.standard_normal(n)
+    t0_s = starts[1] + sigma * rng.standard_normal(n)
+    t1, t2 = rng.uniform(-40.0, 60.0, n), rng.uniform(-40.0, 60.0, n)
+    pair = SourcePair(Envelope(TAU_F), Envelope(TAU_S, detuning=detuning), xi)
+    four = (t1 >= t0_f) & (t2 >= t0_s) & (t2 >= t0_f) & (t1 >= t0_s)
+    want = np.where(four, _p_coincidence(pair, t1, t2, -np.inf, -np.inf), 0.5)
+    assert _p_coincidence(pair, t1, t2, t0_f, t0_s).tobytes() == want.tobytes()
 
 
 @st.composite
