@@ -128,6 +128,24 @@ def _check_workers(workers: int) -> None:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
 
 
+def _out_dir(text: str):
+    """Check the output directory `text` (--out) before any event is made
+    or read; returns the call that makes it where the command writes, so
+    that a command that fails first leaves no directory behind."""
+    out = Path(text)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--out {text}: exists and is not a directory")
+
+    def make() -> Path:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {text}: cannot make the directory: {exc.strerror}") from None
+        return out
+
+    return make
+
+
 def _experiment_config(cfg: dict, seed=None, xi=None, delta_t=None):
     kwargs = {f.name: cfg[f.name] for f in _SIM_FIELDS}
     if seed is not None:
@@ -169,6 +187,7 @@ def _config_keys(*keys):
 
 
 def cmd_oracle(args) -> int:
+    make_out = _out_dir(args.out)
     # the model parameters are checked as a run's are, with a placeholder trigger
     pair_par = montecarlo.ExperimentConfig(
         n_triggers=1, tau_s=args.tau_s, tau_f=args.tau_f, xi=args.xi, detuning=args.detuning,
@@ -180,8 +199,7 @@ def cmd_oracle(args) -> int:
         interference._check_bound("delta_t", float(end), "delay", ConfigError)
     dens_grid = _parse_grid(args.density_range)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out()
     params = {
         "tau_s": args.tau_s,
         "tau_f": args.tau_f,
@@ -208,11 +226,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_workers(args.workers)
+    make_out = _out_dir(args.out)
     cfg = parse_config_file(args.config)
     _require(cfg, ["n_triggers"])
     config = _experiment_config(cfg, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out()
     meta = {"config": dataclasses.asdict(config)}
     # the frames are generated as write_events asks for them
     frames = montecarlo.simulate_frames(config, workers=args.workers)
@@ -241,6 +259,7 @@ def _check_analysis(cfg: dict, t_c_key: str, t_c: float):
 
 
 def cmd_analyze(args) -> int:
+    make_out = _out_dir(args.out)
     cfg = parse_config_file(args.config)
     wing = _check_analysis(cfg, "t_c", cfg["t_c"])
     for path in (args.par, args.perp):
@@ -255,8 +274,7 @@ def cmd_analyze(args) -> int:
     g_acc = None if wing is None else analysis.estimate_accidentals(h_par, h_perp, wing=wing)
     result = analysis.visibility(h_par, h_perp, cfg["t_c"], g_acc)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out()
     chash = io.config_hash(cfg)
     payload = {**dataclasses.asdict(result), "config_hash": chash}
     for name, h, path in (("par", h_par, args.par), ("perp", h_perp, args.perp)):
@@ -278,6 +296,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_dip(args) -> int:
     _check_workers(args.workers)
+    make_out = _out_dir(args.out)
     cfg = parse_config_file(args.config)
     _require(cfg, ["n_triggers"])
     deltas = cfg["delta_t_list"]
@@ -300,8 +319,7 @@ def cmd_dip(args) -> int:
     points = analysis.dip_curve(list(zip(deltas, hists[0::2], hists[1::2])), t_c, wing)
     model = [interference.dip_ratio(p.delta_t, cfg["tau_s"], cfg["tau_f"]) for p in points]
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out()
     chash = io.config_hash(cfg)
     path = io.write_table(
         out / "dip.csv", {"config_hash": chash}, ("delta_t_ns", "ratio", "sigma", "model_ratio"),

@@ -37,7 +37,8 @@ past n_w and a code other than A or B; naming the file for a file of no
 frame, and when the sidecar's record count or digest disagrees with the
 file; and naming the sidecar when it is not a JSON object.
 ``write_events`` refuses with ValueError the frames that the reader
-would refuse, and a sidecar config whose grid is not the frames'.
+would refuse, click arrays that are not 1-D integer arrays of one length,
+and a sidecar config whose grid is not the frames'.
 
 ``_stream`` lays frames out as one stream sorted by tick: ``simulate``
 and ``read_events`` both build their streams with it.
@@ -203,7 +204,14 @@ def _frame_fault(frame: Frame, first: int) -> str | None:
     # as the run's config checks its last trigger
     if (first + n) * _ns_to_ticks(grid.period, grid.resolution) >= 2**63:
         return f" ends at trigger {first + n}, whose tick is past int64"
+    # arrays like the reader's, so that the writer's casts lose nothing
+    # and no short array broadcasts through the checks below
     offsets, owner, codes = frame.clicks
+    if not (offsets.ndim == owner.ndim == codes.ndim == 1
+            and offsets.size == owner.size == codes.size
+            and all(c.dtype.kind in "iu" for c in frame.clicks)):
+        return (": its offsets, owners and codes must be 1-D integer arrays of one length, "
+                "got " + ", ".join(f"{c.dtype} {c.shape}" for c in frame.clicks))
     bad = (owner < 0) | (owner >= n)
     bad |= (offsets < 0) | (offsets >= grid.n_w)
     bad |= (codes != DET_A) & (codes != DET_B)
@@ -247,7 +255,8 @@ def write_events(frames: Iterable[Frame], path, metadata: dict | None = None) ->
 
     The frames are written as they come, and the sidecar's record count
     and digest cover them all. Raises ValueError, and leaves neither file,
-    for frames that ``read_frames`` would refuse or on different grids,
+    for frames that ``read_frames`` would refuse, whose click arrays are
+    not 1-D integer arrays of one length, or on different grids,
     for no frame at all, for `metadata` that would overwrite a field the
     sidecar takes from the frames (``n_records``, ``sha256``) and for a
     `metadata` ``config`` whose grid (``_echo_fault``) is not the frames'.

@@ -265,14 +265,15 @@ def _photons(rng, config: ExperimentConfig, count: int):
     return times, np.concatenate((on_f, on_s)), detector
 
 
-def _simulate_chunk(config: ExperimentConfig, first: int, count: int, chunk_idx: int):
-    """The clicks of triggers `first` .. `first + count - 1` of a run.
+def _simulate_chunk(config: ExperimentConfig, count: int, chunk_idx: int):
+    """The clicks of chunk `chunk_idx` of a run, which holds `count` triggers.
 
     Returns the chunk's click list (offset ticks, owner, detector): per
     click, its owner (uint32) indexes this chunk's triggers, the one whose
     acquisition window the gate kept the click in; its offset (int64) is
-    its tick less its owner's; and its detector is DET_A or DET_B (uint8). No
-    click depends on `first`, the chunk's place in the run.
+    its tick less its owner's; and its detector is DET_A or DET_B (uint8).
+    The clicks depend on the seed, the chunk index and the trigger count
+    alone, not on the chunk's place in the run.
     """
     rng = np.random.default_rng([config.seed, chunk_idx])
     times, owner, detector = _photons(rng, config, count)
@@ -320,16 +321,15 @@ def _spans(config: ExperimentConfig):
 
 
 def _imap(fn, tasks, workers: int, ahead: int) -> Iterator:
-    """fn(t) for t in tasks, in order, on `workers` threads when there
-    are two or more; at most `ahead` results are made ahead of the consumer.
+    """fn(t) for t in tasks, in order, on a pool of `workers` threads at
+    any count (below 1 the pool raises ValueError); at most `ahead`
+    results are made ahead of the consumer.
 
-    When the consumer stops early (a call raised, the consumer was
-    interrupted or dropped the iterator), the calls not yet started are
-    cancelled, and only those running are waited for.
+    Every call runs on the pool, never on the consumer's thread, which
+    only takes the results. When the consumer stops early (a call raised,
+    the consumer was interrupted or dropped the iterator), the calls not
+    yet started are cancelled, and only those running are waited for.
     """
-    if workers <= 1:
-        yield from map(fn, tasks)
-        return
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         pending = deque(pool.submit(fn, t) for t in tasks[:ahead])
@@ -345,15 +345,18 @@ def _imap(fn, tasks, workers: int, ahead: int) -> Iterator:
 
 def _frame(config: ExperimentConfig, span) -> Frame:
     """The frame of chunk `span`, (first trigger, trigger count, chunk index)."""
-    return Frame(config.grid(), span[0], span[1], _simulate_chunk(config, *span))
+    first, count, idx = span
+    return Frame(config.grid(), first, count, _simulate_chunk(config, count, idx))
 
 
 def simulate_frames(config: ExperimentConfig, workers: int = 1) -> Iterator[Frame]:
     """The frames of `config`'s run, chunk by chunk in trigger order.
 
-    Nothing is generated before the first frame is asked for, and at most
-    `workers` frames ahead of the one asked for; the frames are the same
-    for any number of workers.
+    `workers` threads generate every frame, at any count; the calling
+    thread only takes them (to write, or to lay out). Nothing is generated
+    before the first frame is asked for, and at most `workers` frames ahead
+    of the one asked for; the frames are the same for any number of
+    workers.
     """
     yield from _imap(partial(_frame, config), _spans(config), workers, workers)
 
@@ -363,8 +366,8 @@ def simulate(config: ExperimentConfig, workers: int = 1) -> EventStream:
 
     Args:
         config: validated experiment description.
-        workers: number of threads generating chunks; the output stream is
-            identical for any value.
+        workers: number of threads generating chunks, at least 1; the
+            output stream is identical for any count.
 
     Returns:
         EventStream sorted by (timestamp, detector), triggers first on ties:
@@ -389,7 +392,8 @@ def simulate_histograms(
     histogram equals
     ``histogram(pair_events(simulate(config), valid_window).delta_ts,
     config.n_triggers, bin_width, half_range)`` bit for bit. The chunks
-    of all configs share one pool of `workers` threads.
+    of all configs share one pool of `workers` threads, which generate,
+    pair and bin every chunk; the calling thread only sums the counts.
     """
     empty = histogram([], 1, bin_width, half_range)  # checks the binning first
 

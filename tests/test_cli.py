@@ -897,6 +897,46 @@ def test_delay_beyond_bound_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def out_argv(tmp_path, command):
+    """A working command line of `command`, up to its --out."""
+    cfg = str(write_cfg(tmp_path / "c.cfg", n_triggers=2000, delta_t_list=0))
+    if command == "oracle":
+        return ["oracle"]
+    if command == "analyze":
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        events = str(tmp_path / "run" / "events.csv")
+        return ["analyze", "--par", events, "--perp", events, "--config", cfg]
+    return [command, "--config", cfg]
+
+
+@pytest.mark.parametrize("command", ["oracle", "simulate", "analyze", "dip"])
+def test_out_naming_a_file_exits_one(tmp_path, capsys, monkeypatch, command):
+    # refused before any event is made or read, and the file is left as it was
+    argv = out_argv(tmp_path, command)
+    for module, name in [(cli.montecarlo, "simulate_frames"), (cli.io, "read_frames"),
+                         (cli.montecarlo, "simulate_histograms")]:
+        monkeypatch.setattr(module, name, _must_not_run)
+    capsys.readouterr()
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    assert cli.main([*argv, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: --out {taken}: exists and is not a directory\n"
+    assert taken.read_text() == "a file"
+
+
+@pytest.mark.parametrize("command", ["oracle", "simulate", "analyze", "dip"])
+def test_out_that_cannot_be_made_exits_one(tmp_path, capsys, command):
+    argv = out_argv(tmp_path, command)
+    capsys.readouterr()
+    (tmp_path / "taken").write_text("a file")
+    out = tmp_path / "taken" / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out {out}: cannot make the directory: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 @pytest.mark.parametrize("command", ["simulate", "dip"])
 def test_workers_below_one_exit_one(tmp_path, capsys, command, workers):

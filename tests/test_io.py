@@ -530,6 +530,9 @@ def test_same_size_spellings_rejected(tmp_path, data, where):
         read_events(path)
 
 
+ARRAYS_FAULT = ": its offsets, owners and codes must be 1-D integer arrays of one length, got "
+
+
 class TestWriterChecks:
     """The writer refuses what the reader would, and leaves no file."""
 
@@ -554,10 +557,24 @@ class TestWriterChecks:
         (sample_frames(Grid(1000.0, 125.0, 8000)), ValueError, "no run's grid"),
         ([], ValueError, "no frame"),
         (frames_then_failure(), RuntimeError, "chunk source"),
+        # click arrays unlike the reader's, refused before any cast: a short
+        # code array that would broadcast through the range checks, a NaN
+        # offset that passes them, float offsets and owners that the casts
+        # would truncate, and lengths that do not broadcast
+        (sample_frames()[:1] + [Frame(GRID, 2, 2, (np.array([3, 10, 11]),
+                                                   np.array([0, 1, 1], np.uint32),
+                                                   np.array([1], np.uint8)))],
+         ValueError, f"frame 1{ARRAYS_FAULT}int64 (3,), uint32 (3,), uint8 (1,)"),
+        ([Frame(GRID, 0, 1, (np.array([np.nan]), np.zeros(1, np.uint32), np.ones(1, np.uint8)))],
+         ValueError, f"frame 0{ARRAYS_FAULT}float64 (1,), uint32 (1,), uint8 (1,)"),
+        ([Frame(GRID, 0, 1, (np.array([3.7]), np.array([0.5]), np.ones(1, np.uint8)))],
+         ValueError, f"frame 0{ARRAYS_FAULT}float64 (1,), float64 (1,), uint8 (1,)"),
+        ([Frame(GRID, 0, 3, (np.arange(2), np.arange(3), np.ones(3, np.uint8)))],
+         ValueError, f"frame 0{ARRAYS_FAULT}int64 (2,), int64 (3,), uint8 (3,)"),
     ], ids=["owner", "negative-offset", "offset", "code", "negative-owner", "owner-past-uint32",
             "out-of-order", "trigger-count", "mixed-grids", "window-past-period",
-            "window-of-the-period", "no-frame",
-            "failing-source"])
+            "window-of-the-period", "no-frame", "failing-source", "short-codes", "nan-offset",
+            "float-clicks", "lengths"])
     def test_writer_refuses_and_leaves_no_file(self, tmp_path, frames, error, match):
         path = tmp_path / "events.csv"
         path.write_text("an earlier run")

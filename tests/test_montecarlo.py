@@ -261,14 +261,39 @@ class TestDeterminism:
         chunk = montecarlo._simulate_chunk
         monkeypatch.setattr(montecarlo, "_CHUNK", 100)
         monkeypatch.setattr(montecarlo, "_simulate_chunk",
-                            lambda config, *span: made.append(span) or chunk(config, *span))
+                            lambda config, *of: made.append(of) or chunk(config, *of))
         frames = simulate_frames(ideal_config(n_triggers=1000), workers=workers)
         assert made == []
         for k, _ in enumerate(frames):
-            assert len(made) <= k + 1 + workers * (workers > 1)
-        assert sorted(made) == [(first, 100, first // 100) for first in range(0, 1000, 100)]
+            assert len(made) <= k + 1 + workers
+        assert sorted(made) == [(100, idx) for idx in range(10)]
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("run", ["simulate_frames", "simulate_histograms"])
+    def test_no_chunk_made_on_the_calling_thread(self, monkeypatch, run):
+        # at one worker too, the pool makes every chunk: the calling thread
+        # only takes the frames or sums the counts
+        threads, chunk = [], montecarlo._simulate_chunk
+        monkeypatch.setattr(montecarlo, "_CHUNK", 100)
+        monkeypatch.setattr(montecarlo, "_simulate_chunk",
+                            lambda *args: threads.append(threading.get_ident()) or chunk(*args))
+        config = ideal_config(n_triggers=1000)
+        if run == "simulate_frames":
+            list(simulate_frames(config, workers=1))
+        else:
+            simulate_histograms([config], 85.0, 10.0, 255.0, workers=1)
+        assert len(threads) == 10
+        assert threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, workers):
+        config = ideal_config(n_triggers=1000)
+        for run in (lambda: simulate(config, workers),
+                    lambda: list(simulate_frames(config, workers)),
+                    lambda: simulate_histograms([config], 85.0, 10.0, 255.0, workers)):
+            with pytest.raises(ValueError, match="max_workers"):
+                run()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_failing_chunk_cancels_the_chunks_not_started(self, monkeypatch, workers):
         # `homsim dip` queues every chunk of its scan at once. When the k-th
         # chunk raises, the chunks not yet started are cancelled: each
@@ -277,13 +302,13 @@ class TestDeterminism:
         k, started, release = 3, [], threading.Event()
         generate = montecarlo._simulate_chunk
 
-        def chunk(config, first, count, idx):
+        def chunk(config, count, idx):
             started.append(idx)
             if idx == k - 1:
                 raise RuntimeError("chunk failed")
             if idx >= k:
                 release.wait(timeout=60)
-            return generate(config, first, count, idx)
+            return generate(config, count, idx)
 
         class Pool(ThreadPoolExecutor):
             def shutdown(self, wait=True, *, cancel_futures=False):
@@ -584,15 +609,19 @@ def test_stream_matches_reference_generator(config, workers):
 
 
 @settings(max_examples=40, deadline=None)
-@given(config=generator_configs(), shift=st.integers(1, 10**10))
-def test_offset_ticks_do_not_depend_on_the_trigger_index(config, shift):
-    # the chunk's triggers moved `shift` triggers later in the run
-    count = min(config.n_triggers, _CHUNK)
-    clicks = montecarlo._simulate_chunk(config, 0, count, 0)
-    moved = montecarlo._simulate_chunk(config, shift, count, 0)
-    # offsets, owners and detectors alike
-    for column, moved_column in zip(clicks, moved, strict=True):
-        assert moved_column.tobytes() == column.tobytes()
+@given(config=generator_configs(), extra=st.integers(1, _CHUNK))
+def test_chunk_clicks_do_not_depend_on_the_run_length(config, extra):
+    # A chunk's clicks depend on the seed, the chunk index and the trigger
+    # count alone: a longer run makes the same clicks in every chunk of the
+    # shorter run, the last one made at the shorter run's count.
+    longer = replace(config, n_triggers=config.n_triggers + extra)
+    frames = list(simulate_frames(config))
+    for frame, again in zip(frames, simulate_frames(longer)):
+        if again.n_triggers != frame.n_triggers:
+            again = montecarlo._frame(longer, (frame.first, frame.n_triggers, len(frames) - 1))
+        # offsets, owners and detectors alike
+        for column, again_column in zip(frame.clicks, again.clicks, strict=True):
+            assert again_column.tobytes() == column.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -982,7 +1011,7 @@ def gate_end(config):
     clicks = (times, np.arange(times.size), np.full(times.size, DET_A, np.uint8))
     with mock.patch.object(montecarlo, "_photons", lambda rng, config, count: clicks):
         offsets, owner, _ = montecarlo._simulate_chunk(
-            replace(config, bg_rate_a=0.0, bg_rate_b=0.0), 0, times.size, 0
+            replace(config, bg_rate_a=0.0, bg_rate_b=0.0), times.size, 0
         )
     assert offsets.tolist() == want[owner].tolist()
     # the mid-tick photons put the end inside the ticks, and the gate keeps
