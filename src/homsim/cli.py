@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -20,7 +21,9 @@ import numpy as np
 from . import analysis, interference, io, montecarlo
 from .errors import ConfigError, DataFormatError, InsufficientStatisticsError
 
-_MAX_GRID = 10**6  # points of an oracle grid, each evaluated in Python
+# points of an oracle grid: the delay grid is one array call, the density
+# grid one Python call per point
+_MAX_GRID = 10**6
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -133,8 +136,15 @@ def _out_dir(text: str):
     or read; returns the call that makes it where the command writes, so
     that a command that fails first leaves no directory behind."""
     out = Path(text)
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"--out {text}: exists and is not a directory")
+    # mkdir makes what is missing of the path under its nearest existing
+    # part, which must be a directory; one that exists but cannot be
+    # written is found only at mkdir
+    part = out
+    while not os.path.exists(part) and part != part.parent:
+        part = part.parent
+    if not os.path.isdir(part):
+        where = "" if part == out else f"{part} "
+        raise ConfigError(f"--out {text}: {where}exists and is not a directory")
 
     def make() -> Path:
         try:
@@ -195,8 +205,10 @@ def cmd_oracle(args) -> int:
     pair_perp = dataclasses.replace(pair_par, xi=0.0)
     vis = interference.visibility_closed_form(args.tau_s, args.tau_f)
     dip_grid = _parse_grid(args.delta_t)
-    for end in (dip_grid.min(initial=0.0), dip_grid.max(initial=0.0)):  # 0 if empty
-        interference._check_bound("delta_t", float(end), "delay", ConfigError)
+    try:  # the whole grid in one call, which holds its ends to a run's delay bound
+        dip = interference.dip_ratio(dip_grid, args.tau_s, args.tau_f)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     dens_grid = _parse_grid(args.density_range)
 
     out = make_out()
@@ -208,10 +220,12 @@ def cmd_oracle(args) -> int:
         "delta_t": args.delta_t,
         "density_range": args.density_range,
     }
+    # the density point by point, as coincidence_density is a scalar function
     points = [
         *((name, x, interference.coincidence_density(pair, x))
-          for name, pair in (("g_perp", pair_perp), ("g_par", pair_par)) for x in dens_grid),
-        *(("dip_ratio", d, interference.dip_ratio(d, args.tau_s, args.tau_f)) for d in dip_grid),
+          for name, pair in (("g_perp", pair_perp), ("g_par", pair_par))
+          for x in dens_grid.tolist()),
+        *(("dip_ratio", d, r) for d, r in zip(dip_grid.tolist(), dip.tolist())),
     ]
     rows = [(name, f"{x:.15g}", f"{value:.12g}") for name, x, value in points]
     rows.append(("visibility", "", f"{vis:.12g}"))
@@ -317,7 +331,7 @@ def cmd_dip(args) -> int:
         workers=args.workers,
     )
     points = analysis.dip_curve(list(zip(deltas, hists[0::2], hists[1::2])), t_c, wing)
-    model = [interference.dip_ratio(p.delta_t, cfg["tau_s"], cfg["tau_f"]) for p in points]
+    model = interference.dip_ratio([p.delta_t for p in points], cfg["tau_s"], cfg["tau_f"]).tolist()
 
     out = make_out()
     chash = io.config_hash(cfg)

@@ -229,18 +229,20 @@ def coincidence_density(pair: SourcePair, dt: float) -> float:
     # of a1 = psi_f(t) psi_s(t+dt) and a2 = psi_f(t+dt) psi_s(t) leave
     # a1 a2* with the phase (omega_f - omega_s) dt, which does not depend on
     # t, so a relative detuning only scales the cross term by cos(d_omega dt)
-    # and the direct terms not at all.
+    # and the direct terms not at all. The direct term of |a1|^2 integrates
+    # from lo, where both of its factors have started, and that of |a2|^2 is
+    # the same at -dt; both are written out, as a nested function would cost
+    # more than their arithmetic.
     dt = float(dt)  # a float overflows to inf where a numpy scalar also warns
     env_f, env_s = pair.env_f, pair.env_s
     a = 1.0 / env_f.tau
     b = 1.0 / env_s.tau
     tf, ts = env_f.t0, env_s.t0
     pref = a * b / (a + b)
-
-    def direct(d):
-        lo = max(tf, ts - d)
-        return pref * math.exp(-a * (lo - tf) - b * (lo + d - ts))
-
+    lo = max(tf, ts - dt)
+    direct = pref * math.exp(-a * (lo - tf) - b * (lo + dt - ts))
+    lo = max(tf, ts + dt)
+    direct += pref * math.exp(-a * (lo - tf) - b * (lo - dt - ts))
     cross = 0.0
     if abs(dt) < 1492.0 / (a + b):  # else it underflows to 0 (_BOUNDS)
         cross_lo = max(tf, ts) + max(0.0, -dt)
@@ -248,7 +250,7 @@ def coincidence_density(pair: SourcePair, dt: float) -> float:
             -0.5 * (a + b) * dt - a * (cross_lo - tf) - b * (cross_lo - ts)
         )
         cross *= math.cos(_d_omega(env_f, env_s) * dt)
-    return 0.25 * (direct(dt) + direct(-dt) - 2.0 * pair.xi * pair.xi * cross)
+    return 0.25 * (direct - 2.0 * pair.xi * pair.xi * cross)
 
 
 def _overlap_sq(env_f: Envelope, env_s: Envelope, gap):

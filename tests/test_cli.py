@@ -481,6 +481,22 @@ def test_dip_outputs_match_recorded_digests(tmp_path, capsys, run):
     assert digests == GOLDEN_DIGESTS[run]
 
 
+# The sha256 of the `oracle.csv` that `oracle` writes for each argument
+# list, as homsim 0.4.0 writes it.
+GOLDEN_ORACLE_DIGESTS = {
+    "defaults": ([], "c200786b9e45e956280d923139827325f4a4ef98bb90195156efbc2c27119334"),
+    "detuned": (["--detuning", "2", "--xi", "0.8", "--delta-t=-5:5:5", "--density-range=-3:3:1"],
+                "3c521db3e8976c0bc98cf9c3261f774b67510726be1a72589ceea2ec69db1b71"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_ORACLE_DIGESTS))
+def test_oracle_output_matches_recorded_digest(tmp_path, capsys, run):
+    args, digest = GOLDEN_ORACLE_DIGESTS[run]
+    assert cli.main(["oracle", *args, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "oracle.csv").read_bytes()).hexdigest() == digest
+
+
 class TestAnalyze:
     @pytest.fixture()
     def simulated_pair(self, tmp_path):
@@ -909,13 +925,18 @@ def out_argv(tmp_path, command):
     return [command, "--config", cfg]
 
 
+def no_work(monkeypatch):
+    """Make every command's work, the events it makes or reads, raise."""
+    for module, name in [(cli.montecarlo, "simulate_frames"), (cli.io, "read_frames"),
+                         (cli.montecarlo, "simulate_histograms")]:
+        monkeypatch.setattr(module, name, _must_not_run)
+
+
 @pytest.mark.parametrize("command", ["oracle", "simulate", "analyze", "dip"])
 def test_out_naming_a_file_exits_one(tmp_path, capsys, monkeypatch, command):
     # refused before any event is made or read, and the file is left as it was
     argv = out_argv(tmp_path, command)
-    for module, name in [(cli.montecarlo, "simulate_frames"), (cli.io, "read_frames"),
-                         (cli.montecarlo, "simulate_histograms")]:
-        monkeypatch.setattr(module, name, _must_not_run)
+    no_work(monkeypatch)
     capsys.readouterr()
     taken = tmp_path / "taken"
     taken.write_text("a file")
@@ -925,16 +946,39 @@ def test_out_naming_a_file_exits_one(tmp_path, capsys, monkeypatch, command):
     assert taken.read_text() == "a file"
 
 
+@pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("command", ["oracle", "simulate", "analyze", "dip"])
-def test_out_that_cannot_be_made_exits_one(tmp_path, capsys, command):
+def test_out_under_a_file_exits_one(tmp_path, capsys, monkeypatch, command, depth):
+    # mkdir could not make it: refused before any event is made or read,
+    # and nothing is made
+    argv = out_argv(tmp_path, command)
+    no_work(monkeypatch)
+    capsys.readouterr()
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    out = taken.joinpath(*["out"] * depth)
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: --out {out}: {taken} exists and is not a directory\n"
+    )
+    assert taken.read_text() == "a file"
+
+
+@pytest.mark.parametrize("command", ["oracle", "simulate", "analyze", "dip"])
+def test_out_that_cannot_be_made_exits_one(tmp_path, capsys, monkeypatch, command):
+    # a directory that exists but cannot be written, found where the
+    # command makes its output
     argv = out_argv(tmp_path, command)
     capsys.readouterr()
-    (tmp_path / "taken").write_text("a file")
-    out = tmp_path / "taken" / "out"
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    out = tmp_path / "locked" / "out"
     assert cli.main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: --out {out}: cannot make the directory: ")
-    assert err.count("\n") == 1
+    assert err == f"config error: --out {out}: cannot make the directory: Permission denied\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

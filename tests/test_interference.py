@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homsim import (
     Envelope,
@@ -126,6 +128,65 @@ class TestCoincidenceDensity:
             )
             numeric = interference.coincidence_probability_numeric(pair)
             assert numeric == pytest.approx(coincidence_probability(pair), abs=1e-8)
+
+
+def nested_density(pair, dt):
+    """`coincidence_density` as homsim 0.4.0 first wrote it, with its
+    direct terms in a nested function: the reference for the bits of the
+    form that writes them out."""
+    dt = float(dt)
+    env_f, env_s = pair.env_f, pair.env_s
+    a = 1.0 / env_f.tau
+    b = 1.0 / env_s.tau
+    tf, ts = env_f.t0, env_s.t0
+    pref = a * b / (a + b)
+
+    def direct(d):
+        lo = max(tf, ts - d)
+        return pref * math.exp(-a * (lo - tf) - b * (lo + d - ts))
+
+    cross = 0.0
+    if abs(dt) < 1492.0 / (a + b):
+        cross_lo = max(tf, ts) + max(0.0, -dt)
+        cross = pref * math.exp(
+            -0.5 * (a + b) * dt - a * (cross_lo - tf) - b * (cross_lo - ts)
+        )
+        cross *= math.cos(interference._d_omega(env_f, env_s) * dt)
+    return 0.25 * (direct(dt) + direct(-dt) - 2.0 * pair.xi * pair.xi * cross)
+
+
+# where the cross term of the default coherence times is cut off, |dt| = 1492 / (a + b)
+CROSS_CUT = 1492.0 / (1.0 / TAU_F + 1.0 / TAU_S)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    taus=st.tuples(st.floats(0.1, 100.0), st.floats(0.1, 100.0)),
+    starts=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+    detunings=st.tuples(st.one_of(st.just(0.0), st.floats(-100.0, 100.0)),
+                        st.one_of(st.just(0.0), st.floats(-100.0, 100.0))),
+    xi=st.floats(0.0, 1.0),
+    dt=st.floats(-1e4, 1e4),
+)
+@example(taus=(TAU_F, TAU_S), starts=(0.0, 0.0), detunings=(0.0, 2.0), xi=1.0, dt=0.0)
+@example(taus=(TAU_F, TAU_S), starts=(3.0, -2.0), detunings=(0.0, 0.0), xi=1.0, dt=-0.0)
+@example(taus=(TAU_F, TAU_S), starts=(0.0, 5.0), detunings=(0.0, 2.0), xi=0.8, dt=math.inf)
+@example(taus=(TAU_F, TAU_S), starts=(5.0, 0.0), detunings=(0.0, 2.0), xi=0.8, dt=-math.inf)
+@example(taus=(TAU_F, TAU_S), starts=(0.0, 0.0), detunings=(0.0, 2.0), xi=1.0, dt=CROSS_CUT)
+@example(taus=(TAU_F, TAU_S), starts=(0.0, 0.0), detunings=(0.0, 2.0), xi=1.0,
+         dt=math.nextafter(CROSS_CUT, 0.0))
+@example(taus=(TAU_F, TAU_S), starts=(0.0, 0.0), detunings=(0.0, 2.0), xi=1.0,
+         dt=-math.nextafter(CROSS_CUT, math.inf))
+def test_density_bits_match_nested_form(taus, starts, detunings, xi, dt):
+    # the same float operations in the same order: the same float64 bits,
+    # or NaN where the reference is NaN
+    pair = SourcePair(Envelope(taus[0], t0=starts[0], detuning=detunings[0]),
+                      Envelope(taus[1], t0=starts[1], detuning=detunings[1]), xi)
+    got, want = coincidence_density(pair, dt), nested_density(pair, dt)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (got, want)
 
 
 @pytest.mark.parametrize("taus", [(1e-150, 1e-150), (1e150, 1e150), (1e150, 1e-150), (26.18, 13.61)])
