@@ -18,36 +18,37 @@ from homsim import (
     ExperimentConfig,
     estimate_accidentals,
     expected_histogram,
-    histogram,
-    pair_events,
-    simulate,
+    simulate_histograms,
     visibility,
     visibility_closed_form,
 )
 
 ETA = 0.05        # scaled-up efficiencies keep the demo fast
-# background rate per ns per window: the root, 1.218e-4, of the raw +-25 ns
-# visibility at 62% that the acceptance test's criterion 6 bisects on
-# expected_histogram at these efficiencies
-RATE = 1.22e-4
+# background rate per ns per window: the root of the exact model's raw
+# +-25 ns visibility at 62%, which the acceptance suite's criterion 6
+# bisects on expected_histogram at these efficiencies
+RATE = 1.2048e-4
 N = 1_500_000
 
-hists = {}
-for xi, seed in ((1.0, 101), (0.0, 102)):
-    cfg = ExperimentConfig(
+configs = [
+    ExperimentConfig(
         n_triggers=N, eta_f=ETA, eta_s=ETA, xi=xi,
         bg_rate_a=RATE, bg_rate_b=RATE, seed=seed,
     )
-    pairing = pair_events(simulate(cfg))
-    hists[xi] = histogram(pairing.delta_ts, pairing.n_triggers)
-    print(f"xi = {xi:3.1f}: {pairing.delta_ts.size} coincidence pairs "
-          f"from {pairing.n_triggers} triggers")
-
-h_par, h_perp = hists[1.0], hists[0.0]
+    for xi, seed in ((1.0, 101), (0.0, 102))
+]
+# the analyzer's default validity window and binning, as expected_histogram's
+h_par, h_perp = simulate_histograms(configs, 85.0, 10.0, 205.0)
+models = [expected_histogram(cfg) for cfg in configs]
+for cfg, hist in zip(configs, (h_par, h_perp)):
+    print(f"xi = {cfg.xi:3.1f}: {hist.counts.sum()} coincidence pairs within +-205 ns "
+          f"from {hist.n_triggers} triggers")
 
 print("\n== raw visibility, +-25 ns window ==")
 raw = visibility(h_par, h_perp, 25.0)
-print(f"V_raw = {raw.v:.3f} +- {raw.sigma_v:.3f}")
+sel = h_par.window_bins(25.0)
+raw_model = 1.0 - models[0][sel].sum() / models[1][sel].sum()
+print(f"V_raw = {raw.v:.3f} +- {raw.sigma_v:.3f}   (exact model: {raw_model:.3f})")
 
 print("\n== accidental floor ==")
 wing = estimate_accidentals(h_par, h_perp)  # mean of the two wing levels
@@ -56,10 +57,7 @@ print(f"wing estimate (|dt| in [100, 200] ns): {wing.g_acc:.3e} +- {wing.sigma:.
 
 # the background part of the exact expected histogram, at xi = 0: the
 # histogram less its zero-background self
-cfg = ExperimentConfig(
-    n_triggers=N, eta_f=ETA, eta_s=ETA, xi=0.0, bg_rate_a=RATE, bg_rate_b=RATE
-)
-model = expected_histogram(cfg) - expected_histogram(replace(cfg, bg_rate_a=0.0, bg_rate_b=0.0))
+model = models[1] - expected_histogram(replace(configs[1], bg_rate_a=0.0, bg_rate_b=0.0))
 center = model[np.abs(h_par.bin_centers) <= 5.0][0]
 wing_model = model[np.abs(h_par.bin_centers) >= 100.0].mean()
 print(f"analytic floor: center {center:.3e}, wings {wing_model:.3e} "

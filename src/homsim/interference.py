@@ -6,15 +6,16 @@ amplitude). A pair of them, one per input port of a 50:50 beam
 splitter, has closed forms for the interfering and non-interfering
 coincidence distributions, their integrals, the visibility, the dip
 shape and the outcome law of one trial given both detection times, at
-any pair of carrier detunings; :func:`expected_histogram` models a whole
-run on the simulator's tick grid, accidentals included. Each quantity
-has exactly one implementation here; the independent quadrature
-references live with the tests. The visibility, the dip and the total
-coincidence probability are forms of one quantity, the squared overlap
-of the two envelopes, which only :func:`_overlap_sq` computes. scipy,
-from the ``test`` extra, is imported only by
-:func:`coincidence_probability_numeric`, which ``homsim`` does not
-export: loading it takes most of the time of ``import homsim``.
+any pair of carrier detunings. :func:`expected_histogram` sums that law
+into a whole run on the simulator's tick grid, interference and
+accidentals included. Each quantity has exactly one implementation
+here; the independent quadrature references live with the tests. The
+visibility, the dip and the total coincidence probability are forms of
+one quantity, the squared overlap of the two envelopes, which only
+:func:`_overlap_sq` computes. scipy, from the ``test`` extra, is
+imported only by :func:`coincidence_probability_numeric`, which
+``homsim`` does not export: loading it takes most of the time of
+``import homsim``.
 
 Delay convention: a delay is the envelopes' start times, ``env_f.t0 -
 env_s.t0``; a positive one means the heralded (f) photon's envelope
@@ -337,21 +338,20 @@ def expected_histogram(
     exact on the simulator's tick grid: signal and accidentals to all
     orders in efficiency and background, with the gate, the detector
     offsets, the first click of each detector and the validity window.
+    Excitation jitter is not modelled: it raises NotImplementedError.
 
-    Given the photons of a trigger, each detector's first click is the
-    earliest of its photons and of its Poisson background, independently
-    of the other detector's. This holds for every trigger only while the
-    two photons of a pair are routed independently, so the model covers
-    configs with `xi` = 0 or at most one live source, and no excitation
-    jitter; it raises NotImplementedError otherwise.
+    Each detector's first click is the earliest of its photons and its
+    background, so the histogram is the mixed difference over both ticks
+    of the chance that neither detector clicks before its tick: over the
+    sources' states and the outcome law, a sum of six terms separable in
+    the two ticks. With f and s the photons' densities, g = psi_f psi_s*
+    and F, S and G their tails, a pair puts a photon on A at x and one on
+    B at y with the density f(x) s(y) / 4 + s(x) f(y) / 4 - xi^2
+    Re[g(x) g*(y)] / 2, and both on one detector at or after u with the
+    chance (F(u) S(u) + xi^2 |G(u)|^2) / 4.
     """
-    if (config.xi > 0.0 and config.eta_f > 0.0 and config.eta_s > 0.0) or (
-        config.excitation_jitter_sigma > 0.0
-    ):
-        raise NotImplementedError(
-            "expected_histogram needs independent photons (xi = 0 or one live "
-            "source) and no excitation jitter"
-        )
+    if config.excitation_jitter_sigma > 0.0:
+        raise NotImplementedError("expected_histogram does not model excitation jitter")
     res, w = config.timestamp_resolution, config.window_length
     valid_ticks = _whole_ticks(valid_window, res, "valid_window")
     edges = histogram([], 1, bin_width, half_range)  # checks the binning
@@ -362,49 +362,49 @@ def expected_histogram(
     # tick edges, as offsets from the trigger: j ticks over the ticks in a ns
     lo = np.arange(n_w + 1) / _ns_to_ticks(1.0, res)
 
-    def background(rate, offset):
-        # P(no background click before tick j), j = 0 .. n_w: the ticks
-        # take independent Poisson counts, each the rate times the part of
-        # the window that the offset maps onto the tick
-        covered = np.clip(lo - offset, 0.0, w)
-        return np.exp(-rate * covered)
-
-    def photon(env, offset):
-        # P(the photon makes no click before tick j), j = 0 .. n_w; a
-        # photon the gate drops makes none
-        return np.exp(-np.clip(lo - offset - env.t0, 0.0, None) / env.tau)
-
     pair = config.source_pair()
-    sides = (
+    env_f, env_s = pair.env_f, pair.env_s
+    eta_f, eta_s, xi2 = config.eta_f, config.eta_s, config.xi**2
+    # G(u) = g(max(u, t_m)) / k, with t_m the later start
+    k = 0.5 / env_f.tau + 0.5 / env_s.tau + 1j * _d_omega(env_f, env_s)
+    sides = []
+    for rate, offset in (
         (config.bg_rate_a, config.detector_offset_a),
         (config.bg_rate_b, config.detector_offset_b),
-    )
-    bg = [background(rate, off) for rate, off in sides]
-    # each source is off, or live and routed to A or to B
-    states = []
-    for env, eta in ((pair.env_f, config.eta_f), (pair.env_s, config.eta_s)):
-        states.append(
-            [(1.0 - eta, None)]
-            + [(0.5 * eta, (d, photon(env, sides[d][1]))) for d in (0, 1) if eta > 0.0]
-        )
+    ):
+        u = lo - offset  # the edge of tick j = 0 .. n_w, as a time at the source
+        # P(no background click before tick j): independent Poisson counts,
+        # each the rate times the part of the window the offset maps on a tick
+        bg = np.exp(-rate * np.clip(u, 0.0, w))
+        # P(the photon makes no click before tick j); one the gate drops makes none
+        f, s = (np.exp(-np.clip(u - env.t0, 0.0, None) / env.tau) for env in (env_f, env_s))
+        t = np.maximum(u, max(env_f.t0, env_s.t0))
+        g = amplitude(env_f, t) * np.conj(amplitude(env_s, t)) / k
+        # the first click at each tick, given each tail and the background; a
+        # sum of tails is differenced term by term, so that a flat one cannot
+        # round away the steps of another
+        survival = bg * np.array([np.ones_like(bg), f, s, f * s, np.abs(g) ** 2, g.real, g.imag])
+        none, f, s, fs, gg, g_re, g_im = survival[:, :-1] - survival[:, 1:]
+        # the states that put photons on this detector alone
+        one = 0.5 * (eta_f * (1.0 - eta_s) * f + (1.0 - eta_f) * eta_s * s)
+        sides.append((none, f, s, g_re, g_im, one + 0.25 * eta_f * eta_s * (fs + xi2 * gg)))
+    (none_a, f_a, s_a, re_a, im_a, one_a), (none_b, f_b, s_b, re_b, im_b, one_b) = sides
+    terms = [  # (coefficient, A's first clicks, B's first clicks)
+        (1.0, (1.0 - eta_f) * (1.0 - eta_s) * none_a + one_a, none_b),  # no photon on B
+        (1.0, none_a, one_b),  # no photon on A
+        (0.25 * eta_f * eta_s, f_a, s_b),  # one photon each way round
+        (0.25 * eta_f * eta_s, s_a, f_b),
+        (-0.5 * xi2 * eta_f * eta_s, re_a, re_b),  # and the interference of the two ways
+        (-0.5 * xi2 * eta_f * eta_s, im_a, im_b),
+    ]
+    valid = np.arange(n_w) <= last_valid  # the ticks inside the validity window
     corr = np.zeros(2 * n_w - 1)
-    for p_f, ph_f in states[0]:
-        for p_s, ph_s in states[1]:
-            if p_f * p_s == 0.0:
-                continue
-            first = []
-            for d in (0, 1):
-                survival = bg[d].copy()
-                for ph in (ph_f, ph_s):
-                    if ph is not None and ph[0] == d:
-                        survival *= ph[1]
-                p = survival[:-1] - survival[1:]  # first click at each tick
-                late = p.copy()
-                late[: last_valid + 1] = 0.0
-                first.append((p, late))
-            (a, a_late), (b, b_late) = first
-            # pairs with a - b = index - (n_w - 1), less those with neither
-            # click inside the validity window
-            corr += p_f * p_s * (np.convolve(a, b[::-1]) - np.convolve(a_late, b_late[::-1]))
+    for coef, a, b in terms:
+        if coef == 0.0:  # it adds nothing, at the cost of two convolutions
+            continue
+        # pairs with a - b = index - (n_w - 1) and a click inside the
+        # validity window: A's, or B's with A's after it
+        corr += coef * np.convolve(a * valid, b[::-1])
+        corr += coef * np.convolve(a * ~valid, (b * valid)[::-1])
     d = np.arange(1 - n_w, n_w) * _tick_ns(res)
     return _bin(d, edges.counts.size, bin_width, half_range, corr)

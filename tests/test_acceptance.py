@@ -135,25 +135,19 @@ def test_criterion_5_dip_reproduction():
 def test_criterion_6_raw_and_corrected_visibility():
     with criterion(6, "raw 62% and corrected 93% visibilities reproduced") as notes:
         eta, n = 0.05, 3_000_000
-        q2 = eta * eta
-        base = dict(
-            n_triggers=1000, eta_f=eta, eta_s=eta, tau_f=TAU_F, tau_s=TAU_S, xi=0.0
-        )
-
-        s_perp_25 = quadrature.window(ideal_pair(0.0), -25.0, 25.0)
-        s_par_25 = quadrature.window(ideal_pair(1.0), -25.0, 25.0)
+        base = dict(n_triggers=1000, eta_f=eta, eta_s=eta, tau_f=TAU_F, tau_s=TAU_S)
         sel_25 = h.histogram([], 1).window_bins(25.0)  # the bins of expected_histogram(cfg)
 
-        # Analytic raw visibility as a function of the background rate;
-        # bisected so the simulated raw V lands on the reported 62%. The
-        # perpendicular +-25 ns window is the exact expected histogram's.
-        # The parallel one is that less eta^2 times the interference term,
-        # which leaves out the background clicks that pre-empt interfering
-        # pairs: O(rate * tau), about 0.3% of the interference term.
+        # The exact model's raw visibility as a function of the background
+        # rate; bisected so the simulated raw V lands on the reported 62%.
         def raw_visibility_model(rate):
-            cfg = h.ExperimentConfig(bg_rate_a=rate, bg_rate_b=rate, **base)
-            perp = h.expected_histogram(cfg)[sel_25].sum()
-            return q2 * (s_perp_25 - s_par_25) / perp
+            par, perp = (
+                h.expected_histogram(
+                    h.ExperimentConfig(bg_rate_a=rate, bg_rate_b=rate, xi=xi, **base)
+                )[sel_25].sum()
+                for xi in (1.0, 0.0)
+            )
+            return 1.0 - par / perp
 
         rate = brentq(lambda r: raw_visibility_model(r) - 0.62, 1e-9, 1e-2, xtol=1e-14)
         notes.append(f"bisected bg rate {rate:.5e} /ns")
@@ -175,7 +169,7 @@ def test_criterion_6_raw_and_corrected_visibility():
         # undercorrects the window).
         g_const = h.estimate_accidentals(h_par, h_perp)
         wing_level = g_const.g_acc
-        cfg = h.ExperimentConfig(bg_rate_a=rate, bg_rate_b=rate, **base)
+        cfg = h.ExperimentConfig(bg_rate_a=rate, bg_rate_b=rate, xi=0.0, **base)
         model = h.expected_histogram(cfg) - h.expected_histogram(
             replace(cfg, bg_rate_a=0.0, bg_rate_b=0.0)
         )

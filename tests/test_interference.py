@@ -189,6 +189,33 @@ def test_density_bits_match_nested_form(taus, starts, detunings, xi, dt):
         assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (got, want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    taus=st.tuples(st.floats(1.0, 100.0), st.floats(1.0, 100.0)),
+    starts=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    detunings=st.tuples(st.one_of(st.just(0.0), st.floats(-100.0, 100.0)),
+                        st.one_of(st.just(0.0), st.floats(-100.0, 100.0))),
+    xi=st.floats(0.0, 1.0),
+    times=st.tuples(st.floats(-20.0, 150.0), st.floats(-20.0, 150.0)),
+)
+@example(taus=(TAU_F, TAU_S), starts=(0.0, 0.0), detunings=(0.0, 0.0), xi=1.0, times=(7.0, 7.0))
+@example(taus=(TAU_F, TAU_S), starts=(5.0, 0.0), detunings=(0.0, 2.0), xi=1.0, times=(3.0, 9.0))
+def test_pair_density_sums_the_outcome_law_over_routes(taus, starts, detunings, xi, times):
+    # The density of a pair putting one photon on A at x and one on B at
+    # y, as expected_histogram sums it: the two routes' densities times
+    # the outcome law's coincidence chance, whose normalisation cancels
+    pair = SourcePair(Envelope(taus[0], t0=starts[0], detuning=detunings[0]),
+                      Envelope(taus[1], t0=starts[1], detuning=detunings[1]), xi)
+    x, y = times
+    f_x, f_y = (abs(amplitude(pair.env_f, t)) ** 2 for t in times)
+    s_x, s_y = (abs(amplitude(pair.env_s, t)) ** 2 for t in times)
+    g_x, g_y = (amplitude(pair.env_f, t) * amplitude(pair.env_s, t).conjugate() for t in times)
+    separable = 0.25 * f_x * s_y + 0.25 * s_x * f_y - 0.5 * xi**2 * (g_x * g_y.conjugate()).real
+    p_c = float(interference._p_coincidence(pair, x, y, pair.env_f.t0, pair.env_s.t0))
+    routes = f_x * s_y + f_y * s_x
+    assert separable == pytest.approx(0.5 * p_c * routes, rel=1e-12, abs=1e-15 * routes)
+
+
 @pytest.mark.parametrize("taus", [(1e-150, 1e-150), (1e150, 1e150), (1e150, 1e-150), (26.18, 13.61)])
 @pytest.mark.parametrize("detunings", [(1e6, -1e6), (0.0, 1e6), (0.0, -1e6), (0.0, 0.0)])
 def test_closed_forms_finite_at_the_bounds(taus, detunings):

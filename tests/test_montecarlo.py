@@ -26,8 +26,11 @@ from homsim import (
 )
 from homsim.interference import _BOUNDS, Envelope, _p_coincidence, amplitude
 from homsim import montecarlo
-from homsim.analysis import pair_clicks
-from homsim.io import DET_A, DET_B, DET_T, _stream, _trigger_ticks, read_frames, write_events
+from homsim.analysis import _bin, pair_clicks
+from homsim.io import (
+    DET_A, DET_B, DET_T, _ns_to_ticks, _stream, _tick_ns, _trigger_ticks, _whole_ticks,
+    read_frames, write_events,
+)
 from homsim.montecarlo import _CHUNK, simulate_frames
 from helpers import coincidence_fraction, quantize, smallest_period
 from quadrature import window
@@ -911,19 +914,84 @@ class TestBlockedArmSpectra:
         assert observed_ratio > 1.3
 
 
+def routed_independently_histogram(config, valid_window, bin_width, half_range):
+    """`expected_histogram` as homsim 0.4.0 first wrote it: a sum over each
+    source's states (off, or live and routed to A or to B), exact only
+    where the two photons of a pair are routed independently (`xi` = 0 or
+    one live source). The reference for the separable terms there."""
+    res, w = config.timestamp_resolution, config.window_length
+    valid_ticks = _whole_ticks(valid_window, res, "valid_window")
+    edges = histogram([], 1, bin_width, half_range)
+    n_w = _whole_ticks(w, res)
+    if n_w == 0:
+        return np.zeros(edges.counts.size)
+    last_valid = min(valid_ticks, n_w - 1)
+    lo = np.arange(n_w + 1) / _ns_to_ticks(1.0, res)
+
+    def background(rate, offset):
+        covered = np.clip(lo - offset, 0.0, w)
+        return np.exp(-rate * covered)
+
+    def photon(env, offset):
+        return np.exp(-np.clip(lo - offset - env.t0, 0.0, None) / env.tau)
+
+    pair = config.source_pair()
+    sides = (
+        (config.bg_rate_a, config.detector_offset_a),
+        (config.bg_rate_b, config.detector_offset_b),
+    )
+    bg = [background(rate, off) for rate, off in sides]
+    states = []
+    for env, eta in ((pair.env_f, config.eta_f), (pair.env_s, config.eta_s)):
+        states.append(
+            [(1.0 - eta, None)]
+            + [(0.5 * eta, (d, photon(env, sides[d][1]))) for d in (0, 1) if eta > 0.0]
+        )
+    corr = np.zeros(2 * n_w - 1)
+    for p_f, ph_f in states[0]:
+        for p_s, ph_s in states[1]:
+            if p_f * p_s == 0.0:
+                continue
+            first = []
+            for d in (0, 1):
+                survival = bg[d].copy()
+                for ph in (ph_f, ph_s):
+                    if ph is not None and ph[0] == d:
+                        survival *= ph[1]
+                p = survival[:-1] - survival[1:]
+                late = p.copy()
+                late[: last_valid + 1] = 0.0
+                first.append((p, late))
+            (a, a_late), (b, b_late) = first
+            corr += p_f * p_s * (np.convolve(a, b[::-1]) - np.convolve(a_late, b_late[::-1]))
+    d = np.arange(1 - n_w, n_w) * _tick_ns(res)
+    return _bin(d, edges.counts.size, bin_width, half_range, corr)
+
+
 class TestExpectedHistogram:
     @pytest.mark.parametrize(
-        "resolution,seed", [(125.0, 211), (2500.0, 212)]
+        "kw,seed",
+        [
+            # perpendicular photons from both sources, a delay, detector
+            # offsets and unequal backgrounds; 2.5 ns ticks put four ticks
+            # in a bin, so the tick grid shows
+            (dict(eta_f=0.3, eta_s=0.5, xi=0.0, delta_t=12.0, detector_offset_a=3.3,
+                  bg_rate_a=2e-4, bg_rate_b=1e-3, timestamp_resolution=125.0), 211),
+            (dict(eta_f=0.3, eta_s=0.5, xi=0.0, delta_t=12.0, detector_offset_a=3.3,
+                  bg_rate_a=2e-4, bg_rate_b=1e-3, timestamp_resolution=2500.0), 212),
+            # interfering pairs at every trigger, with a delay, a detuning,
+            # an offset and unequal backgrounds
+            (dict(eta_f=1.0, eta_s=1.0, xi=0.7, delta_t=6.0, detuning=2.5,
+                  detector_offset_a=3.3, bg_rate_a=2e-4, bg_rate_b=1e-3), 213),
+            # parallel photons at the acceptance suite's criterion-6 rates
+            (dict(eta_f=0.05, eta_s=0.05, xi=1.0, bg_rate_a=1.2048e-4,
+                  bg_rate_b=1.2048e-4), 214),
+        ],
+        ids=["perpendicular-125ps", "perpendicular-2500ps", "interfering-eta-1",
+             "parallel-criterion-6"],
     )
-    def test_matches_monte_carlo(self, resolution, seed):
-        # perpendicular photons from both sources, a delay, detector
-        # offsets and unequal backgrounds; 2.5 ns ticks put four ticks in
-        # a bin, so the tick grid shows
-        cfg = ExperimentConfig(
-            n_triggers=300_000, eta_f=0.3, eta_s=0.5, xi=0.0, delta_t=12.0,
-            detector_offset_a=3.3, bg_rate_a=2e-4, bg_rate_b=1e-3,
-            timestamp_resolution=resolution, seed=seed,
-        )
+    def test_matches_monte_carlo(self, kw, seed):
+        cfg = ExperimentConfig(n_triggers=300_000, seed=seed, **kw)
         (h,) = simulate_histograms([cfg], 85.0, 10.0, 205.0)
         expected = expected_histogram(cfg, 85.0, 10.0, 205.0) * cfg.n_triggers
         assert abs(h.counts.sum() - expected.sum()) < 4.0 * np.sqrt(expected.sum())
@@ -931,11 +999,75 @@ class TestExpectedHistogram:
         stat = np.sum((h.counts[sel] - expected[sel]) ** 2 / expected[sel])
         assert sel.sum() > 30 and chi2.sf(stat, sel.sum()) > 1e-4
 
-    def test_zero_background_limit(self):
+    # efficiencies far below 1e-9 put the histogram among the subnormal
+    # floats, where neither form keeps 1e-12 of its maximum
+    EFFICIENCY = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        etas=st.tuples(EFFICIENCY, EFFICIENCY),
+        lone=st.sampled_from([None, "f", "s"]),
+        xi=st.floats(0.0, 1.0),
+        delta_t=st.floats(-20.0, 20.0),
+        detuning=st.one_of(st.just(0.0), st.floats(-80.0, 80.0)),
+        offsets=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+        rates=st.tuples(st.sampled_from([0.0, 1e-4, 2e-2]), st.sampled_from([0.0, 1e-3, 5e-2])),
+        resolution=st.sampled_from([125.0, 1000.0, 2500.0]),
+        window=st.floats(10.0, 60.0),
+        valid=st.floats(0.0, 70.0),
+    )
+    def test_matches_independent_routing_form(
+        self, etas, lone, xi, delta_t, detuning, offsets, rates, resolution, window, valid
+    ):
+        # where the two photons of a pair are routed independently (xi = 0,
+        # or one live source at any xi), the separable terms sum to the
+        # states' form
+        eta_f, eta_s = etas
+        if lone is None:
+            xi = 0.0
+        elif lone == "f":
+            eta_s = 0.0
+        else:
+            eta_f = 0.0
+        cfg = ExperimentConfig(
+            n_triggers=1, eta_f=eta_f, eta_s=eta_s, xi=xi, delta_t=delta_t,
+            detuning=detuning, detector_offset_a=offsets[0], detector_offset_b=offsets[1],
+            bg_rate_a=rates[0], bg_rate_b=rates[1], timestamp_resolution=resolution,
+            window_length=window, trigger_period=window + 10.0,
+        )
+        want = routed_independently_histogram(cfg, valid, 5.0, 52.5)
+        got = expected_histogram(cfg, valid, 5.0, 52.5)
+        # the reference takes the pairs with both clicks after the validity
+        # window from all pairs, so it errs by ulps of the histogram of all
+        # pairs, which a short validity window leaves far larger
+        every_pair = routed_independently_histogram(cfg, window, 5.0, 52.5)
+        assert np.abs(got - want).max() <= 1e-12 * every_pair.max()
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(eta_f=1.0, eta_s=1.0),
+            dict(eta_f=0.3, eta_s=0.8, delta_t=-7.0, detuning=2.5, detector_offset_b=1.7,
+                 bg_rate_a=3e-4, bg_rate_b=1e-3),
+            dict(eta_f=0.05, eta_s=0.05, bg_rate_a=1.2048e-4, bg_rate_b=1.2048e-4),
+        ],
+    )
+    def test_linear_in_xi_squared(self, kw):
+        # xi enters only as xi^2 times a fixed histogram: the basis of a
+        # fit of xi^2 to a measured histogram
+        h0, h1 = (
+            expected_histogram(ExperimentConfig(n_triggers=1, xi=xi, **kw)) for xi in (0.0, 1.0)
+        )
+        for xi in (0.3, 0.6, 0.95):
+            h = expected_histogram(ExperimentConfig(n_triggers=1, xi=xi, **kw))
+            assert np.abs(h - (h0 + xi**2 * (h1 - h0))).max() <= 1e-15
+
+    @pytest.mark.parametrize("xi", [0.0, 0.6, 1.0])
+    def test_zero_background_limit(self, xi):
         # Without background the only pairs are the photon pairs, so each
         # bin is eta_f eta_s times the bin integral of coincidence_density
-        # (at xi = 0 two photons reach different detectors half the time,
-        # and the density integrates to 1/2), up to two effects:
+        # (the density integrates to the chance that the two photons reach
+        # different detectors), up to two effects:
         # - the tick grid: a pair's tick difference is floor(x) or
         #   floor(x) + 1 ticks for a time difference of x ticks, so a bin
         #   [lo, hi) holds every x in [lo, hi - 1], none outside (lo - 1,
@@ -945,7 +1077,7 @@ class TestExpectedHistogram:
         # - the windows: the validity window drops the pairs whose photons
         #   both come after it, and the gate those with a photon after the
         #   acquisition window.
-        cfg = ExperimentConfig(n_triggers=1, eta_f=0.3, eta_s=0.5, xi=0.0, delta_t=12.0)
+        cfg = ExperimentConfig(n_triggers=1, eta_f=0.3, eta_s=0.5, xi=xi, delta_t=12.0)
         pair = cfg.source_pair()
         model = expected_histogram(cfg, 85.0, 10.0, 205.0) / (cfg.eta_f * cfg.eta_s)
 
@@ -967,12 +1099,10 @@ class TestExpectedHistogram:
         short = ExperimentConfig(n_triggers=1, xi=0.0, bg_rate_a=1.0, bg_rate_b=1.0, window_length=0.1)
         assert not expected_histogram(short).any()
 
-    @pytest.mark.parametrize(
-        "kw", [dict(eta_f=0.1, eta_s=0.1, xi=0.5), dict(eta_s=0.1, excitation_jitter_sigma=1.0)]
-    )
-    def test_dependent_photons_are_not_modelled(self, kw):
-        with pytest.raises(NotImplementedError):
-            expected_histogram(ExperimentConfig(n_triggers=1, **kw))
+    def test_excitation_jitter_is_not_modelled(self):
+        cfg = ExperimentConfig(n_triggers=1, eta_s=0.1, excitation_jitter_sigma=1.0)
+        with pytest.raises(NotImplementedError, match="excitation jitter"):
+            expected_histogram(cfg)
 
     @pytest.mark.parametrize("window", [-1.0, math.inf, math.nan])
     def test_bad_validity_window_rejected(self, window):
