@@ -1,8 +1,9 @@
 """Trigger-by-trigger Monte Carlo of the interference experiment.
 
-Generates timestamped detection events (trigger T plus beam-splitter
-outputs A and B), shows the event-file format, and checks the simulated
-coincidence statistics against the analytic model.
+Generates a run frame by frame: per frame, its triggers and their click
+list, each click its detector (A or B), its owner trigger and its offset
+in ticks from that trigger. Shows the event-file format, and checks the
+simulated coincidence statistics against the analytic model.
 """
 
 import tempfile
@@ -30,11 +31,21 @@ config = ExperimentConfig(
     seed=7,
 )
 
-stream = simulate(config)
-print(f"simulated {config.n_triggers} triggers -> {len(stream)} records")
-print("first records (detector, timestamp in 125 ps ticks):")
-for code, tick in zip(stream.detectors[:8], stream.timestamps[:8]):
-    print(f"   {DETECTOR_LABELS[code]},{tick}")
+
+def same_frames(a, b):
+    """Whether two runs' frames hold the same triggers and click arrays."""
+    return len(a) == len(b) and all(
+        x[:3] == y[:3] and all(np.array_equal(p, q) for p, q in zip(x.clicks, y.clicks))
+        for x, y in zip(a, b))
+
+
+frames = simulate(config)
+n_clicks = sum(f.clicks[2].size for f in frames)
+print(f"simulated {config.n_triggers} triggers -> {len(frames)} frames, {n_clicks} clicks")
+offsets, owners, codes = frames[0].clicks
+print("first clicks of frame 0 (detector, owner trigger, offset in 125 ps ticks):")
+for code, owner, offset in zip(codes[:8], owners[:8], offsets[:8]):
+    print(f"   {DETECTOR_LABELS[code]},{owner},{offset}")
 
 print("\n== coincidence fraction vs analytic probability ==")
 for xi in (1.0, 0.0):
@@ -46,11 +57,8 @@ for xi in (1.0, 0.0):
     print(f"xi = {xi:3.1f}: simulated {measured:.4f}   analytic {analytic:.4f}")
 
 print("\n== determinism ==")
-again = simulate(config, workers=4)
-same = np.array_equal(stream.timestamps, again.timestamps) and np.array_equal(
-    stream.detectors, again.detectors
-)
-print(f"same seed, 4 workers -> identical stream: {same}")
+same = same_frames(frames, simulate(config, workers=4))
+print(f"same seed, 4 workers -> identical frames: {same}")
 
 print("\n== event file round trip ==")
 with tempfile.TemporaryDirectory() as tmp:
@@ -61,16 +69,12 @@ with tempfile.TemporaryDirectory() as tmp:
     )
     print(f"wrote {path.stat().st_size} bytes + JSON sidecar")
     back = read_events(path)
-    same = np.array_equal(back.timestamps, stream.timestamps) and np.array_equal(
-        back.detectors, stream.detectors
-    )
-    print(f"read back {len(back)} records at {back.resolution} ps resolution, "
-          f"the simulated stream: {same}")
+    print(f"read back {len(back)} frames at {back[0].grid.resolution} ps resolution, "
+          f"the simulated frames: {same_frames(back, frames)}")
 
 print("\n== a realistic low-efficiency run ==")
 lossy = ExperimentConfig(n_triggers=200_000, seed=8)  # defaults: 0.5% each arm
-lossy_stream = simulate(lossy)
-n_clicks = int(np.sum(lossy_stream.detectors != 0))
+n_clicks = sum(f.clicks[2].size for f in simulate(lossy))
 print(f"0.5% efficiencies: {n_clicks} photon clicks in "
       f"{lossy.n_triggers} triggers "
       f"(expected about {lossy.n_triggers * (lossy.eta_f + lossy.eta_s):.0f})")

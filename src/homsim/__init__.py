@@ -25,10 +25,10 @@ from .interference import (
     sample_emission_time,
     visibility_closed_form,
 )
-from .io import EventStream, read_events, write_events
+from .io import read_events, write_events
 from .montecarlo import ExperimentConfig, simulate, simulate_frames, simulate_histograms
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AccidentalEstimate",
@@ -37,7 +37,6 @@ __all__ = [
     "DataFormatError",
     "DipPoint",
     "Envelope",
-    "EventStream",
     "ExperimentConfig",
     "HomsimError",
     "InsufficientStatisticsError",

@@ -10,12 +10,12 @@ from its trigger, its owner and its detector code: the generator's list,
 as `homsim dip` makes it and an event file holds it. `histogram_frames`
 pairs and bins a run frame by frame with the same kernel, for `homsim
 analyze` and `homsim dip` alike, pairing every frame into its thread's
-one first-click buffer; `pair_events` builds the same list from a sorted
-in-memory stream, finding each click's owner with `np.searchsorted`. One
-`np.minimum.at` finds the first click of every trigger and detector. It
-takes the indices of a randomly mixed mask once (`np.flatnonzero`) and
-gathers at those, because numpy indexes with such a mask several times
-slower than with indices.
+one first-click buffer; `pair_events` pairs a whole run's frames and
+joins their results in trigger order. One `np.minimum.at` finds the
+first click of every trigger and detector. It takes the indices of a
+randomly mixed mask once (`np.flatnonzero`) and gathers at those,
+because numpy indexes with such a mask several times slower than with
+indices.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, InsufficientStatisticsError
-from .io import DET_A, DET_T, EventStream, Frame, _FRAME, _tick_ns, _whole_ticks
+from .errors import InsufficientStatisticsError
+from .io import DET_A, Frame, _FRAME, _tick_ns, _whole_ticks
 
 _ALIGN_TOL = 1e-9
 # The most bins a histogram may have (1 ps bins over +-8 us): its counts
@@ -49,7 +49,8 @@ _scratch = threading.local()
 
 @dataclass
 class PairingResult:
-    """Per-trigger click bookkeeping produced by :func:`pair_clicks`.
+    """Per-trigger click bookkeeping produced by :func:`pair_clicks` and
+    :func:`pair_events`.
 
     first_a / first_b hold the earliest click per trigger as its offset in
     ticks from the trigger, or -1 where a detector never fired. `valid`
@@ -137,31 +138,21 @@ def pair_clicks(n_triggers: int, clicks, valid_window: float, resolution: float)
     return PairingResult(valid, firsts[:n], firsts[n:], resolution)
 
 
-def pair_events(stream: EventStream, valid_window: float = _VALID_WINDOW) -> PairingResult:
-    """Group A/B clicks by trigger and mark valid sequences.
+def pair_events(frames: Iterable[Frame], valid_window: float = _VALID_WINDOW) -> PairingResult:
+    """First click per trigger on each detector, and validity, of a run
+    given as its frames (at least one), in trigger order.
 
-    Every click is attributed to the most recent trigger at or before it
-    (clicks preceding the first trigger are dropped). A sequence is valid
-    if any click falls within `valid_window` ns after its trigger.
-
-    Raises DataFormatError if the stream is not sorted by timestamp.
+    Each frame is paired by :func:`pair_clicks` and the results are
+    joined, so a click pairs with its own trigger. A sequence is valid if
+    any click falls within `valid_window` ns after its trigger.
     """
-    if not stream.is_sorted():
-        raise DataFormatError("event stream must be sorted by timestamp")
-    det = stream.detectors
-    ts = stream.timestamps
-    trigger_ticks = ts[det == DET_T]
-    sel = np.flatnonzero(det != DET_T)
-    click_ticks = ts[sel]
-    owner = np.searchsorted(trigger_ticks, click_ticks, side="right") - 1
-    # owners never decrease, so the clicks before the first trigger lead
-    start = int(np.searchsorted(owner, 0))
-    owner = owner[start:]
-    offsets = click_ticks[start:]
-    offsets -= trigger_ticks[owner]
-    clicks = (offsets, owner, det[sel[start:]])
-    del sel  # not held through the pairing
-    return pair_clicks(trigger_ticks.size, clicks, valid_window, stream.resolution)
+    parts = [pair_clicks(f.n_triggers, f.clicks, valid_window, f.grid.resolution)
+             for f in frames]
+    if not parts:
+        raise ValueError("no frame to pair: a run has at least one")
+    return PairingResult(np.concatenate([p.valid for p in parts]),
+                         np.concatenate([p.first_a for p in parts]),
+                         np.concatenate([p.first_b for p in parts]), parts[0].resolution)
 
 
 def histogram_frames(
@@ -171,10 +162,8 @@ def histogram_frames(
 
     Each frame's click list is paired with :func:`pair_clicks` and binned,
     holding one frame at a time, and the integer counts are summed. The
-    result equals ``histogram(pair_events(stream, valid_window).delta_ts,
-    n_triggers, bin_width, half_range)`` of the run's whole stream bit for
-    bit: the gate keeps every click inside its own trigger's window, so
-    no frame's pairing depends on another's.
+    result equals ``histogram(pair_events(frames, valid_window).delta_ts,
+    n_triggers, bin_width, half_range)`` bit for bit.
     """
     empty = histogram([], 1, bin_width, half_range)  # checks the binning first
     counts, n_triggers = empty.counts, 0

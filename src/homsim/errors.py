@@ -10,7 +10,7 @@ class ConfigError(HomsimError):
 
 
 class DataFormatError(HomsimError):
-    """An input file or event stream violates the expected format."""
+    """An input file violates the expected format."""
 
 
 class InsufficientStatisticsError(HomsimError):

@@ -1,4 +1,4 @@
-"""Event streams, event files and the package's other output files.
+"""Event files and the package's other output files.
 
 An event file holds a run's click lists, frame by frame as the generator
 makes them. It is binary and little-endian::
@@ -16,10 +16,9 @@ triggers first .. first + n - 1 of the run, with 1 <= n <= ``_FRAME``;
 the first frame starts at trigger 0 and each later one where the frame
 before it ends. A click's owner indexes its frame's triggers, its offset
 counts the ticks from its owner's tick and is below n_w, and its code is
-1 (A) or 2 (B). Trigger i's tick is that of i * period, floored
-(``_trigger_ticks``), so the header gives every trigger's tick, and a
-click's tick is its owner's plus its offset: no tick is stored whole.
-The clicks come in the generator's order.
+1 (A) or 2 (B). A click's time is its offset from its own trigger, so
+no tick is stored whole, and the package forms none: frames are its
+only event representation. The clicks come in the generator's order.
 
 A JSON sidecar (same path with a .json suffix) echoes the run
 configuration and its hash, the record count ``n_records`` (triggers
@@ -38,10 +37,9 @@ frame, and when the sidecar's record count or digest disagrees with the
 file; and naming the sidecar when it is not a JSON object.
 ``write_events`` refuses with ValueError the frames that the reader
 would refuse, click arrays that are not 1-D integer arrays of one length,
-and a sidecar config whose grid is not the frames'.
-
-``_stream`` lays frames out as one stream sorted by tick: ``simulate``
-and ``read_events`` both build their streams with it.
+and a sidecar config that is not a mapping, whose grid fields are not
+real numbers or whose grid is not the frames'. ``read_events`` reads a
+file whole, as a list of its frames.
 
 The other output files are written here too: every CSV table by
 ``write_table`` and every JSON file by ``write_json``.
@@ -52,11 +50,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,62 +122,6 @@ class Frame(NamedTuple):
     clicks: tuple
 
 
-def _trigger_ticks(grid: Grid, first: int, count: int) -> np.ndarray:
-    """The ticks of the trigger times (first + i) * period, i < count,
-    floored; a run's grid keeps them within int64."""
-    trig = np.arange(first, first + count, dtype=float)
-    trig *= grid.period
-    return _ns_to_ticks(trig, grid.resolution).astype(np.int64)
-
-
-@dataclass
-class EventStream:
-    """Timestamped detection events from all three detectors.
-
-    Attributes:
-        detectors: uint8 array of codes (0=T trigger, 1=A, 2=B).
-        timestamps: int64 array of resolution ticks since run start.
-        resolution: tick size in picoseconds.
-    """
-
-    detectors: np.ndarray
-    timestamps: np.ndarray
-    resolution: float = 125.0
-
-    def __post_init__(self):
-        self.detectors = np.asarray(self.detectors, dtype=np.uint8)
-        self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
-        if self.detectors.shape != self.timestamps.shape:
-            raise ValueError("detector and timestamp arrays must match in length")
-        if self.detectors.size and self.detectors.max() > DET_B:
-            raise ValueError("detector codes must be 0 (T), 1 (A) or 2 (B)")
-
-    def __len__(self) -> int:
-        return self.timestamps.size
-
-    def is_sorted(self) -> bool:
-        # a comparison, not np.diff, which wraps for ticks 2**63 apart
-        return not (self.timestamps[1:] < self.timestamps[:-1]).any()
-
-
-def _stream(frames: Iterable[Frame]) -> EventStream:
-    """The event stream of a run's frames (at least one), in order, each
-    sorted by (tick, detector), so triggers first on ties: a click's tick
-    is its owner's plus its offset. Every click's tick lies from its
-    trigger's on and below the next one's, so the frames, in order, make
-    up the run's sorted stream."""
-    detectors, ticks = [], []
-    for frame in frames:
-        offsets, owner, codes = frame.clicks
-        trig = _trigger_ticks(frame.grid, frame.first, frame.n_triggers)
-        tick = np.concatenate((trig, trig[owner] + offsets))
-        det = np.concatenate((np.zeros(trig.size, np.uint8), codes))
-        order = np.lexsort((det, tick))
-        ticks.append(tick[order])
-        detectors.append(det[order])
-    return EventStream(np.concatenate(detectors), np.concatenate(ticks), frame.grid.resolution)
-
-
 def _grid_fault(grid: Grid) -> str | None:
     """Why no run has `grid`, or None: a run's period and tick length are
     positive and finite, and its window's whole ticks are fewer than its
@@ -225,14 +167,24 @@ def _frame_fault(frame: Frame, first: int) -> str | None:
     return f", click {i}: detector code {codes[i]}, expected 1 (A) or 2 (B)"
 
 
-def _echo_fault(config: dict, grid: Grid) -> str | None:
+def _echo_fault(config, grid: Grid) -> str | None:
     """How a sidecar's config echo disagrees with the frames' `grid`, or
     None: its trigger period, timestamp resolution and window's whole
-    ticks, each checked where the echo has its key."""
+    ticks, each checked where the echo has its key. The echo must be a
+    mapping whose grid fields are real numbers, the resolution positive."""
+    if not isinstance(config, Mapping):
+        return f"config must be a mapping, got {config!r}"
+    for key in ("trigger_period", "timestamp_resolution", "window_length"):
+        value = config.get(key, 0.0)
+        if not isinstance(value, numbers.Real):
+            return f"config {key} must be a real number, got {value!r}"
     resolution = config.get("timestamp_resolution", grid.resolution)
-    window = config.get("window_length")
-    echo = Grid(config.get("trigger_period", grid.period), resolution,
-                grid.n_w if window is None else _whole_ticks(window, resolution, "window_length"))
+    if not resolution > 0.0:
+        return f"config timestamp_resolution must be positive, got {resolution!r}"
+    n_w = grid.n_w
+    if "window_length" in config:
+        n_w = _whole_ticks(config["window_length"], resolution, "config window_length")
+    echo = Grid(config.get("trigger_period", grid.period), resolution, n_w)
     if echo == grid:
         return None
     return (f"the config's grid (period ns, tick ps, window ticks) is {tuple(echo)}, not the "
@@ -259,7 +211,8 @@ def write_events(frames: Iterable[Frame], path, metadata: dict | None = None) ->
     not 1-D integer arrays of one length, or on different grids,
     for no frame at all, for `metadata` that would overwrite a field the
     sidecar takes from the frames (``n_records``, ``sha256``) and for a
-    `metadata` ``config`` whose grid (``_echo_fault``) is not the frames'.
+    `metadata` ``config`` that is not a mapping, whose grid fields are not
+    real numbers or whose grid (``_echo_fault``) is not the frames'.
     ``config_hash`` may be supplied; by default it hashes `metadata`'s
     ``config``, or the sidecar without one.
     """
@@ -349,10 +302,10 @@ def read_sidecar(events_path) -> dict | None:
     return meta
 
 
-def read_events(path) -> EventStream:
-    """The event stream of an event file, laid out frame by frame as
-    ``simulate`` lays out the run; raises what ``read_frames`` raises."""
-    return _stream(read_frames(path))
+def read_events(path) -> list[Frame]:
+    """The frames of an event file, all of them, as ``simulate`` returns a
+    run's; raises what ``read_frames`` raises."""
+    return list(read_frames(path))
 
 
 def read_frames(path) -> Iterator[Frame]:

@@ -44,8 +44,7 @@ code, only where one is set.
 
 Times are offsets from the trigger. Each click's offset is quantised
 alone, so no click's offset depends on how far into the run its trigger
-lies; its tick, when a stream is laid out (`homsim.io._stream`), is
-its trigger's tick plus its offset tick. The detector gate keeps a click
+lies, and no absolute tick is formed. The detector gate keeps a click
 whose offset tick lies inside the window's whole ticks.
 
 Delay convention: that of `homsim.interference`.
@@ -64,11 +63,11 @@ boundaries, the gate keeps every click inside its own trigger's window,
 and `trigger_period` exceeds `window_length` by at least one tick, so
 every click's tick lies below the next trigger's, and every stage works
 chunk by chunk: `simulate_frames` yields the frames one by one for
-`write_events`, in memory bounded by a few chunks; `simulate` lays them
-out as one sorted stream; and `simulate_histograms` bins each where it
-is made, with the per-frame step of `histogram_frames`, as `homsim
-analyze` bins a file's, and sums the integer counts, so its histograms
-equal those of the whole stream for any number of workers.
+`write_events`, in memory bounded by a few chunks; `simulate` returns
+them all at once; and `simulate_histograms` bins each where it is made,
+with the per-frame step of `histogram_frames`, as `homsim analyze` bins
+a file's, and sums the integer counts, so its histograms equal those of
+the whole run for any number of workers.
 """
 
 from __future__ import annotations
@@ -87,8 +86,7 @@ import numpy as np
 from .analysis import CoincidenceHistogram, _frame_counts, histogram
 from .errors import ConfigError
 from .interference import Envelope, SourcePair, _check_bound, _inverse_cdf, _p_coincidence
-from .io import (DET_A, DET_B, EventStream, Frame, Grid, _FRAME, _grid_fault, _ns_to_ticks,
-                 _stream, _tick_ns, _whole_ticks)
+from .io import DET_A, DET_B, Frame, Grid, _FRAME, _grid_fault, _ns_to_ticks, _tick_ns, _whole_ticks
 
 _CHUNK = _FRAME  # triggers per chunk: a chunk is an event-file frame
 _BOUNDED = {  # the kind of bound, in interference._BOUNDS, of each bounded field
@@ -166,10 +164,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} * window_length, the mean background clicks "
                                   f"per window, must be at most 1e6, got {per_window:g}")
         # A gap of one tick keeps every click's tick below the next
-        # trigger's, so pairing by tick gives each click to the trigger
-        # whose window the gate kept it in. Past 2**53 ticks a float loses
-        # whole ticks, so the gap is checked in ticks too, as an event
-        # file's grid is.
+        # trigger's, so an event file laid out on absolute ticks gives
+        # each click to the trigger whose window the gate kept it in.
+        # Past 2**53 ticks a float loses whole ticks, so the gap is
+        # checked in ticks too, as an event file's grid is.
         if (self.trigger_period - self.window_length < _tick_ns(self.timestamp_resolution)
                 or _grid_fault(self.grid())):
             raise ConfigError(
@@ -361,20 +359,10 @@ def simulate_frames(config: ExperimentConfig, workers: int = 1) -> Iterator[Fram
     yield from _imap(partial(_frame, config), _spans(config), workers, workers)
 
 
-def simulate(config: ExperimentConfig, workers: int = 1) -> EventStream:
-    """Generate the detection-event stream for `config`.
-
-    Args:
-        config: validated experiment description.
-        workers: number of threads generating chunks, at least 1; the
-            output stream is identical for any count.
-
-    Returns:
-        EventStream sorted by (timestamp, detector), triggers first on ties:
-        the frames of ``simulate_frames(config)`` laid out as
-        ``read_events`` lays out a file's.
-    """
-    return _stream(simulate_frames(config, workers))
+def simulate(config: ExperimentConfig, workers: int = 1) -> list[Frame]:
+    """The frames of `config`'s run, all of them, as ``read_events``
+    returns a file's: ``simulate_frames(config, workers)`` made whole."""
+    return list(simulate_frames(config, workers))
 
 
 def simulate_histograms(
@@ -384,7 +372,7 @@ def simulate_histograms(
     half_range: float,
     workers: int = 1,
 ) -> list[CoincidenceHistogram]:
-    """Coincidence histogram of each config's run, without its event stream.
+    """Coincidence histogram of each config's run, without holding its frames.
 
     Each chunk is paired and binned on the thread that generates it, by
     the per-frame step of ``histogram_frames``, as ``homsim analyze`` bins

@@ -1,24 +1,41 @@
-"""Measurements the tests take of a simulated event stream, and the
-test-side forms of five library ideas: the two-photon outcome law as a
-triple, an event stream built from labelled records, an event file's
-header and frames built from their fields, the shortest trigger period
-a config accepts, and the floor of times onto ticks, checked, for the
+"""Measurements the tests take of a simulated run, and the test-side
+forms of six library ideas: the two-photon outcome law as a triple, a
+click list built from labelled triples, a run's frames laid out on
+absolute ticks and paired trigger by trigger there, an event file's
+header and frames built from their fields, the shortest trigger period a
+config accepts, and the floor of times onto ticks, checked, for the
 reference generator."""
 
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
-from homsim import EventStream, pair_events
+from homsim import pair_events
 from homsim.interference import _p_coincidence
-from homsim.io import _MAGIC, DETECTOR_LABELS
+from homsim.io import _MAGIC, DET_A, DET_B, DET_T, DETECTOR_LABELS
 
 
-def coincidence_fraction(stream):
+def coincidence_fraction(frames):
     """Fraction of triggers with at least one click on each output detector."""
-    pairing = pair_events(stream)
+    pairing = pair_events(frames)
     return float(np.mean((pairing.first_a >= 0) & (pairing.first_b >= 0)))
+
+
+def codes(frames):
+    """Every click's detector code, frame after frame."""
+    return np.concatenate([frame.clicks[2] for frame in frames])
+
+
+def same_frames(got, want):
+    """Whether two runs' frames are the same, grid, triggers and click
+    arrays alike, dtypes and bytes."""
+    got, want = list(got), list(want)
+    return len(got) == len(want) and all(
+        g[:3] == w[:3] and all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                               for a, b in zip(g.clicks, w.clicks, strict=True))
+        for g, w in zip(got, want))
 
 
 def conditional_outcome_probs(pair, t1, t2):
@@ -42,11 +59,67 @@ def conditional_outcome_probs(pair, t1, t2):
     return p_c, p_same, p_same
 
 
-def stream_from_records(records, resolution=125.0):
-    """An event stream of (label, ticks) pairs, e.g. [("T", 0), ("A", 400)]."""
-    codes = np.array([DETECTOR_LABELS.index(label) for label, _ in records], dtype=np.uint8)
-    ticks = np.array([tick for _, tick in records], dtype=np.int64)
-    return EventStream(codes, ticks, resolution)
+def clicks(*triples):
+    """A click list of (label, owner, offset) triples, as the generator
+    makes one: int64 offsets and owners, uint8 codes."""
+    detectors = np.array([DETECTOR_LABELS.index(c) for c, _, _ in triples], dtype=np.uint8)
+    owners = np.array([owner for _, owner, _ in triples], dtype=np.int64)
+    offsets = np.array([offset for _, _, offset in triples], dtype=np.int64)
+    return offsets, owners, detectors
+
+
+def trigger_ticks(grid, first, count):
+    """The ticks of triggers `first` .. `first` + `count` - 1 on `grid`:
+    (first + i) * period, floored."""
+    return quantize(np.arange(first, first + count, dtype=float) * grid.period, grid.resolution)
+
+
+class Layout(NamedTuple):
+    """A run laid out on absolute ticks: per record, its detector code
+    (0 for a trigger) and its tick, sorted by (tick, code)."""
+
+    detectors: np.ndarray
+    timestamps: np.ndarray
+    resolution: float
+
+
+def layout(frames):
+    """A run's frames (at least one) laid out on absolute ticks, as homsim
+    0.4.0's event stream was: a click's tick is its owner's plus its
+    offset, and each frame's records are sorted by (tick, code), triggers
+    first on ties. The package forms no absolute tick; the tests use this
+    layout as an independent reference."""
+    detectors, ticks = [], []
+    for frame in frames:
+        offsets, owner, frame_codes = frame.clicks
+        trig = trigger_ticks(frame.grid, frame.first, frame.n_triggers)
+        tick = np.concatenate((trig, trig[owner] + offsets))
+        det = np.concatenate((np.zeros(trig.size, np.uint8), frame_codes))
+        order = np.lexsort((det, tick))
+        ticks.append(tick[order])
+        detectors.append(det[order])
+    return Layout(np.concatenate(detectors), np.concatenate(ticks), frame.grid.resolution)
+
+
+def pair_by_trigger(run, valid_window):
+    """Pairing on a `layout` as a loop over its records: each click goes to
+    the last trigger at or before it. Returns, per trigger, whether any
+    click lies within `valid_window` ns of it and the offset ticks of its
+    first click on A and on B, -1 where none came, as lists."""
+    window = math.floor(valid_window * 1000.0 / run.resolution + 1e-9)
+    valid, first = [], {DET_A: [], DET_B: []}
+    for code, tick in zip(run.detectors.tolist(), run.timestamps.tolist()):
+        if code == DET_T:
+            start = tick
+            valid.append(False)
+            for side in first.values():
+                side.append(-1)
+            continue
+        offset = tick - start
+        valid[-1] |= offset <= window
+        if first[code][-1] == -1:  # sorted by tick: the first seen is the earliest
+            first[code][-1] = offset
+    return valid, first[DET_A], first[DET_B]
 
 
 def header(period=1000.0, resolution=125.0, n_w=4000):

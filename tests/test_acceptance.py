@@ -16,7 +16,8 @@ from scipy.stats import chisquare
 
 import homsim as h
 import quadrature
-from helpers import coincidence_fraction, conditional_outcome_probs, stream_from_records
+from homsim.io import Frame, Grid
+from helpers import clicks, coincidence_fraction, conditional_outcome_probs
 
 TAU_S, TAU_F = 26.18, 13.61
 P_PAR_SYNC = (TAU_S - TAU_F) ** 2 / (2.0 * (TAU_S + TAU_F) ** 2)
@@ -233,29 +234,20 @@ def test_criterion_8_property_suites():
             total_checked += t1.size
         notes.append(f"outcome law sums to 1 over {total_checked} draws")
 
-        # analyzer exactness on a hand-built stream
+        # analyzer exactness on a hand-built run of two frames
         tick = lambda t_ns: int(round(t_ns * 8))
-        stream = stream_from_records(
-            [
-                ("T", 0),
-                ("A", tick(10)),
-                ("B", tick(22)),
-                ("T", 8000),
-                ("B", 8000 + tick(84)),
-                ("T", 16000),
-                ("A", 16000 + tick(86)),
-                ("B", 16000 + tick(90)),
-                ("T", 24000),
-                ("A", 24000 + tick(3)),
-                ("A", 24000 + tick(5)),
-                ("B", 24000 + tick(100)),
-            ]
-        )
-        pairing = h.pair_events(stream)
+        grid = Grid(1000.0, 125.0, 4000)
+        frames = [
+            Frame(grid, 0, 2, clicks(("A", 0, tick(10)), ("B", 0, tick(22)),
+                                     ("B", 1, tick(84)))),
+            Frame(grid, 2, 2, clicks(("A", 0, tick(86)), ("B", 0, tick(90)),
+                                     ("A", 1, tick(3)), ("A", 1, tick(5)), ("B", 1, tick(100)))),
+        ]
+        pairing = h.pair_events(frames)
         assert pairing.n_triggers == 4
         assert pairing.valid.tolist() == [True, True, False, True]
         assert pairing.delta_ts.tolist() == [-12.0, -97.0]
-        notes.append("hand-built stream paired exactly")
+        notes.append("hand-built run paired exactly")
 
         # background-only difference spectrum is flat
         cfg = h.ExperimentConfig(

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from homsim import (
     AccidentalEstimate,
-    DataFormatError,
-    EventStream,
     ExperimentConfig,
     InsufficientStatisticsError,
     dip_curve,
@@ -32,9 +30,9 @@ from homsim.analysis import (
     histogram_frames,
     pair_clicks,
 )
-from homsim.io import DET_A, DET_B, DET_T, read_frames
+from homsim.io import DET_A, DET_B, Frame, Grid, read_frames
 from homsim.montecarlo import _CHUNK
-from helpers import smallest_period, stream_from_records
+from helpers import clicks, layout, pair_by_trigger, same_frames, smallest_period
 
 TAU_S, TAU_F = 26.18, 13.61
 
@@ -44,59 +42,50 @@ def ns(t):
     return int(round(t * 8))
 
 
+# the default config's grid: 8000 ticks of 125 ps per period
+GRID = Grid(1000.0, 125.0, 4000)
+
+
+def one_frame(n_triggers, *triples):
+    """A run of one frame on GRID: `n_triggers` triggers and the clicks
+    given as (label, owner, offset ticks) triples."""
+    return [Frame(GRID, 0, n_triggers, clicks(*triples))]
+
+
 class TestPairEvents:
     def test_basic_pair(self):
-        s = stream_from_records([("T", 0), ("A", ns(50)), ("B", ns(60))])
-        p = pair_events(s)
+        p = pair_events(one_frame(1, ("A", 0, ns(50)), ("B", 0, ns(60))))
         assert p.n_triggers == 1
         assert p.valid.tolist() == [True]
         assert p.delta_ts.tolist() == [-10.0]
 
     def test_sole_click_outside_window_invalid(self):
-        s = stream_from_records([("T", 0), ("A", ns(90))])
-        p = pair_events(s)
+        p = pair_events(one_frame(1, ("A", 0, ns(90))))
         assert p.valid.tolist() == [False]
         assert p.delta_ts.size == 0
         assert p.n_triggers == 1
 
     def test_click_on_window_edge_is_valid(self):
-        s = stream_from_records([("T", 0), ("A", ns(85))])
-        assert pair_events(s).valid.tolist() == [True]
+        assert pair_events(one_frame(1, ("A", 0, ns(85)))).valid.tolist() == [True]
 
     def test_empty_sequence_counts_in_normalization(self):
-        s = stream_from_records([("T", 0), ("T", 8000), ("A", 8000 + ns(10))])
-        p = pair_events(s)
+        p = pair_events(one_frame(2, ("A", 1, ns(10))))
         assert p.n_triggers == 2
         assert p.valid.tolist() == [False, True]
 
     def test_pairing_uses_clicks_beyond_validity_window(self):
         # validity comes from the early A click; the late B click still
         # pairs even though it misses the 85 ns gate
-        s = stream_from_records([("T", 0), ("A", ns(50)), ("B", ns(120))])
-        p = pair_events(s)
+        p = pair_events(one_frame(1, ("A", 0, ns(50)), ("B", 0, ns(120))))
         assert p.valid.tolist() == [True]
         assert p.delta_ts.tolist() == [-70.0]
 
     def test_first_click_semantics(self):
-        s = stream_from_records(
-            [("T", 0), ("B", ns(5)), ("A", ns(30)), ("B", ns(40)), ("A", ns(70))]
-        )
-        p = pair_events(s)
+        p = pair_events(one_frame(1, ("B", 0, ns(5)), ("A", 0, ns(30)), ("B", 0, ns(40)),
+                                  ("A", 0, ns(70))))
         assert p.first_a.tolist() == [ns(30)]
         assert p.first_b.tolist() == [ns(5)]
         assert p.delta_ts.tolist() == [25.0]
-
-    def test_clicks_attach_to_most_recent_trigger(self):
-        s = stream_from_records(
-            [("A", 100), ("T", 800), ("A", 800 + ns(20)), ("T", 8800), ("B", 8800 + ns(30))]
-        )
-        p = pair_events(s)
-        # the click before the first trigger is dropped entirely: it is
-        # neither trigger 0's first A click nor wrapped onto the last trigger
-        assert p.first_a.tolist() == [ns(20), -1]
-        assert p.first_b.tolist() == [-1, ns(30)]
-        assert p.valid.tolist() == [True, True]
-        assert p.delta_ts.size == 0
 
     @pytest.mark.parametrize("valid_window", [1e306, 2**63 / 1000.0])
     def test_window_beyond_int64_ticks_keeps_every_click(self, valid_window):
@@ -113,131 +102,83 @@ class TestPairEvents:
 
     def test_click_on_largest_tick_is_a_click(self):
         # the largest offset too: -1 marks no click, and no offset reaches it
-        s = stream_from_records([("T", 0), ("A", 2**63 - 50), ("B", 2**63 - 1)])
-        p = pair_events(s)
+        p = pair_clicks(1, clicks(("A", 0, 2**63 - 50), ("B", 0, 2**63 - 1)), 85.0, 125.0)
         assert p.first_a.tolist() == [2**63 - 50]
         assert p.first_b.tolist() == [2**63 - 1]
 
-    def test_unsorted_stream_rejected(self):
-        s = stream_from_records([("T", 100), ("A", 50)])
-        with pytest.raises(DataFormatError):
-            pair_events(s)
-
     def test_per_trigger_first_clicks_and_validity(self):
-        s = stream_from_records(
-            [("T", 0), ("A", ns(50)), ("B", ns(60)), ("T", 8000)]
-        )
-        p = pair_events(s)
+        p = pair_events(one_frame(2, ("A", 0, ns(50)), ("B", 0, ns(60))))
         assert p.first_a.tolist() == [ns(50), -1]
         assert p.first_b.tolist() == [ns(60), -1]
         assert p.valid.tolist() == [True, False]
 
     def test_exactness_on_composite_stream(self):
-        # several triggers exercising every branch at once
-        s = stream_from_records(
-            [
-                ("T", 0),
-                ("A", ns(10)),
-                ("B", ns(22)),
-                ("T", 8000),
-                ("B", 8000 + ns(84)),
-                ("T", 16000),
-                ("A", 16000 + ns(86)),
-                ("B", 16000 + ns(90)),
-                ("T", 24000),
-                ("A", 24000 + ns(3)),
-                ("A", 24000 + ns(5)),
-                ("B", 24000 + ns(100)),
-            ]
-        )
-        p = pair_events(s)
+        # several triggers exercising every branch at once, in two frames
+        frames = [
+            Frame(GRID, 0, 2, clicks(("A", 0, ns(10)), ("B", 0, ns(22)), ("B", 1, ns(84)))),
+            Frame(GRID, 2, 2, clicks(("A", 0, ns(86)), ("B", 0, ns(90)), ("A", 1, ns(3)),
+                                     ("A", 1, ns(5)), ("B", 1, ns(100)))),
+        ]
+        p = pair_events(frames)
         assert p.n_triggers == 4
         assert p.valid.tolist() == [True, True, False, True]
         assert p.paired.tolist() == [True, False, False, True]
         assert p.delta_ts.tolist() == [-12.0, -97.0]
 
-
-def reference_first_per_trigger(ticks, owner, trigger_ticks):
-    first = np.full(trigger_ticks.size, -1, dtype=np.int64)
-    uniq, pos = np.unique(owner, return_index=True)
-    # stream sorted, so first occurrence is earliest
-    first[uniq] = ticks[pos] - trigger_ticks[uniq]
-    return first
+    def test_no_frame_rejected(self):
+        with pytest.raises(ValueError, match="no frame"):
+            pair_events(iter([]))
 
 
-def reference_pair_events(stream, valid_window):
-    """pair_events as it was when the first click of a trigger was its
-    first occurrence in the sorted stream (found with np.unique), kept as
-    the reference for the order-free pairing kernel, its first clicks
-    made offsets from their triggers. Returns (valid, first_a, first_b)."""
-    det = stream.detectors
-    ts = stream.timestamps
-    trigger_ticks = ts[det == DET_T]
-    n = trigger_ticks.size
-
-    window_ticks = int(np.floor(valid_window * 1000.0 / stream.resolution + 1e-9))
-    valid = np.zeros(n, dtype=bool)
-
-    sides = []
-    for code in (DET_A, DET_B):
-        clicks = ts[det == code]
-        idx = np.searchsorted(trigger_ticks, clicks, side="right") - 1
-        keep = idx >= 0
-        ticks, owner = clicks[keep], idx[keep]
-        near = (ticks - trigger_ticks[owner]) <= window_ticks
-        valid[owner[near]] = True
-        sides.append((ticks, owner))
-
-    (a_ticks, a_owner), (b_ticks, b_owner) = sides
-    return (
-        valid,
-        reference_first_per_trigger(a_ticks, a_owner, trigger_ticks),
-        reference_first_per_trigger(b_ticks, b_owner, trigger_ticks),
-    )
+# Run grids: the default config's, and the shortest period a 500 ns
+# window allows at 1 ps ticks and at 1 ns ticks, where windows are back
+# to back and float trigger times lose a tick
+PAIRING_GRIDS = [
+    GRID,
+    *(ExperimentConfig(n_triggers=1, trigger_period=smallest_period(500.0, resolution),
+                       timestamp_resolution=resolution).grid() for resolution in (1.0, 1000.0)),
+]
 
 
 @st.composite
-def sorted_streams(draw):
-    """Streams sorted by tick, detectors in any order on a tied tick:
-    clicks before the first trigger, triggers sharing a tick, triggers
-    without clicks and several clicks per trigger all occur."""
-    records = draw(st.lists(
-        st.tuples(st.sampled_from([DET_T, DET_A, DET_B]), st.integers(0, 2000)),
-        max_size=120,
-    ))
-    det = np.array([r[0] for r in records], dtype=np.uint8)
-    ticks = np.array([r[1] for r in records], dtype=np.int64)
-    order = np.argsort(ticks, kind="stable")
-    resolution = draw(st.sampled_from([125.0, 1.0, 1000.0]))
-    return EventStream(det[order], ticks[order], resolution)
+def runs(draw):
+    """A run's frames on one of PAIRING_GRIDS: one frame or several, small
+    ones and long sparse ones, frames without clicks, several clicks of
+    one trigger in any order, and offsets at 0 and at n_w - 1."""
+    grid = draw(st.sampled_from(PAIRING_GRIDS))
+    offset = st.one_of(st.sampled_from([0, grid.n_w - 1]), st.integers(0, grid.n_w - 1))
+    frames, first = [], 0
+    sizes = st.one_of(st.integers(1, 6), st.integers(1000, 3000))
+    for n in draw(st.lists(sizes, min_size=1, max_size=4)):
+        triples = draw(st.lists(st.tuples(st.sampled_from("AB"), st.integers(0, n - 1), offset),
+                                max_size=8))
+        frames.append(Frame(grid, first, n, clicks(*triples)))
+        first += n
+    return frames
 
 
 @settings(max_examples=200, deadline=None)
-@given(stream=sorted_streams(), valid_window=st.sampled_from([0.0, 0.125, 3.0, 85.0, 1e4]))
-# a click followed by a trigger on its own tick: the trigger claims it
+@given(frames=runs(), valid_window=st.sampled_from([0.0, 0.125, 85.0, 499.999, 1e9]))
+# three frames, the middle one without clicks, at 1 ps ticks: the last
+# click of each frame at n_w - 1, where the next trigger's tick is closest
 @example(
-    stream=stream_from_records([("T", 0), ("A", 100), ("T", 100), ("B", 150)]), valid_window=0.0
-)
-# by two triggers on its tick: the second claims both clicks before it
-@example(
-    stream=stream_from_records(
-        [("T", 0), ("B", 100), ("A", 100), ("T", 100), ("T", 100), ("A", 120)]
-    ),
+    frames=[
+        Frame(PAIRING_GRIDS[1], 0, 2, clicks(("A", 1, PAIRING_GRIDS[1].n_w - 1), ("B", 0, 0))),
+        Frame(PAIRING_GRIDS[1], 2, 3, clicks()),
+        Frame(PAIRING_GRIDS[1], 5, 1, clicks(("B", 0, PAIRING_GRIDS[1].n_w - 1),
+                                             ("A", 0, 7), ("B", 0, 3))),
+    ],
     valid_window=0.0,
 )
-# clicks before the first trigger, the last of them on its tick
-@example(
-    stream=stream_from_records([("A", 3), ("B", 5), ("A", 10), ("T", 10), ("B", 12)]),
-    valid_window=0.125,
-)
-@example(stream=stream_from_records([("A", 3), ("B", 5), ("B", 5)]), valid_window=85.0)
-def test_pair_events_matches_reference(stream, valid_window):
-    valid, first_a, first_b = reference_pair_events(stream, valid_window)
-    p = pair_events(stream, valid_window)
-    assert p.valid.tobytes() == valid.tobytes()
-    assert p.first_a.tobytes() == first_a.tobytes()
-    assert p.first_b.tobytes() == first_b.tobytes()
-    assert p.resolution == stream.resolution
+def test_pair_events_matches_reference(frames, valid_window):
+    # the reference pairs on the absolute-tick layout, each click with
+    # the last trigger at or before its tick
+    valid, first_a, first_b = pair_by_trigger(layout(frames), valid_window)
+    p = pair_events(frames, valid_window)
+    assert p.valid.tolist() == valid
+    assert p.first_a.tolist() == first_a
+    assert p.first_b.tolist() == first_b
+    assert p.resolution == frames[0].grid.resolution
 
 
 MAX_TICK = 2**63 - 1
@@ -364,12 +305,10 @@ ROUND_TRIPS = [
 def test_event_file_reads_back_as_the_run(tmp_path, fields, workers, valid_window):
     config = ExperimentConfig(seed=21, **fields)
     path = write_events(simulate_frames(config, workers), tmp_path / "events.csv")
-    # record for record the stream of `simulate`
-    stream, want = read_events(path), simulate(config, workers)
-    assert stream.resolution == want.resolution
-    assert stream.detectors.tobytes() == want.detectors.tobytes()
-    assert stream.timestamps.tobytes() == want.timestamps.tobytes()
-    # and `homsim analyze`'s histogram is `homsim dip`'s and the stream's
+    # frame for frame the run of `simulate`
+    want = simulate(config, workers)
+    assert same_frames(read_events(path), want)
+    # and `homsim analyze`'s histogram is `homsim dip`'s and the run's
     binning = (valid_window, 10.0, 1005.0)
     got = histogram_frames(read_frames(path), *binning)
     (fused,) = simulate_histograms([config], *binning, workers=workers)

@@ -29,7 +29,7 @@ from homsim import (
     visibility_closed_form,
 )
 import quadrature
-from helpers import event_file, frame, header
+from helpers import codes, event_file, frame, header
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -334,9 +334,9 @@ class TestSimulate:
         assert cli.main([
             "simulate", "--config", str(cfg), "--out", str(tmp_path)
         ]) == 0
-        codes = read_events(tmp_path / "events.csv").detectors
-        assert len(codes) == 1000
-        assert (codes == homsim.io.DET_T).all()
+        frames = read_events(tmp_path / "events.csv")
+        assert sum(f.n_triggers for f in frames) == 1000
+        assert codes(frames).size == 0
 
     def test_background_counts_near_poisson_mean(self, tmp_path):
         rate, n = 2e-4, 20_000
@@ -347,10 +347,10 @@ class TestSimulate:
         assert cli.main([
             "simulate", "--config", str(cfg), "--out", str(tmp_path)
         ]) == 0
-        codes = read_events(tmp_path / "events.csv").detectors
+        run_codes = codes(read_events(tmp_path / "events.csv"))
         mean = rate * 500.0 * n
         for det in (homsim.io.DET_A, homsim.io.DET_B):
-            count = np.count_nonzero(codes == det)
+            count = np.count_nonzero(run_codes == det)
             assert abs(count - mean) < 3.0 * np.sqrt(mean)
 
     def test_sidecar_metadata(self, tmp_path):
@@ -361,7 +361,8 @@ class TestSimulate:
         meta = json.loads((tmp_path / "events.json").read_text())
         assert meta["config"]["timestamp_resolution"] == 125.0
         assert meta["config"]["n_triggers"] == 500
-        assert meta["n_records"] == len(read_events(tmp_path / "events.csv"))
+        frames = read_events(tmp_path / "events.csv")
+        assert meta["n_records"] == sum(f.n_triggers for f in frames) + codes(frames).size
         assert len(meta["config_hash"]) == 16
 
     def test_sidecar_matches_library_write(self, tmp_path):
@@ -420,7 +421,8 @@ GOLDEN_DIP_RUNS = {
 }
 # The sha256 of every file that `simulate` par and perp and then `analyze`
 # write for GOLDEN_RUNS, and that `dip` writes for GOLDEN_DIP_RUNS, as
-# homsim 0.4.0 writes them. A change that moves a byte of the stream, of
+# homsim 0.4.0 writes them (0.5.0, which changed the API alone, writes the
+# same bytes). A change that moves a byte of the stream, of
 # the event file or of an analysis output updates them together with its
 # version. 0.4.0's event files of format 2 moved every events.csv and
 # events.json (which holds the file's digest and no resolution_ps); the
@@ -479,6 +481,31 @@ def test_dip_outputs_match_recorded_digests(tmp_path, capsys, run):
     digests = {f"dip/{name}": hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("dip.csv", "dip.json")}
     assert digests == GOLDEN_DIGESTS[run]
+
+
+# The sha256 of `pair_events(simulate(config))`'s `valid`, `first_a` and
+# `first_b` arrays, in that order, as bytes, for GOLDEN_RUNS' par (xi 1)
+# and perp (xi 0) configs, as homsim 0.4.0 paired its event stream. Pairing
+# frame by frame gives the same arrays.
+GOLDEN_PAIRING_DIGESTS = {
+    "ps": {"par": "ad78c47b0cb4333e4f3a01263f3cbda534f2255f8435b47e7a734989f2343644",
+           "perp": "765f6a4dbf943aa9a04a15feffef2c0d7bd037cf2e3daa6f7424f82ef286f7d9"},
+    "sparse": {"par": "403ecf6be09df6b901b44932545c3cf3f610d4cbef23dc132365acc52058d678",
+               "perp": "d7b1b9c9da7ad408a248e7cf0625af7073643a711e4164d8ed79cfdad64d15a4"},
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_pairing_matches_recorded_digests(run):
+    digests = {}
+    for side, xi in (("par", 1.0), ("perp", 0.0)):
+        pairing = homsim.pair_events(homsim.simulate(
+            homsim.ExperimentConfig(xi=xi, **GOLDEN_RUNS[run])))
+        digest = hashlib.sha256()
+        for array in (pairing.valid, pairing.first_a, pairing.first_b):
+            digest.update(array.tobytes())
+        digests[side] = digest.hexdigest()
+    assert digests == GOLDEN_PAIRING_DIGESTS[run]
 
 
 # The sha256 of the `oracle.csv` that `oracle` writes for each argument
@@ -997,8 +1024,9 @@ def test_all_is_exactly_the_public_names():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert homsim.__all__ == sorted(set(homsim.__all__))
     assert set(homsim.__all__) == public
-    # 0.4.0 added simulate_frames, the frames that write_events takes
-    assert len(homsim.__all__) == 30
+    # 0.4.0 added simulate_frames, the frames that write_events takes;
+    # 0.5.0 removed EventStream, since frames are the one event representation
+    assert len(homsim.__all__) == 29
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -7,18 +7,15 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import event_file, frame, header, smallest_period, stream_from_records
+from helpers import clicks, event_file, frame, header, same_frames, smallest_period
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from homsim import (ConfigError, DataFormatError, EventStream, ExperimentConfig, io, read_events,
-                    write_events)
+from homsim import ConfigError, DataFormatError, ExperimentConfig, io, read_events, write_events
 from homsim.io import (
     _FRAME,
     _MAGIC,
     DET_A,
-    DET_B,
-    DET_T,
     Frame,
     Grid,
     config_hash,
@@ -31,15 +28,6 @@ from homsim.io import (
 from homsim.montecarlo import simulate, simulate_frames
 
 GRID = Grid(1000.0, 125.0, 4000)  # the default config's: 8000 ticks per period
-
-
-def clicks(*triples):
-    """A click list of (label, owner, offset) triples, as the generator
-    makes one: int64 offsets and owners, uint8 codes."""
-    codes = np.array([io.DETECTOR_LABELS.index(c) for c, _, _ in triples], dtype=np.uint8)
-    owners = np.array([owner for _, owner, _ in triples], dtype=np.int64)
-    offsets = np.array([offset for _, _, offset in triples], dtype=np.int64)
-    return offsets, owners, codes
 
 
 def sample_frames(grid=GRID):
@@ -55,26 +43,6 @@ SAMPLE = header() + frame(0, 2, [("A", 0, 400), ("B", 0, 480), ("A", 1, 100)]) +
     2, 3, [("B", 2, 7)])
 
 
-def test_from_records_and_labels():
-    s = stream_from_records(
-        [("T", 0), ("A", 400), ("B", 480), ("T", 8000), ("A", 8100)]
-    )
-    assert len(s) == 5
-    assert list(s.detectors) == [DET_T, DET_A, DET_B, DET_T, DET_A]
-    assert list(s.timestamps) == [0, 400, 480, 8000, 8100]
-    assert s.is_sorted()
-    assert not EventStream([0, 1], [10, 5 - 2**63]).is_sorted()
-
-
-@pytest.mark.parametrize("detectors, timestamps, match", [
-    ([0, 1], [10], "must match in length"),
-    ([0, 3], [10, 20], "detector codes must be 0"),
-], ids=["length-mismatch", "bad-detector-code"])
-def test_bad_stream_arrays_rejected(detectors, timestamps, match):
-    with pytest.raises(ValueError, match=match):
-        EventStream(detectors, timestamps)
-
-
 def test_roundtrip_with_sidecar(tmp_path):
     path = tmp_path / "events.csv"
     write_events(sample_frames(), path, metadata={"config": {"seed": 3}, "config_hash": "abc"})
@@ -88,10 +56,8 @@ def test_roundtrip_with_sidecar(tmp_path):
             assert column.tolist() == want_column.tolist()
             # each frame is read into a buffer of its own: its arrays are writable
             assert column.flags.writeable
-    s = read_events(path)
-    assert s.resolution == 125.0
-    assert s.detectors.tolist() == [DET_T, DET_A, DET_B, DET_T, DET_A, DET_T, DET_T, DET_T, DET_B]
-    assert s.timestamps.tolist() == [0, 400, 480, 8000, 8100, 16000, 24000, 32000, 32007]
+    # read_events reads the file whole
+    assert same_frames(read_events(path), read_frames(path))
 
 
 def test_default_config_hash_is_the_configs(tmp_path):
@@ -115,25 +81,18 @@ def test_metadata_cannot_overwrite_the_sidecar_fields(tmp_path, field, value):
 
 def test_read_without_sidecar(tmp_path):
     path = event_file(tmp_path / "e.csv", frame(0, 2, [("A", 1, 5)]), head=header(500.5, 62.5, 7))
-    s = read_events(path)
-    assert s.resolution == 62.5
-    assert s.detectors.tolist() == [DET_T, DET_T, DET_A]
-    assert s.timestamps.tolist() == [0, 8008, 8013]
+    (back,) = read_events(path)
+    assert back[:3] == (Grid(500.5, 62.5, 7), 0, 2)
+    assert [c.tolist() for c in back.clicks] == [[5], [1], [DET_A]]
 
 
 def test_run_files_read_back_as_the_run(tmp_path):
-    # the generator's click order is the file's, and the layout of the
-    # frames read back is the stream of the run
+    # the generator's click order is the file's, frame by frame and whole
     config = ExperimentConfig(n_triggers=_FRAME + 99, eta_f=0.3, eta_s=0.6, bg_rate_a=1e-3,
                               seed=4)
     path = write_events(simulate_frames(config), tmp_path / "events.csv")
-    for got, want in zip(read_frames(path), simulate_frames(config), strict=True):
-        assert got[:3] == want[:3]
-        for column, want_column in zip(got.clicks, want.clicks, strict=True):
-            assert column.tolist() == want_column.tolist()
-    s, want = read_events(path), simulate(config)
-    assert s.detectors.tobytes() == want.detectors.tobytes()
-    assert s.timestamps.tobytes() == want.timestamps.tobytes()
+    assert same_frames(read_frames(path), simulate_frames(config))
+    assert same_frames(read_events(path), simulate(config))
 
 
 def test_config_hash_stable_and_order_free():
@@ -348,9 +307,6 @@ def test_offsets_beyond_32_bits_round_trip(tmp_path):
     path = write_events(frames, tmp_path / "events.csv")
     (back,) = read_frames(path)
     assert back.clicks[0].tolist() == [grid.n_w - 1, 2**32, 0]
-    s = read_events(path)
-    assert s.timestamps.tolist() == [0, grid.n_w - 1, 10**13, 10**13, 2 * 10**13,
-                                     2 * 10**13 + 2**32]
 
 
 # Frame faults: the error names the file, the frame and, for a click at
@@ -541,7 +497,7 @@ class TestWriterChecks:
         yield from sample_frames()[:1]
         raise RuntimeError("the chunk source failed")
 
-    @pytest.mark.parametrize("frames, error, match", [
+    FAULTS = [
         ([Frame(GRID, 0, 1, clicks(("A", 1, 5)))], ValueError,
          "frame 0, click 0: owner 1 is at or past"),
         ([Frame(GRID, 0, 1, clicks(("A", 0, -5)))], ValueError, "frame 0, click 0: offset -5"),
@@ -571,16 +527,32 @@ class TestWriterChecks:
          ValueError, f"frame 0{ARRAYS_FAULT}float64 (1,), float64 (1,), uint8 (1,)"),
         ([Frame(GRID, 0, 3, (np.arange(2), np.arange(3), np.ones(3, np.uint8)))],
          ValueError, f"frame 0{ARRAYS_FAULT}int64 (2,), int64 (3,), uint8 (3,)"),
+    ]
+    # sidecar configs that cannot be checked against the frames' grid
+    CONFIG_FAULTS = [
+        ("oops", "config must be a mapping, got 'oops'"),
+        (None, "config must be a mapping, got None"),
+        ({"window_length": "500"}, "config window_length must be a real number, got '500'"),
+        ({"trigger_period": 1j}, "config trigger_period must be a real number, got 1j"),
+        ({"timestamp_resolution": 0.0}, "config timestamp_resolution must be positive, got 0.0"),
+        ({"window_length": -1.0}, "config window_length must be finite and non-negative"),
+    ]
+
+    @pytest.mark.parametrize("frames, error, match, metadata", [
+        *((*fault, None) for fault in FAULTS),
+        *((sample_frames(), ValueError, match, {"config": config})
+          for config, match in CONFIG_FAULTS),
     ], ids=["owner", "negative-offset", "offset", "code", "negative-owner", "owner-past-uint32",
             "out-of-order", "trigger-count", "mixed-grids", "window-past-period",
             "window-of-the-period", "no-frame", "failing-source", "short-codes", "nan-offset",
-            "float-clicks", "lengths"])
-    def test_writer_refuses_and_leaves_no_file(self, tmp_path, frames, error, match):
+            "float-clicks", "lengths", "config-string", "config-null", "config-string-window",
+            "config-complex-period", "config-zero-resolution", "config-negative-window"])
+    def test_writer_refuses_and_leaves_no_file(self, tmp_path, frames, error, match, metadata):
         path = tmp_path / "events.csv"
         path.write_text("an earlier run")
         sidecar_path(path).write_text("{}")
         with pytest.raises(error, match=re.escape(match)):
-            write_events(iter(frames), path)
+            write_events(iter(frames), path, metadata)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -615,7 +587,7 @@ class TestSidecarIntegrity:
         meta = read_sidecar(path)
         del meta["sha256"]
         sidecar_path(path).write_text(json.dumps(meta))
-        assert len(read_events(path)) == 9
+        assert [f.n_triggers for f in read_events(path)] == [2, 3]
 
     def test_corrupt_sidecar_rejected(self, tmp_path):
         path = self.written(tmp_path)

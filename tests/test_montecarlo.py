@@ -28,11 +28,11 @@ from homsim.interference import _BOUNDS, Envelope, _p_coincidence, amplitude
 from homsim import montecarlo
 from homsim.analysis import _bin, pair_clicks
 from homsim.io import (
-    DET_A, DET_B, DET_T, _ns_to_ticks, _stream, _tick_ns, _trigger_ticks, _whole_ticks,
-    read_frames, write_events,
+    DET_A, DET_B, DET_T, _ns_to_ticks, _tick_ns, _whole_ticks, read_frames, write_events,
 )
 from homsim.montecarlo import _CHUNK, simulate_frames
-from helpers import coincidence_fraction, quantize, smallest_period
+from helpers import (codes, coincidence_fraction, layout, quantize, same_frames, smallest_period,
+                     trigger_ticks)
 from quadrature import window
 
 TAU_S, TAU_F = 26.18, 13.61
@@ -111,8 +111,7 @@ class TestConfigValidation:
         # at most 1e6 clicks per window: 2000 /ns over the 500 ns window
         # makes a run, and the next rate up is refused
         config = ExperimentConfig(n_triggers=1, eta_f=0.0, eta_s=0.0, **{name: 2000.0})
-        clicks = simulate(config).detectors != DET_T
-        assert abs(clicks.sum() - 1e6) < 5.0 * math.sqrt(1e6)
+        assert abs(codes(simulate(config)).size - 1e6) < 5.0 * math.sqrt(1e6)
         with pytest.raises(ConfigError, match=f"{name} \\* window_length, .* at most 1e6"):
             replace(config, **{name: np.nextafter(2000.0, math.inf)})
 
@@ -149,8 +148,8 @@ class TestConfigValidation:
         # at the detuning bound too, every two-photon trial's phase stays
         # finite (warnings are errors); the delayed photon starts far past
         # the window, so one click per trigger is left
-        stream = simulate(ideal_config(n_triggers=100, detuning=1e6, delta_t=delta_t))
-        assert np.count_nonzero(stream.detectors != DET_T) == 100
+        frames = simulate(ideal_config(n_triggers=100, detuning=1e6, delta_t=delta_t))
+        assert codes(frames).size == 100
 
     @pytest.mark.parametrize("detuning", [1e6, -1e6])
     def test_jitter_at_its_bound_runs(self, detuning):
@@ -159,7 +158,7 @@ class TestConfigValidation:
         # before its trigger or far past the window, so the gate keeps the
         # heralded photon's click alone
         config = ideal_config(n_triggers=100, detuning=detuning, excitation_jitter_sigma=1e150)
-        assert np.count_nonzero(simulate(config).detectors != DET_T) == 100
+        assert codes(simulate(config)).size == 100
 
     # each end of each field's bound: the finite ones, and the bound's kind
     BOUND_ENDS = [
@@ -210,9 +209,7 @@ class TestConfigValidation:
         cfg = ideal_config(n_triggers=np.int64(1000), seed=np.uint32(7))
         # kept as ints, so the run's config hash is that of the same run given ints
         assert type(cfg.n_triggers) is int and type(cfg.seed) is int
-        assert simulate(cfg).timestamps.tobytes() == simulate(
-            ideal_config(n_triggers=1000, seed=7)
-        ).timestamps.tobytes()
+        assert same_frames(simulate(cfg), simulate(ideal_config(n_triggers=1000, seed=7)))
 
     def test_period_exceeds_window_by_at_least_one_tick(self):
         # 125 ps ticks are 0.125 ns: 500.125 leaves exactly one tick
@@ -231,18 +228,14 @@ class TestConfigValidation:
 class TestDeterminism:
     def test_identical_runs(self):
         cfg = ideal_config(n_triggers=30_000, bg_rate_a=1e-4, bg_rate_b=1e-4)
-        s1, s2 = simulate(cfg), simulate(cfg)
-        assert np.array_equal(s1.detectors, s2.detectors)
-        assert np.array_equal(s1.timestamps, s2.timestamps)
+        assert same_frames(simulate(cfg), simulate(cfg))
 
     def test_independent_of_worker_count(self):
         # spans several chunks so parallel scheduling actually varies
         cfg = ideal_config(n_triggers=150_000, bg_rate_a=5e-5)
         ref = simulate(cfg, workers=1)
         for workers in (2, 4):
-            alt = simulate(cfg, workers=workers)
-            assert np.array_equal(ref.detectors, alt.detectors)
-            assert np.array_equal(ref.timestamps, alt.timestamps)
+            assert same_frames(simulate(cfg, workers=workers), ref)
 
     def test_frames_are_trigger_aligned_pieces_of_the_stream(self):
         cfg = ideal_config(n_triggers=2 * _CHUNK + 5, trigger_period=500.125,
@@ -251,9 +244,14 @@ class TestDeterminism:
         assert [(f.first, f.n_triggers) for f in frames] == [(0, _CHUNK), (_CHUNK, _CHUNK),
                                                             (2 * _CHUNK, 5)]
         assert all(f.grid == (500.125, 125.0, 4000) for f in frames)
-        whole = simulate(cfg)
-        pieces = [_stream([f]) for f in frames]
-        assert all(p.detectors[0] == DET_T and p.is_sorted() for p in pieces)
+        assert same_frames(simulate(cfg), frames)
+        # laid out on absolute ticks, each frame opens with its first
+        # trigger and ends before the next frame's: the frames, in order,
+        # make up the run's sorted layout
+        whole = layout(frames)
+        assert not (np.diff(whole.timestamps) < 0).any()
+        pieces = [layout([f]) for f in frames]
+        assert all(p.detectors[0] == DET_T for p in pieces)
         for column in ("detectors", "timestamps"):
             joined = np.concatenate([getattr(p, column) for p in pieces])
             assert joined.tobytes() == getattr(whole, column).tobytes()
@@ -342,14 +340,6 @@ class TestDeterminism:
         want = [np.dtype(np.int64), np.dtype(np.uint32), np.dtype(np.uint8)]
         for made, read in zip(simulate_frames(config), read_frames(path), strict=True):
             assert [c.dtype for c in made.clicks] == [c.dtype for c in read.clicks] == want
-
-    def test_stream_sorted_with_triggers_first(self):
-        cfg = ideal_config(n_triggers=20_000)
-        s = simulate(cfg)
-        assert s.is_sorted()
-        # a trigger quantized onto the same tick as a click sorts first
-        same = np.flatnonzero(np.diff(s.timestamps) == 0)
-        assert np.all(s.detectors[same] <= s.detectors[same + 1])
 
 
 def reference_amplitude(tau, detuning, t, t0):
@@ -606,9 +596,9 @@ def generator_configs(draw):
 )
 def test_stream_matches_reference_generator(config, workers):
     det, ticks = reference_simulate(config)
-    stream = simulate(config, workers=workers)
-    assert stream.detectors.tobytes() == det.tobytes()
-    assert stream.timestamps.tobytes() == ticks.tobytes()
+    run = layout(simulate(config, workers=workers))
+    assert run.detectors.tobytes() == det.tobytes()
+    assert run.timestamps.tobytes() == ticks.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -650,11 +640,8 @@ def test_every_click_ticks_below_the_next_trigger(config, first):
     count = min(config.n_triggers, _CHUNK)
     frame = montecarlo._frame(config, (first, count, 0))
     offsets, owners, detectors = frame.clicks
-    trig_ticks = _trigger_ticks(frame.grid, first, count)
-    following = quantize(
-        (first + np.arange(1, count + 1, dtype=float)) * config.trigger_period,
-        config.timestamp_resolution,
-    )
+    trig_ticks = trigger_ticks(frame.grid, first, count)
+    following = trigger_ticks(frame.grid, first + 1, count)
     assert np.all((detectors == DET_A) | (detectors == DET_B))
     assert np.all(offsets >= 0)
     assert np.all(trig_ticks[owners] + offsets < following[owners])
@@ -767,26 +754,25 @@ def test_fused_chunk_memory():
 class TestEventContent:
     def test_dark_run_contains_only_triggers(self):
         cfg = ExperimentConfig(n_triggers=1000, eta_f=0.0, eta_s=0.0, seed=1)
-        s = simulate(cfg)
-        assert len(s) == 1000
-        assert np.all(s.detectors == DET_T)
-        assert np.array_equal(s.timestamps, np.arange(1000) * 8000)
+        frames = simulate(cfg)
+        assert sum(f.n_triggers for f in frames) == 1000
+        assert codes(frames).size == 0
 
     def test_background_counts_poisson_mean(self):
         rate, w, n = 2e-4, 500.0, 50_000
         cfg = ExperimentConfig(
             n_triggers=n, eta_f=0.0, eta_s=0.0, bg_rate_a=rate, bg_rate_b=rate, seed=9
         )
-        s = simulate(cfg)
+        run_codes = codes(simulate(cfg))
         mean = rate * w * n
         for det in (DET_A, DET_B):
-            count = int(np.sum(s.detectors == det))
+            count = int(np.sum(run_codes == det))
             assert abs(count - mean) < 3.0 * np.sqrt(mean)
 
     def test_detector_offset_shifts_one_side(self):
         base = ideal_config(n_triggers=5000)
         shifted = ideal_config(n_triggers=5000, detector_offset_a=50.0)
-        s0, s1 = simulate(base), simulate(shifted)
+        s0, s1 = layout(simulate(base)), layout(simulate(shifted))
         a0 = np.sort(s0.timestamps[s0.detectors == DET_A])
         a1 = np.sort(s1.timestamps[s1.detectors == DET_A])
         b0 = np.sort(s0.timestamps[s0.detectors == DET_B])
@@ -825,16 +811,15 @@ class TestPhysics:
     def test_xi_changes_labels_not_pooled_times(self):
         times = {}
         for xi in (0.0, 1.0):
-            s = simulate(ideal_config(n_triggers=50_000, xi=xi, seed=3))
-            times[xi] = np.sort(s.timestamps[s.detectors != DET_T])
+            run = layout(simulate(ideal_config(n_triggers=50_000, xi=xi, seed=3)))
+            times[xi] = np.sort(run.timestamps[run.detectors != DET_T])
         assert np.array_equal(times[0.0], times[1.0])
 
     def test_difference_histogram_matches_density(self):
         # chi-square of the simulated A-B difference spectrum against the
         # analytic coincidence density, 1 ns bins
         cfg = ideal_config(n_triggers=2_000_000, seed=12)
-        s = simulate(cfg)
-        pairing = pair_events(s)
+        pairing = pair_events(simulate(cfg))
         d = pairing.delta_ts
         edges = np.arange(-80.0, 80.0 + 1e-9, 1.0)
         counts, _ = np.histogram(d, bins=edges)
