@@ -28,7 +28,7 @@ from .interference import (
 from .io import read_events, write_events
 from .montecarlo import ExperimentConfig, simulate, simulate_frames, simulate_histograms
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AccidentalEstimate",

@@ -13,10 +13,15 @@ only for the photons that exist. Per chunk, in this fixed order, which is
 part of the determinism contract:
 
 1. each source's live triggers, heralded (f) then single-atom (s): a
-   binomial count and a sorted uniform sample of that many triggers
-   (every trigger at efficiency 1 and none at 0, with no draw);
+   binomial count of them, then a uniform sample without replacement of
+   that many triggers, or, above efficiency 1/2, of the dead triggers,
+   whose complement is the live set (every trigger at efficiency 1 and
+   none at 0, with no draw);
 2. an emission uniform per f photon, then per s photon;
-3. a route uniform per photon, f photons first;
+3. a route bit per photon, f photons first: for m photons, the bits of
+   ceil(m / 64) raw 64-bit words of the bit generator, photon i taking
+   bit i % 64, least significant first, of word i // 64; the last word's
+   unused bits are dropped;
 4. an excitation-jitter normal per s photon, if the jitter is on;
 5. an outcome uniform per two-photon trigger;
 6. for detector A, then B, if its background rate is non-zero: a Poisson
@@ -25,7 +30,7 @@ part of the determinism contract:
 
 No draw count depends on `xi` or on the outcome law, so `xi` changes
 which detector a photon reaches but no detection time. A lone photon
-goes to A on a route uniform below 1/2. In a pair the heralded photon
+goes to A on a route bit of 1. In a pair the heralded photon
 does so too, and the single-atom photon goes to the other detector on a
 coincidence and to the same one on bunching. The two-photon triggers
 are found by marking one source's triggers in a boolean array; where a
@@ -205,15 +210,21 @@ class ExperimentConfig:
 def _live(rng, count: int, eta: float) -> np.ndarray:
     """Sorted indices (uint32, an owner's type) of the triggers at which a
     source of efficiency `eta` emits: a binomial count of them, placed by
-    a uniform sample. No draw at eta 0 or 1."""
+    a uniform sample of the live triggers, or above eta 1/2 of the dead
+    ones. No draw at eta 0 or 1."""
     if eta >= 1.0:
         return np.arange(count, dtype=np.uint32)
     if eta <= 0.0:
         return np.empty(0, dtype=np.uint32)
-    live = rng.choice(count, rng.binomial(count, eta), replace=False, shuffle=False)
-    live = live.astype(np.uint32)
-    live.sort()
-    return live
+    n = rng.binomial(count, eta)
+    if eta <= 0.5:
+        live = rng.choice(count, n, replace=False, shuffle=False).astype(np.uint32)
+        live.sort()
+        return live
+    # the complement of the dead triggers, sorted as it is found
+    alive = np.ones(count, dtype=bool)
+    alive[rng.choice(count, count - n, replace=False, shuffle=False)] = False
+    return np.flatnonzero(alive).astype(np.uint32)
 
 
 def _shared(mine: np.ndarray, other: np.ndarray, count: int):
@@ -236,12 +247,14 @@ def _photons(rng, config: ExperimentConfig, count: int):
     on_f = _live(rng, count, config.eta_f)
     on_s = _live(rng, count, config.eta_s)
     n_f, n = on_f.size, on_f.size + on_s.size
-    # The emission uniforms (f, then s), then the route uniforms: steps 2
-    # and 3. A uniform is one draw of the generator, so two calls draw
-    # what one call for both would. The times are made in place, and the
-    # route uniforms go once they are routes.
+    # The emission uniforms (f, then s), made into times in place: step 2.
+    # Step 3, a route bit per photon (f, then s): photon i takes bit i % 64,
+    # least significant first, of raw word i // 64, read as little-endian
+    # bytes, so the bits do not depend on the host's byte order.
     times = rng.random(n)
-    t_f, t_s, to_a = times[:n_f], times[n_f:], rng.random(n) < 0.5
+    t_f, t_s = times[:n_f], times[n_f:]
+    words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    to_a = np.unpackbits(words.view(np.uint8), count=n, bitorder="little").view(bool)
     t0_s = pair.env_s.t0
     if config.excitation_jitter_sigma > 0.0:
         t0_s = t0_s + rng.standard_normal(on_s.size) * config.excitation_jitter_sigma
@@ -252,7 +265,7 @@ def _photons(rng, config: ExperimentConfig, count: int):
     _inverse_cdf(pair.env_f.t0, pair.env_f.tau, t_f, out=t_f)
     _inverse_cdf(t0_s, pair.env_s.tau, t_s, out=t_s)
 
-    # Routing: a lone photon goes where its route uniform says. In a pair
+    # Routing: a lone photon goes where its route bit says. In a pair
     # the heralded photon does; the single-atom photon goes to the other
     # detector on a coincidence and to the same one on bunching.
     if r_outcome.size:

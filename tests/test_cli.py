@@ -421,38 +421,38 @@ GOLDEN_DIP_RUNS = {
 }
 # The sha256 of every file that `simulate` par and perp and then `analyze`
 # write for GOLDEN_RUNS, and that `dip` writes for GOLDEN_DIP_RUNS, as
-# homsim 0.4.0 writes them (0.5.0, which changed the API alone, writes the
-# same bytes). A change that moves a byte of the stream, of
+# homsim 0.6.0 writes them. A change that moves a byte of the stream, of
 # the event file or of an analysis output updates them together with its
 # version. 0.4.0's event files of format 2 moved every events.csv and
 # events.json (which holds the file's digest and no resolution_ps); the
-# analysis outputs kept their bytes.
+# analysis outputs kept their bytes. 0.6.0's route bits moved every
+# digest: each run has photons, and a photon's detector changed.
 GOLDEN_DIGESTS = {
     "ps": {
-        "ana/histogram_par.csv": "7521b30784cf59b28483c1f7cdd3fd2455212b685e91fd84191304c6e8c6f662",
-        "ana/histogram_perp.csv": "122545f3ef28dc2385f04f0e47f7533b2cc47aaa0ba93aa54723f89cf0a2db18",
-        "ana/visibility.json": "b7532c09f89e427190704cfdf137f66997a7beb57309911fd17197a67a48520b",
-        "par/events.csv": "9fafb9ed4889e816a6adc6af4232f41be3d2d37ab0113717b10588c7527bf030",
-        "par/events.json": "6ad9360a8d34ac6e34ce0c7fe43d56f8a58d77f046e55e31b8aedc1064a6de73",
-        "perp/events.csv": "f32a898193cf5368b95cb2769fb79d66d2f85fe9002fe13126f9b78a27be42ba",
-        "perp/events.json": "5d60437db9eea0ca19bcc93419846a220a8d305f76a18cd63d19d6640d1383b7",
+        "ana/histogram_par.csv": "d14b1fccc2bcd0875e022324b1a9514499b2366e4f23c78c8e9ae27826f5de4f",
+        "ana/histogram_perp.csv": "45d7e912b36544999415ae039223ee5b91a96ec1569cd0dd655e288b2c2e9c8b",
+        "ana/visibility.json": "c1dd8a9c405c85274218c44ac3a22118923f66afdb1a486b1e8fb33639c6e206",
+        "par/events.csv": "eeff0371364d67281aa83f9806525afad19af6cf32a6a36631ea00b1a54f5d23",
+        "par/events.json": "bc2cd96f9dd7951f9737b0162c1a7e5f8f5b6d0816dcc24fb61b2a1e7220cd8c",
+        "perp/events.csv": "a03f6107528bccc3b5640b5be204077fec8fe7374d3f20edc30dcff66077efc1",
+        "perp/events.json": "77b5123ddf32cd010682200cb5356fc78ff11fadc88ad2d3bb92333b96a0e134",
     },
     "sparse": {
-        "ana/histogram_par.csv": "767b704d2a25d5c395dce4ba557b6beb64a395c10be92206382b145f288d7b43",
-        "ana/histogram_perp.csv": "331e02afe9d59745f06f3ff0fdbc2dc4d86d1e52bd1a6c82de55fc7c93304d50",
-        "ana/visibility.json": "0b01104567ab4f72bb740030ddb58c0aac4decc8e75d59c0f0a943de7829dfd1",
-        "par/events.csv": "e8279ce4980f85be64cf4b36cb254c68e1dae3f7c377ab69f47ce2c16ca35390",
-        "par/events.json": "784b4e5659a3f2f091d92bcc0394800291bb90477e7669a61a7820a67d401e98",
-        "perp/events.csv": "15028be2218e24ef30314c7cf60b4fedd839508685e04e82dd4e04447aaa40cc",
-        "perp/events.json": "7a203b1e0818269e9986942faae5172f702eab080fce657042448536ca74a917",
+        "ana/histogram_par.csv": "108a7d13b43bad78f6a2baf8b075417a105430fbe53c3f50d6afac01de61276f",
+        "ana/histogram_perp.csv": "58286247f270ad4ddf873a5d9091f50e43f17e3d59158e0f4c485dee7f1d4d01",
+        "ana/visibility.json": "6fea3e1f323bde7f255141e0e71d4d469cf6273b8359877a311cf8dd6b52f6e1",
+        "par/events.csv": "f5e931d7c20115f349dee95f89c9e54a191e1c0495c513e59f6732022c114c6b",
+        "par/events.json": "40216773494f2b8c4610f47dbea9502e245341fa0969d7bf777fdefff7447384",
+        "perp/events.csv": "5517a9add3fba5ca63009d539654b7e37be913b4ccbf7d82dc52ff8064582525",
+        "perp/events.json": "2d97ed12c61f13cc2f5e493d1f0a50fd3bf5b4243a66309d6eacc703832e7456",
     },
     "dip_dense": {
-        "dip/dip.csv": "aa5e913f7ab4e5ddfb4bb922d8a1a14fb436b94166ee266ec6e7732f15e6afb4",
-        "dip/dip.json": "9d43e32497cc8d03eddbdc661043f19f84baf95ea615b4ff90779eb6d2e74f7d",
+        "dip/dip.csv": "44065c8ee70593fdb5135f9c77f37a5655b5f30558eedc4df99c8dadc95dd0a3",
+        "dip/dip.json": "2905e7f0992cbd70e91ff9c8bf0163d5be51553f15a6ff52a7aeeaed37a50fe8",
     },
     "dip_mixed": {
-        "dip/dip.csv": "cb350fddc0f95d81c765f8eed2c4669277accfaa572e801952328adc02c9ef6e",
-        "dip/dip.json": "2456ee61d88a18cec2c227ed25b9b4831981c54b18dc842618253ff9672aed56",
+        "dip/dip.csv": "0e1892dcf7b489a9d8b01ce334a42554c6f6942a2c39517ab102bae30b12071c",
+        "dip/dip.json": "202be49b6008ea4fe0619e6dda4cb42373506916e3619c949af6f069b42fe00f",
     },
 }
 
@@ -485,13 +485,14 @@ def test_dip_outputs_match_recorded_digests(tmp_path, capsys, run):
 
 # The sha256 of `pair_events(simulate(config))`'s `valid`, `first_a` and
 # `first_b` arrays, in that order, as bytes, for GOLDEN_RUNS' par (xi 1)
-# and perp (xi 0) configs, as homsim 0.4.0 paired its event stream. Pairing
-# frame by frame gives the same arrays.
+# and perp (xi 0) configs, as homsim 0.6.0 pairs their frames. (0.5.0's
+# pairing frame by frame gave the arrays 0.4.0's event stream did; 0.6.0's
+# route bits moved them.)
 GOLDEN_PAIRING_DIGESTS = {
-    "ps": {"par": "ad78c47b0cb4333e4f3a01263f3cbda534f2255f8435b47e7a734989f2343644",
-           "perp": "765f6a4dbf943aa9a04a15feffef2c0d7bd037cf2e3daa6f7424f82ef286f7d9"},
-    "sparse": {"par": "403ecf6be09df6b901b44932545c3cf3f610d4cbef23dc132365acc52058d678",
-               "perp": "d7b1b9c9da7ad408a248e7cf0625af7073643a711e4164d8ed79cfdad64d15a4"},
+    "ps": {"par": "45f46d3038409b87d1b216abd5cccb1ace169c9054bd87c5ec8f98f340a226f6",
+           "perp": "d50507d17ab435ca94f06d475cc3ad7b91d603eae48de8b3ff3b4c2ffc3ec964"},
+    "sparse": {"par": "a9226fd4634da2a532102388a975322e95ae47767b7c3a37627b101de2665643",
+               "perp": "9f119ca5a5b340393856fa88ad3b7d3da2a1bc45c407affc32be5719d3137e73"},
 }
 
 

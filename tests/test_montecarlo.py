@@ -361,13 +361,26 @@ def reference_outcome_probs(amp_direct, amp_swapped, xi):
 def reference_live(rng, count, eta):
     """Sorted trigger indices of one source's photons: every trigger at
     eta 1 and none at eta 0, with no draw; otherwise a binomial count,
-    placed by a uniform sample without replacement."""
+    placed by a uniform sample without replacement, of the live triggers
+    up to eta 1/2 and of the dead ones above it, the live ones being the
+    rest as a set difference."""
     if eta == 1.0:
         return np.arange(count)
     if eta == 0.0:
         return np.zeros(0, dtype=np.int64)
     n = rng.binomial(count, eta)
-    return np.sort(rng.choice(count, n, replace=False, shuffle=False))
+    if eta <= 0.5:
+        return np.sort(rng.choice(count, n, replace=False, shuffle=False))
+    dead = rng.choice(count, count - n, replace=False, shuffle=False)
+    return np.array(sorted(set(range(count)) - set(dead.tolist())), dtype=np.int64)
+
+
+def reference_routes(rng, n):
+    """One route bit per photon, True for A: photon i takes bit i % 64,
+    counted from the least significant, of raw word i // 64, read by
+    shifting each word's integer value."""
+    words = [int(w) for w in rng.bit_generator.random_raw(-(-n // 64))]
+    return np.array([(words[i // 64] >> (i % 64)) & 1 for i in range(n)], dtype=bool)
 
 
 def reference_simulate_chunk(config, first, count, chunk_idx):
@@ -383,7 +396,7 @@ def reference_simulate_chunk(config, first, count, chunk_idx):
     on_s = reference_live(rng, count, config.eta_s)
     u_f = rng.random(on_f.size)
     u_s = rng.random(on_s.size)
-    route = rng.random(on_f.size + on_s.size) < 0.5
+    route = reference_routes(rng, on_f.size + on_s.size)
     route_f, route_s = route[: on_f.size], route[on_f.size :]
     jitter = np.zeros(on_s.size)
     if config.excitation_jitter_sigma > 0.0:
@@ -594,6 +607,21 @@ def generator_configs(draw):
     ),
     workers=1,
 )
+# above eta 1/2: the dead triggers are placed and the live ones are their
+# complement, with jitter and background on, over two chunks
+@example(
+    config=ExperimentConfig(
+        n_triggers=_CHUNK + 1234, eta_f=0.95, eta_s=0.95, xi=0.9, excitation_jitter_sigma=1.5,
+        bg_rate_a=1e-3, bg_rate_b=1e-3, seed=6,
+    ),
+    workers=2,
+)
+# either side of the boundary: eta 1/2 places the live triggers, the next
+# float up the dead ones
+@example(
+    config=ExperimentConfig(n_triggers=3000, eta_f=0.5, eta_s=math.nextafter(0.5, 1.0), seed=7),
+    workers=1,
+)
 def test_stream_matches_reference_generator(config, workers):
     det, ticks = reference_simulate(config)
     run = layout(simulate(config, workers=workers))
@@ -647,17 +675,22 @@ def test_every_click_ticks_below_the_next_trigger(config, first):
     assert np.all(trig_ticks[owners] + offsets < following[owners])
 
 
-def test_sampler_laws(monkeypatch):
-    # 16 chunks at the paper's efficiency with background: photons per
-    # source follow Binomial(n, eta) and background clicks Poisson(rate w n)
-    eta, rate, n = 0.05, 1e-4, 16 * _CHUNK
+# the paper's efficiency; just above 1/2 and at 0.95, where the dead
+# triggers are placed and the live ones are their complement
+@pytest.mark.parametrize("eta", [0.05, 0.51, 0.95])
+def test_sampler_laws(monkeypatch, eta):
+    # 16 chunks with background: photons per source follow Binomial(n, eta)
+    # and background clicks Poisson(rate w n)
+    rate, n = 1e-4, 16 * _CHUNK
     cfg = ExperimentConfig(n_triggers=n, eta_f=eta, eta_s=eta, bg_rate_a=rate,
                            bg_rate_b=rate, seed=17)
     photons = []
     live = montecarlo._live
 
-    def counted(*args):
-        on = live(*args)
+    def counted(rng, count, eta):
+        on = live(rng, count, eta)
+        # unique, sorted and in range: strictly increasing below the count
+        assert on.size == 0 or (np.all(np.diff(on.astype(np.int64)) > 0) and on[-1] < count)
         photons.append(on.size)  # heralded, then single-atom, per chunk
         return on
 
@@ -670,6 +703,41 @@ def test_sampler_laws(monkeypatch):
     # at most, so the clicks beyond the photons are the background
     mean = 2.0 * rate * cfg.window_length * n
     assert abs(clicks - n_f - n_s - mean) < 4.0 * math.sqrt(mean)
+
+
+def test_lone_photons_reach_either_detector_evenly():
+    # Without background, a trigger with one click holds a lone photon (a
+    # photon leaves the window with probability below 1e-8). Each goes to
+    # A on its route bit, so they reach A with probability 1/2, in chunks
+    # whose photons fill no whole number of raw 64-bit words.
+    cfg = ExperimentConfig(n_triggers=4 * _CHUNK + 777, eta_f=0.7, eta_s=0.3, seed=23)
+    lone = at_a = 0
+    for frame in simulate_frames(cfg):
+        _, owners, detectors = frame.clicks
+        assert detectors.size % 64 != 0
+        alone = np.bincount(owners, minlength=frame.n_triggers)[owners] == 1
+        lone += np.count_nonzero(alone)
+        at_a += np.count_nonzero(detectors[alone] == DET_A)
+    assert lone > 2 * _CHUNK
+    assert abs(at_a - lone / 2) < 4.0 * math.sqrt(lone / 4)
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 200])
+def test_route_bits_follow_raw_words(count):
+    # Photon i takes bit i % 64, least significant first, of raw word
+    # i // 64, and goes to A where it is 1: with every word holding bits 0,
+    # 1 and 63, photons 0, 1 and 63 of each word reach A. A source at
+    # efficiency 1 draws no binomial or sample, and a lone photon no
+    # outcome uniform, so only the emission uniforms and the words are drawn.
+    rng = mock.Mock(spec=["random", "bit_generator"])
+    rng.random.side_effect = lambda size: np.full(size, 0.5)
+    rng.bit_generator.random_raw.side_effect = lambda size: np.full(size, 2**63 + 3, np.uint64)
+    cfg = ExperimentConfig(n_triggers=count, eta_f=1.0, eta_s=0.0)
+    _, owners, detectors = montecarlo._photons(rng, cfg, count)
+    rng.bit_generator.random_raw.assert_called_once_with(math.ceil(count / 64))
+    want = np.isin(np.arange(count) % 64, [0, 1, 63])
+    assert owners.tolist() == list(range(count))
+    assert detectors.tolist() == np.where(want, DET_A, DET_B).tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -712,19 +780,22 @@ def test_fused_histograms_memory_does_not_grow_with_run_length(workers, monkeypa
     # `homsim dip` at unit efficiency: three times the chunks, each paired
     # and binned where it is made, in about the same memory. The chunks of
     # each batch of `workers` are made one at a time and all held until the
-    # last is made, so both scans overlap their chunks the same way however
-    # the host schedules the threads.
-    generate = montecarlo._simulate_chunk
+    # last is made, and then paired and binned the same way, so both scans
+    # overlap their chunks the same way however the host schedules the
+    # threads.
     barrier, lock = threading.Barrier(workers, timeout=60), threading.Lock()
 
-    def batched(*args):
-        barrier.wait()
-        with lock:
-            chunk = generate(*args)
-        barrier.wait()
-        return chunk
+    def batched(step):
+        def one_at_a_time(*args):
+            barrier.wait()
+            with lock:
+                result = step(*args)
+            barrier.wait()
+            return result
+        return one_at_a_time
 
-    monkeypatch.setattr(montecarlo, "_simulate_chunk", batched)
+    for name in ("_simulate_chunk", "_frame_counts"):
+        monkeypatch.setattr(montecarlo, name, batched(getattr(montecarlo, name)))
     peaks = {}
     for n_chunks in (2, 6):
         config = ideal_config(n_triggers=n_chunks * _CHUNK)
