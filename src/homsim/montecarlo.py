@@ -13,10 +13,8 @@ only for the photons that exist. Per chunk, in this fixed order, which is
 part of the determinism contract:
 
 1. each source's live triggers, heralded (f) then single-atom (s): a
-   binomial count of them, then a uniform sample without replacement of
-   that many triggers, or, above efficiency 1/2, of the dead triggers,
-   whose complement is the live set (every trigger at efficiency 1 and
-   none at 0, with no draw);
+   binomial count and a sorted uniform sample of that many triggers
+   (every trigger at efficiency 1 and none at 0, with no draw);
 2. an emission uniform per f photon, then per s photon;
 3. a route bit per photon, f photons first: for m photons, the bits of
    ceil(m / 64) raw 64-bit words of the bit generator, photon i taking
@@ -210,21 +208,15 @@ class ExperimentConfig:
 def _live(rng, count: int, eta: float) -> np.ndarray:
     """Sorted indices (uint32, an owner's type) of the triggers at which a
     source of efficiency `eta` emits: a binomial count of them, placed by
-    a uniform sample of the live triggers, or above eta 1/2 of the dead
-    ones. No draw at eta 0 or 1."""
+    a uniform sample. No draw at eta 0 or 1."""
     if eta >= 1.0:
         return np.arange(count, dtype=np.uint32)
     if eta <= 0.0:
         return np.empty(0, dtype=np.uint32)
-    n = rng.binomial(count, eta)
-    if eta <= 0.5:
-        live = rng.choice(count, n, replace=False, shuffle=False).astype(np.uint32)
-        live.sort()
-        return live
-    # the complement of the dead triggers, sorted as it is found
-    alive = np.ones(count, dtype=bool)
-    alive[rng.choice(count, count - n, replace=False, shuffle=False)] = False
-    return np.flatnonzero(alive).astype(np.uint32)
+    live = rng.choice(count, rng.binomial(count, eta), replace=False, shuffle=False)
+    live = live.astype(np.uint32)
+    live.sort()
+    return live
 
 
 def _shared(mine: np.ndarray, other: np.ndarray, count: int):
@@ -247,10 +239,9 @@ def _photons(rng, config: ExperimentConfig, count: int):
     on_f = _live(rng, count, config.eta_f)
     on_s = _live(rng, count, config.eta_s)
     n_f, n = on_f.size, on_f.size + on_s.size
-    # The emission uniforms (f, then s), made into times in place: step 2.
-    # Step 3, a route bit per photon (f, then s): photon i takes bit i % 64,
-    # least significant first, of raw word i // 64, read as little-endian
-    # bytes, so the bits do not depend on the host's byte order.
+    # The emission uniforms (f, then s), made into times in place, then a
+    # route bit per photon: steps 2 and 3. The words are read as
+    # little-endian bytes, so the bits do not depend on the host's byte order.
     times = rng.random(n)
     t_f, t_s = times[:n_f], times[n_f:]
     words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)

@@ -361,24 +361,18 @@ def reference_outcome_probs(amp_direct, amp_swapped, xi):
 def reference_live(rng, count, eta):
     """Sorted trigger indices of one source's photons: every trigger at
     eta 1 and none at eta 0, with no draw; otherwise a binomial count,
-    placed by a uniform sample without replacement, of the live triggers
-    up to eta 1/2 and of the dead ones above it, the live ones being the
-    rest as a set difference."""
+    placed by a uniform sample without replacement."""
     if eta == 1.0:
         return np.arange(count)
     if eta == 0.0:
         return np.zeros(0, dtype=np.int64)
     n = rng.binomial(count, eta)
-    if eta <= 0.5:
-        return np.sort(rng.choice(count, n, replace=False, shuffle=False))
-    dead = rng.choice(count, count - n, replace=False, shuffle=False)
-    return np.array(sorted(set(range(count)) - set(dead.tolist())), dtype=np.int64)
+    return np.sort(rng.choice(count, n, replace=False, shuffle=False))
 
 
 def reference_routes(rng, n):
-    """One route bit per photon, True for A: photon i takes bit i % 64,
-    counted from the least significant, of raw word i // 64, read by
-    shifting each word's integer value."""
+    """One route bit per photon, True for A, by shifting each raw word's
+    integer value."""
     words = [int(w) for w in rng.bit_generator.random_raw(-(-n // 64))]
     return np.array([(words[i // 64] >> (i % 64)) & 1 for i in range(n)], dtype=bool)
 
@@ -607,8 +601,7 @@ def generator_configs(draw):
     ),
     workers=1,
 )
-# above eta 1/2: the dead triggers are placed and the live ones are their
-# complement, with jitter and background on, over two chunks
+# a high efficiency with jitter and background on, over two chunks
 @example(
     config=ExperimentConfig(
         n_triggers=_CHUNK + 1234, eta_f=0.95, eta_s=0.95, xi=0.9, excitation_jitter_sigma=1.5,
@@ -616,10 +609,9 @@ def generator_configs(draw):
     ),
     workers=2,
 )
-# either side of the boundary: eta 1/2 places the live triggers, the next
-# float up the dead ones
+# half the triggers' photons, in part of a chunk
 @example(
-    config=ExperimentConfig(n_triggers=3000, eta_f=0.5, eta_s=math.nextafter(0.5, 1.0), seed=7),
+    config=ExperimentConfig(n_triggers=3000, eta_f=0.5, eta_s=0.5, seed=7),
     workers=1,
 )
 def test_stream_matches_reference_generator(config, workers):
@@ -675,22 +667,17 @@ def test_every_click_ticks_below_the_next_trigger(config, first):
     assert np.all(trig_ticks[owners] + offsets < following[owners])
 
 
-# the paper's efficiency; just above 1/2 and at 0.95, where the dead
-# triggers are placed and the live ones are their complement
-@pytest.mark.parametrize("eta", [0.05, 0.51, 0.95])
-def test_sampler_laws(monkeypatch, eta):
-    # 16 chunks with background: photons per source follow Binomial(n, eta)
-    # and background clicks Poisson(rate w n)
-    rate, n = 1e-4, 16 * _CHUNK
+def test_sampler_laws(monkeypatch):
+    # 16 chunks at the paper's efficiency with background: photons per
+    # source follow Binomial(n, eta) and background clicks Poisson(rate w n)
+    eta, rate, n = 0.05, 1e-4, 16 * _CHUNK
     cfg = ExperimentConfig(n_triggers=n, eta_f=eta, eta_s=eta, bg_rate_a=rate,
                            bg_rate_b=rate, seed=17)
     photons = []
     live = montecarlo._live
 
-    def counted(rng, count, eta):
-        on = live(rng, count, eta)
-        # unique, sorted and in range: strictly increasing below the count
-        assert on.size == 0 or (np.all(np.diff(on.astype(np.int64)) > 0) and on[-1] < count)
+    def counted(*args):
+        on = live(*args)
         photons.append(on.size)  # heralded, then single-atom, per chunk
         return on
 
@@ -724,9 +711,8 @@ def test_lone_photons_reach_either_detector_evenly():
 
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 200])
 def test_route_bits_follow_raw_words(count):
-    # Photon i takes bit i % 64, least significant first, of raw word
-    # i // 64, and goes to A where it is 1: with every word holding bits 0,
-    # 1 and 63, photons 0, 1 and 63 of each word reach A. A source at
+    # With every raw word holding bits 0, 1 and 63, photons 0, 1 and 63 of
+    # each word reach A, by the draw order's step 3. A source at
     # efficiency 1 draws no binomial or sample, and a lone photon no
     # outcome uniform, so only the emission uniforms and the words are drawn.
     rng = mock.Mock(spec=["random", "bit_generator"])
@@ -783,19 +769,24 @@ def test_fused_histograms_memory_does_not_grow_with_run_length(workers, monkeypa
     # last is made, and then paired and binned the same way, so both scans
     # overlap their chunks the same way however the host schedules the
     # threads.
+    # Each wrapped step counts its calls, so a step that the scan reaches
+    # by another name fails the test instead of running unbatched.
     barrier, lock = threading.Barrier(workers, timeout=60), threading.Lock()
+    calls = {}
 
-    def batched(step):
+    def batched(name, step):
         def one_at_a_time(*args):
             barrier.wait()
             with lock:
                 result = step(*args)
+                calls[name] = calls.get(name, 0) + 1
             barrier.wait()
             return result
         return one_at_a_time
 
-    for name in ("_simulate_chunk", "_frame_counts"):
-        monkeypatch.setattr(montecarlo, name, batched(getattr(montecarlo, name)))
+    names = ("_simulate_chunk", "_frame_counts")
+    for name in names:
+        monkeypatch.setattr(montecarlo, name, batched(name, getattr(montecarlo, name)))
     peaks = {}
     for n_chunks in (2, 6):
         config = ideal_config(n_triggers=n_chunks * _CHUNK)
@@ -805,6 +796,7 @@ def test_fused_histograms_memory_does_not_grow_with_run_length(workers, monkeypa
             peaks[n_chunks] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    assert all(calls.get(name, 0) >= 8 for name in names), calls
     assert peaks[6] < 1.3 * peaks[2], peaks
 
 
